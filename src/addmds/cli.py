@@ -20,7 +20,7 @@ from .code import (
     apply_move,
     code_from_dict,
     code_to_dict,
-    is_mds,
+    distance_from_weights,
     linear_equivalence_witness,
     min_distance,
     project,
@@ -143,9 +143,9 @@ def _cmd_rs(cfg: RunConfig) -> bool:
 
 def _cmd_check_mds(cfg: RunConfig) -> bool:
     code = _load_code(cfg)
-    d = min_distance(code, cfg.budget_codewords)
-    k = code.message_length()
     enum = weight_enumerator(code, cfg.budget_codewords)
+    d = distance_from_weights(enum)
+    k = code.message_length()
     mds = d == code.n - k + 1
     _emit(cfg, {
         "n": code.n,

@@ -7,7 +7,8 @@ constructions rely on a structured basis); equality of codes compares the
 canonical reduced row echelon form of the F_q-coordinate expansion.
 
 Distance work enumerates codewords.  Enumeration is a hard-capped budgeted
-operation, vectorised with numpy lookup tables when the tower has them.
+operation done by one numpy kernel over F_p digit vectors, the same on
+every tower, which also serves the systems of ``geometry``.
 
 Equivalence moves are coordinate permutations combined with per-coordinate
 invertible q-linearized substitutions; they preserve cardinality and weight
@@ -25,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .errors import BudgetExceeded, NonInvertibleMap, NotMds
+from .errors import BudgetExceeded, NonInvertibleMap, NotInvertible, NotMds
 from .gf import FieldTower
 from .linpoly import LinearizedPoly, random_invertible
 
@@ -95,19 +96,6 @@ class AdditiveCode:
             raise NotMds(f"h = {self.tower.h} does not divide k_fq = {self.k_fq}")
         return self.k_fq // self.tower.h
 
-    def codewords(self):
-        """Iterate all q^k_fq codewords (pure python; keep it for small codes)."""
-        t = self.tower
-        fq = t.fq_elements
-        for combo in product(fq, repeat=self.k_fq):
-            w = [0] * self.n
-            for c, row in zip(combo, self.gen):
-                if c:
-                    for j in range(self.n):
-                        if row[j]:
-                            w[j] = t.add(w[j], t.mul(c, row[j]))
-            yield tuple(w)
-
     def is_field_linear(self) -> bool:
         """True iff the code is closed under multiplication by omega."""
         t = self.tower
@@ -144,70 +132,98 @@ class AdditiveCode:
 # ---------------------------------------------------------------------------
 # weight enumeration
 
-def _budget_total(code, budget):
+_CELLS = 1 << 20  # cap on messages x F_p columns in one block of the kernel
+
+
+def _span(mat, p):
+    """Every F_p-combination of the rows of ``mat``, one per row of the result."""
+    out = np.zeros((1, mat.shape[1]), dtype=mat.dtype)
+    for r in mat:
+        multiples = (np.arange(p)[:, None] * r % p).astype(mat.dtype)
+        out = ((multiples[:, None, :] + out[None, :, :]) % p).reshape(-1, mat.shape[1])
+    return out
+
+
+def _weight_distribution(tower: FieldTower, k: int, groups):
+    """A_0..A_n over the q^k messages m in F_q^k, for n column groups.
+
+    ``groups[j]`` lists columns of length k over F_{q^h}; message m hits
+    coordinate j when m . u != 0 for some column u of the group, and its
+    weight is the number of coordinates it hits.  A code's coordinate is a
+    group of one column; a system's block is its list of generators.
+
+    Elements are ints whose base-p digits are F_p coordinates and add
+    digitwise mod p, so each F_q-linear functional m . u splits into F_p
+    columns once m is written over the F_p-basis 1, gamma, ..., gamma^(e-1)
+    of F_q (gamma a primitive element of F_q).  Messages are all sums
+    lo + hi with lo from a precomputed block of low-digit combinations and
+    hi running over the high-digit combinations; as hi runs over a subspace
+    so does -hi, so an F_p column of lo + hi is nonzero exactly when it
+    differs between lo and hi.  Columns zero in every row are dropped (a
+    coordinate with none left is never hit) and each group is padded to a
+    power-of-two width by repeating its columns, so the hits of a group are
+    one unsigned-int view of the comparison bytes.
+    """
+    p, d = tower.p, tower.degree
+    gamma = tower.pow_int(tower.omega, (tower.size - 1) // (tower.q - 1))
+    basis = [tower.pow_int(gamma, t) for t in range(tower.e)]
+    cols = [col for blk in groups for col in blk]
+    owner = np.repeat([j for j, blk in enumerate(groups) for _ in blk], d)
+    exp = np.array([[tower.digits(tower.mul(b, x)) for x in col for b in basis]
+                    for col in cols], dtype=np.int64).reshape(len(cols), k * tower.e, d)
+    mat = exp.transpose(1, 0, 2).reshape(k * tower.e, len(cols) * d)
+    live = mat.any(axis=0)
+    members = [np.flatnonzero(live & (owner == j)) for j in range(len(groups))]
+    members = [m for m in members if len(m)]
+    counts = np.zeros(len(groups) + 1, dtype=np.int64)
+    if not members:
+        counts[0] = p ** mat.shape[0]
+        return [int(c) for c in counts]
+    width = 1 << (max(len(m) for m in members) - 1).bit_length()
+    mat = mat[:, np.concatenate([np.resize(m, width) for m in members])]
+    mat = mat.astype(np.min_scalar_type(2 * (p - 1)))
+    lo = min(1, mat.shape[0])
+    while lo < mat.shape[0] and p ** (lo + 1) * mat.shape[1] <= _CELLS:
+        lo += 1
+    block = _span(mat[:lo], p)
+    for hi in _span(mat[lo:], p):
+        hit = block != hi
+        w = width
+        while w > 1:
+            step = min(w, 8)
+            hit = hit.view(f"u{step}") != 0
+            w //= step
+        counts += np.bincount(np.count_nonzero(hit, axis=1), minlength=len(counts))
+    return [int(c) for c in counts]
+
+
+def _code_weights(code, budget):
     total = code.tower.q ** code.k_fq
     cap = DEFAULT_CODEWORD_BUDGET if budget is None else budget
     if total > cap:
         raise BudgetExceeded(f"{total} codewords exceed budget {cap}")
-    return total
+    columns = [[tuple(row[j] for row in code.gen)] for j in range(code.n)]
+    return _weight_distribution(code.tower, code.k_fq, columns)
 
 
-def _weights_numpy(code, total, chunk=1 << 16):
-    t = code.tower
-    q = t.q
-    fq = t.fq_elements
-    luts = [[np.array([t.mul(c, code.gen[i][j]) for c in fq], dtype=np.int64)
-             for j in range(code.n)] for i in range(code.k_fq)]
-    add = t.add_np
-    for lo in range(0, total, chunk):
-        hi = min(total, lo + chunk)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = [(idx // q**i) % q for i in range(code.k_fq)]
-        weights = np.zeros(hi - lo, dtype=np.int64)
-        for j in range(code.n):
-            acc = np.zeros(hi - lo, dtype=np.int64)
-            for i in range(code.k_fq):
-                acc = add[acc, luts[i][j][digits[i]]].astype(np.int64)
-            weights += acc != 0
-        yield lo, weights
-
-
-def _weights_python(code, total):
-    w = []
-    for cw in code.codewords():
-        w.append(sum(1 for x in cw if x))
-    yield 0, np.array(w, dtype=np.int64)
-
-
-def _weight_stream(code, budget):
-    total = _budget_total(code, budget)
-    if code.tower.add_np is not None:
-        return _weights_numpy(code, total)
-    return _weights_python(code, total)
+def distance_from_weights(weights) -> int:
+    """Minimum distance read off A_0..A_n: 0 when a nonzero message has weight 0."""
+    if weights[0] > 1:
+        return 0
+    for w in range(1, len(weights)):
+        if weights[w]:
+            return w
+    raise ValueError("zero code has no minimum distance")
 
 
 def min_distance(code: AdditiveCode, budget: int | None = None) -> int:
     """Minimum Hamming weight over the nonzero codewords (exhaustive)."""
-    if code.k_fq == 0:
-        raise ValueError("zero code has no minimum distance")
-    best = code.n + 1
-    for lo, weights in _weight_stream(code, budget):
-        if lo == 0:
-            weights = weights[1:]
-        if len(weights):
-            best = min(best, int(weights.min()))
-    return best
+    return distance_from_weights(_code_weights(code, budget))
 
 
 def weight_enumerator(code: AdditiveCode, budget: int | None = None):
     """List A_0..A_n with A_w = number of codewords of weight w."""
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    if code.k_fq == 0:
-        counts[0] = 1
-        return [int(c) for c in counts]
-    for _, weights in _weight_stream(code, budget):
-        counts += np.bincount(weights, minlength=code.n + 1)
-    return [int(c) for c in counts]
+    return _code_weights(code, budget)
 
 
 def is_mds(code: AdditiveCode, budget: int | None = None) -> bool:
@@ -363,7 +379,7 @@ def to_interpolation_form(code: AdditiveCode) -> InterpolationForm:
     exp_first = [row[: k * h] for row in code.expansion()]
     try:
         inv = linalg.mat_inv(t, exp_first)
-    except Exception:
+    except NotInvertible:
         raise NotMds("first k coordinates are not an information set")
     rows_mat = linalg.mat_mul(t, inv, [list(r) for r in code.gen])
     values = [[None] * k for _ in range(code.n - k)]
@@ -474,6 +490,18 @@ def code_to_dict(code: AdditiveCode) -> dict:
 
 
 def code_from_dict(data: dict, tower: FieldTower | None = None) -> AdditiveCode:
+    """Inverse of ``code_to_dict``; ValueError when keys are missing or
+    ``n`` or ``k_fq`` disagree with ``rows``."""
+    if not isinstance(data, dict):
+        raise ValueError("code JSON must be an object")
+    needed = ("n", "k_fq", "rows") if tower is not None else ("field", "n", "k_fq", "rows")
+    missing = [key for key in needed if key not in data]
+    if missing:
+        raise ValueError(f"code JSON lacks {', '.join(missing)}")
     t = tower if tower is not None else FieldTower.from_descriptor(data["field"])
     rows = [[t.from_digits(d) for d in row] for row in data["rows"]]
+    if len(rows) != data["k_fq"]:
+        raise ValueError(f"code JSON has k_fq = {data['k_fq']} but {len(rows)} rows")
+    if any(len(row) != data["n"] for row in rows):
+        raise ValueError(f"code JSON has n = {data['n']} but a row of another length")
     return AdditiveCode(t, rows, n=data["n"])

@@ -17,12 +17,15 @@ the blocks, which depend only on the subspaces.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-
-import numpy as np
+from itertools import combinations
 
 from . import linalg
-from .code import DEFAULT_CODEWORD_BUDGET, AdditiveCode
+from .code import (
+    DEFAULT_CODEWORD_BUDGET,
+    AdditiveCode,
+    _weight_distribution,
+    distance_from_weights,
+)
 from .errors import BudgetExceeded, DimensionMismatch, SpanFailure
 from .gf import FieldTower
 
@@ -111,56 +114,6 @@ def code_from_system(system: ProjectiveHSystem) -> AdditiveCode:
 # ---------------------------------------------------------------------------
 # metric and arc structure
 
-def _scan_python(system, total):
-    t = system.tower
-    fq = t.fq_elements
-    best = system.n + 1
-    for m in product(fq, repeat=system.dim):
-        if not any(m):
-            continue
-        w = 0
-        for blk in system.blocks:
-            hit = False
-            for u in blk:
-                acc = 0
-                for mi, ui in zip(m, u):
-                    if mi and ui:
-                        acc = t.add(acc, t.mul(mi, ui))
-                if acc:
-                    hit = True
-                    break
-            w += hit
-        best = min(best, w)
-    return best
-
-
-def _scan_numpy(system, total, chunk=1 << 16):
-    t = system.tower
-    q = t.q
-    fq_arr = np.array(t.fq_elements, dtype=np.int64)
-    add, mul = t.add_np, t.mul_np
-    best = system.n + 1
-    for lo in range(0, total, chunk):
-        hi = min(total, lo + chunk)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        elems = [fq_arr[(idx // q**i) % q] for i in range(system.dim)]
-        weights = np.zeros(hi - lo, dtype=np.int64)
-        for blk in system.blocks:
-            hit = np.zeros(hi - lo, dtype=bool)
-            for u in blk:
-                acc = np.zeros(hi - lo, dtype=np.int64)
-                for i, ui in enumerate(u):
-                    if ui:
-                        acc = add[acc, mul[elems[i], ui]].astype(np.int64)
-                hit |= acc != 0
-            weights += hit
-        if lo == 0:
-            weights = weights[1:]
-        if len(weights):
-            best = min(best, int(weights.min()))
-    return best
-
-
 def system_min_distance(system: ProjectiveHSystem, budget: int | None = None) -> int:
     """Minimum over nonzero messages of the number of blocks not annihilated.
 
@@ -170,9 +123,8 @@ def system_min_distance(system: ProjectiveHSystem, budget: int | None = None) ->
     cap = DEFAULT_CODEWORD_BUDGET if budget is None else budget
     if total > cap:
         raise BudgetExceeded(f"{total} messages exceed budget {cap}")
-    if system.tower.add_np is not None:
-        return _scan_numpy(system, total)
-    return _scan_python(system, total)
+    return distance_from_weights(
+        _weight_distribution(system.tower, system.dim, system.blocks))
 
 
 def is_pseudo_arc(system: ProjectiveHSystem) -> bool:

@@ -17,9 +17,10 @@ omega is primitive, (1, omega, ..., omega^(h-1)) is an F_q-basis of F_{q^h};
 ``coords`` expresses elements in that basis.
 
 For fields with at most 2**12 elements, log/exp tables and full numpy
-addition/multiplication tables are precomputed; the enumeration-heavy code
-paths rely on them.  Larger towers (up to 2**20 elements by default) fall
-back to direct polynomial arithmetic.
+addition/multiplication tables are precomputed; scalar arithmetic uses
+them.  Larger towers (up to 2**20 elements by default) fall back to direct
+polynomial arithmetic.  Codeword enumeration needs neither: it works on
+the base-p digit vectors directly.
 """
 
 from __future__ import annotations
@@ -532,6 +533,9 @@ class FieldTower:
 
     @classmethod
     def from_descriptor(cls, desc: dict, max_size: int = DEFAULT_MAX_SIZE) -> "FieldTower":
+        missing = [key for key in ("p", "e", "h", "modulus", "omega") if key not in desc]
+        if missing:
+            raise ValueError(f"field descriptor lacks {', '.join(missing)}")
         t = cls(desc["p"], desc["e"], desc["h"], max_size=max_size,
                 modulus=desc["modulus"], omega=_pack(list(desc["omega"]), desc["p"]))
         return t

@@ -22,7 +22,7 @@ so the first hit is MDS by construction and the full-enumeration check in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 
@@ -34,6 +34,7 @@ from .code import (
     code_to_dict,
     is_mds,
     linear_equivalence_witness,
+    min_distance,
     project,
 )
 from .errors import BudgetExceeded, FieldTooSmall
@@ -58,17 +59,6 @@ def largest_proper_divisor(h: int) -> int:
         if h % d == 0:
             return d
     return 1
-
-
-@dataclass
-class MdsLengthTable:
-    entries: dict = field(default_factory=dict)
-
-    def bounds(self, q: int, k: int):
-        key = (q, k)
-        if key not in self.entries:
-            self.entries[key] = nq_bounds(q, k)
-        return self.entries[key]
 
 
 # ---------------------------------------------------------------------------
@@ -108,24 +98,9 @@ def base_mds_matrix(tower: FieldTower, k: int = 4, n: int = 6):
         d = tower.inv(out[0][j])
         for i in range(k):
             out[i][j] = tower.mul(d, out[i][j])
-    _assert_base_mds(tower, out, k, n)
+    if min_distance(AdditiveCode(tower, out, check=False)) < n - k + 1:
+        raise AssertionError("base matrix is not MDS")
     return tuple(tuple(r) for r in out)
-
-
-def _assert_base_mds(tower, rows, k, n):
-    fq = tower.fq_elements
-    for msg in product(fq, repeat=k):
-        if not any(msg):
-            continue
-        w = 0
-        for j in range(n):
-            acc = 0
-            for i in range(k):
-                if msg[i] and rows[i][j]:
-                    acc = tower.add(acc, tower.mul(msg[i], rows[i][j]))
-            w += acc != 0
-        if w < n - k + 1:
-            raise AssertionError("base matrix is not MDS")
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +342,9 @@ def verify_k4_example(ex: K4Example, codeword_budget: int | None = None,
 
     wit_full = linear_equivalence_witness(code, candidate_budget)
 
-    table = MdsLengthTable()
     merged = 2  # both modified positions projected away in the theorem setting
     residual = k - merged
-    lo, hi = table.bounds(t.q, residual)
+    lo, hi = nq_bounds(t.q, residual)
     e = largest_proper_divisor(t.h)
     context = {
         "n": n,

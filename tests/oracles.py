@@ -124,6 +124,34 @@ def brute_min_distance(code):
     return best
 
 
+def brute_weight_distribution(code):
+    counts = [0] * (code.n + 1)
+    for w in brute_codewords(code):
+        counts[sum(1 for x in w if x)] += 1
+    return counts
+
+
+def brute_system_min_distance(system):
+    """Least number of blocks a nonzero message does not annihilate."""
+    t = system.tower
+    best = None
+    for m in product(t.fq_elements, repeat=system.dim):
+        if not any(m):
+            continue
+        wt = 0
+        for blk in system.blocks:
+            for u in blk:
+                acc = 0
+                for mi, ui in zip(m, u):
+                    acc = t.add(acc, t.mul(mi, ui))
+                if acc:
+                    wt += 1
+                    break
+        if best is None or wt < best:
+            best = wt
+    return best
+
+
 # ---------------------------------------------------------------------------
 # conjugacy triples by pointwise comparison
 

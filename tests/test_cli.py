@@ -154,6 +154,20 @@ def test_malformed_json_diagnostic(capsys, tmp_path):
     assert "line 2" in err and "column" in err
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda d: {}, "lacks field, n, k_fq, rows"),
+    (lambda d: dict(d, n=99), "n = 99"),
+    (lambda d: dict(d, k_fq=3), "k_fq = 3"),
+    (lambda d: dict(d, field={}), "field descriptor lacks p, e, h"),
+])
+def test_inconsistent_code_json(capsys, tmp_path, f9, change, message):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(change(code_to_dict(rs_code(f9, 2)))))
+    code, out, err = run(capsys, "check-mds", "--in", str(path))
+    assert code == 2 and out == ""
+    assert message in err and len(err.splitlines()) == 1
+
+
 def test_missing_file_and_missing_flags(capsys, tmp_path):
     code, _, err = run(capsys, "check-mds", "--in", str(tmp_path / "none.json"))
     assert code == 2

@@ -22,8 +22,10 @@ from addmds.code import (
     weight_enumerator,
 )
 from addmds.errors import BudgetExceeded, NonInvertibleMap, NotMds
+from addmds.geometry import system_from_code, system_min_distance
 from addmds.linpoly import LinearizedPoly
 
+import conftest
 import oracles
 
 
@@ -63,6 +65,40 @@ def test_min_distance_matches_bruteforce(f4, f9):
         scr = apply_move(code, random_move(code.tower, code.n, rng))
         for c in (code, scr):
             assert min_distance(c) == oracles.brute_min_distance(c)
+
+
+def _kernel_cases():
+    f8, f9 = conftest.tower(2, 1, 3), conftest.tower(3, 1, 2)
+    f16 = conftest.tower(2, 2, 2)
+    big = conftest.tower(3, 2, 4)  # 6561 elements: above TABLE_LIMIT, q = 9
+    rs9 = rs_code(f9, 2)
+    rows = [tuple(big.pow_int(big.omega, 5 * i + 3 * j + 1) for j in range(4))
+            for i in range(2)]
+    return {
+        "F8": rs_code(f8, 2),
+        "F16/F4": rs_code(f16, 2),
+        "F16/F4 scrambled": apply_move(rs_code(f16, 2),
+                                       random_move(f16, 17, random.Random(3))),
+        "F3^8, k_fq = 2": AdditiveCode(big, rows),
+        "zero coordinates": AdditiveCode(
+            f9, [row[:3] + (0,) + row[3:] + (0,) for row in rs9.gen]),
+    }
+
+
+@pytest.mark.parametrize("name", ["F8", "F16/F4", "F16/F4 scrambled",
+                                  "F3^8, k_fq = 2", "zero coordinates"])
+def test_kernel_matches_oracle(name):
+    code = _kernel_cases()[name]
+    assert weight_enumerator(code) == oracles.brute_weight_distribution(code)
+    assert min_distance(code) == oracles.brute_min_distance(code)
+    assert system_min_distance(system_from_code(code)) == min_distance(code)
+
+
+def test_dependent_rows_give_distance_zero(f9):
+    row = rs_code(f9, 2).gen[0]
+    code = AdditiveCode(f9, [row, tuple(f9.mul(2, x) for x in row)], check=False)
+    assert weight_enumerator(code)[0] == f9.q
+    assert min_distance(code) == 0
 
 
 def test_weight_enumerator(f9):
@@ -175,8 +211,12 @@ def test_interpolation_rejects_non_mds(f4):
     rows = [(1, 1, 0), (f4.omega, f4.omega, 0), (0, 0, 1),
             (0, 0, f4.omega)]
     code = AdditiveCode(f4, rows)
-    with pytest.raises(NotMds):
+    with pytest.raises(NotMds, match="information set"):
         to_interpolation_form(code)
+    # coordinate 0 is zero in every codeword, so {0, 1} is no information set
+    rows = [(0, 1, 1), (0, f4.omega, f4.omega), (0, 0, 1), (0, 0, f4.omega)]
+    with pytest.raises(NotMds, match="information set"):
+        to_interpolation_form(AdditiveCode(f4, rows))
 
 
 def test_standard_form_structure(f9):
@@ -219,3 +259,7 @@ def test_code_json_roundtrip(f9):
     again = code_from_dict(data)
     assert again == code and again.gen == code.gen
     assert code_from_dict(data, f9).gen == code.gen
+    for bad in ({}, dict(data, n=99), dict(data, k_fq=3),
+                {key: v for key, v in data.items() if key != "rows"}):
+        with pytest.raises(ValueError):
+            code_from_dict(bad)

@@ -19,6 +19,8 @@ from addmds.geometry import (
     system_to_dict,
 )
 
+import oracles
+
 
 def test_roundtrip_code_system_code(f9):
     code = rs_code(f9, 2)
@@ -52,6 +54,24 @@ def test_distance_bridge(f4, f9):
     codes += [apply_move(c, random_move(c.tower, c.n, rng)) for c in list(codes)]
     for code in codes:
         assert system_min_distance(system_from_code(code)) == min_distance(code)
+
+
+def test_system_distance_matches_oracle(f9, f16_over_f4):
+    rs = system_from_code(rs_code(f16_over_f4, 2))
+    systems = [
+        # an empty block is never hit
+        ProjectiveHSystem(f9, 2, [((1, 0), (0, 1)), (), ((1, 1),)]),
+        # a block with more than h = 2 generators
+        ProjectiveHSystem(f9, 3, [((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                  ((1, 1, 0),), ((0, 1, 2), (1, 0, 1), (1, 1, 0))]),
+        # blocks not spanning F_3^3: (0, 0, 1) hits nothing, so d = 0
+        ProjectiveHSystem(f9, 3, [((1, 0, 0),), ((0, 1, 0), (1, 1, 0))]),
+        # F_16 / F_4: blocks over a non-prime F_q, plus an empty block
+        ProjectiveHSystem(f16_over_f4, rs.dim, rs.blocks[:5] + ((),)),
+    ]
+    for system in systems:
+        assert system_min_distance(system) == oracles.brute_system_min_distance(system)
+    assert system_min_distance(systems[2]) == 0
 
 
 def test_distance_bridge_budget(f9):

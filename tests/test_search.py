@@ -9,7 +9,6 @@ from addmds.gf import field_create
 from addmds.linpoly import LinearizedPoly, invertible_linearized
 from addmds.search import (
     K4Example,
-    MdsLengthTable,
     assemble_code,
     base_mds_matrix,
     example_from_dict,
@@ -32,9 +31,6 @@ def test_nq_bounds_table():
     assert nq_bounds(9, 3) == (10, 11)
     with pytest.raises(ValueError):
         nq_bounds(5, 1)
-    table = MdsLengthTable()
-    assert table.bounds(5, 2) == (6, 6)
-    assert table.bounds(5, 2) == (6, 6)  # cached path
     assert largest_proper_divisor(2) == 1
     assert largest_proper_divisor(6) == 3
     assert largest_proper_divisor(1) == 1
