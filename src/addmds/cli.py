@@ -54,7 +54,6 @@ class RunConfig:
     n: int | None = None
     budget_codewords: int | None = None
     budget_candidates: int | None = None
-    shards: int = 1
     seed: int = 0
     input: str | None = None
     output: str | None = None
@@ -64,8 +63,6 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.shards < 1:
-            raise ValueError("shard count must be >= 1")
 
 
 def _tower(cfg: RunConfig) -> FieldTower:
@@ -276,8 +273,7 @@ def _inverse_samples(t: FieldTower, seed: int, count: int = 25) -> dict:
 def _cmd_hunt_k4(cfg: RunConfig) -> bool:
     t = _tower(cfg)
     n = cfg.n if cfg.n is not None else 6
-    ex = search.k4_example_search(t, n=n, shards=cfg.shards,
-                                  budget=cfg.budget_candidates)
+    ex = search.k4_example_search(t, n=n, budget=cfg.budget_candidates)
     if ex is None:
         _emit(cfg, {"found": False, "exhausted": True, "n": n})
         return False
@@ -332,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, help="code length / position / threshold length")
         sp.add_argument("--budget-codewords", type=int, dest="budget_codewords")
         sp.add_argument("--budget-candidates", type=int, dest="budget_candidates")
-        sp.add_argument("--shards", type=int, default=1)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--in", dest="input")
         sp.add_argument("--out", dest="output")

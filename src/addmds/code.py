@@ -155,7 +155,7 @@ def _weight_distribution(tower: FieldTower, k: int, groups):
     Elements are ints whose base-p digits are F_p coordinates and add
     digitwise mod p, so each F_q-linear functional m . u splits into F_p
     columns once m is written over the F_p-basis 1, gamma, ..., gamma^(e-1)
-    of F_q (gamma a primitive element of F_q).  Messages are all sums
+    of F_q (``tower.fq_basis``).  Messages are all sums
     lo + hi with lo from a precomputed block of low-digit combinations and
     hi running over the high-digit combinations; as hi runs over a subspace
     so does -hi, so an F_p column of lo + hi is nonzero exactly when it
@@ -165,11 +165,9 @@ def _weight_distribution(tower: FieldTower, k: int, groups):
     one unsigned-int view of the comparison bytes.
     """
     p, d = tower.p, tower.degree
-    gamma = tower.pow_int(tower.omega, (tower.size - 1) // (tower.q - 1))
-    basis = [tower.pow_int(gamma, t) for t in range(tower.e)]
     cols = [col for blk in groups for col in blk]
     owner = np.repeat([j for j, blk in enumerate(groups) for _ in blk], d)
-    exp = np.array([[tower.digits(tower.mul(b, x)) for x in col for b in basis]
+    exp = np.array([[tower.digits(tower.mul(b, x)) for x in col for b in tower.fq_basis]
                     for col in cols], dtype=np.int64).reshape(len(cols), k * tower.e, d)
     mat = exp.transpose(1, 0, 2).reshape(k * tower.e, len(cols) * d)
     live = mat.any(axis=0)
@@ -374,6 +372,8 @@ def to_interpolation_form(code: AdditiveCode) -> InterpolationForm:
     t = code.tower
     h = t.h
     k = code.message_length()
+    if k == 0:
+        raise NotMds("a code with k_fq = 0 has no information set")
     if code.n < k:
         raise NotMds("length is smaller than the message length")
     exp_first = [row[: k * h] for row in code.expansion()]
@@ -498,6 +498,8 @@ def code_from_dict(data: dict, tower: FieldTower | None = None) -> AdditiveCode:
     missing = [key for key in needed if key not in data]
     if missing:
         raise ValueError(f"code JSON lacks {', '.join(missing)}")
+    if not isinstance(data["rows"], list) or not all(isinstance(row, list) for row in data["rows"]):
+        raise ValueError("code JSON rows must be a list of lists")
     t = tower if tower is not None else FieldTower.from_descriptor(data["field"])
     rows = [[t.from_digits(d) for d in row] for row in data["rows"]]
     if len(rows) != data["k_fq"]:

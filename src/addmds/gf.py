@@ -12,28 +12,30 @@ Construction is canonical and reproducible:
 * omega is the smallest element (as an int) generating the multiplicative
   group of F_{q^h}.
 
-The middle field F_q is realised as the fixed field of x -> x^q.  Since
-omega is primitive, (1, omega, ..., omega^(h-1)) is an F_q-basis of F_{q^h};
-``coords`` expresses elements in that basis.
+The middle field F_q, the fixed field of x -> x^q, is 0 together with the
+powers of gamma = omega^((q^h - 1)/(q - 1)); ``fq_basis`` is its F_p-basis
+1, gamma, ..., gamma^(e-1).  Since omega is primitive, (1, omega, ...,
+omega^(h-1)) is an F_q-basis of F_{q^h}; ``coords`` expresses elements in
+that basis through the trace dual basis.
 
-For fields with at most 2**12 elements, log/exp tables and full numpy
-addition/multiplication tables are precomputed; scalar arithmetic uses
-them.  Larger towers (up to 2**20 elements by default) fall back to direct
-polynomial arithmetic.  Codeword enumeration needs neither: it works on
-the base-p digit vectors directly.
+Construction builds O(size) tables for every tower (up to 2**20 elements
+by default): exp/log of omega and, for odd p, Zech logarithms
+log(1 + omega^t).  Multiplication, inversion, powers, Frobenius and
+negation are lookups through the logs; addition is XOR for p = 2 and one
+Zech lookup otherwise.  Codeword enumeration works on the base-p digit
+vectors directly.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import product
 
 import numpy as np
 
 from .errors import InvalidSubfield, NotPrime, TowerMismatch, TowerTooLarge
 
-TABLE_LIMIT = 1 << 12
 DEFAULT_MAX_SIZE = 1 << 20
+_BLOCK = 1 << 14  # rows of omega powers generated per numpy step
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +197,11 @@ class FieldTower:
         self._group_order = size - 1
         self._order_factors = _prime_factors(self._group_order) if size > 2 else []
 
-        self._tables = size <= TABLE_LIMIT
-        self._exp = None
-        self._log = None
+        self._cache = {}
+        self._coords = {}
+        # perfbench patches _build_tables and reads these; no O(size^2) table is built
         self.add_np = None
         self.mul_np = None
-        self._cache = {}
 
         if omega is None:
             omega = self._find_omega()
@@ -209,15 +210,15 @@ class FieldTower:
             if not (0 < omega < size) or self.order(omega) != self._group_order:
                 raise ValueError("omega is not a primitive element")
         self.omega = omega
-
-        if self._tables:
-            self._build_tables()
+        self._build_tables()
 
         self.omega_powers = [self.pow_int(self.omega, l) for l in range(h)]
         self.key = (p, e, h, self.modulus, self.omega)
-        self.fq_elements = self._find_fq()
+        # gamma = omega^((q^h - 1)/(q - 1)) generates the multiplicative group of F_q
+        s = self._group_order // (self.q - 1)
+        self.fq_basis = tuple(self._exp[s * t] for t in range(e))
+        self.fq_elements = tuple(sorted([0] + [self._exp[s * j] for j in range(self.q - 1)]))
         self._fq_index = {x: i for i, x in enumerate(self.fq_elements)}
-        self._coords_map = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -281,99 +282,60 @@ class FieldTower:
         raise AssertionError("no primitive element found")
 
     def _build_tables(self):
-        size, n = self.size, self._group_order
-        exp = [0] * (2 * n)
-        cur = 1
-        for i in range(n):
-            exp[i] = cur
-            exp[i + n] = cur
-            cur = self._mul_raw(cur, self.omega)
-        log = [0] * size
-        for i in range(n):
-            log[exp[i]] = i
-        self._exp = exp
-        self._log = log
+        """exp/log of omega, and Zech logarithms for odd p.
 
-        p, d = self.p, self.degree
-        if p == 2:
-            idx = np.arange(size, dtype=np.uint32)
-            self.add_np = np.bitwise_xor.outer(idx, idx).astype(np.uint16 if size <= 1 << 16 else np.uint32)
-        else:
-            digits = np.zeros((size, d), dtype=np.int64)
-            tmp = np.arange(size, dtype=np.int64)
-            for t in range(d):
-                digits[:, t] = tmp % p
-                tmp //= p
-            powers = np.array([p**t for t in range(d)], dtype=np.int64)
-            add = np.zeros((size, size), dtype=np.uint16)
-            chunk = max(1, (1 << 22) // (size * d))
-            for lo in range(0, size, chunk):
-                hi = min(size, lo + chunk)
-                s = (digits[lo:hi, None, :] + digits[None, :, :]) % p
-                add[lo:hi] = (s * powers).sum(axis=2).astype(np.uint16)
-            self.add_np = add
+        Multiplication by omega is the d x d F_p matrix ``step`` acting on
+        digit row vectors.  The powers omega^0..omega^(n-1) are made in
+        blocks of at most ``_BLOCK`` rows, each block the previous one times
+        a power of that matrix, so no n x d digit array is ever held.
+        """
+        p, d, n = self.p, self.degree, self._group_order
+        step = np.array([_unpack(self._mul_raw(self.omega, p**t), p, d) for t in range(d)],
+                        dtype=np.int64)
+        block = np.eye(1, d, dtype=np.int64)
+        while len(block) < min(n, _BLOCK):
+            block = np.vstack([block, block @ step % p])
+            step = step @ step % p
+        place = p ** np.arange(d, dtype=np.int64)
+        exp = np.empty(n, dtype=np.int64)
+        for lo in range(0, n, len(block)):
+            exp[lo:lo + len(block)] = (block @ place)[:n - lo]
+            block = block @ step % p
+        log = np.zeros(self.size, dtype=np.int64)
+        log[exp] = np.arange(n)
 
-        log_np = np.array(log, dtype=np.int64)
-        exp_np = np.array(exp, dtype=np.int64)
-        mul = exp_np[(log_np[:, None] + log_np[None, :]) % n] if n > 0 else np.zeros((1, 1), dtype=np.int64)
-        mul[0, :] = 0
-        mul[:, 0] = 0
-        self.mul_np = mul.astype(np.uint16 if size <= 1 << 16 else np.uint32)
-
-        # plain-list rows are the fast scalar path; keep them for small fields
-        self._add_rows = [list(map(int, self.add_np[i])) for i in range(size)] if size <= 1 << 10 else None
-        self._frob_list = [self.pow_int(x, self.q) for x in range(size)]
-
-    def _find_fq(self):
-        if self._tables:
-            return tuple(x for x in range(self.size) if self._frob_list[x] == x)
-        # F_p-linear kernel of (x -> x^q) - id gives an F_p-basis of F_q
-        p, d = self.p, self.degree
-        cols = []
-        for t in range(d):
-            img = _unpack(self._pow_raw(p**t, self.q), p, d)
-            img[t] = (img[t] - 1) % p
-            cols.append(img)
-        basis = _fp_nullspace_cols(cols, p, d)
-        elems = set()
-        for combo in product(range(p), repeat=len(basis)):
-            digs = [0] * d
-            for c, vec in zip(combo, basis):
-                if c:
-                    for t in range(d):
-                        digs[t] = (digs[t] + c * vec[t]) % p
-            elems.add(_pack(digs, p))
-        assert len(elems) == self.q
-        return tuple(sorted(elems))
+        exp_list = exp.tolist()
+        self._exp = exp_list + exp_list  # doubled, so exp[la + lb] needs no mod
+        self._log = log.tolist()
+        self._half = n // 2  # -1 = omega^(n/2) for odd p
+        self._qpow = tuple(self.q**i % n for i in range(self.h))
+        self._zech = None  # p = 2 adds by XOR
+        if p > 2:
+            # 1 + x only changes the constant (lowest) digit of x
+            low = exp % p
+            one_plus = exp - low + (low + 1) % p
+            zech = log[one_plus]
+            zech[one_plus == 0] = -1
+            self._zech = zech.tolist()
 
     # -- scalar arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._tables:
-            if self._add_rows is not None:
-                return self._add_rows[a][b]
-            return int(self.add_np[a, b])
         if self.p == 2:
             return a ^ b
-        p = self.p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        # a + b = omega^la * (1 + omega^(lb - la)); a negative index wraps mod n
+        z = self._zech[self._log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or not a:
             return a
-        p = self.p
-        out, mult = 0, 1
-        while a:
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._exp[self._log[a] + self._half]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -381,16 +343,12 @@ class FieldTower:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._tables:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._tables:
-            return self._exp[self._group_order - self._log[a]]
-        return self._pow_raw(a, self._group_order - 1)
+        return self._exp[self._group_order - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -402,22 +360,13 @@ class FieldTower:
             if n < 0:
                 raise ZeroDivisionError("inverse of zero")
             return 0
-        if n < 0:
-            x, n = self.inv(x), -n
-        if self._tables:
-            return self._exp[(self._log[x] * n) % self._group_order]
-        return self._pow_raw(x, n % self._group_order)
+        return self._exp[self._log[x] * n % self._group_order]
 
     def frob(self, x: int, i: int = 1) -> int:
         """x^(q^i); exponents act modulo h since x^(q^h) = x."""
-        i %= self.h
-        if i == 0:
-            return x
-        if self._tables:
-            for _ in range(i):
-                x = self._frob_list[x]
-            return x
-        return self.pow_int(x, self.q**i)
+        if not x:
+            return 0
+        return self._exp[self._log[x] * self._qpow[i % self.h] % self._group_order]
 
     # -- subfield / coordinates ------------------------------------------------
 
@@ -437,23 +386,14 @@ class FieldTower:
                 return s
         raise AssertionError
 
-    def _coords_table(self):
-        if self._coords_map is None:
-            cmap = {}
-            for combo in product(self.fq_elements, repeat=self.h):
-                x = 0
-                for c, w in zip(combo, self.omega_powers):
-                    x = self.add(x, self.mul(c, w))
-                cmap[x] = combo
-            assert len(cmap) == self.size
-            self._coords_map = cmap
-        return self._coords_map
-
     def coords(self, x: int):
         """Coefficients (c_0, ..., c_{h-1}) in F_q with x = sum c_l omega^l."""
-        if self._tables:
-            return self._coords_table()[x]
-        return self._coords_solve(x)
+        cs = self._coords.get(x)
+        if cs is None:
+            # c_l = Tr(d_l * x) for the dual basis (d_l)
+            cs = self._coords[x] = tuple(self.trace_to_fq(self.mul(dl, x))
+                                         for dl in self.dual_basis())
+        return cs
 
     def from_coords(self, cs) -> int:
         x = 0
@@ -485,32 +425,6 @@ class FieldTower:
             self._cache["dual_basis"] = tuple(self.from_coords(row) for row in inv)
         return self._cache["dual_basis"]
 
-    def _coords_solve(self, x: int):
-        p, d, h = self.p, self.degree, self.h
-        key = "coords_basis"
-        if key not in self._cache:
-            fq_basis = []
-            seen = {0}
-            for y in self.fq_elements:
-                if y not in seen:
-                    fq_basis.append(y)
-                    seen = {self.add(a, self.mul(c, y)) for a in seen for c in range(p)}
-            cols = []
-            layout = []
-            for l in range(h):
-                for t, theta in enumerate(fq_basis):
-                    cols.append(_unpack(self.mul(theta, self.omega_powers[l]), p, d))
-                    layout.append((l, theta))
-            self._cache[key] = (_fp_inverse_cols(cols, p, d), layout, fq_basis)
-        inv_rows, layout, fq_basis = self._cache[key]
-        target = _unpack(x, p, d)
-        sol = [sum(r * t for r, t in zip(row, target)) % p for row in inv_rows]
-        out = [0] * h
-        for coeff, (l, theta) in zip(sol, layout):
-            if coeff:
-                out[l] = self.add(out[l], self.mul(coeff, theta))
-        return tuple(out)
-
     # -- serialization ----------------------------------------------------------
 
     def digits(self, x: int):
@@ -533,6 +447,8 @@ class FieldTower:
 
     @classmethod
     def from_descriptor(cls, desc: dict, max_size: int = DEFAULT_MAX_SIZE) -> "FieldTower":
+        if not isinstance(desc, dict):
+            raise ValueError("field descriptor must be a JSON object")
         missing = [key for key in ("p", "e", "h", "modulus", "omega") if key not in desc]
         if missing:
             raise ValueError(f"field descriptor lacks {', '.join(missing)}")
@@ -558,60 +474,6 @@ class FieldTower:
 
     def __hash__(self):
         return hash(self.key)
-
-
-# ---------------------------------------------------------------------------
-# little F_p matrix helpers used only during construction
-
-def _fp_nullspace_cols(cols, p, d):
-    """Basis of the kernel of the map v -> sum v_t * col_t over F_p."""
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(d)]
-    n = len(cols)
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, d) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p) if p > 2 else 1
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(d):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for rr, pc in enumerate(pivots):
-            v[pc] = (-rows[rr][fc]) % p
-        basis.append(v)
-    return basis
-
-
-def _fp_inverse_cols(cols, p, d):
-    """Rows of the inverse of the d x d matrix whose columns are given."""
-    n = len(cols)
-    assert n == d
-    a = [[cols[j][i] for j in range(n)] for i in range(d)]
-    inv = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for c in range(d):
-        piv = next(i for i in range(c, d) if a[i][c])
-        a[c], a[piv] = a[piv], a[c]
-        inv[c], inv[piv] = inv[piv], inv[c]
-        f = pow(a[c][c], p - 2, p) if p > 2 else 1
-        a[c] = [(v * f) % p for v in a[c]]
-        inv[c] = [(v * f) % p for v in inv[c]]
-        for i in range(d):
-            if i != c and a[i][c]:
-                g = a[i][c]
-                a[i] = [(x - g * y) % p for x, y in zip(a[i], a[c])]
-                inv[i] = [(x - g * y) % p for x, y in zip(inv[i], inv[c])]
-    return inv
 
 
 def field_create(p: int, e: int, h: int, max_size: int = DEFAULT_MAX_SIZE) -> FieldTower:

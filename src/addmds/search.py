@@ -258,17 +258,11 @@ def _candidate_alphas(tower):
     return [x for x in tower.elements() if not tower.in_fq(x)]
 
 
-def k4_example_search(tower: FieldTower, n: int = 6, shards: int = 1,
-                      budget: int | None = None):
+def k4_example_search(tower: FieldTower, n: int = 6, budget: int | None = None):
     """First (alpha, beta, g) in lex order passing the MDS screen, or None.
 
-    The g-space is partitioned by the leading coefficient modulo ``shards``;
-    every shard scans independently and the least local hit is returned, so
-    the result does not depend on the shard count.  None is returned only
-    after the whole space is exhausted.
+    None is returned only after the whole space is exhausted.
     """
-    if shards < 1:
-        raise ValueError("shard count must be >= 1")
     base = base_mds_matrix(tower, 4, n)
     outside = _candidate_alphas(tower)
     space = len(outside) ** 2 * tower.size ** tower.h
@@ -276,22 +270,6 @@ def k4_example_search(tower: FieldTower, n: int = 6, shards: int = 1,
     if space > cap:
         raise BudgetExceeded(f"{space} candidates exceed budget {cap}")
     lambda_pairs, alpha_constraints = screen_conditions(tower, base)
-    hits = []
-    for shard_index in range(shards):
-        hit = _search_shard(tower, base, lambda_pairs, alpha_constraints,
-                            outside, shards, shard_index)
-        if hit is not None:
-            hits.append(hit)
-    if not hits:
-        return None
-    alpha, beta, g_coeffs = min(hits)
-    return K4Example.build(tower, base, alpha, beta,
-                           LinearizedPoly(tower, g_coeffs))
-
-
-def _search_shard(tower, base, lambda_pairs, alpha_constraints, outside,
-                  shards, shard_index):
-    h = tower.h
     for alpha in outside:
         if not _alpha_ok(tower, base, alpha, alpha_constraints):
             continue
@@ -301,16 +279,14 @@ def _search_shard(tower, base, lambda_pairs, alpha_constraints, outside,
             if s == 1:
                 continue
             lams = [tower.add(tower.mul(l1, alpha), l2) for l1, l2 in lambda_pairs]
-            for coeffs in product(range(tower.size), repeat=h):
-                if coeffs[h - 1] % shards != shard_index:
-                    continue
+            for coeffs in product(range(tower.size), repeat=tower.h):
                 g = LinearizedPoly(tower, coeffs)
                 if not g.is_invertible() or g.is_semilinear(s):
                     continue
                 w = g.conjugate(beta)
                 if all((w - LinearizedPoly.scalar(tower, lam)).is_invertible()
                        for lam in lams):
-                    return (alpha, beta, coeffs)
+                    return K4Example.build(tower, base, alpha, beta, g)
     return None
 
 

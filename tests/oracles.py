@@ -77,6 +77,21 @@ def field_add(x, y, p, d):
     return pack([(a + b) % p for a, b in zip(unpack(x, p, d), unpack(y, p, d))], p)
 
 
+def field_neg(x, p, d):
+    return pack([(-a) % p for a in unpack(x, p, d)], p)
+
+
+def field_pow(x, n, modulus_digits, p):
+    """x^n for n >= 0 by square-and-multiply on top of ``field_mul``."""
+    acc = 1
+    while n:
+        if n & 1:
+            acc = field_mul(acc, x, modulus_digits, p)
+        x = field_mul(x, x, modulus_digits, p)
+        n >>= 1
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # linearized maps evaluated from the definition
 

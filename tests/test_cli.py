@@ -159,6 +159,9 @@ def test_malformed_json_diagnostic(capsys, tmp_path):
     (lambda d: dict(d, n=99), "n = 99"),
     (lambda d: dict(d, k_fq=3), "k_fq = 3"),
     (lambda d: dict(d, field={}), "field descriptor lacks p, e, h"),
+    (lambda d: dict(d, field=5), "field descriptor must be a JSON object"),
+    (lambda d: dict(d, rows=5), "rows must be a list of lists"),
+    (lambda d: dict(d, rows=[5] + d["rows"][1:]), "rows must be a list of lists"),
 ])
 def test_inconsistent_code_json(capsys, tmp_path, f9, change, message):
     path = tmp_path / "code.json"
@@ -197,7 +200,7 @@ def test_reports_deterministic(capsys):
                      "--seed", "7")
     assert strip_timestamp(out1) == strip_timestamp(out2)
     _, out3, _ = run(capsys, "hunt-k4", "--p", "5", "--e", "1", "--h", "2",
-                     "--shards", "3", "--out", "/dev/null")
+                     "--out", "/dev/null")
     _, out4, _ = run(capsys, "hunt-k4", "--p", "5", "--e", "1", "--h", "2",
                      "--out", "/dev/null")
     assert strip_timestamp(out3) == strip_timestamp(out4)

@@ -219,6 +219,16 @@ def test_interpolation_rejects_non_mds(f4):
         to_interpolation_form(AdditiveCode(f4, rows))
 
 
+def test_dimension_zero_code_is_not_mds(f9):
+    code = rs_code(f9, 2)
+    for kept in (1, 3):
+        empty = project(code, range(code.n - kept))
+        assert (empty.n, empty.k_fq) == (kept, 0) and not is_mds(empty)
+        for fn in (to_standard_form, linear_equivalence_witness):
+            with pytest.raises(NotMds, match="k_fq = 0"):
+                fn(empty)
+
+
 def test_standard_form_structure(f9):
     rng = random.Random(13)
     code = apply_move(rs_code(f9, 2), random_move(f9, 10, rng))

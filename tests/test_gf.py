@@ -34,14 +34,42 @@ def test_sizes(f4, f9, f16_over_f4):
     assert len(f16_over_f4.fq_elements) == 4
 
 
-@pytest.mark.parametrize("key", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])
+# exhaustive up to 16 elements, sampled above; 3^10 > gf._BLOCK, so its exp
+# table is made in several blocks
+@pytest.mark.parametrize("key", [(2, 1, 2), (3, 1, 2), (2, 2, 2),
+                                 (3, 2, 4), (5, 1, 6), (2, 1, 12), (3, 1, 10)])
 def test_mul_against_naive_poly_arithmetic(key):
     from conftest import tower
     t = tower(*key)
-    for x in t.elements():
-        for y in t.elements():
-            assert t.mul(x, y) == oracles.field_mul(x, y, t.modulus, t.p)
-            assert t.add(x, y) == oracles.field_add(x, y, t.p, t.degree)
+    p, d, m = t.p, t.degree, t.modulus
+    if t.size <= 16:
+        pairs = [(x, y) for x in t.elements() for y in t.elements()]
+    else:
+        rng = random.Random(t.size)
+        pairs = [(rng.randrange(t.size), rng.randrange(t.size)) for _ in range(150)]
+    # Zech edge cases: x + (-x), 1 + (-1), zero operands, log b < log a
+    pairs += [(x, oracles.field_neg(x, p, d)) for x, _ in pairs[:20]]
+    pairs += [(1, oracles.field_neg(1, p, d)), (0, 0), (0, 1), (1, 0)]
+    pairs += [(oracles.field_pow(t.omega, i, m, p), oracles.field_pow(t.omega, i // 3, m, p))
+              for i in (1, 2, 7, t.size - 2)]
+    for x, y in pairs:
+        assert t.mul(x, y) == oracles.field_mul(x, y, m, p)
+        assert t.add(x, y) == oracles.field_add(x, y, p, d)
+        assert t.neg(x) == oracles.field_neg(x, p, d)
+        assert t.sub(x, y) == oracles.field_add(x, oracles.field_neg(y, p, d), p, d)
+        if x:
+            inv = t.inv(x)
+            assert oracles.field_mul(x, inv, m, p) == 1
+            for n in (2, 5, t.size, -1, -3):
+                want = oracles.field_pow(x if n > 0 else inv, abs(n), m, p)
+                assert t.pow_int(x, n) == want
+        for i in range(t.h + 1):
+            assert t.frob(x, i) == oracles.field_pow(x, t.q ** i, m, p)
+    assert len(t.fq_elements) == t.q
+    assert all(oracles.field_pow(a, t.q, m, p) == a for a in t.fq_elements[:50])
+    for x, _ in pairs:
+        assert t.from_coords(t.coords(x)) == x
+        assert all(c in t.fq_elements for c in t.coords(x))
 
 
 def test_field_axioms_sampled(f25):

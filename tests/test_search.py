@@ -96,16 +96,6 @@ def test_search_first_hit_frozen(f25):
     assert ex.intersection_degree() == 2
 
 
-def test_search_shard_invariance(f25):
-    baseline = k4_example_search(f25, shards=1)
-    for shards in (2, 3, 5):
-        again = k4_example_search(f25, shards=shards)
-        assert (again.alpha, again.beta, again.g.coeffs) == \
-            (baseline.alpha, baseline.beta, baseline.g.coeffs)
-    with pytest.raises(ValueError):
-        k4_example_search(f25, shards=0)
-
-
 def test_search_budget(f25):
     with pytest.raises(BudgetExceeded):
         k4_example_search(f25, budget=1000)
