@@ -83,8 +83,6 @@ from .search import (
     mds_screen,
     nq_bounds,
     screen_conditions,
-    span_avoidance_direct,
-    span_avoidance_eliminated,
     verify_k4_example,
 )
 

@@ -21,6 +21,7 @@ from .code import (
     code_from_dict,
     code_to_dict,
     distance_from_weights,
+    is_mds,
     linear_equivalence_witness,
     min_distance,
     project,
@@ -37,7 +38,7 @@ from .errors import (
     TowerMismatch,
     TowerTooLarge,
 )
-from .gf import FieldTower, field_create
+from .gf import FieldTower, field_create, require_keys
 from .linpoly import LinearizedPoly
 
 USAGE_ERRORS = (BudgetExceeded, FieldTooSmall, NotPrime, TowerTooLarge,
@@ -143,7 +144,7 @@ def _cmd_check_mds(cfg: RunConfig) -> bool:
     enum = weight_enumerator(code, cfg.budget_codewords)
     d = distance_from_weights(enum)
     k = code.message_length()
-    mds = d == code.n - k + 1
+    mds = is_mds(code, cfg.budget_codewords)
     _emit(cfg, {
         "n": code.n,
         "message_length": k,
@@ -214,7 +215,7 @@ def _cmd_geometry(cfg: RunConfig) -> bool:
     _emit(cfg, {
         "system": geometry.system_to_dict(system),
         "block_ranks": [system.block_rank(i) for i in range(len(system.blocks))],
-        "pseudo_arc": geometry.is_pseudo_arc(system),
+        "pseudo_arc": geometry.is_pseudo_arc(system, cfg.budget_codewords),
         "spread_membership": membership,
         "min_distance_code": d_code,
         "min_distance_system": d_system,
@@ -226,9 +227,7 @@ def _cmd_geometry(cfg: RunConfig) -> bool:
 def _cmd_propm(cfg: RunConfig) -> bool:
     t = _tower(cfg)
     if cfg.input is not None:
-        data = _load_json(cfg.input)
-        f = LinearizedPoly(t, tuple(t.from_digits(d) for d in data["f"]))
-        g = LinearizedPoly(t, tuple(t.from_digits(d) for d in data["g"]))
+        f, g = _load_pair(t, _load_json(cfg.input))
         m, wit = propm.max_prop_m(f, g, cfg.budget_candidates)
         inverse = propm.verify_inverse_lemma(f, g)
         _emit(cfg, {
@@ -252,6 +251,12 @@ def _cmd_propm(cfg: RunConfig) -> bool:
     ok = all(r["ok"] for r in reports.values())
     _emit(cfg, {"field": t.descriptor(), "n": n, "verifiers": reports, "all_ok": ok})
     return ok
+
+
+def _load_pair(t: FieldTower, data):
+    """The (f, g) of a propm pair JSON; ValueError naming missing keys."""
+    require_keys(data, ("f", "g"), "pair JSON", nested=("f", "g"))
+    return tuple(LinearizedPoly.from_json(t, data[key]) for key in ("f", "g"))
 
 
 def _inverse_samples(t: FieldTower, seed: int, count: int = 25) -> dict:
@@ -292,7 +297,9 @@ def _cmd_verify_example(cfg: RunConfig) -> bool:
     if cfg.input is None:
         raise ValueError("verify-example needs --in with a found-example JSON file")
     data = _load_json(cfg.input)
-    ex = search.example_from_dict(data.get("example", data))
+    if isinstance(data, dict) and "example" in data:
+        data = data["example"]
+    ex = search.example_from_dict(data)
     report = search.verify_k4_example(ex, cfg.budget_codewords,
                                       cfg.budget_candidates)
     _emit(cfg, {"verification": report})

@@ -8,7 +8,8 @@ canonical reduced row echelon form of the F_q-coordinate expansion.
 
 Distance work enumerates codewords.  Enumeration is a hard-capped budgeted
 operation done by one numpy kernel over F_p digit vectors, the same on
-every tower, which also serves the systems of ``geometry``.
+every tower, which also serves the systems of ``geometry``.  Each code or
+system keeps its result, so d, A_0..A_n and MDS cost one enumeration.
 
 Equivalence moves are coordinate permutations combined with per-coordinate
 invertible q-linearized substitutions; they preserve cardinality and weight
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, NonInvertibleMap, NotInvertible, NotMds
-from .gf import FieldTower
+from .gf import FieldTower, require_keys
 from .linpoly import LinearizedPoly, random_invertible
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
@@ -195,13 +196,24 @@ def _weight_distribution(tower: FieldTower, k: int, groups):
     return [int(c) for c in counts]
 
 
-def _code_weights(code, budget):
-    total = code.tower.q ** code.k_fq
+def _cached_weights(obj, k, groups, budget, noun):
+    """A_0..A_n of a code or system over its q^k messages, enumerated once.
+
+    The budget is checked before the memo is read, so cache state changes no
+    answer and no BudgetExceeded; each caller gets a fresh list.
+    """
+    total = obj.tower.q ** k
     cap = DEFAULT_CODEWORD_BUDGET if budget is None else budget
     if total > cap:
-        raise BudgetExceeded(f"{total} codewords exceed budget {cap}")
+        raise BudgetExceeded(f"{total} {noun} exceed budget {cap}")
+    if "weights" not in obj._cache:
+        obj._cache["weights"] = tuple(_weight_distribution(obj.tower, k, groups))
+    return list(obj._cache["weights"])
+
+
+def _code_weights(code, budget):
     columns = [[tuple(row[j] for row in code.gen)] for j in range(code.n)]
-    return _weight_distribution(code.tower, code.k_fq, columns)
+    return _cached_weights(code, code.k_fq, columns, budget, "codewords")
 
 
 def distance_from_weights(weights) -> int:
@@ -492,14 +504,8 @@ def code_to_dict(code: AdditiveCode) -> dict:
 def code_from_dict(data: dict, tower: FieldTower | None = None) -> AdditiveCode:
     """Inverse of ``code_to_dict``; ValueError when keys are missing or
     ``n`` or ``k_fq`` disagree with ``rows``."""
-    if not isinstance(data, dict):
-        raise ValueError("code JSON must be an object")
-    needed = ("n", "k_fq", "rows") if tower is not None else ("field", "n", "k_fq", "rows")
-    missing = [key for key in needed if key not in data]
-    if missing:
-        raise ValueError(f"code JSON lacks {', '.join(missing)}")
-    if not isinstance(data["rows"], list) or not all(isinstance(row, list) for row in data["rows"]):
-        raise ValueError("code JSON rows must be a list of lists")
+    keys = ("n", "k_fq", "rows") if tower is not None else ("field", "n", "k_fq", "rows")
+    require_keys(data, keys, "code JSON", nested=("rows",))
     t = tower if tower is not None else FieldTower.from_descriptor(data["field"])
     rows = [[t.from_digits(d) for d in row] for row in data["rows"]]
     if len(rows) != data["k_fq"]:

@@ -6,9 +6,12 @@ matrix whose i-th row is coords(g_i[j]).  The ordered list of these
 subspaces determines the weight distribution: a message vector hits weight
 equal to the number of subspaces it does not annihilate.  This module keeps
 those subspace lists as first-class objects, converts codes to and from
-them, evaluates their minimum distance and arc property directly, and
-decides membership in the multiplication spread (the partition of F_q^(hk)
-into the F_{q^h}-point subspaces under the omega-power identification).
+them, evaluates their minimum distance and arc property, and decides
+membership in the multiplication spread (the partition of F_q^(hk) into the
+F_{q^h}-point subspaces under the omega-power identification).  Distance
+and the arc property both read the budgeted enumeration kernel of ``code``,
+whose result each system keeps: a system is a pseudo-arc exactly when its
+distance is n - k + 1, just as a code is MDS.
 
 Blocks are stored exactly as given so that ``code_from_system`` inverts
 ``system_from_code`` on the nose; comparisons use reduced echelon forms of
@@ -17,16 +20,9 @@ the blocks, which depend only on the subspaces.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from . import linalg
-from .code import (
-    DEFAULT_CODEWORD_BUDGET,
-    AdditiveCode,
-    _weight_distribution,
-    distance_from_weights,
-)
-from .errors import BudgetExceeded, DimensionMismatch, SpanFailure
+from .code import AdditiveCode, _cached_weights, distance_from_weights
+from .errors import DimensionMismatch, SpanFailure
 from .gf import FieldTower
 
 
@@ -119,19 +115,17 @@ def system_min_distance(system: ProjectiveHSystem, budget: int | None = None) ->
 
     Equals the minimum distance of any code realising the system.
     """
-    total = system.tower.q ** system.dim
-    cap = DEFAULT_CODEWORD_BUDGET if budget is None else budget
-    if total > cap:
-        raise BudgetExceeded(f"{total} messages exceed budget {cap}")
-    return distance_from_weights(
-        _weight_distribution(system.tower, system.dim, system.blocks))
+    return distance_from_weights(_cached_weights(
+        system, system.dim, system.blocks, budget, "messages"))
 
 
-def is_pseudo_arc(system: ProjectiveHSystem) -> bool:
-    """Every block has rank h and every dim/h of them span the ambient space.
+def is_pseudo_arc(system: ProjectiveHSystem, budget: int | None = None) -> bool:
+    """Every block has rank h and every k = dim/h of them span the ambient space.
 
-    This is the geometric face of the MDS property: a code is MDS exactly
-    when its system is a pseudo-arc.
+    A code is MDS exactly when its system is a pseudo-arc.  With blocks of
+    rank h and n >= k, any k blocks span iff no nonzero message is
+    annihilated by k of them, i.e. d >= n - k + 1; k - 1 blocks never span,
+    so this is d == n - k + 1 (``system_min_distance`` under ``budget``).
     """
     t = system.tower
     if system.dim % t.h:
@@ -139,11 +133,9 @@ def is_pseudo_arc(system: ProjectiveHSystem) -> bool:
     k = system.dim // t.h
     if any(system.block_rank(j) != t.h for j in range(system.n)):
         return False
-    for subset in combinations(range(system.n), k):
-        stacked = [list(u) for j in subset for u in system.blocks[j]]
-        if linalg.mat_rank(t, stacked) != system.dim:
-            return False
-    return True
+    if system.n < k or k == 0:
+        return True  # no k blocks to test
+    return system_min_distance(system, budget) == system.n - k + 1
 
 
 # ---------------------------------------------------------------------------

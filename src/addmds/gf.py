@@ -29,6 +29,7 @@ vectors directly.
 from __future__ import annotations
 
 import json
+from numbers import Integral
 
 import numpy as np
 
@@ -149,6 +150,30 @@ def _pack(digits, p):
     for c in reversed(digits):
         x = x * p + c
     return x
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _int_list(value, what: str):
+    """``value`` as a list of ints; ValueError for any other JSON shape."""
+    if not isinstance(value, (list, tuple)) or not all(_is_int(c) for c in value):
+        raise ValueError(f"{what} must be a list of integers")
+    return list(value)
+
+
+def require_keys(data, keys, what: str, nested=()):
+    """ValueError unless ``data`` is a JSON object holding every key in
+    ``keys``, with a list of lists under every key in ``nested``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
+    for key in nested:
+        if not isinstance(data[key], list) or not all(isinstance(x, list) for x in data[key]):
+            raise ValueError(f"{what} {key} must be a list of lists")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +456,7 @@ class FieldTower:
         return _unpack(x, self.p, self.degree)
 
     def from_digits(self, digs) -> int:
-        digs = list(digs)
+        digs = _int_list(digs, "digit vector")
         if len(digs) != self.degree or any(not (0 <= c < self.p) for c in digs):
             raise ValueError("bad digit vector")
         return _pack(digs, self.p)
@@ -447,14 +472,14 @@ class FieldTower:
 
     @classmethod
     def from_descriptor(cls, desc: dict, max_size: int = DEFAULT_MAX_SIZE) -> "FieldTower":
-        if not isinstance(desc, dict):
-            raise ValueError("field descriptor must be a JSON object")
-        missing = [key for key in ("p", "e", "h", "modulus", "omega") if key not in desc]
-        if missing:
-            raise ValueError(f"field descriptor lacks {', '.join(missing)}")
-        t = cls(desc["p"], desc["e"], desc["h"], max_size=max_size,
-                modulus=desc["modulus"], omega=_pack(list(desc["omega"]), desc["p"]))
-        return t
+        require_keys(desc, ("p", "e", "h", "modulus", "omega"), "field descriptor")
+        for key in ("p", "e", "h"):
+            if not _is_int(desc[key]):
+                raise ValueError(f"field descriptor {key} must be an integer")
+        modulus = _int_list(desc["modulus"], "field descriptor modulus")
+        omega = _int_list(desc["omega"], "field descriptor omega")
+        return cls(desc["p"], desc["e"], desc["h"], max_size=max_size,
+                   modulus=modulus, omega=_pack(omega, desc["p"]))
 
     def check_same(self, other: "FieldTower"):
         if self.key != other.key:

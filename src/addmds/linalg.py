@@ -63,23 +63,6 @@ def left_nullspace(tower, rows):
     return basis
 
 
-def col_reduce(tower, rows):
-    """Canonical column echelon form with zero columns dropped.
-
-    Returns (reduced_rows, pivot_rows): column operations only, so the
-    column space is unchanged; the result is the unique such canonical form.
-    """
-    if not rows:
-        return [], []
-    nrows = len(rows)
-    ncols = len(rows[0])
-    mt = [[rows[i][c] for i in range(nrows)] for c in range(ncols)]
-    red, pivots = mat_rref(tower, mt)
-    red = red[: len(pivots)]
-    out = [[red[j][i] for j in range(len(red))] for i in range(nrows)]
-    return out, pivots
-
-
 def mat_mul(tower, a, b):
     n, k = len(a), len(b)
     ncols = len(b[0]) if b else 0

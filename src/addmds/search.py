@@ -38,7 +38,7 @@ from .code import (
     project,
 )
 from .errors import BudgetExceeded, FieldTooSmall
-from .gf import FieldTower
+from .gf import FieldTower, require_keys
 from .linpoly import LinearizedPoly
 
 
@@ -122,7 +122,8 @@ def screen_conditions(tower: FieldTower, base):
     for subset in combinations(range(n - 1), 3):
         mat = [[base[i][j] for j in subset] for i in range(k)]
         kernel = linalg.left_nullspace(tower, mat)
-        assert len(kernel) == 1, "three columns of an MDS generator must be independent"
+        if len(kernel) != 1:
+            raise ValueError("three columns of an MDS generator must be independent")
         v = kernel[0]
         if v[3]:
             d = tower.inv(v[3])
@@ -149,44 +150,26 @@ def _alpha_ok(tower, base, alpha, alpha_constraints):
     return True
 
 
+def _lambdas(tower, lambda_pairs, alpha):
+    return [tower.add(tower.mul(lam1, alpha), lam2) for lam1, lam2 in lambda_pairs]
+
+
+def lambda_screen(w: LinearizedPoly, lams) -> bool:
+    """True when no x != 0 has w(x) = lam x for any lam in ``lams``.
+
+    Each w - lam X must be invertible.  Over all lam = lambda_1 alpha +
+    lambda_2 with both lambdas in F_q this is the span-avoidance predicate:
+    w(x)/x lies outside the F_q-span of {1, alpha} for every x != 0.
+    """
+    return all((w - LinearizedPoly.scalar(w.tower, lam)).is_invertible() for lam in lams)
+
+
 def mds_screen(tower: FieldTower, base, alpha: int, beta: int, g: LinearizedPoly) -> bool:
     """Exact MDS test for the assembled code, via the elimination equations."""
     lambda_pairs, alpha_constraints = screen_conditions(tower, base)
     if not _alpha_ok(tower, base, alpha, alpha_constraints):
         return False
-    w = g.conjugate(beta)
-    for lam1, lam2 in lambda_pairs:
-        lam = tower.add(tower.mul(lam1, alpha), lam2)
-        if not (w - LinearizedPoly.scalar(tower, lam)).is_invertible():
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# the literal span-avoidance predicate, two independent routes
-
-def span_avoidance_direct(g: LinearizedPoly, beta: int, alpha: int) -> bool:
-    """For every x != 0: w(x)/x lies outside the F_q-span of {1, alpha}."""
-    t = g.tower
-    w = g.conjugate(beta)
-    span = {t.add(t.mul(l1, alpha), l2)
-            for l1 in t.fq_elements for l2 in t.fq_elements}
-    for x in t.nonzero():
-        if t.div(w(x), x) in span:
-            return False
-    return True
-
-
-def span_avoidance_eliminated(g: LinearizedPoly, beta: int, alpha: int) -> bool:
-    """No (lambda_1, lambda_2) in F_q^2 gives w(x) = (lambda_1 alpha + lambda_2) x != 0."""
-    t = g.tower
-    w = g.conjugate(beta)
-    for l1 in t.fq_elements:
-        for l2 in t.fq_elements:
-            lam = t.add(t.mul(l1, alpha), l2)
-            if not (w - LinearizedPoly.scalar(t, lam)).is_invertible():
-                return False
-    return True
+    return lambda_screen(g.conjugate(beta), _lambdas(tower, lambda_pairs, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +257,16 @@ def k4_example_search(tower: FieldTower, n: int = 6, budget: int | None = None):
         if not _alpha_ok(tower, base, alpha, alpha_constraints):
             continue
         d_alpha = tower.subfield_degree(alpha)
+        lams = _lambdas(tower, lambda_pairs, alpha)
         for beta in outside:
             s = gcd(d_alpha, tower.subfield_degree(beta))
             if s == 1:
                 continue
-            lams = [tower.add(tower.mul(l1, alpha), l2) for l1, l2 in lambda_pairs]
             for coeffs in product(range(tower.size), repeat=tower.h):
                 g = LinearizedPoly(tower, coeffs)
                 if not g.is_invertible() or g.is_semilinear(s):
                     continue
-                w = g.conjugate(beta)
-                if all((w - LinearizedPoly.scalar(tower, lam)).is_invertible()
-                       for lam in lams):
+                if lambda_screen(g.conjugate(beta), lams):
                     return K4Example.build(tower, base, alpha, beta, g)
     return None
 
@@ -367,6 +348,12 @@ def example_to_dict(ex: K4Example) -> dict:
 
 
 def example_from_dict(data: dict, tower: FieldTower | None = None) -> K4Example:
+    """Inverse of ``example_to_dict``; ValueError naming missing keys."""
+    keys = ("base", "alpha", "beta", "g", "code") + (("field",) if tower is None else ())
+    require_keys(data, keys, "example JSON", nested=("base", "g"))
+    lengths = {len(row) for row in data["base"]}
+    if len(data["base"]) != 4 or len(lengths) != 1 or min(lengths) < 5:
+        raise ValueError("example JSON base must be 4 rows of one length n >= 5")
     t = tower if tower is not None else FieldTower.from_descriptor(data["field"])
     base = tuple(tuple(t.from_digits(d) for d in row) for row in data["base"])
     alpha = t.from_digits(data["alpha"])

@@ -2,11 +2,14 @@
 
 Everything here is written naively from definitions: dense polynomial
 arithmetic over F_p for field operations, pointwise map comparison for
-conjugacy triples, and plain subset enumeration for matchings.  Slow on
+conjugacy triples, rank tests over every k-subset of blocks for
+pseudo-arcs, and plain subset enumeration for matchings.  Slow on
 purpose; tests only feed it small inputs.
 """
 
 from itertools import combinations, product
+
+from addmds import linalg
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +168,29 @@ def brute_system_min_distance(system):
         if best is None or wt < best:
             best = wt
     return best
+
+
+def brute_is_pseudo_arc(system):
+    """Every block has rank h and every dim/h of the blocks span F_q^dim."""
+    t = system.tower
+    k = system.dim // t.h
+    if any(linalg.mat_rank(t, [list(u) for u in blk]) != t.h for blk in system.blocks):
+        return False
+    for subset in combinations(range(system.n), k):
+        stacked = [list(u) for j in subset for u in system.blocks[j]]
+        if linalg.mat_rank(t, stacked) != system.dim:
+            return False
+    return True
+
+
+def span_avoidance_direct(g, beta, alpha):
+    """For every x != 0, w(x)/x lies outside the F_q-span of {1, alpha},
+    where w = g(beta g^{-1}(X)); checked pointwise."""
+    t = g.tower
+    w = g.conjugate(beta)
+    span = {t.add(t.mul(l1, alpha), l2)
+            for l1 in t.fq_elements for l2 in t.fq_elements}
+    return all(t.div(w(x), x) not in span for x in t.nonzero())
 
 
 # ---------------------------------------------------------------------------

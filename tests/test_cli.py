@@ -162,6 +162,13 @@ def test_malformed_json_diagnostic(capsys, tmp_path):
     (lambda d: dict(d, field=5), "field descriptor must be a JSON object"),
     (lambda d: dict(d, rows=5), "rows must be a list of lists"),
     (lambda d: dict(d, rows=[5] + d["rows"][1:]), "rows must be a list of lists"),
+    (lambda d: dict(d, rows=[[5] + d["rows"][0][1:]] + d["rows"][1:]),
+     "digit vector must be a list of integers"),
+    (lambda d: dict(d, field=dict(d["field"], p="3")), "field descriptor p must be an integer"),
+    (lambda d: dict(d, rows=[[["x", 0]] + d["rows"][0][1:]] + d["rows"][1:]),
+     "digit vector must be a list of integers"),
+    (lambda d: dict(d, field=dict(d["field"], modulus=7)),
+     "field descriptor modulus must be a list of integers"),
 ])
 def test_inconsistent_code_json(capsys, tmp_path, f9, change, message):
     path = tmp_path / "code.json"
@@ -169,6 +176,40 @@ def test_inconsistent_code_json(capsys, tmp_path, f9, change, message):
     code, out, err = run(capsys, "check-mds", "--in", str(path))
     assert code == 2 and out == ""
     assert message in err and len(err.splitlines()) == 1
+
+
+def test_verify_example_lacking_keys(capsys, tmp_path, f9):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code_to_dict(rs_code(f9, 2))))
+    code, out, err = run(capsys, "verify-example", "--in", str(path))
+    assert code == 2 and out == ""
+    assert "example JSON lacks base, alpha, beta, g, code" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_example_rejects_misshapen_base(capsys, tmp_path):
+    target = tmp_path / "ex.json"
+    run(capsys, "hunt-k4", "--p", "5", "--e", "1", "--h", "2", "--out", str(target))
+    example = json.loads(target.read_text())["example"]
+    base = example["base"]
+    for bad in (base[:3], base[:3] + [base[3][:5]], [row[:4] for row in base]):
+        target.write_text(json.dumps(dict(example, base=bad)))
+        code, out, err = run(capsys, "verify-example", "--in", str(target))
+        assert code == 2 and out == ""
+        assert "base must be 4 rows of one length" in err
+    dependent = [row[:1] + row[:1] + row[2:] for row in base]  # columns 0 and 1 equal
+    target.write_text(json.dumps(dict(example, base=dependent)))
+    code, out, err = run(capsys, "verify-example", "--in", str(target))
+    assert code == 2 and "must be independent" in err
+
+
+def test_propm_pair_lacking_keys(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"f": [[1, 0], [0, 0]]}))
+    code, out, err = run(capsys, "propm", "--p", "3", "--e", "1", "--h", "2",
+                         "--in", str(path))
+    assert code == 2 and out == ""
+    assert "pair JSON lacks g" in err and len(err.splitlines()) == 1
 
 
 def test_missing_file_and_missing_flags(capsys, tmp_path):

@@ -3,7 +3,16 @@ import random
 import pytest
 
 from addmds import linalg
-from addmds.code import AdditiveCode, apply_move, min_distance, project, random_move, rs_code
+from addmds.code import (
+    AdditiveCode,
+    apply_move,
+    is_mds,
+    min_distance,
+    project,
+    random_move,
+    rs_code,
+    weight_enumerator,
+)
 from addmds.errors import BudgetExceeded, DimensionMismatch, SpanFailure
 from addmds.geometry import (
     ProjectiveHSystem,
@@ -88,6 +97,57 @@ def test_pseudo_arc_iff_mds(f4, f9):
     assert not is_pseudo_arc(system_from_code(bad))
     with pytest.raises(DimensionMismatch):
         is_pseudo_arc(ProjectiveHSystem(f9, 3, [((1, 0, 0),)]))
+
+
+def test_pseudo_arc_matches_rank_oracle(f4, f8, f9, f16_over_f4):
+    rng = random.Random(22)
+    codes = [rs_code(f4, 2), rs_code(f8, 2), rs_code(f9, 2), rs_code(f9, 3),
+             rs_code(f16_over_f4, 2)]
+    codes += [project(c, {j}) for c in list(codes) for j in (0, c.n - 1)]
+    codes += [apply_move(c, random_move(c.tower, c.n, rng)) for c in list(codes)]
+    codes.append(AdditiveCode(f9, [(1, 1, 0), (3, 3, 0), (0, 0, 1), (0, 0, 3)]))
+    systems = [system_from_code(c) for c in codes]
+    rs = system_from_code(rs_code(f9, 2))
+    b0, b1 = rs.blocks[0], rs.blocks[1]
+    systems += [
+        # every block of rank h, but two equal blocks never span together
+        ProjectiveHSystem(f9, 4, rs.blocks[:4] + (b0,)),
+        # a block of rank 1 < h
+        ProjectiveHSystem(f9, 4, rs.blocks[:3] + (b0[:1],)),
+        # h + 1 generators of rank h, and h + 1 generators of rank h + 1
+        ProjectiveHSystem(f9, 4, rs.blocks[1:5] + (b0 + (b0[0],),)),
+        ProjectiveHSystem(f9, 4, rs.blocks[2:5] + (b0 + b1[:1],)),
+        # n < k, and n = k = 0: the span condition is vacuous
+        ProjectiveHSystem(f9, 6, [((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)),
+                                  ((0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0))]),
+        ProjectiveHSystem(f9, 0, []),
+    ]
+    verdicts = [is_pseudo_arc(sy) for sy in systems]
+    assert verdicts == [oracles.brute_is_pseudo_arc(sy) for sy in systems]
+    assert verdicts[-7:] == [False, False, False, True, False, True, True]
+    assert sum(verdicts) > len(systems) // 2
+    with pytest.raises(BudgetExceeded):
+        is_pseudo_arc(system_from_code(rs_code(f9, 3)), budget=10)
+
+
+def test_weight_memo_is_invisible(f9):
+    code = rs_code(f9, 3)
+    system = system_from_code(code)
+    want = weight_enumerator(code)
+    assert system_min_distance(system) == 8 and is_pseudo_arc(system)
+    assert is_mds(code) and min_distance(code) == 8
+    for call in (lambda: weight_enumerator(code, budget=10),
+                 lambda: min_distance(code, budget=10),
+                 lambda: is_mds(code, budget=10),
+                 lambda: system_min_distance(system, budget=10),
+                 lambda: is_pseudo_arc(system, budget=10)):
+        with pytest.raises(BudgetExceeded):
+            call()
+    got = weight_enumerator(code)
+    got[0] = 5
+    got.append(1)
+    assert weight_enumerator(code) == want
+    assert min_distance(code) == 8 and is_mds(code)
 
 
 def test_multiplication_matrix(f9):

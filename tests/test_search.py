@@ -14,14 +14,15 @@ from addmds.search import (
     example_from_dict,
     example_to_dict,
     k4_example_search,
+    lambda_screen,
     largest_proper_divisor,
     mds_screen,
     nq_bounds,
     screen_conditions,
-    span_avoidance_direct,
-    span_avoidance_eliminated,
     verify_k4_example,
 )
+
+import oracles
 
 
 def test_nq_bounds_table():
@@ -164,6 +165,13 @@ def test_projection_structure_directly(f25):
     assert linear_equivalence_witness(ex.code) is None
 
 
+def _screened_span(g, beta, alpha):
+    """The lambda screen over every lambda_1 alpha + lambda_2 in the F_q-span of {1, alpha}."""
+    t = g.tower
+    lams = [t.add(t.mul(l1, alpha), l2) for l1 in t.fq_elements for l2 in t.fq_elements]
+    return lambda_screen(g.conjugate(beta), lams)
+
+
 def test_span_avoidance_routes_agree_h2(f25):
     rng = random.Random(41)
     outside = [x for x in f25.elements() if not f25.in_fq(x)]
@@ -172,9 +180,8 @@ def test_span_avoidance_routes_agree_h2(f25):
         g = rng.choice(invs)
         beta = rng.choice(outside)
         alpha = rng.choice(outside)
-        direct = span_avoidance_direct(g, beta, alpha)
-        eliminated = span_avoidance_eliminated(g, beta, alpha)
-        assert direct == eliminated
+        direct = oracles.span_avoidance_direct(g, beta, alpha)
+        assert direct == _screened_span(g, beta, alpha)
         assert direct is False  # the span is everything when h = 2
 
 
@@ -184,8 +191,8 @@ def test_span_avoidance_routes_agree_h3(f8):
     for g in invertible_linearized(f8):
         for beta in outside[:2]:
             for alpha in outside[:2]:
-                direct = span_avoidance_direct(g, beta, alpha)
-                assert direct == span_avoidance_eliminated(g, beta, alpha)
+                direct = oracles.span_avoidance_direct(g, beta, alpha)
+                assert direct == _screened_span(g, beta, alpha)
                 trues += direct
     assert trues > 0  # the predicate is non-vacuous for h = 3
 
