@@ -320,6 +320,35 @@ _COMMANDS = {
 }
 
 
+# the flags each verb reads; any other flag is a usage error
+_FIELD = ("p", "e", "h")
+_FLAGS = {
+    "field": _FIELD + ("out",),
+    "rs": _FIELD + ("k", "out"),
+    "check-mds": ("in", "budget-codewords", "out"),
+    "project": ("in", "n", "out"),
+    "standard-form": ("in", "out"),
+    "linear-witness": ("in", "budget-candidates", "out"),
+    "geometry": ("in", "budget-codewords", "out"),
+    "propm": _FIELD + ("n", "budget-candidates", "seed", "in", "out"),
+    "hunt-k4": _FIELD + ("n", "budget-codewords", "budget-candidates", "out"),
+    "verify-example": ("in", "budget-codewords", "budget-candidates", "out"),
+}
+
+_FLAG_ARGS = {
+    "p": dict(type=int, help="characteristic"),
+    "e": dict(type=int, default=1, help="q = p^e"),
+    "h": dict(type=int, help="extension degree over F_q"),
+    "k": dict(type=int, help="message length"),
+    "n": dict(type=int, help="code length / position / threshold length"),
+    "budget-codewords": dict(type=int, dest="budget_codewords"),
+    "budget-candidates": dict(type=int, dest="budget_candidates"),
+    "seed": dict(type=int, default=0),
+    "in": dict(dest="input"),
+    "out": dict(dest="output"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="addmds",
@@ -328,16 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--p", type=int, help="characteristic")
-        sp.add_argument("--e", type=int, default=1, help="q = p^e")
-        sp.add_argument("--h", type=int, help="extension degree over F_q")
-        sp.add_argument("--k", type=int, help="message length")
-        sp.add_argument("--n", type=int, help="code length / position / threshold length")
-        sp.add_argument("--budget-codewords", type=int, dest="budget_codewords")
-        sp.add_argument("--budget-candidates", type=int, dest="budget_candidates")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--in", dest="input")
-        sp.add_argument("--out", dest="output")
+        for flag in _FLAGS[name]:
+            sp.add_argument(f"--{flag}", **_FLAG_ARGS[flag])
     return parser
 
 

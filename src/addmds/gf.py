@@ -23,7 +23,9 @@ by default): exp/log of omega and, for odd p, Zech logarithms
 log(1 + omega^t).  Multiplication, inversion, powers, Frobenius and
 negation are lookups through the logs; addition is XOR for p = 2 and one
 Zech lookup otherwise.  Codeword enumeration works on the base-p digit
-vectors directly.
+vectors directly.  ``np_tables`` gives numpy copies of the tables for
+vectorised kernels, built on first use; they and every other per-tower
+cache live in the tower's ``memo``.
 """
 
 from __future__ import annotations
@@ -440,15 +442,43 @@ class FieldTower:
         is non-degenerate; computed by inverting the Gram matrix of the
         omega-power basis.
         """
-        if "dual_basis" not in self._cache:
-            from . import linalg
-            gram = [
-                [self.trace_to_fq(self.mul(wl, wt)) for wt in self.omega_powers]
-                for wl in self.omega_powers
-            ]
-            inv = linalg.mat_inv(self, gram)
-            self._cache["dual_basis"] = tuple(self.from_coords(row) for row in inv)
-        return self._cache["dual_basis"]
+        return self.memo("dual_basis", self._dual_basis)
+
+    def _dual_basis(self):
+        from . import linalg
+        gram = [
+            [self.trace_to_fq(self.mul(wl, wt)) for wt in self.omega_powers]
+            for wl in self.omega_powers
+        ]
+        inv = linalg.mat_inv(self, gram)
+        return tuple(self.from_coords(row) for row in inv)
+
+    # -- memo -------------------------------------------------------------------
+
+    def memo(self, name: str, build=dict):
+        """The tower's memo entry ``name``, made by ``build()`` on first use.
+
+        Every layer keeps its per-tower caches here (inverses, conjugation
+        buckets, scores, the numpy tables), so they live and die with the
+        tower and two towers never share one.
+        """
+        try:
+            return self._cache[name]
+        except KeyError:
+            value = self._cache[name] = build()
+            return value
+
+    def np_tables(self):
+        """numpy copies (exp doubled, log, zech or None) of the scalar tables.
+
+        Made on first use, not in ``_build_tables``, so towers that never
+        run a vectorised kernel do not pay for them.
+        """
+        def build():
+            zech = None if self._zech is None else np.array(self._zech, dtype=np.int64)
+            return (np.array(self._exp, dtype=np.int64),
+                    np.array(self._log, dtype=np.int64), zech)
+        return self.memo("np_tables", build)
 
     # -- serialization ----------------------------------------------------------
 
@@ -476,10 +506,16 @@ class FieldTower:
         for key in ("p", "e", "h"):
             if not _is_int(desc[key]):
                 raise ValueError(f"field descriptor {key} must be an integer")
+        p = desc["p"]
         modulus = _int_list(desc["modulus"], "field descriptor modulus")
         omega = _int_list(desc["omega"], "field descriptor omega")
-        return cls(desc["p"], desc["e"], desc["h"], max_size=max_size,
-                   modulus=modulus, omega=_pack(omega, desc["p"]))
+        if len(omega) != desc["e"] * desc["h"]:
+            raise ValueError("field descriptor omega must have e*h digits")
+        for key, digs in (("modulus", modulus), ("omega", omega)):
+            if any(not (0 <= c < p) for c in digs):
+                raise ValueError(f"field descriptor {key} digits must lie in [0, p)")
+        return cls(p, desc["e"], desc["h"], max_size=max_size,
+                   modulus=modulus, omega=_pack(omega, p))
 
     def check_same(self, other: "FieldTower"):
         if self.key != other.key:

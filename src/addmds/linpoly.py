@@ -2,11 +2,20 @@
 
 A polynomial f(X) = sum_{i<h} f_i X^(q^i) is stored as its coefficient
 tuple (f_0, ..., f_{h-1}).  Evaluation is F_q-linear.  Composition reduces
-exponent indices mod h, matching the quotient by X^(q^h) - X.
+exponent indices mod h, matching the quotient by X^(q^h) - X, and works in
+the log domain: each term f_i * g_j^(q^i) is one lookup
+exp[log f_i + q^i log g_j mod (q^h - 1)] in the tower's tables.
 
 The Dickson matrix D(f)[i][j] = f_{(j-i) mod h}^(q^i) turns composition
 into matrix multiplication, so f is invertible iff det D(f) != 0, and the
 compositional inverse can be read off the first row of D(f)^(-1).
+
+``conjugation_table`` is the batched kernel for conj(f, b) = f o (bX) o
+f^(-1) over every nonzero b at once.  Coefficient l of conj(f, b) is
+sum_i C_f[l][i] * b^(q^i) with C_f[l][i] = f_i * (f^(-1))_{(l-i) mod h}^(q^i),
+so each b costs h^2 lookups on whole numpy columns and no polynomial
+objects are built.  Compositional inverses, the invertible list and the
+numpy tables are kept in the tower's memo.
 """
 
 from __future__ import annotations
@@ -15,10 +24,12 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from . import linalg
 from .errors import InvalidSubfield, NotInvertible
 
-_INV_CACHE = {}
+CONJ_CHUNK_ROWS = 1 << 14  # (poly, b) rows per numpy step of conjugation_table
 
 
 @dataclass(frozen=True)
@@ -54,11 +65,8 @@ class LinearizedPoly:
     @classmethod
     def from_values(cls, tower, values):
         """The unique f with f(omega^l) = values[l] for l < h (Moore solve)."""
-        key = "moore_inv"
-        if key not in tower._cache:
-            v = [[tower.frob(w, i) for i in range(tower.h)] for w in tower.omega_powers]
-            tower._cache[key] = linalg.mat_inv(tower, v)
-        vinv = tower._cache[key]
+        vinv = tower.memo("moore_inv", lambda: linalg.mat_inv(
+            tower, [[tower.frob(w, i) for i in range(tower.h)] for w in tower.omega_powers]))
         return cls(tower, tuple(linalg.mat_vec(tower, vinv, list(values))))
 
     # -- basic queries ------------------------------------------------------
@@ -133,18 +141,18 @@ class LinearizedPoly:
         """self(other(X)), exponent indices reduced mod h."""
         t = self.tower
         t.check_same(other.tower)
-        h = t.h
-        f, g = self.coeffs, other.coeffs
+        h, n = t.h, t._group_order
+        exp, log, add = t._exp, t._log, t.add
+        g_logs = [(j, log[gj]) for j, gj in enumerate(other.coeffs) if gj]
         out = [0] * h
-        for i in range(h):
-            fi = f[i]
+        for i, fi in enumerate(self.coeffs):
             if not fi:
                 continue
-            for j in range(h):
-                gj = g[j]
-                if gj:
-                    l = (i + j) % h
-                    out[l] = t.add(out[l], t.mul(fi, t.frob(gj, i)))
+            lf, qi = log[fi], t._qpow[i]
+            for j, lg in g_logs:
+                l = (i + j) % h
+                # f_i * g_j^(q^i); exp is doubled, so lf + (...) needs no mod
+                out[l] = add(out[l], exp[lf + lg * qi % n])
         return LinearizedPoly(t, tuple(out))
 
     def dickson(self):
@@ -162,8 +170,8 @@ class LinearizedPoly:
     def inverse(self) -> "LinearizedPoly":
         """Compositional inverse; raises NotInvertible if singular."""
         t = self.tower
-        key = (t.key, self.coeffs)
-        hit = _INV_CACHE.get(key)
+        memo = t.memo("inverses")
+        hit = memo.get(self.coeffs)
         if hit is not None:
             return hit
         try:
@@ -172,8 +180,8 @@ class LinearizedPoly:
             raise NotInvertible(f"no compositional inverse: {self.coeffs}")
         out = LinearizedPoly(t, tuple(dinv[0]))
         assert self.compose(out).coeffs == LinearizedPoly.identity(t).coeffs
-        _INV_CACHE[key] = out
-        _INV_CACHE[(t.key, out.coeffs)] = self
+        memo[self.coeffs] = out
+        memo[out.coeffs] = self
         return out
 
     def conjugate(self, a: int) -> "LinearizedPoly":
@@ -201,6 +209,55 @@ class LinearizedPoly:
         return f"LinearizedPoly{self.coeffs}"
 
 
+def conjugation_table(polys):
+    """Coefficients of conj(f, b) = f o (bX) o f^(-1) for every f and b != 0.
+
+    ``polys`` is a nonempty sequence of invertible polynomials over one
+    tower.  Returns an int array of shape (len(polys), q^h - 1, h) whose
+    entry [k, r] is the coefficient vector of conj(polys[k], omega^r), so
+    rows are indexed by log b.  Work runs in chunks of at most
+    ``CONJ_CHUNK_ROWS`` (poly, b) rows.
+    """
+    if not polys:
+        raise ValueError("conjugation_table needs at least one polynomial")
+    t = polys[0].tower
+    for poly in polys:
+        t.check_same(poly.tower)
+    h, n = t.h, t._group_order
+    exp, log, zech = t.np_tables()
+    qpow = np.array(t._qpow, dtype=np.int64)
+    lag = (np.arange(h)[:, None] - np.arange(h)[None, :]) % h
+    log_b = np.arange(n, dtype=np.int64)[:, None] * qpow % n  # log b^(q^i), b = omega^r
+    out = np.empty((len(polys), n, h), dtype=np.min_scalar_type(t.size - 1))
+    step = max(1, CONJ_CHUNK_ROWS // n)
+    for lo in range(0, len(polys), step):
+        chunk = polys[lo:lo + step]
+        fi = np.array([poly.coeffs for poly in chunk], dtype=np.int64)[:, None, :]
+        gi = np.array([poly.inverse().coeffs for poly in chunk], dtype=np.int64)[:, lag]
+        # C[k, l, i] = f_i * finv_{(l-i) mod h}^(q^i), kept as a log and a nonzero mask
+        live = (fi != 0) & (gi != 0)
+        log_c = (log[fi] + log[gi] * qpow % n) % n
+        for l in range(h):
+            # terms[k, r, i] = C[k, l, i] * (omega^r)^(q^i)
+            terms = np.where(live[:, None, l], exp[log_c[:, None, l] + log_b], 0)
+            if zech is None:
+                acc = np.bitwise_xor.reduce(terms, axis=-1)
+            else:
+                acc = terms[..., 0]
+                for i in range(1, h):
+                    acc = _zech_add(acc, terms[..., i], exp, log, zech, n)
+            out[lo:lo + step, :, l] = acc
+    return out
+
+
+def _zech_add(a, b, exp, log, zech, n):
+    """Elementwise a + b over odd p through Zech logarithms; zeros allowed."""
+    la = log[a]
+    z = zech[(log[b] - la) % n]
+    total = np.where(z >= 0, exp[la + z], 0)
+    return np.where(a == 0, b, np.where(b == 0, a, total))
+
+
 def all_linearized(tower):
     """All q-linearized polynomials over the tower, lex order on coefficients."""
     for coeffs in product(range(tower.size), repeat=tower.h):
@@ -209,10 +266,8 @@ def all_linearized(tower):
 
 def invertible_linearized(tower):
     """All invertible q-linearized polynomials, lex order on coefficients."""
-    key = "invertible_lps"
-    if key not in tower._cache:
-        tower._cache[key] = tuple(f for f in all_linearized(tower) if f.is_invertible())
-    return tower._cache[key]
+    return tower.memo("invertible_lps", lambda: tuple(
+        f for f in all_linearized(tower) if f.is_invertible()))
 
 
 def random_invertible(tower, rng) -> LinearizedPoly:

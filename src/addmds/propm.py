@@ -16,6 +16,15 @@ equality (with its matrix-identity certificate), the dense-inverse property
 of two-term polynomials, and the score-threshold-implies-monomial check.
 All verifiers enumerate complete small towers and return JSON-ready
 reports; none of them sample.
+
+Two routes compute conjugates.  The search side reads the batched
+``linpoly.conjugation_table``: ``_conj_buckets`` (so ``prop_triples`` and
+every score) takes one f's rows, and ``verify_semilinear_criterion`` takes
+the whole table of the tower.  The checking side stays on
+``LinearizedPoly.compose``: ``PropWitness``, ``_triples_valid`` and
+``ZeroCoeffCertificate.validate`` re-derive every triple they accept from
+the polynomials, independently of the table.  Inverses, buckets and exact
+scores are memoised on the tower.
 """
 
 from __future__ import annotations
@@ -24,43 +33,47 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from . import linalg
 from .errors import BudgetExceeded, NotInvertible
-from .linpoly import LinearizedPoly, invertible_linearized
+from .linpoly import LinearizedPoly, conjugation_table, invertible_linearized
 
 DEFAULT_TRIPLE_BUDGET = 1 << 22
-
-_BUCKET_CACHE = {}
-_SCORE_CACHE = {}
 
 
 def _conj_buckets(f: LinearizedPoly):
     """Map: normalized conj(f,b) coefficient vector -> list of (b, leading coeff).
 
     Normalization divides by the first nonzero coefficient, so two
-    conjugates are proportional iff they share a bucket key.
+    conjugates are proportional iff they share a bucket key.  The conjugates
+    are the rows of f's ``conjugation_table``; buckets are memoised on the
+    tower.
     """
     t = f.tower
-    key = (t.key, f.coeffs)
-    hit = _BUCKET_CACHE.get(key)
+    memo = t.memo("conj_buckets")
+    hit = memo.get(f.coeffs)
     if hit is not None:
         return hit
-    finv = f.inverse()
+    log = t.np_tables()[1]
+    rows = conjugation_table([f])[0][log[1:]].tolist()  # rows for b = 1, 2, ...
     buckets = {}
-    for b in t.nonzero():
-        u = f.compose(LinearizedPoly.scalar(t, b)).compose(finv)
-        lead = next(c for c in u.coeffs if c)
+    for b, u in enumerate(rows, 1):
+        lead = next(c for c in u if c)
         lead_inv = t.inv(lead)
-        norm = tuple(t.mul(lead_inv, c) for c in u.coeffs)
+        norm = tuple(t.mul(lead_inv, c) for c in u)
         buckets.setdefault(norm, []).append((b, lead))
-    _BUCKET_CACHE[key] = buckets
+    memo[f.coeffs] = buckets
     return buckets
 
 
 def prop_triples(f: LinearizedPoly, g: LinearizedPoly):
     """All (a, b, c) in (F_{q^h}*)^3 with a*conj(f,b) = conj(g,c), sorted by (b, c)."""
-    if not f.is_invertible() or not g.is_invertible():
-        raise NotInvertible("triples are defined for invertible pairs only")
+    try:
+        f.inverse()
+        g.inverse()
+    except NotInvertible:
+        raise NotInvertible("triples are defined for invertible pairs only") from None
     t = f.tower
     bf = _conj_buckets(f)
     bg = _conj_buckets(g)
@@ -137,19 +150,20 @@ def _levels_from_triples(triples):
     return sorted(by_b.items())
 
 
-def _score(f, g, stop_at=None, budget=None):
-    """(m or lower bound, witness triples); exact when stop_at is None."""
-    triples = prop_triples(f, g)
+def _score(f, g, triples, stop_at=None, budget=None):
+    """(m or lower bound, witness triples) from ``prop_triples(f, g)``;
+    exact when stop_at is None, and then memoised on the tower."""
     cap = DEFAULT_TRIPLE_BUDGET if budget is None else budget
     if len(triples) > cap:
         raise BudgetExceeded(f"{len(triples)} candidate triples exceed budget {cap}")
-    key = (f.tower.key, f.coeffs, g.coeffs)
-    if stop_at is None and key in _SCORE_CACHE:
-        return _SCORE_CACHE[key]
+    memo = f.tower.memo("scores")
+    key = (f.coeffs, g.coeffs)
+    if stop_at is None and key in memo:
+        return memo[key]
     found = _exact_matching(_levels_from_triples(triples), stop_at)
     result = (len(found), sorted(found, key=lambda x: (x[1], x[2])))
     if stop_at is None:
-        _SCORE_CACHE[key] = result
+        memo[key] = result
     return result
 
 
@@ -184,13 +198,13 @@ def max_prop_m(f: LinearizedPoly, g: LinearizedPoly, budget: int | None = None):
     When some optimum contains the guaranteed triple (1,1,1) the returned
     witness does, listed first.
     """
-    m, picked = _score(f, g, budget=budget)
+    triples = prop_triples(f, g)
+    m, picked = _score(f, g, triples, budget=budget)
     one = (1, 1, 1)
     if one not in picked:
         # retry with (1,1,1) forced: drop its level, ban a = 1 and c = 1
-        triples = [tr for tr in prop_triples(f, g)
-                   if tr[1] != 1 and tr[0] != 1 and tr[2] != 1]
-        forced = _exact_matching(_levels_from_triples(triples))
+        rest = [tr for tr in triples if tr[1] != 1 and tr[0] != 1 and tr[2] != 1]
+        forced = _exact_matching(_levels_from_triples(rest))
         if 1 + len(forced) >= m:
             m = 1 + len(forced)
             picked = [one] + sorted(forced, key=lambda x: (x[1], x[2]))
@@ -309,8 +323,8 @@ def verify_inverse_lemma(f: LinearizedPoly, g: LinearizedPoly) -> dict:
     finv, ginv = f.inverse(), g.inverse()
     pair1 = (finv, finv.compose(g))
     pair2 = (ginv, ginv.compose(f))
-    m1, _ = _score(*pair1)
-    m2, _ = _score(*pair2)
+    m1, _ = _score(*pair1, prop_triples(*pair1))
+    m2, _ = _score(*pair2, prop_triples(*pair2))
     tr1 = [(t.inv(b), t.inv(a), t.inv(c)) for a, b, c in witness.triples]
     tr2 = [(t.inv(c), a, t.inv(b)) for a, b, c in witness.triples]
     ok1 = _triples_valid(*pair1, tr1)
@@ -436,26 +450,25 @@ def verify_semilinear_criterion(tower) -> dict:
 
     The predicted collapse set is the subfield of degree gcd over all
     support-index differences of f.  Exhaustive over every invertible f
-    and every a != 0.
+    and every a != 0: a = omega^r lies in F_{q^s} iff r (q^s - 1) = 0
+    mod q^h - 1, and the conjugates come from one ``conjugation_table``.
     """
-    checked = 0
-    violations = []
-    for f in invertible_linearized(tower):
-        s = f.conjugation_subfield_degree()
-        for a in tower.nonzero():
-            checked += 1
-            collapsed = f.conjugate(a).is_scalar()
-            predicted = tower.in_subfield(a, s)
-            if collapsed != predicted:
-                violations.append({
-                    "f": _poly_json(f),
-                    "a": tower.digits(a),
-                    "collapsed": collapsed,
-                    "predicted": predicted,
-                })
+    polys = invertible_linearized(tower)
+    n = tower.size - 1
+    log_a = tower.np_tables()[1][1:]  # columns in the order a = 1, 2, ..., size - 1
+    collapsed = ~conjugation_table(polys)[:, :, 1:].any(axis=2)[:, log_a]
+    # row s - 1, for s dividing h: which a lie in F_{q^s}
+    in_subfield = np.array([log_a * (tower.q ** s - 1) % n == 0 for s in range(1, tower.h + 1)])
+    predicted = in_subfield[[f.conjugation_subfield_degree() - 1 for f in polys]]
+    violations = [{
+        "f": _poly_json(polys[k]),
+        "a": tower.digits(int(j) + 1),
+        "collapsed": bool(collapsed[k, j]),
+        "predicted": bool(predicted[k, j]),
+    } for k, j in zip(*np.nonzero(collapsed != predicted))]
     return {
         "tower": tower.descriptor(),
-        "pairs": checked,
+        "pairs": len(polys) * n,
         "violations": violations,
         "ok": not violations,
     }
@@ -490,7 +503,7 @@ def verify_lm_prop_implication(tower, n: int) -> dict:
             if upper < threshold:
                 pruned += 1
                 continue
-            size, picked = _score(f, g, stop_at=threshold)
+            size, picked = _score(f, g, triples, stop_at=threshold)
             if size >= threshold:
                 violations.append({
                     "f": _poly_json(f),

@@ -193,6 +193,33 @@ def span_avoidance_direct(g, beta, alpha):
     return all(t.div(w(x), x) not in span for x in t.nonzero())
 
 
+def brute_semilinear_report(tower):
+    """The semilinear-criterion report from one conjugate per (f, a):
+    f(a f^{-1}(X)) is scalar iff a lies in F_{q^s}, s from f's support."""
+    from addmds.linpoly import invertible_linearized
+    checked = 0
+    violations = []
+    for f in invertible_linearized(tower):
+        s = f.conjugation_subfield_degree()
+        for a in tower.nonzero():
+            checked += 1
+            collapsed = f.conjugate(a).is_scalar()
+            predicted = tower.in_subfield(a, s)
+            if collapsed != predicted:
+                violations.append({
+                    "f": [tower.digits(c) for c in f.coeffs],
+                    "a": tower.digits(a),
+                    "collapsed": collapsed,
+                    "predicted": predicted,
+                })
+    return {
+        "tower": tower.descriptor(),
+        "pairs": checked,
+        "violations": violations,
+        "ok": not violations,
+    }
+
+
 # ---------------------------------------------------------------------------
 # conjugacy triples by pointwise comparison
 

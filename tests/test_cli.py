@@ -169,6 +169,12 @@ def test_malformed_json_diagnostic(capsys, tmp_path):
      "digit vector must be a list of integers"),
     (lambda d: dict(d, field=dict(d["field"], modulus=7)),
      "field descriptor modulus must be a list of integers"),
+    (lambda d: dict(d, field=dict(d["field"], omega=[4, 1])),
+     "field descriptor omega digits must lie in [0, p)"),
+    (lambda d: dict(d, field=dict(d["field"], omega=d["field"]["omega"] + [0])),
+     "field descriptor omega must have e*h digits"),
+    (lambda d: dict(d, field=dict(d["field"], modulus=[5] + d["field"]["modulus"][1:])),
+     "field descriptor modulus digits must lie in [0, p)"),
 ])
 def test_inconsistent_code_json(capsys, tmp_path, f9, change, message):
     path = tmp_path / "code.json"
@@ -245,3 +251,17 @@ def test_reports_deterministic(capsys):
     _, out4, _ = run(capsys, "hunt-k4", "--p", "5", "--e", "1", "--h", "2",
                      "--out", "/dev/null")
     assert strip_timestamp(out3) == strip_timestamp(out4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--p", "3", "--h", "2", "--k", "99", "--seed", "3"],
+    ["rs", "--p", "3", "--h", "2", "--k", "2", "--n", "4"],
+    ["check-mds", "--in", "code.json", "--budget-candidates", "5"],
+    ["standard-form", "--in", "code.json", "--seed", "1"],
+    ["verify-example", "--in", "ex.json", "--p", "5"],
+    ["hunt-k4", "--p", "5", "--h", "2", "--in", "ex.json"],
+])
+def test_foreign_flag_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err

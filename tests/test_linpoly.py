@@ -5,8 +5,10 @@ import pytest
 from addmds import linalg
 from addmds.errors import InvalidSubfield, NotInvertible
 from addmds.linpoly import (
+    CONJ_CHUNK_ROWS,
     LinearizedPoly,
     all_linearized,
+    conjugation_table,
     invertible_linearized,
     random_invertible,
 )
@@ -36,14 +38,53 @@ def test_evaluation_is_fq_linear(f9):
             assert f(f9.mul(a, x)) == f9.mul(a, f(x))
 
 
-def test_compose_matches_pointwise(f8):
+def test_compose_matches_pointwise(f8, f9, f25, f27, f16_over_f4):
     rng = random.Random(2)
-    for _ in range(30):
-        f = LinearizedPoly(f8, tuple(rng.randrange(8) for _ in range(3)))
-        g = LinearizedPoly(f8, tuple(rng.randrange(8) for _ in range(3)))
-        comp = f.compose(g)
-        for x in f8.elements():
-            assert comp(x) == f(g(x))
+    for t in (f8, f9, f25, f27, f16_over_f4):
+        for _ in range(30):
+            f = LinearizedPoly(t, tuple(rng.randrange(t.size) for _ in range(t.h)))
+            g = LinearizedPoly(t, tuple(rng.randrange(t.size) for _ in range(t.h)))
+            comp = f.compose(g)
+            for x in t.elements():
+                assert comp(x) == oracles.lin_eval(t, f.coeffs, oracles.lin_eval(t, g.coeffs, x))
+
+
+def _assert_table_rows(table, polys):
+    t = polys[0].tower
+    assert table.shape == (len(polys), t.size - 1, t.h)
+    for f, rows in zip(polys, table):
+        for r, row in enumerate(rows.tolist()):
+            assert tuple(row) == f.conjugate(t.pow_int(t.omega, r)).coeffs
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2),
+                                 (5, 1, 2), (3, 1, 3), (7, 1, 2)])
+def test_conjugation_table_matches_conjugate(key):
+    from conftest import tower
+    t = tower(*key)
+    rng = random.Random(40)
+    polys = [random_invertible(t, rng) for _ in range(8)]
+    polys.append(LinearizedPoly.identity(t))
+    _assert_table_rows(conjugation_table(polys), polys)
+    # one poly on its own gives the same rows as inside a batch
+    _assert_table_rows(conjugation_table(polys[:1]), polys[:1])
+
+
+def test_conjugation_table_spans_chunks():
+    from conftest import tower
+    t = tower(7, 1, 2)
+    step = CONJ_CHUNK_ROWS // (t.size - 1)
+    polys = invertible_linearized(t)[:2 * step + 5]  # three chunks, the last partial
+    table = conjugation_table(polys)
+    _assert_table_rows(table, polys)
+    assert (table[step:step + 5] == conjugation_table(polys[step:step + 5])).all()
+
+
+def test_conjugation_table_rejects_bad_input(f9):
+    with pytest.raises(ValueError):
+        conjugation_table([])
+    with pytest.raises(NotInvertible):
+        conjugation_table([LinearizedPoly.identity(f9), LinearizedPoly.zero(f9)])
 
 
 @pytest.mark.parametrize("key", sorted(INVERTIBLE_COUNTS))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -217,3 +219,85 @@ def test_semilinear_criterion_counts(f4, f9):
     assert rep4["pairs"] == 18 and rep4["ok"]
     rep9 = verify_semilinear_criterion(f9)
     assert rep9["pairs"] == 384 and rep9["ok"]
+
+
+def test_semilinear_criterion_matches_oracle(f4, f8, f9, f16_over_f4):
+    for t in (f4, f8, f9, f16_over_f4):
+        assert verify_semilinear_criterion(t) == oracles.brute_semilinear_report(t)
+
+
+def _digest(report):
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the canonical JSON of each report, frozen before the conjugation kernel
+@pytest.mark.parametrize("key, verify, digest", [
+    ((2, 1, 3), verify_zero_coeff_lemma,
+     "6dc0d82b98050f26b62b633675a28803610d3bd05895316695213cb114ce887f"),
+    ((3, 1, 2), verify_zero_coeff_lemma,
+     "adb3b0868845a025f952b74fc1395e20b20b2f19c497a420a4e4792cab7181ae"),
+    ((3, 1, 3), verify_semilinear_criterion,
+     "55c5aca6f1f0b9e4717e631d9a7e465785eab592bd4b24d7bfaa330e8a1a53cf"),
+    ((2, 2, 2), lambda t: verify_lm_prop_implication(t, 17),
+     "a77481f4d5c99fce3c31a985feed6c89e307ce25e35c6110490c84651fae5005"),
+    ((3, 1, 3), verify_two_nonzero_lemma,
+     "7848cae8b8c8fc591fd14f683866407bf031e39ef7abdd4d7b8048adcaede2a5"),
+], ids=["zero_coeff-F8", "zero_coeff-F9", "semilinear-F27", "lm_prop-F16_F4",
+        "two_nonzero-F27"])
+def test_lemma_report_digests(key, verify, digest):
+    from conftest import tower
+    assert _digest(verify(tower(*key))) == digest
+
+
+def _memo_answers(t, order):
+    """Answers of the memoised routes on ``t``, computed in ``order``."""
+    polys = invertible_linearized(t)
+    f, g = polys[7], polys[30]
+    steps = {
+        "score": lambda: (lambda m, w: (m, w.triples))(*max_prop_m(f, g)),
+        "triples": lambda: prop_triples(g, f),
+        "inverse": lambda: verify_inverse_lemma(f, g),
+        "semilinear": lambda: verify_semilinear_criterion(t),
+        "lm_prop": lambda: verify_lm_prop_implication(t, 9),
+    }
+    return {name: steps[name]() for name in order}
+
+
+def test_fresh_tower_gives_same_answers_in_either_order():
+    from addmds.gf import field_create
+    order = ["score", "triples", "inverse", "semilinear", "lm_prop"]
+    first, second = field_create(3, 1, 2), field_create(3, 1, 2)
+    forward = _memo_answers(first, order)
+    assert _memo_answers(second, order[::-1]) == forward
+    # a tower with warm memos answers like a cold one, in the other order too
+    assert _memo_answers(first, order[::-1]) == forward
+    # memos of a tower with the same h and overlapping coefficient tuples stay apart
+    other = field_create(2, 1, 2)
+    verify_lm_prop_implication(other, 5)
+    verify_inverse_lemma(*invertible_linearized(other)[:2])
+    assert _memo_answers(field_create(3, 1, 2), order) == forward
+    assert first.memo("inverses") is not second.memo("inverses")
+
+
+def test_semilinear_reports_each_mismatch_in_f_a_order(f9, monkeypatch):
+    import addmds.propm as propm_mod
+    polys = invertible_linearized(f9)
+    k = polys.index(LinearizedPoly.identity(f9))  # conj(X, b) = bX: always collapses
+    logs = [6, 1, 4]  # marked out of element order on purpose
+    real = propm_mod.conjugation_table
+
+    def corrupted(ps):
+        table = real(ps).copy()
+        table[k, logs, 1] = 1
+        return table
+
+    monkeypatch.setattr(propm_mod, "conjugation_table", corrupted)
+    rep = verify_semilinear_criterion(f9)
+    marked = sorted(f9.pow_int(f9.omega, r) for r in logs)
+    assert not rep["ok"] and rep["pairs"] == 384
+    assert rep["violations"] == [
+        {"f": [f9.digits(c) for c in polys[k].coeffs], "a": f9.digits(a),
+         "collapsed": False, "predicted": True}
+        for a in marked]
+    json.dumps(rep)  # plain ints and bools only
