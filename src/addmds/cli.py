@@ -174,13 +174,12 @@ def _cmd_project(cfg: RunConfig) -> bool:
 def _cmd_standard_form(cfg: RunConfig) -> bool:
     code = _load_code(cfg)
     std, move = to_standard_form(code)
-    t = code.tower
     ok = apply_move(code, move).gen == std.gen
     _emit(cfg, {
         "code": code_to_dict(std),
         "move": {
             "perm": list(move.perm),
-            "maps": [[t.digits(c) for c in m.coeffs] for m in move.maps],
+            "maps": [m.to_json() for m in move.maps],
         },
         "move_reproduces_form": ok,
     })
@@ -194,7 +193,7 @@ def _cmd_linear_witness(cfg: RunConfig) -> bool:
     payload = {"witness_found": wit is not None}
     if wit is not None:
         moved = apply_move(code, wit.linearizing_move())
-        payload["g"] = [t.digits(c) for c in wit.g.coeffs]
+        payload["g"] = wit.g.to_json()
         payload["scalars"] = [[t.digits(c) for c in row] for row in wit.scalars]
         payload["moved_code_is_linear"] = moved.is_field_linear()
     _emit(cfg, payload)
@@ -232,8 +231,8 @@ def _cmd_propm(cfg: RunConfig) -> bool:
         inverse = propm.verify_inverse_lemma(f, g)
         _emit(cfg, {
             "field": t.descriptor(),
-            "f": [t.digits(c) for c in f.coeffs],
-            "g": [t.digits(c) for c in g.coeffs],
+            "f": f.to_json(),
+            "g": g.to_json(),
             "triples": len(propm.prop_triples(f, g)),
             "m": m,
             "witness": [[t.digits(x) for x in tr] for tr in wit.triples],

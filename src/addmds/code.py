@@ -14,9 +14,11 @@ system keeps its result, so d, A_0..A_n and MDS cost one enumeration.
 Equivalence moves are coordinate permutations combined with per-coordinate
 invertible q-linearized substitutions; they preserve cardinality and weight
 distribution.  ``linear_equivalence_witness`` decides, for an MDS code,
-whether some move turns it into an F_{q^h}-linear code, returning either an
-explicit witness or a definitive negative (the search space is a complete
-set of representatives, so "None" is a certificate, not a timeout).
+whether some move turns it into an F_{q^h}-linear code: in standard form,
+whether one g has M o g = g o (aX), with a scalar a per map, for every
+interpolation map M.  It returns an explicit witness or a definitive
+negative (the invertible candidates are a complete set of representatives,
+so "None" is a certificate, not a timeout).
 """
 
 from __future__ import annotations
@@ -456,10 +458,13 @@ class LinearWitness:
 def linear_equivalence_witness(code: AdditiveCode, budget: int | None = None):
     """Search for g making every standard-form map a scalar conjugate.
 
-    Candidates run over all invertible g with g_0 = 1 in lex order; this set
-    is complete up to the symmetries that fix conjugacy (right composition
+    Candidates run over all g with g_0 = 1 in lex order; the invertible ones
+    are complete up to the symmetries that fix conjugacy (right composition
     with scalars and with Frobenius powers), so returning None certifies
-    that no equivalence to a linear code exists.
+    that no equivalence to a linear code exists.  M = g o (aX) o g^(-1)
+    iff u = M o g has u_i = g_i a^(q^i) for all i (a = u_0 as g_0 = 1), so
+    each candidate costs one composition per target and no inverse; only
+    a g passing every target is tested for invertibility.
     """
     t = code.tower
     std, move = to_standard_form(code)
@@ -472,19 +477,16 @@ def linear_equivalence_witness(code: AdditiveCode, budget: int | None = None):
     targets = [(r, j) for r in range(1, n - k) for j in range(1, k)]
     for rest in product(range(t.size), repeat=t.h - 1):
         g = LinearizedPoly(t, (1,) + rest)
-        if not g.is_invertible():
-            continue
-        ginv = g.inverse()
         scalars = [[1] * k for _ in range(n - k)]
-        ok = True
         for r, j in targets:
-            u = ginv.compose(form.maps[r][j]).compose(g)
-            if any(u.coeffs[1:]):
-                ok = False
+            u = form.maps[r][j].compose(g).coeffs
+            a = u[0]
+            if any(u[i] != t.mul(g.coeffs[i], t.frob(a, i)) for i in range(1, t.h)):
                 break
-            scalars[r][j] = u.coeffs[0]
-        if ok:
-            return LinearWitness(g, tuple(tuple(r) for r in scalars), move)
+            scalars[r][j] = a
+        else:
+            if g.is_invertible():
+                return LinearWitness(g, tuple(tuple(r) for r in scalars), move)
     return None
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from . import linalg
 from .code import AdditiveCode, _cached_weights, distance_from_weights
 from .errors import DimensionMismatch, SpanFailure
-from .gf import FieldTower
+from .gf import FieldTower, require_keys
 
 
 class ProjectiveHSystem:
@@ -256,6 +256,12 @@ def system_to_dict(system: ProjectiveHSystem) -> dict:
 
 
 def system_from_dict(data: dict, tower: FieldTower | None = None) -> ProjectiveHSystem:
+    """Inverse of ``system_to_dict``; ValueError when keys are missing,
+    ``blocks`` is not a list of lists or ``dim`` is not an integer."""
+    keys = ("dim", "blocks") if tower is not None else ("field", "dim", "blocks")
+    require_keys(data, keys, "system JSON", nested=("blocks",))
+    if not isinstance(data["dim"], int):
+        raise ValueError("system JSON dim must be an integer")
     t = tower if tower is not None else FieldTower.from_descriptor(data["field"])
     blocks = [[[t.from_digits(d) for d in u] for u in blk] for blk in data["blocks"]]
     return ProjectiveHSystem(t, data["dim"], blocks)

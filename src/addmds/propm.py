@@ -21,10 +21,11 @@ Two routes compute conjugates.  The search side reads the batched
 ``linpoly.conjugation_table``: ``_conj_buckets`` (so ``prop_triples`` and
 every score) takes one f's rows, and ``verify_semilinear_criterion`` takes
 the whole table of the tower.  The checking side stays on
-``LinearizedPoly.compose``: ``PropWitness``, ``_triples_valid`` and
+``LinearizedPoly.compose``: ``PropWitness``, the transferred triples of
+``verify_inverse_lemma`` (both through ``_triple_holds``) and
 ``ZeroCoeffCertificate.validate`` re-derive every triple they accept from
-the polynomials, independently of the table.  Inverses, buckets and exact
-scores are memoised on the tower.
+the polynomials, independently of the table.  Inverses, buckets, exact
+scores and each polynomial's certificate minor are memoised on the tower.
 """
 
 from __future__ import annotations
@@ -167,6 +168,12 @@ def _score(f, g, triples, stop_at=None, budget=None):
     return result
 
 
+def _triple_holds(f, g, triple):
+    """a*conj(f, b) = conj(g, c), re-derived through ``compose``."""
+    a, b, c = triple
+    return f.conjugate(b).scale(a) == g.conjugate(c)
+
+
 @dataclass(frozen=True)
 class PropWitness:
     f: LinearizedPoly
@@ -174,14 +181,10 @@ class PropWitness:
     triples: tuple
 
     def __post_init__(self):
-        t = self.f.tower
-        finv, ginv = self.f.inverse(), self.g.inverse()
-        for idx, (a, b, c) in enumerate(self.triples):
-            if not (a and b and c):
+        for idx, triple in enumerate(self.triples):
+            if not all(triple):
                 raise ValueError("triples must have nonzero entries")
-            lhs = self.f.compose(LinearizedPoly.scalar(t, b)).compose(finv).scale(a)
-            rhs = self.g.compose(LinearizedPoly.scalar(t, c)).compose(ginv)
-            if lhs != rhs:
+            if not _triple_holds(self.f, self.g, triple):
                 raise ValueError(f"triple {idx} fails the defining identity")
         for i, j in combinations(range(len(self.triples)), 2):
             ti, tj = self.triples[i], self.triples[j]
@@ -228,10 +231,6 @@ def twist_to_nonzero_f0(f: LinearizedPoly):
 
 # ---------------------------------------------------------------------------
 # certificate for the zero-coefficient-count fact
-
-def _minor_no_top_left(m):
-    return [row[1:] for row in m[1:]]
-
 
 def shift_minus_one_matrix(tower, size):
     """First column all -1, ones on the shifted diagonal; B^frobenius = L*B."""
@@ -284,32 +283,35 @@ def _diff_vector(tower, x):
     return tuple(tower.sub(tower.frob(x, i), x) for i in range(1, tower.h))
 
 
+def _minor_and_diagonal(f: LinearizedPoly):
+    """(Mhat_f, D_f) of a normalized f as tuples, memoised on the tower."""
+    t = f.tower
+    memo = t.memo("zero_coeff_parts")
+    hit = memo.get(f.coeffs)
+    if hit is None:
+        mhat = [row[1:] for row in linalg.transpose(f.inverse().dickson())[1:]]
+        diag = [[f.coeffs[i] if i == j else 0 for j in range(1, t.h)] for i in range(1, t.h)]
+        hit = memo[f.coeffs] = (tuple(tuple(r) for r in mhat), tuple(tuple(r) for r in diag))
+    return hit
+
+
 def build_zero_coeff_certificate(f: LinearizedPoly, g: LinearizedPoly, triples) -> ZeroCoeffCertificate:
     """Certificate for a pair already normalized to f_0 != 0, g_0 != 0."""
     t = f.tower
     if f.coeffs[0] == 0 or g.coeffs[0] == 0:
         raise ValueError("normalize the pair first (constant coefficients nonzero)")
-    mf_hat = _minor_no_top_left(linalg.transpose(f.inverse().dickson()))
-    mg_hat = _minor_no_top_left(linalg.transpose(g.inverse().dickson()))
-    df = [[f.coeffs[i] if i == j else 0 for j in range(1, t.h)] for i in range(1, t.h)]
-    dg = [[g.coeffs[i] if i == j else 0 for j in range(1, t.h)] for i in range(1, t.h)]
+    mf_hat, df = _minor_and_diagonal(f)
+    mg_hat, dg = _minor_and_diagonal(g)
     bs = tuple(_diff_vector(t, b) for _a, b, _c in triples)
     cs = tuple(_diff_vector(t, c) for _a, _b, c in triples)
     return ZeroCoeffCertificate(
-        f, g, tuple(triples),
-        tuple(tuple(r) for r in mf_hat), tuple(tuple(r) for r in mg_hat),
-        tuple(tuple(r) for r in df), tuple(tuple(r) for r in dg),
-        bs, cs,
+        f, g, tuple(triples), mf_hat, mg_hat, df, dg, bs, cs,
         tuple(tuple(r) for r in shift_minus_one_matrix(t, t.h - 1)),
     )
 
 
 # ---------------------------------------------------------------------------
 # lemma verifiers (exhaustive on small towers)
-
-def _poly_json(f):
-    return [f.tower.digits(c) for c in f.coeffs]
-
 
 def verify_inverse_lemma(f: LinearizedPoly, g: LinearizedPoly) -> dict:
     """Scores of (f,g), (f^{-1}, f^{-1}g), (g^{-1}, g^{-1}f) agree.
@@ -327,11 +329,11 @@ def verify_inverse_lemma(f: LinearizedPoly, g: LinearizedPoly) -> dict:
     m2, _ = _score(*pair2, prop_triples(*pair2))
     tr1 = [(t.inv(b), t.inv(a), t.inv(c)) for a, b, c in witness.triples]
     tr2 = [(t.inv(c), a, t.inv(b)) for a, b, c in witness.triples]
-    ok1 = _triples_valid(*pair1, tr1)
-    ok2 = _triples_valid(*pair2, tr2)
+    ok1 = all(_triple_holds(*pair1, tr) for tr in tr1)
+    ok2 = all(_triple_holds(*pair2, tr) for tr in tr2)
     return {
-        "f": _poly_json(f),
-        "g": _poly_json(g),
+        "f": f.to_json(),
+        "g": g.to_json(),
         "m": m,
         "m_inverse_pair_f": m1,
         "m_inverse_pair_g": m2,
@@ -343,17 +345,6 @@ def verify_inverse_lemma(f: LinearizedPoly, g: LinearizedPoly) -> dict:
         "transferred_valid_g": ok2,
         "ok": (m == m1 == m2) and ok1 and ok2,
     }
-
-
-def _triples_valid(f, g, triples):
-    t = f.tower
-    finv, ginv = f.inverse(), g.inverse()
-    for a, b, c in triples:
-        lhs = f.compose(LinearizedPoly.scalar(t, b)).compose(finv).scale(a)
-        rhs = g.compose(LinearizedPoly.scalar(t, c)).compose(ginv)
-        if lhs != rhs:
-            return False
-    return True
 
 
 def zero_coeff_bound(tower) -> int:
@@ -377,18 +368,17 @@ def verify_zero_coeff_lemma(tower, pair_limit: int | None = None) -> dict:
     qualifying = 0
     violations = []
     max_m = 0
-    for f in inv_polys:
-        fn, ef = twist_to_nonzero_f0(f)
-        for g in inv_polys:
-            gn, eg = twist_to_nonzero_f0(g)
+    twisted = [twist_to_nonzero_f0(f)[0] for f in inv_polys]
+    for f, fn in zip(inv_polys, twisted):
+        for g, gn in zip(inv_polys, twisted):
             m, witness = max_prop_m(fn, gn)
             max_m = max(max_m, m)
             cert = build_zero_coeff_certificate(fn, gn, witness.triples)
             cert_ok = cert.validate()
             zf, zg = f.zero_coeff_count(), g.zero_coeff_count()
             record = {
-                "f": _poly_json(f),
-                "g": _poly_json(g),
+                "f": f.to_json(),
+                "g": g.to_json(),
                 "m": m,
                 "zero_counts": [zf, zg],
                 "certificate_ok": cert_ok,
@@ -435,7 +425,7 @@ def verify_two_nonzero_lemma(tower) -> dict:
                     continue
                 qualifying += 1
                 if f.inverse().zero_coeff_count() != 0:
-                    violations.append(_poly_json(f))
+                    violations.append(f.to_json())
     return {
         "tower": tower.descriptor(),
         "two_term_candidates": candidates,
@@ -461,7 +451,7 @@ def verify_semilinear_criterion(tower) -> dict:
     in_subfield = np.array([log_a * (tower.q ** s - 1) % n == 0 for s in range(1, tower.h + 1)])
     predicted = in_subfield[[f.conjugation_subfield_degree() - 1 for f in polys]]
     violations = [{
-        "f": _poly_json(polys[k]),
+        "f": polys[k].to_json(),
         "a": tower.digits(int(j) + 1),
         "collapsed": bool(collapsed[k, j]),
         "predicted": bool(predicted[k, j]),
@@ -506,8 +496,8 @@ def verify_lm_prop_implication(tower, n: int) -> dict:
             size, picked = _score(f, g, triples, stop_at=threshold)
             if size >= threshold:
                 violations.append({
-                    "f": _poly_json(f),
-                    "g": _poly_json(g),
+                    "f": f.to_json(),
+                    "g": g.to_json(),
                     "m_at_least": size,
                     "witness": [[tower.digits(x) for x in tr] for tr in picked],
                 })

@@ -30,6 +30,7 @@ from . import linalg
 from .code import (
     DEFAULT_CANDIDATE_BUDGET,
     AdditiveCode,
+    apply_move,
     code_from_dict,
     code_to_dict,
     is_mds,
@@ -293,7 +294,6 @@ def verify_k4_example(ex: K4Example, codeword_budget: int | None = None,
     wit_alpha = linear_equivalence_witness(proj_alpha, candidate_budget)
     alpha_proj_ok = wit_alpha is not None
     if alpha_proj_ok:
-        from .code import apply_move
         moved = apply_move(proj_alpha, wit_alpha.linearizing_move())
         alpha_proj_ok = moved.is_field_linear()
 
@@ -325,8 +325,8 @@ def verify_k4_example(ex: K4Example, codeword_budget: int | None = None,
     return {
         "assertions": assertions,
         "ok": all(assertions.values()),
-        "witness_g_for_projection_2": [t.digits(c) for c in wit_alpha.g.coeffs] if wit_alpha else None,
-        "witness_g_for_projection_3": [t.digits(c) for c in wit_linear.g.coeffs] if wit_linear else None,
+        "witness_g_for_projection_2": wit_alpha.g.to_json() if wit_alpha else None,
+        "witness_g_for_projection_3": wit_linear.g.to_json() if wit_linear else None,
         "context": context,
     }
 
@@ -342,7 +342,7 @@ def example_to_dict(ex: K4Example) -> dict:
         "base": [[t.digits(x) for x in row] for row in ex.base],
         "alpha": t.digits(ex.alpha),
         "beta": t.digits(ex.beta),
-        "g": [t.digits(c) for c in ex.g.coeffs],
+        "g": ex.g.to_json(),
         "code": code_to_dict(ex.code),
     }
 

@@ -3,13 +3,16 @@
 Everything here is written naively from definitions: dense polynomial
 arithmetic over F_p for field operations, pointwise map comparison for
 conjugacy triples, rank tests over every k-subset of blocks for
-pseudo-arcs, and plain subset enumeration for matchings.  Slow on
+pseudo-arcs, g^(-1) o M o g for linear-equivalence witnesses, and plain
+subset enumeration for matchings.  Slow on
 purpose; tests only feed it small inputs.
 """
 
 from itertools import combinations, product
 
 from addmds import linalg
+from addmds.code import LinearWitness, to_interpolation_form, to_standard_form
+from addmds.linpoly import LinearizedPoly, invertible_linearized
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +199,6 @@ def span_avoidance_direct(g, beta, alpha):
 def brute_semilinear_report(tower):
     """The semilinear-criterion report from one conjugate per (f, a):
     f(a f^{-1}(X)) is scalar iff a lies in F_{q^s}, s from f's support."""
-    from addmds.linpoly import invertible_linearized
     checked = 0
     violations = []
     for f in invertible_linearized(tower):
@@ -218,6 +220,32 @@ def brute_semilinear_report(tower):
         "violations": violations,
         "ok": not violations,
     }
+
+
+def brute_linear_witness(code):
+    """The lex-first invertible g (g_0 = 1) with every g^(-1) o M o g scalar,
+    over the standard-form maps M, as a LinearWitness; None when none is."""
+    t = code.tower
+    std, move = to_standard_form(code)
+    form = to_interpolation_form(std)
+    k, n = form.k, form.n
+    targets = [(r, j) for r in range(1, n - k) for j in range(1, k)]
+    for rest in product(range(t.size), repeat=t.h - 1):
+        g = LinearizedPoly(t, (1,) + rest)
+        if not g.is_invertible():
+            continue
+        ginv = g.inverse()
+        scalars = [[1] * k for _ in range(n - k)]
+        ok = True
+        for r, j in targets:
+            u = ginv.compose(form.maps[r][j]).compose(g)
+            if any(u.coeffs[1:]):
+                ok = False
+                break
+            scalars[r][j] = u.coeffs[0]
+        if ok:
+            return LinearWitness(g, tuple(tuple(r) for r in scalars), move)
+    return None
 
 
 # ---------------------------------------------------------------------------

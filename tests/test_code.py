@@ -5,6 +5,7 @@ import pytest
 from addmds.code import (
     AdditiveCode,
     EquivalenceMove,
+    InterpolationForm,
     apply_move,
     code_from_dict,
     code_to_dict,
@@ -23,7 +24,9 @@ from addmds.code import (
 )
 from addmds.errors import BudgetExceeded, NonInvertibleMap, NotMds
 from addmds.geometry import system_from_code, system_min_distance
-from addmds.linpoly import LinearizedPoly
+from addmds.gf import field_create
+from addmds.linpoly import LinearizedPoly, random_invertible
+from addmds.search import k4_example_search
 
 import conftest
 import oracles
@@ -256,6 +259,89 @@ def test_witness_recovers_scrambled_linear(f9):
         assert wit is not None
         moved = apply_move(scr, wit.linearizing_move())
         assert moved.is_field_linear()
+
+
+def _k2_code(tower, maps):
+    """k = 2 code with interpolation rows (id, id) and (id, M) for M in maps."""
+    ident = LinearizedPoly.identity(tower)
+    rows = ((ident, ident),) + tuple((ident, m) for m in maps)
+    return InterpolationForm(tower, 2 + len(rows), 2, rows).build_code()
+
+
+def _conj_positive(tower, rng):
+    """Maps g0 o (aX) o g0^-1 for two a outside {0, 1}: linearizable."""
+    g0 = random_invertible(tower, rng)
+    a1, a2 = rng.sample(range(2, tower.size), 2)
+    return _k2_code(tower, [g0.conjugate(a1), g0.conjugate(a2)])
+
+
+def _negative(tower, rng):
+    """Maps cX with F_q(c) = F_{q^h} and an invertible non-monomial f: a g
+    with g^-1 o (cX) o g scalar is a monomial, which never makes f scalar."""
+    c = rng.choice([x for x in tower.nonzero() if tower.subfield_degree(x) == tower.h])
+    ident, cx = LinearizedPoly.identity(tower), LinearizedPoly.scalar(tower, c)
+    while True:
+        f = random_invertible(tower, rng)
+        if (not f.is_monomial() and (f - ident).is_invertible()
+                and (f - cx).is_invertible()):
+            return _k2_code(tower, [cx, f])
+
+
+def _witness_cases(name):
+    """(codes, whether each is linearizable) for one oracle case."""
+    rng = random.Random(61)
+    if name == "rs":
+        codes = []
+        for t in (conftest.tower(3, 1, 2), conftest.tower(5, 1, 2)):
+            for k in (2, 3):
+                code = rs_code(t, k)
+                codes += [code, apply_move(code, random_move(t, code.n, rng))]
+        return codes, [True] * len(codes)
+    towers = (conftest.tower(2, 2, 2), conftest.tower(3, 1, 3))
+    if name in ("conjugate", "negative"):
+        build = _conj_positive if name == "conjugate" else _negative
+        codes = []
+        for t in towers:
+            for _ in range(2):
+                code = build(t, rng)
+                codes += [code, apply_move(code, random_move(t, code.n, rng))]
+        return codes, [name == "conjugate"] * len(codes)
+    if name == "k4":
+        code = k4_example_search(conftest.tower(5, 1, 2)).code
+        return [code, project(code, {2}), project(code, {3})], [False, True, True]
+    # F_16 over F_2: the singular g = (1, 0, 8, 0) satisfies M o g = g o (7X)
+    # before the lex-first invertible witness (1, 0, 8, 4)
+    t = field_create(2, 1, 4)
+    g0 = LinearizedPoly(t, (15, 12, 9, 15))
+    return [_k2_code(t, [g0.conjugate(7)])], [True]
+
+
+@pytest.mark.parametrize("name", ["rs", "conjugate", "negative", "k4", "singular"])
+def test_witness_matches_oracle(name):
+    codes, expect = _witness_cases(name)
+    verdicts = []
+    for code in codes:
+        wit = linear_equivalence_witness(code)
+        assert wit == oracles.brute_linear_witness(code)
+        verdicts.append(wit is not None)
+    assert verdicts == expect
+    if name == "singular":
+        assert wit.g.coeffs == (1, 0, 8, 4) and wit.scalars == ((1, 1), (1, 6))
+        t, m = wit.g.tower, to_interpolation_form(codes[0]).maps[1][1]
+        early = LinearizedPoly(t, (1, 0, 8, 0))
+        u = m.compose(early)
+        assert u == early.compose(LinearizedPoly.scalar(t, u.coeffs[0]))
+        assert not early.is_invertible()
+
+
+def test_negative_witness_takes_few_inverses():
+    t = field_create(3, 1, 3)
+    code = _negative(t, random.Random(62))
+    code = apply_move(code, random_move(t, code.n, random.Random(63)))
+    before = len(t.memo("inverses"))
+    assert linear_equivalence_witness(code) is None
+    # the standard form inverts at most 2n maps; the scan itself inverts none
+    assert len(t.memo("inverses")) - before <= 2 * code.n
 
 
 def test_witness_candidate_budget(f9):

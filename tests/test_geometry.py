@@ -230,3 +230,7 @@ def test_system_json_roundtrip(f4):
     again = system_from_dict(data)
     assert again == system and again.blocks == system.blocks
     assert system_from_dict(data, f4).blocks == system.blocks
+    for bad, msg in (({}, "lacks field, dim, blocks"), (dict(data, blocks=5), "list of lists"),
+                     (dict(data, dim="x"), "dim must be an integer")):
+        with pytest.raises(ValueError, match=msg):
+            system_from_dict(bad)
