@@ -257,9 +257,12 @@ def system_to_dict(system: ProjectiveHSystem) -> dict:
 
 def system_from_dict(data: dict, tower: FieldTower | None = None) -> ProjectiveHSystem:
     """Inverse of ``system_to_dict``; ValueError when keys are missing,
-    ``blocks`` is not a list of lists or ``dim`` is not an integer."""
+    ``blocks`` is not a list of lists of vectors (lists) or ``dim`` is not
+    an integer."""
     keys = ("dim", "blocks") if tower is not None else ("field", "dim", "blocks")
     require_keys(data, keys, "system JSON", nested=("blocks",))
+    if not all(isinstance(u, list) for blk in data["blocks"] for u in blk):
+        raise ValueError("system JSON blocks must hold vectors as lists")
     if not isinstance(data["dim"], int):
         raise ValueError("system JSON dim must be an integer")
     t = tower if tower is not None else FieldTower.from_descriptor(data["field"])

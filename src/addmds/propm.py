@@ -24,8 +24,20 @@ the whole table of the tower.  The checking side stays on
 ``LinearizedPoly.compose``: ``PropWitness``, the transferred triples of
 ``verify_inverse_lemma`` (both through ``_triple_holds``) and
 ``ZeroCoeffCertificate.validate`` re-derive every triple they accept from
-the polynomials, independently of the table.  Inverses, buckets, exact
-scores and each polynomial's certificate minor are memoised on the tower.
+the polynomials, independently of the table, and compare every triple they
+receive.
+
+Work that depends on one polynomial or one element, not on the pair, is
+memoised on the tower (``FieldTower.memo``), so a battery pays it once:
+
+- compositional inverses (in ``linpoly``), conj buckets and exact scores;
+- conj(f, b) from the ``compose`` chain, keyed by (f.coeffs, b), which
+  ``_triple_holds`` reads;
+- each normalized polynomial's certificate minor and diagonal, each
+  element's difference vector and the shift matrix L;
+- the certificate products Mhat*D and Mhat*D*B and the relation
+  B^q = L*B, keyed by the certificate's own matrices and vectors, so a
+  certificate with other entries never reads another's result.
 """
 
 from __future__ import annotations
@@ -43,6 +55,15 @@ from .linpoly import LinearizedPoly, conjugation_table, invertible_linearized
 DEFAULT_TRIPLE_BUDGET = 1 << 22
 
 
+def _memoised(tower, name: str, key, build):
+    """Entry ``key`` of the tower's memo ``name``, made by ``build()`` on a miss."""
+    memo = tower.memo(name)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = build()
+    return hit
+
+
 def _conj_buckets(f: LinearizedPoly):
     """Map: normalized conj(f,b) coefficient vector -> list of (b, leading coeff).
 
@@ -52,20 +73,18 @@ def _conj_buckets(f: LinearizedPoly):
     tower.
     """
     t = f.tower
-    memo = t.memo("conj_buckets")
-    hit = memo.get(f.coeffs)
-    if hit is not None:
-        return hit
-    log = t.np_tables()[1]
-    rows = conjugation_table([f])[0][log[1:]].tolist()  # rows for b = 1, 2, ...
-    buckets = {}
-    for b, u in enumerate(rows, 1):
-        lead = next(c for c in u if c)
-        lead_inv = t.inv(lead)
-        norm = tuple(t.mul(lead_inv, c) for c in u)
-        buckets.setdefault(norm, []).append((b, lead))
-    memo[f.coeffs] = buckets
-    return buckets
+
+    def build():
+        log = t.np_tables()[1]
+        rows = conjugation_table([f])[0][log[1:]].tolist()  # rows for b = 1, 2, ...
+        buckets = {}
+        for b, u in enumerate(rows, 1):
+            lead = next(c for c in u if c)
+            lead_inv = t.inv(lead)
+            norm = tuple(t.mul(lead_inv, c) for c in u)
+            buckets.setdefault(norm, []).append((b, lead))
+        return buckets
+    return _memoised(t, "conj_buckets", f.coeffs, build)
 
 
 def prop_triples(f: LinearizedPoly, g: LinearizedPoly):
@@ -91,6 +110,29 @@ def prop_triples(f: LinearizedPoly, g: LinearizedPoly):
     return out
 
 
+def _triple_bound(f: LinearizedPoly, g: LinearizedPoly) -> int:
+    """min(#distinct a, #distinct b, #distinct c) over ``prop_triples(f, g)``.
+
+    Read from the conj buckets without building the triples: each b (c)
+    lies in one bucket of f (g), so #b (#c) sums the bucket lengths over the
+    keys f and g share, and the a-values are the set of lc * lb^{-1}.
+    """
+    t = f.tower
+    bg = _conj_buckets(g)
+    n_b = n_c = 0
+    a_values = set()
+    for norm, blist in _conj_buckets(f).items():
+        clist = bg.get(norm)
+        if not clist:
+            continue
+        n_b += len(blist)
+        n_c += len(clist)
+        for _b, lb in blist:
+            lb_inv = t.inv(lb)
+            a_values.update([t.mul(lc, lb_inv) for _c, lc in clist])
+    return min(len(a_values), n_b, n_c)
+
+
 # ---------------------------------------------------------------------------
 # exact maximum matching
 
@@ -98,9 +140,17 @@ def _exact_matching(levels, stop_at=None):
     """Largest set picking at most one (a, c) per level, all a and c distinct.
 
     levels: list of (b, [(a, c), ...]).  Exact depth-first search with a
-    greedy warm start and a remaining-levels bound; optionally stops as soon
-    as ``stop_at`` is reached (the returned size is then a lower bound).
+    greedy warm start and a remaining-levels bound.  It stops as soon as the
+    set reaches min(#levels, #distinct a, #distinct c), which no set can
+    exceed; the set only ever grows strictly, so the stop changes nothing
+    returned.  It optionally stops at ``stop_at`` too (the returned size is
+    then a lower bound).
     """
+    limit = min(len(levels),
+                len({a for _b, opts in levels for a, _c in opts}),
+                len({c for _b, opts in levels for _a, c in opts}))
+    if stop_at is not None:
+        limit = min(limit, stop_at)
     order = sorted(range(len(levels)), key=lambda i: (len(levels[i][1]), levels[i][0]))
     used_a, used_c = set(), set()
     greedy = []
@@ -113,7 +163,7 @@ def _exact_matching(levels, stop_at=None):
                 used_c.add(c)
                 break
     best = greedy
-    if stop_at is not None and len(best) >= stop_at:
+    if len(best) >= limit:
         return best
 
     chosen = []
@@ -121,7 +171,7 @@ def _exact_matching(levels, stop_at=None):
 
     def dfs(pos):
         nonlocal best
-        if stop_at is not None and len(best) >= stop_at:
+        if len(best) >= limit:
             return
         if len(chosen) > len(best):
             best = list(chosen)
@@ -168,10 +218,19 @@ def _score(f, g, triples, stop_at=None, budget=None):
     return result
 
 
+def _conjugate(f: LinearizedPoly, b: int) -> tuple:
+    """Coefficients of conj(f, b) from ``LinearizedPoly.conjugate`` (the
+    ``compose`` chain), memoised on the tower under (f.coeffs, b)."""
+    return _memoised(f.tower, "conjugates", (f.coeffs, b), lambda: f.conjugate(b).coeffs)
+
+
 def _triple_holds(f, g, triple):
-    """a*conj(f, b) = conj(g, c), re-derived through ``compose``."""
+    """a*conj(f, b) = conj(g, c), coefficient by coefficient, with both
+    conjugates re-derived through ``compose``."""
     a, b, c = triple
-    return f.conjugate(b).scale(a) == g.conjugate(c)
+    mul = f.tower.mul
+    return f.tower == g.tower and all(
+        mul(a, x) == y for x, y in zip(_conjugate(f, b), _conjugate(g, c)))
 
 
 @dataclass(frozen=True)
@@ -251,7 +310,9 @@ class ZeroCoeffCertificate:
     column removed), D_f = diag(f_1..f_{h-1}) and B_j the vector
     (b_j^{q^i} - b_j) for i = 1..h-1, every triple satisfies
     a_j * Mhat_f * D_f * B_j = Mhat_g * D_g * C_j, and B_j's entrywise
-    q-th power equals L * B_j.
+    q-th power equals L * B_j.  Matrices are tuples of row tuples and
+    vectors are tuples, as ``build_zero_coeff_certificate`` makes them:
+    ``validate`` keys its tower memo on them.
     """
     f: LinearizedPoly
     g: LinearizedPoly
@@ -266,33 +327,46 @@ class ZeroCoeffCertificate:
 
     def validate(self) -> bool:
         t = self.f.tower
-        mfdf = linalg.mat_mul(t, [list(r) for r in self.mf_hat], [list(r) for r in self.df])
-        mgdg = linalg.mat_mul(t, [list(r) for r in self.mg_hat], [list(r) for r in self.dg])
         for (a, _b, _c), bj, cj in zip(self.triples, self.bs, self.cs):
-            lhs = [t.mul(a, x) for x in linalg.mat_vec(t, mfdf, list(bj))]
-            rhs = linalg.mat_vec(t, mgdg, list(cj))
-            if lhs != rhs:
+            lhs = tuple(t.mul(a, x) for x in _minor_product(t, self.mf_hat, self.df, bj))
+            if lhs != _minor_product(t, self.mg_hat, self.dg, cj):
                 return False
-            frob_b = [t.frob(x) for x in bj]
-            if frob_b != linalg.mat_vec(t, [list(r) for r in self.lmat], list(bj)):
+            if not _frobenius_is_shift(t, self.lmat, bj):
                 return False
         return True
 
 
+def _minor_product(t, mhat, diag, vec) -> tuple:
+    """Mhat * D * vec, memoised on the tower under the matrices and the vector
+    themselves, so a certificate with other entries never reads this entry."""
+    def build():
+        md = _memoised(t, "zero_coeff_minor_diag", (mhat, diag),
+                       lambda: linalg.mat_mul(t, mhat, diag))
+        return tuple(linalg.mat_vec(t, md, vec))
+    return _memoised(t, "zero_coeff_products", (mhat, diag, vec), build)
+
+
+def _frobenius_is_shift(t, lmat, vec) -> bool:
+    """vec's entrywise q-th power equals L * vec, memoised under (L, vec)."""
+    return _memoised(t, "zero_coeff_frobenius", (lmat, vec),
+                     lambda: [t.frob(x) for x in vec] == linalg.mat_vec(t, lmat, vec))
+
+
 def _diff_vector(tower, x):
-    return tuple(tower.sub(tower.frob(x, i), x) for i in range(1, tower.h))
+    """(x^{q^i} - x for i = 1..h-1), memoised on the tower per element."""
+    return _memoised(tower, "diff_vectors", x, lambda: tuple(
+        tower.sub(tower.frob(x, i), x) for i in range(1, tower.h)))
 
 
 def _minor_and_diagonal(f: LinearizedPoly):
     """(Mhat_f, D_f) of a normalized f as tuples, memoised on the tower."""
     t = f.tower
-    memo = t.memo("zero_coeff_parts")
-    hit = memo.get(f.coeffs)
-    if hit is None:
+
+    def build():
         mhat = [row[1:] for row in linalg.transpose(f.inverse().dickson())[1:]]
         diag = [[f.coeffs[i] if i == j else 0 for j in range(1, t.h)] for i in range(1, t.h)]
-        hit = memo[f.coeffs] = (tuple(tuple(r) for r in mhat), tuple(tuple(r) for r in diag))
-    return hit
+        return tuple(tuple(r) for r in mhat), tuple(tuple(r) for r in diag)
+    return _memoised(t, "zero_coeff_parts", f.coeffs, build)
 
 
 def build_zero_coeff_certificate(f: LinearizedPoly, g: LinearizedPoly, triples) -> ZeroCoeffCertificate:
@@ -304,10 +378,9 @@ def build_zero_coeff_certificate(f: LinearizedPoly, g: LinearizedPoly, triples) 
     mg_hat, dg = _minor_and_diagonal(g)
     bs = tuple(_diff_vector(t, b) for _a, b, _c in triples)
     cs = tuple(_diff_vector(t, c) for _a, _b, c in triples)
-    return ZeroCoeffCertificate(
-        f, g, tuple(triples), mf_hat, mg_hat, df, dg, bs, cs,
-        tuple(tuple(r) for r in shift_minus_one_matrix(t, t.h - 1)),
-    )
+    lmat = t.memo("zero_coeff_shift", lambda: tuple(
+        tuple(r) for r in shift_minus_one_matrix(t, t.h - 1)))
+    return ZeroCoeffCertificate(f, g, tuple(triples), mf_hat, mg_hat, df, dg, bs, cs, lmat)
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +441,17 @@ def verify_zero_coeff_lemma(tower, pair_limit: int | None = None) -> dict:
     qualifying = 0
     violations = []
     max_m = 0
-    twisted = [twist_to_nonzero_f0(f)[0] for f in inv_polys]
-    for f, fn in zip(inv_polys, twisted):
-        for g, gn in zip(inv_polys, twisted):
+    # per polynomial, not per pair: records share each polynomial's JSON list
+    rows = [(twist_to_nonzero_f0(f)[0], f.to_json(), f.zero_coeff_count()) for f in inv_polys]
+    for fn, fj, zf in rows:
+        for gn, gj, zg in rows:
             m, witness = max_prop_m(fn, gn)
             max_m = max(max_m, m)
             cert = build_zero_coeff_certificate(fn, gn, witness.triples)
             cert_ok = cert.validate()
-            zf, zg = f.zero_coeff_count(), g.zero_coeff_count()
             record = {
-                "f": f.to_json(),
-                "g": g.to_json(),
+                "f": fj,
+                "g": gj,
                 "m": m,
                 "zero_counts": [zf, zg],
                 "certificate_ok": cert_ok,
@@ -468,8 +541,9 @@ def verify_lm_prop_implication(tower, n: int) -> dict:
     """Exhaustive check that score >= n-3 forces both entries to be monomials.
 
     Pairs of monomials pass by definition.  For the rest, the cheap upper
-    bound min(#distinct a, #distinct b, #distinct c) over the triple list
-    prunes most pairs; survivors get an early-stopping exact search.
+    bound min(#distinct a, #distinct b, #distinct c), read from the conj
+    buckets (``_triple_bound``), prunes most pairs; only survivors build
+    their triples and get an early-stopping exact search.
     """
     threshold = n - 3
     if threshold < 1:
@@ -486,14 +560,10 @@ def verify_lm_prop_implication(tower, n: int) -> dict:
             if f.is_monomial() and g.is_monomial():
                 monomial_pairs += 1
                 continue
-            triples = prop_triples(f, g)
-            upper = min(len({x[0] for x in triples}),
-                        len({x[1] for x in triples}),
-                        len({x[2] for x in triples}))
-            if upper < threshold:
+            if _triple_bound(f, g) < threshold:
                 pruned += 1
                 continue
-            size, picked = _score(f, g, triples, stop_at=threshold)
+            size, picked = _score(f, g, prop_triples(f, g), stop_at=threshold)
             if size >= threshold:
                 violations.append({
                     "f": f.to_json(),

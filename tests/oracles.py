@@ -271,16 +271,25 @@ def brute_triples(tower, f_coeffs, g_coeffs, f_inv_coeffs, g_inv_coeffs):
 
 
 def brute_max_matching(triples):
-    best = 0
-    for r in range(len(triples), 0, -1):
-        if r <= best:
-            break
-        for sub in combinations(triples, r):
-            if (len({t[0] for t in sub}) == r
-                    and len({t[1] for t in sub}) == r
-                    and len({t[2] for t in sub}) == r):
-                best = r
-                break
-        if best:
-            break
-    return best
+    """Largest subset of ``triples`` pairwise distinct in every coordinate.
+
+    Tries every size r from the number of distinct values in the sparsest
+    coordinate (no subset can be larger) down, walking r-subsets in
+    combinations order and abandoning a prefix that already repeats a value.
+    """
+    triples = list(triples)
+    if not triples:
+        return 0
+    cap = min(len({t[k] for t in triples}) for k in range(3))
+
+    def extend(start, chosen, r):
+        if len(chosen) == r:
+            return True
+        for i in range(start, len(triples) - (r - len(chosen)) + 1):
+            t = triples[i]
+            if all(t[k] != u[k] for u in chosen for k in range(3)):
+                if extend(i + 1, chosen + [t], r):
+                    return True
+        return False
+
+    return next(r for r in range(cap, 0, -1) if extend(0, [], r))

@@ -231,6 +231,7 @@ def test_system_json_roundtrip(f4):
     assert again == system and again.blocks == system.blocks
     assert system_from_dict(data, f4).blocks == system.blocks
     for bad, msg in (({}, "lacks field, dim, blocks"), (dict(data, blocks=5), "list of lists"),
-                     (dict(data, dim="x"), "dim must be an integer")):
+                     (dict(data, dim="x"), "dim must be an integer"),
+                     (dict(data, blocks=[[5]]), "vectors as lists")):
         with pytest.raises(ValueError, match=msg):
             system_from_dict(bad)

@@ -58,12 +58,36 @@ def test_identity_triple_always_present(f9):
         assert (1, 1, 1) in prop_triples(f, g)
 
 
-def test_matching_matches_bruteforce_f4(f4):
-    invs = invertible_linearized(f4)
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3)], ids=["F4", "F8"])
+def test_matching_matches_bruteforce(key):
+    from conftest import tower
+    invs = invertible_linearized(tower(*key))
     for f in invs:
         for g in invs:
             m, _wit = max_prop_m(f, g)
             assert m == oracles.brute_max_matching(prop_triples(f, g))
+
+
+def test_exact_matching_reaches_cap_from_a_bad_greedy_start():
+    from addmds.propm import _exact_matching
+    # greedy takes (1, 1) at b = 1 and blocks both other levels; the optimum
+    # {(2,1,3), (1,2,2), (3,3,1)} meets the cap of 3 levels / a-values / c-values
+    levels = [(1, [(1, 1), (2, 3)]), (2, [(1, 2), (2, 1)]), (3, [(1, 3), (3, 1)])]
+    found = _exact_matching(levels)
+    assert len(found) == 3 == oracles.brute_max_matching(
+        [(a, b, c) for b, opts in levels for a, c in opts])
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (2, 2, 2)],
+                         ids=["F4", "F8", "F16_F4"])
+def test_bucket_bound_matches_triples(key):
+    from conftest import tower
+    from addmds.propm import _triple_bound
+    invs = invertible_linearized(tower(*key))
+    for f in invs:
+        for g in invs:
+            triples = prop_triples(f, g)
+            assert _triple_bound(f, g) == min(len({x[k] for x in triples}) for k in range(3))
 
 
 def test_matching_matches_bruteforce_sampled_f9(f9):
@@ -85,13 +109,21 @@ def test_monomial_pair_scores(f4, f8, f9):
         assert wit.triples[0] == (1, 1, 1)
 
 
-def test_witness_validation(f9):
+def test_witness_validation(f9, f8):
     # for f = g = X the triples are exactly (a, b, a*b)
     x = LinearizedPoly.identity(f9)
     ab = f9.mul(2, 4)
     assert 1 not in (2, 4, ab)
     with pytest.raises(ValueError):
         PropWitness(x, x, ((1, 2, 1),))  # identity fails: 1*2X != 1X
+    # with every conjugate of the F_8 battery memoised, a wrong c still fails
+    verify_zero_coeff_lemma(f8)
+    x8 = LinearizedPoly.identity(f8)
+    _m, wit = max_prop_m(x8, x8)
+    a, b, c = wit.triples[3]
+    wrong = wit.triples[:3] + ((a, b, c % 7 + 1),) + wit.triples[4:]
+    with pytest.raises(ValueError, match="triple 3 fails the defining identity"):
+        PropWitness(x8, x8, wrong)
     with pytest.raises(ValueError):
         PropWitness(x, x, ((1, 2, 2), (1, 2, 2)))  # shared coordinates
     with pytest.raises(ValueError):
@@ -151,13 +183,23 @@ def test_certificate_requires_normalization(f9):
 
 
 def test_certificate_detects_tampering(f9):
+    from dataclasses import replace
+    verify_zero_coeff_lemma(f9)  # every product and relation of the battery memoised
     f = next(p for p in invertible_linearized(f9) if all(p.coeffs))
     _m, wit = max_prop_m(f, f)
     cert = build_zero_coeff_certificate(f, f, wit.triples)
+    assert cert.validate()
     # (1,) violates x^q = -x, the relation every difference vector satisfies
-    from dataclasses import replace
     tampered = replace(cert, bs=((1,),) * len(cert.bs))
     assert not tampered.validate()
+    # another polynomial's minor, and a scalar a that is not part of any memo key
+    minors = (build_zero_coeff_certificate(p, p, ()).mf_hat
+              for p in invertible_linearized(f9) if all(p.coeffs))
+    other_minor = next(m for m in minors if m != cert.mf_hat)
+    assert not replace(cert, mf_hat=other_minor).validate()
+    moved_a = tuple((a % 8 + 1, b, c) if i == 1 else (a, b, c)
+                    for i, (a, b, c) in enumerate(wit.triples))
+    assert not replace(cert, triples=moved_a).validate()
 
 
 def test_shift_matrix_encodes_frobenius_of_differences(f9):
