@@ -253,9 +253,14 @@ def _cmd_propm(cfg: RunConfig) -> bool:
 
 
 def _load_pair(t: FieldTower, data):
-    """The (f, g) of a propm pair JSON; ValueError naming missing keys."""
+    """The (f, g) of a propm pair JSON; ValueError naming a missing key or a
+    key whose polynomial is not invertible."""
     require_keys(data, ("f", "g"), "pair JSON", nested=("f", "g"))
-    return tuple(LinearizedPoly.from_json(t, data[key]) for key in ("f", "g"))
+    pair = tuple(LinearizedPoly.from_json(t, data[key]) for key in ("f", "g"))
+    for key, poly in zip(("f", "g"), pair):
+        if not poly.is_invertible():
+            raise ValueError(f"pair JSON {key} is not an invertible linearized polynomial")
+    return pair
 
 
 def _inverse_samples(t: FieldTower, seed: int, count: int = 25) -> dict:

@@ -27,10 +27,26 @@ the whole table of the tower.  The checking side stays on
 the polynomials, independently of the table, and compare every triple they
 receive.
 
+Scores are searched once per orbit class of pairs.  The triples of (f, g)
+are exactly those of (lam*f(mu X), lam*g(nu X)) for nonzero lam, mu, nu:
+
+    conj(f(mu X), b) = conj(f, b)            (mu X and b X commute),
+    conj(lam*f, b) = lam*conj(f, b)(lam^{-1} X),  the same lam^{1-q^l}
+                                             factor on both sides.
+
+So ``_orbit_key`` names the class, and the searches are memoised under it:
+the exact score and witness (``_orbit_score``, read by ``max_prop_m`` and
+by ``verify_inverse_lemma`` for its derived pairs), and the lm-prop bound
+and early-stopping score.  Records stay per pair: every pair's witness is
+validated against that pair, and every zero-coefficient pair builds and
+validates its own certificate.
+
 Work that depends on one polynomial or one element, not on the pair, is
 memoised on the tower (``FieldTower.memo``), so a battery pays it once:
 
-- compositional inverses (in ``linpoly``), conj buckets and exact scores;
+- compositional inverses (in ``linpoly``) and conj buckets;
+- each polynomial's normal forms lam*f(mu X), first nonzero coefficient
+  scaled to 1, one per lam, from which ``_orbit_key`` is read;
 - conj(f, b) from the ``compose`` chain, keyed by (f.coeffs, b), which
   ``_triple_holds`` reads;
 - each normalized polynomial's certificate minor and diagonal, each
@@ -87,13 +103,17 @@ def _conj_buckets(f: LinearizedPoly):
     return _memoised(t, "conj_buckets", f.coeffs, build)
 
 
-def prop_triples(f: LinearizedPoly, g: LinearizedPoly):
-    """All (a, b, c) in (F_{q^h}*)^3 with a*conj(f,b) = conj(g,c), sorted by (b, c)."""
+def _require_invertible(f: LinearizedPoly, g: LinearizedPoly):
     try:
         f.inverse()
         g.inverse()
     except NotInvertible:
         raise NotInvertible("triples are defined for invertible pairs only") from None
+
+
+def prop_triples(f: LinearizedPoly, g: LinearizedPoly):
+    """All (a, b, c) in (F_{q^h}*)^3 with a*conj(f,b) = conj(g,c), sorted by (b, c)."""
+    _require_invertible(f, g)
     t = f.tower
     bf = _conj_buckets(f)
     bg = _conj_buckets(g)
@@ -201,21 +221,92 @@ def _levels_from_triples(triples):
     return sorted(by_b.items())
 
 
-def _score(f, g, triples, stop_at=None, budget=None):
-    """(m or lower bound, witness triples) from ``prop_triples(f, g)``;
-    exact when stop_at is None, and then memoised on the tower."""
-    cap = DEFAULT_TRIPLE_BUDGET if budget is None else budget
-    if len(triples) > cap:
-        raise BudgetExceeded(f"{len(triples)} candidate triples exceed budget {cap}")
-    memo = f.tower.memo("scores")
-    key = (f.coeffs, g.coeffs)
-    if stop_at is None and key in memo:
-        return memo[key]
+def _search(triples, stop_at=None):
+    """(m or, with ``stop_at``, a lower bound; witness sorted by (b, c))."""
     found = _exact_matching(_levels_from_triples(triples), stop_at)
-    result = (len(found), sorted(found, key=lambda x: (x[1], x[2])))
-    if stop_at is None:
-        memo[key] = result
-    return result
+    return len(found), sorted(found, key=lambda x: (x[1], x[2]))
+
+
+def _best_witness(triples):
+    """(m, optimal witness) of the exact search, listing (1,1,1) first when
+    some optimum contains it."""
+    m, picked = _search(triples)
+    one = (1, 1, 1)
+    if one not in picked:
+        # retry with (1,1,1) forced: drop its level, ban a = 1 and c = 1
+        rest = [tr for tr in triples if tr[1] != 1 and tr[0] != 1 and tr[2] != 1]
+        size, forced = _search(rest)
+        if 1 + size >= m:
+            m = 1 + size
+            picked = [one] + forced
+    else:
+        picked = [one] + [tr for tr in picked if tr != one]
+    return m, tuple(picked)
+
+
+# ---------------------------------------------------------------------------
+# orbit classes of pairs under (f, g) -> (lam*f(mu X), lam*g(nu X))
+
+def _normal_forms(f: LinearizedPoly):
+    """(forms, least): forms[k] is lam*f(mu X) for the k-th nonzero lam, with
+    mu making its first nonzero coefficient 1; least lists the k where the
+    lex-least form occurs.  Memoised on the tower per polynomial."""
+    t = f.tower
+
+    def build():
+        i0 = f.support()[0]
+        forms = []
+        for lam in t.nonzero():
+            # mu^(q^i0) = (lam*f_i0)^{-1}, so coefficient i0 of lam*f(mu X) is 1
+            mu = t.frob(t.inv(t.mul(lam, f.coeffs[i0])), t.h - i0)
+            forms.append(tuple(t.mul(lam, t.mul(c, t.frob(mu, j)))
+                               for j, c in enumerate(f.coeffs)))
+        least = min(forms)
+        return tuple(forms), tuple(k for k, form in enumerate(forms) if form == least)
+    return _memoised(t, "orbit_normal_forms", f.coeffs, build)
+
+
+def _orbit_key(f: LinearizedPoly, g: LinearizedPoly):
+    """The lex-least (normal form of f, normal form of g) over the common lam:
+    equal exactly for pairs in one (lam, mu, nu) orbit.  f and g must be
+    nonzero."""
+    forms_f, least_f = _normal_forms(f)
+    forms_g, _ = _normal_forms(g)
+    return forms_f[least_f[0]], min(forms_g[k] for k in least_f)
+
+
+def _check_budget(count: int, budget: int | None = None):
+    cap = DEFAULT_TRIPLE_BUDGET if budget is None else budget
+    if count > cap:
+        raise BudgetExceeded(f"{count} candidate triples exceed budget {cap}")
+
+
+def _orbit_score(f: LinearizedPoly, g: LinearizedPoly, budget: int | None = None):
+    """(triple count, m, witness triples) of the pair's orbit class, searched
+    once per class and memoised on the tower.  The triple list, and so the
+    search and its witness, is the same for every pair of the class.  The
+    budget is checked against the triple count on a hit as on a miss."""
+    def build():
+        triples = prop_triples(f, g)
+        _check_budget(len(triples), budget)
+        return len(triples), *_best_witness(triples)
+    hit = _memoised(f.tower, "orbit_scores", _orbit_key(f, g), build)
+    _check_budget(hit[0], budget)
+    return hit
+
+
+def _orbit_bound(f: LinearizedPoly, g: LinearizedPoly, key) -> int:
+    """``_triple_bound(f, g)``, memoised per orbit key."""
+    return _memoised(f.tower, "orbit_bounds", key, lambda: _triple_bound(f, g))
+
+
+def _orbit_stop_score(f: LinearizedPoly, g: LinearizedPoly, key, threshold: int):
+    """The early-stopping search at ``threshold``, memoised per (orbit key, threshold)."""
+    def build():
+        triples = prop_triples(f, g)
+        _check_budget(len(triples))
+        return _search(triples, stop_at=threshold)
+    return _memoised(f.tower, "orbit_stop_scores", (key, threshold), build)
 
 
 def _conjugate(f: LinearizedPoly, b: int) -> tuple:
@@ -258,21 +349,12 @@ def max_prop_m(f: LinearizedPoly, g: LinearizedPoly, budget: int | None = None):
     """Exact maximum score m and an optimal witness.
 
     When some optimum contains the guaranteed triple (1,1,1) the returned
-    witness does, listed first.
+    witness does, listed first.  The search runs once per orbit class
+    (``_orbit_score``); the witness is validated against this very pair.
     """
-    triples = prop_triples(f, g)
-    m, picked = _score(f, g, triples, budget=budget)
-    one = (1, 1, 1)
-    if one not in picked:
-        # retry with (1,1,1) forced: drop its level, ban a = 1 and c = 1
-        rest = [tr for tr in triples if tr[1] != 1 and tr[0] != 1 and tr[2] != 1]
-        forced = _exact_matching(_levels_from_triples(rest))
-        if 1 + len(forced) >= m:
-            m = 1 + len(forced)
-            picked = [one] + sorted(forced, key=lambda x: (x[1], x[2]))
-    else:
-        picked = [one] + [tr for tr in picked if tr != one]
-    return m, PropWitness(f, g, tuple(picked))
+    _require_invertible(f, g)  # before the key: a zero f has no normal form
+    _count, m, picked = _orbit_score(f, g, budget)
+    return m, PropWitness(f, g, picked)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +480,8 @@ def verify_inverse_lemma(f: LinearizedPoly, g: LinearizedPoly) -> dict:
     finv, ginv = f.inverse(), g.inverse()
     pair1 = (finv, finv.compose(g))
     pair2 = (ginv, ginv.compose(f))
-    m1, _ = _score(*pair1, prop_triples(*pair1))
-    m2, _ = _score(*pair2, prop_triples(*pair2))
+    m1 = _orbit_score(*pair1)[1]
+    m2 = _orbit_score(*pair2)[1]
     tr1 = [(t.inv(b), t.inv(a), t.inv(c)) for a, b, c in witness.triples]
     tr2 = [(t.inv(c), a, t.inv(b)) for a, b, c in witness.triples]
     ok1 = all(_triple_holds(*pair1, tr) for tr in tr1)
@@ -560,10 +642,11 @@ def verify_lm_prop_implication(tower, n: int) -> dict:
             if f.is_monomial() and g.is_monomial():
                 monomial_pairs += 1
                 continue
-            if _triple_bound(f, g) < threshold:
+            key = _orbit_key(f, g)
+            if _orbit_bound(f, g, key) < threshold:
                 pruned += 1
                 continue
-            size, picked = _score(f, g, prop_triples(f, g), stop_at=threshold)
+            size, picked = _orbit_stop_score(f, g, key, threshold)
             if size >= threshold:
                 violations.append({
                     "f": f.to_json(),

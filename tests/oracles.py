@@ -3,9 +3,9 @@
 Everything here is written naively from definitions: dense polynomial
 arithmetic over F_p for field operations, pointwise map comparison for
 conjugacy triples, rank tests over every k-subset of blocks for
-pseudo-arcs, g^(-1) o M o g for linear-equivalence witnesses, and plain
-subset enumeration for matchings.  Slow on
-purpose; tests only feed it small inputs.
+pseudo-arcs, g^(-1) o M o g for linear-equivalence witnesses, plain
+subset enumeration for matchings, and a per-pair search with no memo for
+pair scores.  Slow on purpose; tests only feed it small inputs.
 """
 
 from itertools import combinations, product
@@ -13,6 +13,7 @@ from itertools import combinations, product
 from addmds import linalg
 from addmds.code import LinearWitness, to_interpolation_form, to_standard_form
 from addmds.linpoly import LinearizedPoly, invertible_linearized
+from addmds.propm import _exact_matching, _levels_from_triples, prop_triples
 
 
 # ---------------------------------------------------------------------------
@@ -293,3 +294,25 @@ def brute_max_matching(triples):
         return False
 
     return next(r for r in range(cap, 0, -1) if extend(0, [], r))
+
+
+def exhaustive_max_prop_m(f, g):
+    """(m, witness triples) of ``max_prop_m`` searched for this pair alone.
+
+    ``prop_triples``, then the exact matching, then the retry with (1,1,1)
+    forced, with no memo of scores or orbits in between.
+    """
+    def by_bc(tr):
+        return tr[1], tr[2]
+
+    triples = prop_triples(f, g)
+    picked = sorted(_exact_matching(_levels_from_triples(triples)), key=by_bc)
+    m = len(picked)
+    one = (1, 1, 1)
+    if one in picked:
+        return m, tuple([one] + [tr for tr in picked if tr != one])
+    rest = [tr for tr in triples if 1 not in tr]
+    forced = sorted(_exact_matching(_levels_from_triples(rest)), key=by_bc)
+    if 1 + len(forced) >= m:
+        return 1 + len(forced), tuple([one] + forced)
+    return m, tuple(picked)

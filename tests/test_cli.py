@@ -218,6 +218,19 @@ def test_propm_pair_lacking_keys(capsys, tmp_path):
     assert "pair JSON lacks g" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("pair, key", [
+    ({"f": [[0, 0], [0, 0]], "g": [[1, 0], [0, 0]]}, "f"),
+    ({"f": [[1, 0], [0, 0]], "g": [[1, 0], [2, 0]]}, "g"),  # X + 2X^3 is singular over F_9
+], ids=["zero-f", "singular-g"])
+def test_propm_pair_not_invertible(capsys, tmp_path, pair, key):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    code, out, err = run(capsys, "propm", "--p", "3", "--e", "1", "--h", "2",
+                         "--in", str(path))
+    assert code == 2 and out == ""
+    assert f"pair JSON {key} is not an invertible" in err and len(err.splitlines()) == 1
+
+
 def test_missing_file_and_missing_flags(capsys, tmp_path):
     code, _, err = run(capsys, "check-mds", "--in", str(tmp_path / "none.json"))
     assert code == 2

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from addmds.errors import BudgetExceeded, NotInvertible
 from addmds.linpoly import LinearizedPoly, invertible_linearized, random_invertible
@@ -66,6 +68,50 @@ def test_matching_matches_bruteforce(key):
         for g in invs:
             m, _wit = max_prop_m(f, g)
             assert m == oracles.brute_max_matching(prop_triples(f, g))
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2)], ids=["F4", "F8", "F9"])
+def test_max_prop_m_matches_per_pair_search(key):
+    from conftest import tower
+    invs = invertible_linearized(tower(*key))
+    for f in invs:
+        for g in invs:
+            m, wit = max_prop_m(f, g)
+            assert (m, wit.triples) == oracles.exhaustive_max_prop_m(f, g)
+
+
+def test_lm_prop_orbit_memos_match_direct_calls(f16_over_f4):
+    from addmds.propm import (_exact_matching, _levels_from_triples, _orbit_bound,
+                              _orbit_key, _orbit_stop_score, _triple_bound)
+    t = f16_over_f4
+    verify_lm_prop_implication(t, 17)  # threshold 14; warms the orbit memos
+    invs = invertible_linearized(t)
+    for f in invs:
+        for g in invs:
+            key = _orbit_key(f, g)
+            assert _orbit_bound(f, g, key) == _triple_bound(f, g)
+            found = _exact_matching(_levels_from_triples(prop_triples(f, g)), 14)
+            assert _orbit_stop_score(f, g, key, 14) == (
+                len(found), sorted(found, key=lambda x: (x[1], x[2])))
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None, database=None)
+@given(key=st.sampled_from([(2, 1, 3), (3, 1, 2), (2, 2, 2)]), data=st.data())
+def test_orbit_moves_keep_triples_and_key(key, data):
+    from conftest import tower
+    from addmds.propm import _orbit_key
+    t = tower(*key)
+    invs = invertible_linearized(t)
+    f, g = data.draw(st.sampled_from(invs)), data.draw(st.sampled_from(invs))
+    lam, mu, nu = (data.draw(st.integers(1, t.size - 1)) for _ in range(3))
+
+    def move(p, s):  # lam * p(s X)
+        return LinearizedPoly.scalar(t, lam).compose(p).compose(LinearizedPoly.scalar(t, s))
+
+    f2, g2 = move(f, mu), move(g, nu)
+    assert prop_triples(f2, g2) == prop_triples(f, g)
+    assert _orbit_key(f2, g2) == _orbit_key(f, g)
 
 
 def test_exact_matching_reaches_cap_from_a_bad_greedy_start():
@@ -133,10 +179,26 @@ def test_witness_validation(f9, f8):
     PropWitness(x, x, ((1, 1, 1), (2, 4, ab)))
 
 
-def test_triple_budget(f9):
-    x = LinearizedPoly.identity(f9)
-    with pytest.raises(BudgetExceeded):
+def test_triple_budget():
+    from addmds.gf import field_create
+    from addmds.propm import _orbit_key
+    t = field_create(3, 1, 2)  # a fresh tower, so the first call is cold
+    x = LinearizedPoly.identity(t)
+    with pytest.raises(BudgetExceeded) as cold:
         max_prop_m(x, x, budget=3)
+    assert max_prop_m(x, x)[0] == 7  # fills the orbit memo of (X, X)
+    # (2X, 5X) = (X(2X), X(5X)) lies in the class of (X, X): a warm hit
+    # compares the stored triple count with the budget before returning
+    other = (LinearizedPoly.scalar(t, 2), LinearizedPoly.scalar(t, 5))
+    assert _orbit_key(*other) == _orbit_key(x, x)
+    with pytest.raises(BudgetExceeded) as warm:
+        max_prop_m(*other, budget=3)
+    assert str(warm.value) == str(cold.value) == "64 candidate triples exceed budget 3"
+    # invertibility is checked before the orbit key: no normal form of zero
+    zero = LinearizedPoly.zero(t)
+    for pair in ((zero, x), (x, zero), (LinearizedPoly.from_json(t, [[1, 0], [2, 0]]), x)):
+        with pytest.raises(NotInvertible):
+            max_prop_m(*pair)
 
 
 def test_twist_normalization(f8):
