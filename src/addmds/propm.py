@@ -34,10 +34,10 @@ are exactly those of (lam*f(mu X), lam*g(nu X)) for nonzero lam, mu, nu:
     conj(lam*f, b) = lam*conj(f, b)(lam^{-1} X),  the same lam^{1-q^l}
                                              factor on both sides.
 
-So ``_orbit_key`` names the class, and the searches are memoised under it:
+So ``_orbit_key`` names the class, and two results are memoised under it:
 the exact score and witness (``_orbit_score``, read by ``max_prop_m`` and
-by ``verify_inverse_lemma`` for its derived pairs), and the lm-prop bound
-and early-stopping score.  Records stay per pair: every pair's witness is
+by ``verify_inverse_lemma`` for its derived pairs) and the lm-prop bound
+(``_orbit_bound``).  Records stay per pair: every pair's witness is
 validated against that pair, and every zero-coefficient pair builds and
 validates its own certificate.
 
@@ -295,18 +295,9 @@ def _orbit_score(f: LinearizedPoly, g: LinearizedPoly, budget: int | None = None
     return hit
 
 
-def _orbit_bound(f: LinearizedPoly, g: LinearizedPoly, key) -> int:
+def _orbit_bound(f: LinearizedPoly, g: LinearizedPoly) -> int:
     """``_triple_bound(f, g)``, memoised per orbit key."""
-    return _memoised(f.tower, "orbit_bounds", key, lambda: _triple_bound(f, g))
-
-
-def _orbit_stop_score(f: LinearizedPoly, g: LinearizedPoly, key, threshold: int):
-    """The early-stopping search at ``threshold``, memoised per (orbit key, threshold)."""
-    def build():
-        triples = prop_triples(f, g)
-        _check_budget(len(triples))
-        return _search(triples, stop_at=threshold)
-    return _memoised(f.tower, "orbit_stop_scores", (key, threshold), build)
+    return _memoised(f.tower, "orbit_bounds", _orbit_key(f, g), lambda: _triple_bound(f, g))
 
 
 def _conjugate(f: LinearizedPoly, b: int) -> tuple:
@@ -642,11 +633,12 @@ def verify_lm_prop_implication(tower, n: int) -> dict:
             if f.is_monomial() and g.is_monomial():
                 monomial_pairs += 1
                 continue
-            key = _orbit_key(f, g)
-            if _orbit_bound(f, g, key) < threshold:
+            if _orbit_bound(f, g) < threshold:
                 pruned += 1
                 continue
-            size, picked = _orbit_stop_score(f, g, key, threshold)
+            triples = prop_triples(f, g)
+            _check_budget(len(triples))
+            size, picked = _search(triples, stop_at=threshold)
             if size >= threshold:
                 violations.append({
                     "f": f.to_json(),
