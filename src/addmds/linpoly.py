@@ -14,8 +14,11 @@ compositional inverse can be read off the first row of D(f)^(-1).
 f^(-1) over every nonzero b at once.  Coefficient l of conj(f, b) is
 sum_i C_f[l][i] * b^(q^i) with C_f[l][i] = f_i * (f^(-1))_{(l-i) mod h}^(q^i),
 so each b costs h^2 lookups on whole numpy columns and no polynomial
-objects are built.  Compositional inverses, the invertible list and the
-numpy tables are kept in the tower's memo.
+objects are built.  ``compose_table`` is the second batched kernel: the
+coefficients of m o g for every row g of an int array, the same h^2 log
+lookups per row as ``compose``.  Both add through one helper, ``_add``:
+XOR for p = 2, Zech logarithms for odd p.  Compositional inverses, the
+invertible list and the numpy tables are kept in the tower's memo.
 """
 
 from __future__ import annotations
@@ -240,18 +243,44 @@ def conjugation_table(polys):
         for l in range(h):
             # terms[k, r, i] = C[k, l, i] * (omega^r)^(q^i)
             terms = np.where(live[:, None, l], exp[log_c[:, None, l] + log_b], 0)
-            if zech is None:
-                acc = np.bitwise_xor.reduce(terms, axis=-1)
-            else:
-                acc = terms[..., 0]
-                for i in range(1, h):
-                    acc = _zech_add(acc, terms[..., i], exp, log, zech, n)
+            acc = terms[..., 0]
+            for i in range(1, h):
+                acc = _add(acc, terms[..., i], exp, log, zech, n)
             out[lo:lo + step, :, l] = acc
     return out
 
 
-def _zech_add(a, b, exp, log, zech, n):
-    """Elementwise a + b over odd p through Zech logarithms; zeros allowed."""
+def compose_table(m, coeffs):
+    """Coefficients of m o g for every row g of the int array ``coeffs``.
+
+    ``coeffs`` has shape (rows, h) and holds field elements of m's tower;
+    the result has the same shape, row r being ``m.compose(g_r).coeffs``.
+    Coefficient l is sum_i m_i * g_{(l-i) mod h}^(q^i), each term one
+    log-domain lookup on a whole column, with zero g entries masked (log[0]
+    reads 0).  Work goes column by column to keep the temporaries small.
+    """
+    t = m.tower
+    h, n = t.h, t._group_order
+    exp, log, zech = t.np_tables()
+    g = np.asarray(coeffs, dtype=np.int64)
+    if g.ndim != 2 or g.shape[1] != h:
+        raise ValueError("compose_table needs an array of shape (rows, h)")
+    log_g = log[g]
+    out = np.zeros_like(g)
+    for l in range(h):
+        for i in m.support():
+            j = (l - i) % h
+            # m_i * g_j^(q^i); exp is doubled, so log m_i + (...) needs no mod
+            log_term = t._log[m.coeffs[i]] + log_g[:, j] * t._qpow[i] % n
+            term = np.where(g[:, j] != 0, exp[log_term], 0)
+            out[:, l] = _add(out[:, l], term, exp, log, zech, n)
+    return out
+
+
+def _add(a, b, exp, log, zech, n):
+    """Elementwise a + b: XOR for p = 2, Zech logarithms for odd p; zeros allowed."""
+    if zech is None:
+        return a ^ b
     la = log[a]
     z = zech[(log[b] - la) % n]
     total = np.where(z >= 0, exp[la + z], 0)

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,15 @@ def test_field_report(capsys, tmp_path):
     assert rep["q"] == 3 and rep["size"] == 9
     assert rep["invertible_linearized_maps"] == 48
     assert json.loads(out_file.read_text()) == rep
+
+
+def test_python_m_addmds_runs(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "addmds", "field", "--p", "3", "--h", "2"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["size"] == 9
 
 
 def test_rs_then_check_mds(capsys, tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from addmds import code as code_mod
 from addmds.code import (
     AdditiveCode,
     EquivalenceMove,
@@ -316,8 +317,7 @@ def _witness_cases(name):
     return [_k2_code(t, [g0.conjugate(7)])], [True]
 
 
-@pytest.mark.parametrize("name", ["rs", "conjugate", "negative", "k4", "singular"])
-def test_witness_matches_oracle(name):
+def _check_witness_cases(name):
     codes, expect = _witness_cases(name)
     verdicts = []
     for code in codes:
@@ -332,6 +332,46 @@ def test_witness_matches_oracle(name):
         u = m.compose(early)
         assert u == early.compose(LinearizedPoly.scalar(t, u.coeffs[0]))
         assert not early.is_invertible()
+
+
+@pytest.mark.parametrize("name", ["rs", "conjugate", "negative", "k4", "singular"])
+def test_witness_matches_oracle(name):
+    _check_witness_cases(name)
+
+
+@pytest.mark.parametrize("name", ["rs", "conjugate", "negative", "k4", "singular"])
+def test_witness_screen_spans_blocks(name, monkeypatch):
+    # blocks of 5 candidates: survivors of the screen sit in many blocks, and
+    # the singular F_16 candidate (1, 0, 8, 0) passes every target in an
+    # earlier block than the witness (1, 0, 8, 4), so only is_invertible
+    # keeps it out
+    monkeypatch.setattr(code_mod, "WITNESS_CHUNK_ROWS", 5)
+    _check_witness_cases(name)
+
+
+def test_witness_on_f16_over_f2_matches_oracle():
+    t = field_create(2, 1, 4)
+    rng = random.Random(64)
+    for build, linearizable in ((_negative, False), (_conj_positive, True)):
+        for _ in range(2):
+            code = build(t, rng)
+            code = apply_move(code, random_move(t, code.n, rng))
+            wit = linear_equivalence_witness(code)
+            assert wit == oracles.brute_linear_witness(code)
+            assert (wit is not None) == linearizable
+
+
+def test_witness_on_f81_decides_both_ways():
+    # 531,441 candidates; too many for the oracle, so check the verdicts
+    t = field_create(3, 1, 4)
+    rng = random.Random(81)
+    neg = _negative(t, rng)
+    assert linear_equivalence_witness(apply_move(neg, random_move(t, neg.n, rng))) is None
+    pos = _conj_positive(t, rng)
+    pos = apply_move(pos, random_move(t, pos.n, rng))
+    wit = linear_equivalence_witness(pos)
+    assert wit is not None and wit.g.is_invertible()
+    assert apply_move(pos, wit.linearizing_move()).is_field_linear()
 
 
 def test_negative_witness_takes_few_inverses():

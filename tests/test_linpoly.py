@@ -8,6 +8,7 @@ from addmds.linpoly import (
     CONJ_CHUNK_ROWS,
     LinearizedPoly,
     all_linearized,
+    compose_table,
     conjugation_table,
     invertible_linearized,
     random_invertible,
@@ -85,6 +86,34 @@ def test_conjugation_table_rejects_bad_input(f9):
         conjugation_table([])
     with pytest.raises(NotInvertible):
         conjugation_table([LinearizedPoly.identity(f9), LinearizedPoly.zero(f9)])
+
+
+@pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 1, 3), (5, 1, 3)])
+def test_compose_table_matches_compose(key):
+    # F_8 and F_16/F_4 add by XOR, F_9, F_27 and F_125 through Zech logarithms
+    from conftest import tower
+    t = tower(*key)
+    rng = random.Random(41)
+
+    def draw():  # about half the coefficients zero
+        return tuple(rng.choice((0, rng.randrange(1, t.size))) for _ in range(t.h))
+
+    rows = [draw() for _ in range(60)] + [(0,) * t.h, (1,) + (0,) * (t.h - 1)]
+    ms = [LinearizedPoly.monomial(t, rng.randrange(1, t.size), i) for i in range(t.h)]
+    ms += [LinearizedPoly(t, draw()) for _ in range(6)]
+    ms += [LinearizedPoly(t, (0,) + (rng.randrange(1, t.size),) * (t.h - 1)),
+           LinearizedPoly(t, tuple(rng.randrange(1, t.size) for _ in range(t.h))),
+           LinearizedPoly.zero(t)]
+    for m in ms:
+        table = compose_table(m, rows)
+        assert table.shape == (len(rows), t.h)
+        for g, out in zip(rows, table.tolist()):
+            assert tuple(out) == m.compose(LinearizedPoly(t, g)).coeffs
+
+
+def test_compose_table_rejects_bad_shape(f9):
+    with pytest.raises(ValueError):
+        compose_table(LinearizedPoly.identity(f9), [[1, 2, 3]])
 
 
 @pytest.mark.parametrize("key", sorted(INVERTIBLE_COUNTS))

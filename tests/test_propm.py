@@ -310,6 +310,31 @@ def test_lm_prop_implication_frozen_f9(f9):
         verify_lm_prop_implication(f9, 3)
 
 
+@pytest.mark.parametrize("n, survivors, violating, max_seen", [(5, 2048, 2048, 0), (6, 512, 0, 2)])
+def test_lm_prop_early_stop_matches_oracle_f9(f9, n, survivors, violating, max_seen):
+    # n = 9 prunes every pair; here pairs survive the bound and reach the
+    # early-stopping search, whose verdicts the full search must confirm
+    from addmds.propm import _triple_bound
+    rep = verify_lm_prop_implication(f9, n)
+    flagged = {(tuple(map(tuple, v["f"])), tuple(map(tuple, v["g"]))) for v in rep["violations"]}
+    invs = invertible_linearized(f9)
+    seen, expect, oracle_max = 0, set(), 0
+    for f in invs:
+        for g in invs:
+            if (f.is_monomial() and g.is_monomial()) or _triple_bound(f, g) < n - 3:
+                continue
+            seen += 1
+            m, _ = oracles.exhaustive_max_prop_m(f, g)
+            if m >= n - 3:
+                expect.add((tuple(map(tuple, f.to_json())), tuple(map(tuple, g.to_json()))))
+            else:
+                oracle_max = max(oracle_max, m)
+    assert seen == survivors == rep["pairs"] - rep["monomial_pairs"] - rep["pruned_by_upper_bound"]
+    assert flagged == expect and len(expect) == violating
+    assert rep["max_m_nonmonomial_seen"] == oracle_max == max_seen
+    assert all(v["m_at_least"] >= n - 3 for v in rep["violations"])
+
+
 def test_semilinear_criterion_counts(f4, f9):
     rep4 = verify_semilinear_criterion(f4)
     assert rep4["pairs"] == 18 and rep4["ok"]
