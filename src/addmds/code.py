@@ -6,10 +6,14 @@ so |C| = q^k_fq.  The stored row basis is preserved exactly (several
 constructions rely on a structured basis); equality of codes compares the
 canonical reduced row echelon form of the F_q-coordinate expansion.
 
-Distance work enumerates codewords.  Enumeration is a hard-capped budgeted
-operation done by one numpy kernel over F_p digit vectors, the same on
-every tower, which also serves the systems of ``geometry``.  Each code or
-system keeps its result, so d, A_0..A_n and MDS cost one enumeration.
+Distance work reads one weight distribution A_0..A_n per code or system
+(the systems of ``geometry`` too), computed once under a hard codeword
+budget from the same F_p matrix of the coordinates, by one of two numpy
+routes that give the same list.  The rank route sums p^(K - rank) over the
+rank-deficient coordinate sets and inverts; it runs when it needs at most
+q^k / ``_RANK_COST`` subset ranks.  Otherwise the q^k messages are
+enumerated.  So d, A_0..A_n and MDS cost one distribution, and for an MDS
+code with large q^k that is sum_(s <= k) C(n, s) small F_p ranks.
 
 Equivalence moves are coordinate permutations combined with per-coordinate
 invertible q-linearized substitutions; they preserve cardinality and weight
@@ -24,6 +28,7 @@ so "None" is a certificate, not a timeout).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -133,9 +138,31 @@ class AdditiveCode:
 
 
 # ---------------------------------------------------------------------------
-# weight enumeration
+# weight distributions
 
-_CELLS = 1 << 20  # cap on messages x F_p columns in one block of the kernel
+_CELLS = 1 << 20  # cap on entries (messages x F_p columns, or rank stack) per numpy block
+_RANK_COST = 400  # messages the enumeration kernel covers in the time of one subset rank
+
+
+def _fp_blocks(tower: FieldTower, k: int, groups):
+    """The F_p matrix of n column groups over the K = k*e message digits.
+
+    ``groups[j]`` lists columns of length k over F_{q^h}; message m hits
+    coordinate j when m . u != 0 for some column u of the group.  Elements
+    are ints whose base-p digits are F_p coordinates, so once m is written
+    over the F_p-basis 1, gamma, ..., gamma^(e-1) of F_q (``tower.fq_basis``)
+    each F_q-linear functional m . u is ``degree`` F_p columns of a K-row
+    matrix.  Returns that matrix and, per group, the indices of its columns
+    that are nonzero in some row.
+    """
+    d = tower.degree
+    cols = [col for blk in groups for col in blk]
+    owner = np.repeat([j for j, blk in enumerate(groups) for _ in blk], d)
+    exp = np.array([[tower.digits(tower.mul(b, x)) for x in col for b in tower.fq_basis]
+                    for col in cols], dtype=np.int64).reshape(len(cols), k * tower.e, d)
+    mat = exp.transpose(1, 0, 2).reshape(k * tower.e, len(cols) * d)
+    live = mat.any(axis=0)
+    return mat, [np.flatnonzero(live & (owner == j)) for j in range(len(groups))]
 
 
 def _span(mat, p):
@@ -148,33 +175,20 @@ def _span(mat, p):
 
 
 def _weight_distribution(tower: FieldTower, k: int, groups):
-    """A_0..A_n over the q^k messages m in F_q^k, for n column groups.
+    """A_0..A_n by enumerating the q^k messages m in F_q^k (``_fp_blocks``).
 
-    ``groups[j]`` lists columns of length k over F_{q^h}; message m hits
-    coordinate j when m . u != 0 for some column u of the group, and its
-    weight is the number of coordinates it hits.  A code's coordinate is a
-    group of one column; a system's block is its list of generators.
-
-    Elements are ints whose base-p digits are F_p coordinates and add
-    digitwise mod p, so each F_q-linear functional m . u splits into F_p
-    columns once m is written over the F_p-basis 1, gamma, ..., gamma^(e-1)
-    of F_q (``tower.fq_basis``).  Messages are all sums
-    lo + hi with lo from a precomputed block of low-digit combinations and
-    hi running over the high-digit combinations; as hi runs over a subspace
-    so does -hi, so an F_p column of lo + hi is nonzero exactly when it
-    differs between lo and hi.  Columns zero in every row are dropped (a
-    coordinate with none left is never hit) and each group is padded to a
-    power-of-two width by repeating its columns, so the hits of a group are
-    one unsigned-int view of the comparison bytes.
+    A code's coordinate is a group of one column; a system's block is its
+    list of generators; the weight of m is the number of groups it hits.
+    Messages are all sums lo + hi with lo from a precomputed block of
+    low-digit combinations and hi running over the high-digit combinations;
+    as hi runs over a subspace so does -hi, so an F_p column of lo + hi is
+    nonzero exactly when it differs between lo and hi.  Columns zero in
+    every row are dropped (a coordinate with none left is never hit) and
+    each group is padded to a power-of-two width by repeating its columns,
+    so the hits of a group are one unsigned-int view of the comparison bytes.
     """
-    p, d = tower.p, tower.degree
-    cols = [col for blk in groups for col in blk]
-    owner = np.repeat([j for j, blk in enumerate(groups) for _ in blk], d)
-    exp = np.array([[tower.digits(tower.mul(b, x)) for x in col for b in tower.fq_basis]
-                    for col in cols], dtype=np.int64).reshape(len(cols), k * tower.e, d)
-    mat = exp.transpose(1, 0, 2).reshape(k * tower.e, len(cols) * d)
-    live = mat.any(axis=0)
-    members = [np.flatnonzero(live & (owner == j)) for j in range(len(groups))]
+    p = tower.p
+    mat, members = _fp_blocks(tower, k, groups)
     members = [m for m in members if len(m)]
     counts = np.zeros(len(groups) + 1, dtype=np.int64)
     if not members:
@@ -198,18 +212,126 @@ def _weight_distribution(tower: FieldTower, k: int, groups):
     return [int(c) for c in counts]
 
 
-def _cached_weights(obj, k, groups, budget, noun):
-    """A_0..A_n of a code or system over its q^k messages, enumerated once.
+def _rank_weight_distribution(tower: FieldTower, k: int, groups, max_ranks: int | None = None):
+    """A_0..A_n from the F_p ranks r(S) of coordinate sets S (``_fp_blocks``).
 
-    The budget is checked before the memo is read, so cache state changes no
-    answer and no BudgetExceeded; each caller gets a fresh list.
+    The messages vanishing on S are the left kernel of the columns of S, so
+    B_s = sum over |S| = s of p^(K - r(S)) counts (message, S) pairs with m
+    zero on S, and Moebius inversion gives the number of messages zero on
+    exactly j coordinates, A_(n-j) = sum_(s >= j) (-1)^(s-j) C(s, j) B_s
+    (Greene's theorem for additive codes).  A set of rank K adds 1, as does
+    every superset, so only the down-closed family of rank-deficient sets
+    is walked, level by level: each deficient set is extended by every
+    larger index and the new sets of a level are ranked in one batch.
+
+    Returns None, having done no more than ``max_ranks`` ranks, when the
+    sets it is sure to rank (``_sure_ranks``, from column counts alone) or
+    the sets a level is about to rank bring the total above ``max_ranks``.
+    """
+    p = tower.p
+    mat, members = _fp_blocks(tower, k, groups)
+    K, n = mat.shape[0], len(groups)
+    if max_ranks is not None and _sure_ranks(members, K) > max_ranks:
+        return None
+    blocks = np.zeros((n, K, max([len(m) for m in members] + [1])),
+                      dtype=np.min_scalar_type(p * p - 1))
+    for j, m in enumerate(members):
+        blocks[j, :, :len(m)] = mat[:, m]
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=blocks.dtype)
+    excess = [p ** K - 1] + [0] * n  # sum of p^(K - r(S)) - 1 per size
+    level = np.zeros((1 if K else 0, 0), dtype=np.int64)  # deficient sets of one size
+    ranked = 0
+    for s in range(1, n + 1):
+        if not len(level):
+            break
+        last = level[:, -1] if s > 1 else np.full(len(level), -1)
+        fan = n - 1 - last
+        ranked += int(fan.sum())
+        if max_ranks is not None and ranked > max_ranks:
+            return None
+        parent = np.repeat(np.arange(len(level)), fan)
+        new = last[parent] + 1 + np.arange(len(parent)) - (np.cumsum(fan) - fan)[parent]
+        sets = np.hstack([level[parent], new[:, None]])
+        ranks = _subset_ranks(blocks, sets, p, inv)
+        deficient = ranks < K
+        level = sets[deficient]
+        by_rank = np.bincount(ranks[deficient], minlength=K)
+        excess[s] = sum(int(c) * (p ** (K - r) - 1) for r, c in enumerate(by_rank))
+    b = [comb(n, s) + excess[s] for s in range(n + 1)]
+    return [sum((-1) ** (s - j) * comb(s, j) * b[s] for s in range(j, n + 1))
+            for j in range(n, -1, -1)]
+
+
+def _sure_ranks(members, K):
+    """Sets the walk is sure to rank: those whose prefix (the set without its
+    largest index) has fewer than K nonzero F_p columns, so is deficient."""
+    ways = [1] + [0] * (K - 1) if K else []  # ways[c]: sets of earlier groups with c columns
+    total = 0
+    for m in members:
+        total += sum(ways)
+        ways = [w + (ways[c - len(m)] if c >= len(m) else 0) for c, w in enumerate(ways)]
+    return total
+
+
+def _subset_ranks(blocks, sets, p, inv):
+    """F_p rank of the K x (s * width) matrix of the groups in each row of ``sets``."""
+    n_sets, s = sets.shape
+    _, K, width = blocks.shape
+    chunk = max(1, _CELLS // (K * s * width))
+    out = np.empty(n_sets, dtype=np.int64)
+    for lo in range(0, n_sets, chunk):
+        stack = blocks[sets[lo:lo + chunk]].transpose(0, 2, 1, 3).reshape(-1, K, s * width)
+        out[lo:lo + chunk] = _stack_ranks(stack, p, inv)
+    return out
+
+
+def _stack_ranks(a, p, inv):
+    """F_p ranks of a (B, R, C) stack by Gaussian elimination, one pivot column
+    at a time over the shorter side; ``inv`` maps x to 1/x mod p."""
+    if a.shape[1] > a.shape[2]:
+        a = a.transpose(0, 2, 1)
+    a = np.ascontiguousarray(a)
+    n_mats, n_rows, n_cols = a.shape
+    rank = np.zeros(n_mats, dtype=np.int64)
+    rows = np.arange(n_rows)
+    for c in range(n_cols):
+        free = (a[:, :, c] != 0) & (rows >= rank[:, None])
+        hit = np.flatnonzero(free.any(axis=1))
+        if not len(hit):
+            continue
+        top, piv = rank[hit], free[hit].argmax(axis=1)
+        a[hit, top], a[hit, piv] = a[hit, piv], a[hit, top]
+        pivot = a[hit, top] * inv[a[hit, top, c]][:, None] % p
+        factor = a[hit, :, c]
+        factor[np.arange(len(hit)), top] = 0
+        a[hit] = (a[hit] + (p - factor)[:, :, None] * pivot[:, None, :]) % p
+        rank[hit] += 1
+    return rank
+
+
+def _cached_weights(obj, k, groups, budget, noun):
+    """A_0..A_n of a code or system over its q^k messages, computed once.
+
+    Two routes give the same list.  The rank route
+    (``_rank_weight_distribution``) goes first and may take q^k //
+    ``_RANK_COST`` subset ranks, ``_RANK_COST`` being the messages the
+    enumeration covers in the time of one rank: it stops before any rank
+    when the ranks that column counts alone make certain exceed that, and
+    before a level of its walk that would exceed it.  Then the q^k
+    messages are enumerated (``_weight_distribution``).  The budget is
+    checked before the memo is read or either route runs, so neither the
+    route nor the cache state changes an answer or a BudgetExceeded; each
+    caller gets a fresh list.
     """
     total = obj.tower.q ** k
     cap = DEFAULT_CODEWORD_BUDGET if budget is None else budget
     if total > cap:
         raise BudgetExceeded(f"{total} {noun} exceed budget {cap}")
     if "weights" not in obj._cache:
-        obj._cache["weights"] = tuple(_weight_distribution(obj.tower, k, groups))
+        weights = _rank_weight_distribution(obj.tower, k, groups, total // _RANK_COST)
+        if weights is None:
+            weights = _weight_distribution(obj.tower, k, groups)
+        obj._cache["weights"] = tuple(weights)
     return list(obj._cache["weights"])
 
 

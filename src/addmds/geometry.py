@@ -9,8 +9,8 @@ those subspace lists as first-class objects, converts codes to and from
 them, evaluates their minimum distance and arc property, and decides
 membership in the multiplication spread (the partition of F_q^(hk) into the
 F_{q^h}-point subspaces under the omega-power identification).  Distance
-and the arc property both read the budgeted enumeration kernel of ``code``,
-whose result each system keeps: a system is a pseudo-arc exactly when its
+and the arc property both read the budgeted weight distribution of
+``code``, which each system keeps: a system is a pseudo-arc exactly when its
 distance is n - k + 1, just as a code is MDS.
 
 Blocks are stored exactly as given so that ``code_from_system`` inverts
@@ -126,6 +126,10 @@ def is_pseudo_arc(system: ProjectiveHSystem, budget: int | None = None) -> bool:
     rank h and n >= k, any k blocks span iff no nonzero message is
     annihilated by k of them, i.e. d >= n - k + 1; k - 1 blocks never span,
     so this is d == n - k + 1 (``system_min_distance`` under ``budget``).
+    That distance comes from the system's memoised weight distribution;
+    when q^k is large next to the number of block sets it is computed from
+    the F_p ranks of the sets of at most k blocks (``code._cached_weights``),
+    which on a pseudo-arc is this definition checked directly.
     """
     t = system.tower
     if system.dim % t.h:

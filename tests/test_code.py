@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -24,7 +25,12 @@ from addmds.code import (
     weight_enumerator,
 )
 from addmds.errors import BudgetExceeded, NonInvertibleMap, NotMds
-from addmds.geometry import system_from_code, system_min_distance
+from addmds.geometry import (
+    ProjectiveHSystem,
+    code_from_system,
+    system_from_code,
+    system_min_distance,
+)
 from addmds.gf import field_create
 from addmds.linpoly import LinearizedPoly, random_invertible
 from addmds.search import k4_example_search
@@ -103,6 +109,104 @@ def test_dependent_rows_give_distance_zero(f9):
     code = AdditiveCode(f9, [row, tuple(f9.mul(2, x) for x in row)], check=False)
     assert weight_enumerator(code)[0] == f9.q
     assert min_distance(code) == 0
+
+
+def _groups(obj):
+    """(k, column groups) of a code or a system, as the weight kernels take them."""
+    if isinstance(obj, AdditiveCode):
+        return obj.k_fq, [[tuple(row[j] for row in obj.gen)] for j in range(obj.n)]
+    return obj.dim, obj.blocks
+
+
+_ROUTE_CODES = ["F8", "F16/F4", "F16/F4 scrambled", "F3^8, k_fq = 2", "zero coordinates",
+                "dependent rows", "k_fq = 0", "RS F9", "RS F16/F4", "RS F25", "RS F27",
+                "k4 F25", "k4 F25 scrambled", "k4 F49", "k4 F49 scrambled"]
+
+
+@lru_cache(maxsize=None)
+def _route_code(name):
+    if name in ("dependent rows", "k_fq = 0"):
+        f9 = conftest.tower(3, 1, 2)
+        if name == "k_fq = 0":
+            return project(rs_code(f9, 2), range(7))
+        row = rs_code(f9, 2).gen[0]
+        return AdditiveCode(f9, [row, tuple(f9.mul(2, x) for x in row)], check=False)
+    if name.startswith("RS"):
+        towers = {"F9": (3, 1, 2), "F16/F4": (2, 2, 2), "F25": (5, 1, 2), "F27": (3, 1, 3)}
+        return rs_code(conftest.tower(*towers[name.split()[1]]), 2)
+    if name.startswith("k4"):
+        p = {"F25": 5, "F49": 7}[name.split()[1]]
+        t = conftest.tower(p, 1, 2)
+        code = k4_example_search(t, budget=1 << 23).code
+        if name.endswith("scrambled"):
+            code = apply_move(code, random_move(t, code.n, random.Random(p)))
+        return code
+    return _kernel_cases()[name]
+
+
+def _check_routes(obj, twin):
+    """The rank route equals the enumeration on ``obj`` and, where the
+    brute-force oracle runs, so does ``twin``'s distribution."""
+    k, groups = _groups(obj)
+    want = code_mod._weight_distribution(obj.tower, k, groups)
+    assert code_mod._rank_weight_distribution(obj.tower, k, groups) == want
+    if twin.tower.q ** twin.k_fq <= 10 ** 4:
+        assert want == oracles.brute_weight_distribution(twin)
+    return want
+
+
+@pytest.mark.parametrize("view", ["code", "system"])
+@pytest.mark.parametrize("name", _ROUTE_CODES)
+def test_rank_route_matches_enumeration(name, view):
+    code = _route_code(name)
+    want = _check_routes(code if view == "code" else system_from_code(code), code)
+    if name == "dependent rows":
+        assert want[0] == 3
+    if name.startswith("k4"):
+        assert want[:3] == [1, 0, 0] and want[3] > 0  # MDS: d = n - k + 1 = 3
+
+
+def test_rank_route_on_rank_deficient_block(f9):
+    blocks = system_from_code(rs_code(f9, 2)).blocks
+    u = blocks[0][0]
+    system = ProjectiveHSystem(f9, 4, blocks[1:4] + ((u, tuple(f9.mul(2, c) for c in u)),))
+    assert system.block_rank(3) == 1
+    _check_routes(system, code_from_system(system))
+
+
+@pytest.mark.parametrize("zeros, copies, route", [(4, 1, "rank"), (5, 1, "enumeration"),
+                                                  (0, 2, "rank, then enumeration")])
+def test_weight_route_cost_model(zeros, copies, route, monkeypatch):
+    # the F_25 k = 4 example (5^8 messages: at most 976 ranks at
+    # _RANK_COST = 400) with zero coordinates in front or every coordinate
+    # repeated.  Each zero coordinate doubles the deficient family, and
+    # column counts see it: with 4 zeros the walk is 911 ranks, with 5 the
+    # 1,823 ranks it is sure to take exceed the cap before any rank.  A
+    # repeated coordinate adds live columns but no rank: column counts
+    # promise 793 ranks, and the walk crosses the cap after them
+    t = conftest.tower(5, 1, 2)
+    code = k4_example_search(t).code
+    padded = AdditiveCode(t, [(0,) * zeros + row * copies for row in code.gen])
+    k, groups = _groups(padded)
+    want = code_mod._weight_distribution(t, k, groups)
+    seen = {"ranks": 0, "enumerations": 0}
+    ranks, enumerate_ = code_mod._subset_ranks, code_mod._weight_distribution
+
+    def counted_ranks(blocks, sets, *args):
+        seen["ranks"] += len(sets)
+        return ranks(blocks, sets, *args)
+
+    def counted_enumeration(*args):
+        seen["enumerations"] += 1
+        return enumerate_(*args)
+
+    monkeypatch.setattr(code_mod, "_subset_ranks", counted_ranks)
+    monkeypatch.setattr(code_mod, "_weight_distribution", counted_enumeration)
+    assert weight_enumerator(padded) == want
+    assert want[0] == 1 and sum(want) == t.q ** code.k_fq
+    assert seen["ranks"] == {"rank": 911, "enumeration": 0}.get(route, 793)
+    assert seen["enumerations"] == (route != "rank")
+    assert code_mod._rank_weight_distribution(t, k, groups) == want
 
 
 def test_weight_enumerator(f9):

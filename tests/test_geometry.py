@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from addmds import code as code_mod
 from addmds import linalg
 from addmds.code import (
     AdditiveCode,
@@ -27,6 +28,7 @@ from addmds.geometry import (
     system_min_distance,
     system_to_dict,
 )
+from addmds.search import k4_example_search
 
 import oracles
 
@@ -148,6 +150,54 @@ def test_weight_memo_is_invisible(f9):
     got.append(1)
     assert weight_enumerator(code) == want
     assert min_distance(code) == 8 and is_mds(code)
+
+
+def test_weight_memo_is_invisible_on_rank_route(f25, monkeypatch):
+    # the F_25 k = 4 example takes the rank route: the walk ranks the 56
+    # nonempty sets of at most k = 4 of the 6 coordinates (every set of 3
+    # is deficient, every set of 4 spans) and enumerates none of the 5^8
+    # messages
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a code that takes the rank route")
+
+    ranked = []
+    ranks = code_mod._subset_ranks
+
+    def counted_ranks(blocks, sets, *args):
+        ranked.append(len(sets))
+        return ranks(blocks, sets, *args)
+
+    code = k4_example_search(f25).code
+    system = system_from_code(code)
+    monkeypatch.setattr(code_mod, "_weight_distribution", no_enumeration)
+    monkeypatch.setattr(code_mod, "_subset_ranks", counted_ranks)
+    calls = (lambda: weight_enumerator(code, budget=10),
+             lambda: min_distance(code, budget=10),
+             lambda: is_mds(code, budget=10),
+             lambda: system_min_distance(system, budget=10),
+             lambda: is_pseudo_arc(system, budget=10))
+
+    def refusals():
+        out = []
+        for call in calls:
+            with pytest.raises(BudgetExceeded) as err:
+                call()
+            out.append(str(err.value))
+        return out
+
+    cold = refusals()
+    assert cold == ["390625 codewords exceed budget 10"] * 3 + ["390625 messages exceed budget 10"] * 2
+    want = weight_enumerator(code)
+    assert want == [1, 0, 0, 480, 7920, 76464, 305760]
+    assert system_min_distance(system) == 3 and is_pseudo_arc(system)
+    assert is_mds(code) and min_distance(code) == 3
+    assert ranked == [6, 15, 20, 15] * 2  # once for the code, once for the system
+    assert refusals() == cold
+    got = weight_enumerator(code)
+    got[3] = 0
+    got.append(1)
+    assert weight_enumerator(code) == want
+    assert min_distance(code) == 3 and is_mds(code)
 
 
 def test_multiplication_matrix(f9):
