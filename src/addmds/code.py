@@ -20,9 +20,11 @@ invertible q-linearized substitutions; they preserve cardinality and weight
 distribution.  ``linear_equivalence_witness`` decides, for an MDS code,
 whether some move turns it into an F_{q^h}-linear code: in standard form,
 whether one g has M o g = g o (aX), with a scalar a per map, for every
-interpolation map M.  It returns an explicit witness or a definitive
-negative (the invertible candidates are a complete set of representatives,
-so "None" is a certificate, not a timeout).
+interpolation map M.  The code is interpolated once per decision, and the
+standard form's maps are composed from that interpolation and the move.
+It returns an explicit witness or a definitive negative (the invertible
+candidates are a complete set of representatives, so "None" is a
+certificate, not a timeout).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, NonInvertibleMap, NotInvertible, NotMds
-from .gf import FieldTower, require_keys
+from .gf import FieldTower, _is_int, require_keys
 from .linpoly import LinearizedPoly, compose_table, random_invertible
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
@@ -45,6 +47,8 @@ WITNESS_CHUNK_ROWS = 1 << 12  # candidate rows per numpy step of the witness scr
 class AdditiveCode:
     def __init__(self, tower: FieldTower, rows, n: int | None = None, check: bool = True):
         rows = tuple(tuple(r) for r in rows)
+        if n is not None and n < 0:
+            raise ValueError(f"code length n = {n} is negative")
         if rows:
             n = len(rows[0])
             if any(len(r) != n for r in rows):
@@ -126,15 +130,6 @@ class AdditiveCode:
             raise ValueError("code is not F_{q^h}-linear")
         red, pivots = linalg.mat_rref(self.tower, [list(r) for r in self.gen])
         return [tuple(r) for r in red[: len(pivots)]]
-
-    def structured_basis(self) -> "AdditiveCode":
-        """Regenerate a field-linear code on the basis (g_i, omega*g_i, ...)."""
-        t = self.tower
-        rows = []
-        for g in self.field_linear_rows():
-            for l in range(t.h):
-                rows.append(tuple(t.mul(t.omega_powers[l], x) for x in g))
-        return AdditiveCode(t, rows, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -538,23 +533,39 @@ def to_interpolation_form(code: AdditiveCode) -> InterpolationForm:
     return InterpolationForm(t, code.n, k, tuple(maps))
 
 
-def to_standard_form(code: AdditiveCode):
-    """Equivalent code whose row-(k) maps and column-0 maps are the identity.
+def _standard_form(code: AdditiveCode):
+    """(interpolation form of the standard code, move to it), from one
+    interpolation of ``code``.
 
-    Returns (standard_code, move) with apply_move(code, move) == standard_code
-    reproducing the returned generator exactly.
+    With M the maps of ``code``, the move is phi_j = M_0j on the first k
+    coordinates, psi_0 = id and psi_r = (M_r0 o phi_0^(-1))^(-1) on the
+    others, so the moved code has the maps S_rj = psi_r o M_rj o phi_j^(-1),
+    whose row 0 and column 0 are the identity.  The interpolation form is
+    unique, so these compositions are the maps that interpolating the moved
+    code would give, and they are invertible because every M_rj is.
     """
     t = code.tower
     form = to_interpolation_form(code)
     k, n = form.k, form.n
-    ident = LinearizedPoly.identity(t)
     if n == k:
-        return code, identity_move(t, n)
-    phi = [form.maps[0][j] for j in range(k)]
-    psi = [ident]
-    for r in range(1, n - k):
-        psi.append(form.maps[r][0].compose(phi[0].inverse()).inverse())
-    move = EquivalenceMove(tuple(range(n)), tuple(phi) + tuple(psi))
+        return form, identity_move(t, n)
+    phi = form.maps[0]
+    phi_inv = [f.inverse() for f in phi]
+    psi = (LinearizedPoly.identity(t),) + tuple(
+        form.maps[r][0].compose(phi_inv[0]).inverse() for r in range(1, n - k))
+    maps = tuple(tuple(psi[r].compose(form.maps[r][j]).compose(phi_inv[j]) for j in range(k))
+                 for r in range(n - k))
+    return InterpolationForm(t, n, k, maps), EquivalenceMove(tuple(range(n)), phi + psi)
+
+
+def to_standard_form(code: AdditiveCode):
+    """Equivalent code whose row-(k) maps and column-0 maps are the identity.
+
+    Returns (standard_code, move) with apply_move(code, move) == standard_code
+    reproducing the returned generator exactly.  The move and the standard
+    form's maps are composed from one interpolation (``_standard_form``).
+    """
+    _, move = _standard_form(code)
     return apply_move(code, move), move
 
 
@@ -588,11 +599,12 @@ def linear_equivalence_witness(code: AdditiveCode, budget: int | None = None):
     no candidate needs an inverse.  The candidates go in lex-order blocks
     of ``WITNESS_CHUNK_ROWS`` through one numpy screen against the first
     target (``compose_table``); each survivor, in lex order, is checked
-    against every target by ``compose`` and then for invertibility.
+    against every target by ``compose`` and then for invertibility.  The
+    standard form's maps are composed from the code's single interpolation
+    (``_standard_form``); no standard code is built.
     """
     t = code.tower
-    std, move = to_standard_form(code)
-    form = to_interpolation_form(std)
+    form, move = _standard_form(code)
     k, n = form.k, form.n
     cap = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
     n_candidates = t.size ** (t.h - 1)
@@ -654,10 +666,13 @@ def code_to_dict(code: AdditiveCode) -> dict:
 
 
 def code_from_dict(data: dict, tower: FieldTower | None = None) -> AdditiveCode:
-    """Inverse of ``code_to_dict``; ValueError when keys are missing or
-    ``n`` or ``k_fq`` disagree with ``rows``."""
+    """Inverse of ``code_to_dict``; ValueError when keys are missing, ``n``
+    or ``k_fq`` is not a non-negative integer, or they disagree with ``rows``."""
     keys = ("n", "k_fq", "rows") if tower is not None else ("field", "n", "k_fq", "rows")
     require_keys(data, keys, "code JSON", nested=("rows",))
+    for key in ("n", "k_fq"):
+        if not _is_int(data[key]) or data[key] < 0:
+            raise ValueError(f"code JSON {key} must be a non-negative integer")
     t = tower if tower is not None else FieldTower.from_descriptor(data["field"])
     rows = [[t.from_digits(d) for d in row] for row in data["rows"]]
     if len(rows) != data["k_fq"]:

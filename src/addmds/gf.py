@@ -114,7 +114,7 @@ def _is_irreducible(m, p):
     if d < 1:
         return False
     x = [0, 1]
-    if _pmod(_ppowmod(x, p**d, m, p) + [0] * 0, m, p) != _pmod(x, m, p):
+    if _ppowmod(x, p**d, m, p) != _pmod(x, m, p):
         # x^(p^d) != x mod m
         return False
     for r in _prime_factors(d):
@@ -376,9 +376,6 @@ class FieldTower:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self._exp[self._group_order - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow_int(self, x: int, n: int) -> int:
         if n == 0:

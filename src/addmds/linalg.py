@@ -90,17 +90,6 @@ def mat_vec(tower, a, v):
     return out
 
 
-def vec_mat(tower, v, a):
-    ncols = len(a[0]) if a else 0
-    out = [0] * ncols
-    for x, row in zip(v, a):
-        if x:
-            for j in range(ncols):
-                if row[j]:
-                    out[j] = tower.add(out[j], tower.mul(x, row[j]))
-    return out
-
-
 def mat_inv(tower, rows):
     n = len(rows)
     aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]

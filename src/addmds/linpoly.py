@@ -74,9 +74,6 @@ class LinearizedPoly:
 
     # -- basic queries ------------------------------------------------------
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def support(self):
         return tuple(i for i, c in enumerate(self.coeffs) if c)
 
@@ -85,10 +82,6 @@ class LinearizedPoly:
 
     def is_monomial(self):
         return len(self.support()) == 1
-
-    def is_scalar(self):
-        """True iff the map is x -> c*x for some c (possibly zero)."""
-        return not any(self.coeffs[1:])
 
     def conjugation_subfield_degree(self) -> int:
         """The s with: conjugate(self, a) is scalar exactly for a in F_{q^s}.
@@ -135,10 +128,6 @@ class LinearizedPoly:
         t = self.tower
         t.check_same(other.tower)
         return LinearizedPoly(t, tuple(t.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c: int):
-        t = self.tower
-        return LinearizedPoly(t, tuple(t.mul(c, v) for v in self.coeffs))
 
     def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
         """self(other(X)), exponent indices reduced mod h."""

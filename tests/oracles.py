@@ -194,7 +194,7 @@ def span_avoidance_direct(g, beta, alpha):
     w = g.conjugate(beta)
     span = {t.add(t.mul(l1, alpha), l2)
             for l1 in t.fq_elements for l2 in t.fq_elements}
-    return all(t.div(w(x), x) not in span for x in t.nonzero())
+    return all(t.mul(w(x), t.inv(x)) not in span for x in t.nonzero())
 
 
 def brute_semilinear_report(tower):
@@ -206,7 +206,7 @@ def brute_semilinear_report(tower):
         s = f.conjugation_subfield_degree()
         for a in tower.nonzero():
             checked += 1
-            collapsed = f.conjugate(a).is_scalar()
+            collapsed = not any(f.conjugate(a).coeffs[1:])
             predicted = tower.in_subfield(a, s)
             if collapsed != predicted:
                 violations.append({

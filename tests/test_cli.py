@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -8,7 +10,17 @@ from pathlib import Path
 import pytest
 
 from addmds.cli import main
-from addmds.code import AdditiveCode, code_to_dict, rs_code
+from addmds.code import (
+    AdditiveCode,
+    InterpolationForm,
+    apply_move,
+    code_to_dict,
+    random_move,
+    rs_code,
+)
+from addmds.linpoly import LinearizedPoly, random_invertible
+
+import conftest
 
 
 def run(capsys, *argv):
@@ -92,6 +104,65 @@ def test_linear_witness_on_linear_input(capsys, tmp_path, f4):
     assert rep["moved_code_is_linear"] is True
 
 
+def _scrambled_code(tower, rng, linearizable):
+    """Seeded scramble of a k = 2 MDS code: RS when ``linearizable``; else the
+    interpolation rows (id, id), (id, cX), (id, f) with F_q(c) = F_{q^h} and f
+    not a monomial, which no move makes linear."""
+    if linearizable:
+        code = rs_code(tower, 2)
+    else:
+        c = rng.choice([x for x in tower.nonzero() if tower.subfield_degree(x) == tower.h])
+        ident, cx = LinearizedPoly.identity(tower), LinearizedPoly.scalar(tower, c)
+        f = random_invertible(tower, rng)
+        while (f.is_monomial() or not (f - ident).is_invertible()
+               or not (f - cx).is_invertible()):
+            f = random_invertible(tower, rng)
+        rows = ((ident, ident), (ident, cx), (ident, f))
+        code = InterpolationForm(tower, 5, 2, rows).build_code()
+    return apply_move(code, random_move(tower, code.n, rng))
+
+
+def _report_digest(stdout):
+    report = parse(stdout)
+    del report["generated_at"]
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of each report without generated_at, frozen while the witness still
+# re-interpolated the standard code; a negative report holds only its verdict
+_NO_WITNESS = "cfcd8a97342c2be4ac02895edeb57325ca75cd516c0bacd329e6c1a69e9a0afb"
+
+
+@pytest.mark.parametrize("key, linearizable, standard_digest, witness_digest", [
+    ((3, 1, 2), True, "3e6e3b40af8865b3ce068fef512663de7f058bf8cd475f6651d2beb548ca8d70",
+     "4cb78b5956cb2f582607cb4f35374e2ac8baa5e827187576161772f08d3fecdd"),
+    ((3, 1, 2), False, "cb8e67b8d2a247e2548f4ab80ff7ffa872b107dfcad9acc1966386e4f6625b51",
+     _NO_WITNESS),
+    ((5, 1, 2), True, "6cff0448af388ff99a18c90128393e481722706a1613d165622f69e94f5175ea",
+     "cba8812d861d635066255e3babd223936d6c3915f1d1e5334937a027a7cc8a8e"),
+    ((5, 1, 2), False, "9841cf33bf0318819cdbd6c327a0510b4e3e8ee277a5d5b5d17a04006c56e043",
+     _NO_WITNESS),
+    ((2, 2, 2), True, "72aae92f840ff380df382e93d3e0c2be5dc6833d2e0f03baf6d514fdbd2d9bbf",
+     "c24b58a068c1db89ad267df22a3be1432d3ea208d1f69b26ae575bc064908e16"),
+    ((2, 2, 2), False, "de6d67864e88b059c94e612773534fad802f62ee1c6f8801cce5f3a7437ae6f8",
+     _NO_WITNESS),
+], ids=["F9-rs", "F9-negative", "F25-rs", "F25-negative", "F16_F4-rs", "F16_F4-negative"])
+def test_witness_report_digests(capsys, tmp_path, key, linearizable,
+                                standard_digest, witness_digest):
+    tower = conftest.tower(*key)
+    path = tmp_path / "code.json"
+    rng = random.Random(sum(key) + linearizable)
+    path.write_text(json.dumps(code_to_dict(_scrambled_code(tower, rng, linearizable))))
+    code, out, _ = run(capsys, "standard-form", "--in", str(path))
+    assert code == 0 and parse(out)["move_reproduces_form"] is True
+    assert _report_digest(out) == standard_digest
+    code, out, _ = run(capsys, "linear-witness", "--in", str(path))
+    assert code == (0 if linearizable else 1)
+    assert parse(out)["witness_found"] is linearizable
+    assert _report_digest(out) == witness_digest
+
+
 def test_geometry_report(capsys, tmp_path, f4):
     path = tmp_path / "code.json"
     path.write_text(json.dumps(code_to_dict(rs_code(f4, 2))))
@@ -171,6 +242,9 @@ def test_malformed_json_diagnostic(capsys, tmp_path):
     (lambda d: {}, "lacks field, n, k_fq, rows"),
     (lambda d: dict(d, n=99), "n = 99"),
     (lambda d: dict(d, k_fq=3), "k_fq = 3"),
+    (lambda d: dict(d, n=-1, k_fq=0, rows=[]), "code JSON n must be a non-negative integer"),
+    (lambda d: dict(d, k_fq=True, rows=d["rows"][:1]),
+     "code JSON k_fq must be a non-negative integer"),
     (lambda d: dict(d, field={}), "field descriptor lacks p, e, h"),
     (lambda d: dict(d, field=5), "field descriptor must be a JSON object"),
     (lambda d: dict(d, rows=5), "rows must be a list of lists"),

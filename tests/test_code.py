@@ -230,6 +230,8 @@ def test_generator_validation(f4):
         AdditiveCode(f4, [(1, 2), (1, 2)])  # dependent rows
     with pytest.raises(ValueError):
         AdditiveCode(f4, [], n=None)
+    with pytest.raises(ValueError, match="negative"):
+        AdditiveCode(f4, [], n=-1)
     empty = AdditiveCode(f4, [], n=4)
     assert empty.k_fq == 0 and not is_mds(empty)
 
@@ -277,10 +279,12 @@ def test_field_linearity_detection(f4):
 
 def test_structured_basis(f9):
     code = rs_code(f9, 2)
-    again = code.structured_basis()
-    assert again == code
     rows = code.field_linear_rows()
     assert len(rows) == 2
+    # the basis (g_i, omega*g_i) of the rows spans the code again
+    again = AdditiveCode(f9, [tuple(f9.mul(w, x) for x in g) for g in rows
+                              for w in f9.omega_powers])
+    assert again == code
 
 
 def test_moves_roundtrip(f9):
@@ -337,16 +341,24 @@ def test_dimension_zero_code_is_not_mds(f9):
                 fn(empty)
 
 
-def test_standard_form_structure(f9):
+@pytest.mark.parametrize("key, k", [((3, 1, 2), 3), ((5, 1, 2), 2), ((2, 1, 3), 3),
+                                    ((2, 2, 2), 2), ((3, 1, 3), 2)],
+                         ids=["F9", "F25", "F8", "F16_F4", "F27"])
+def test_standard_form_structure(key, k):
+    t = conftest.tower(*key)
     rng = random.Random(13)
-    code = apply_move(rs_code(f9, 2), random_move(f9, 10, rng))
-    std, move = to_standard_form(code)
-    assert apply_move(code, move) == std
-    ident = LinearizedPoly.identity(f9)
-    form = to_interpolation_form(std)
-    assert all(m == ident for m in form.maps[0])          # row k all identity
-    assert all(row[0] == ident for row in form.maps)      # column 0 identity
-    assert min_distance(std) == min_distance(code)
+    ident = LinearizedPoly.identity(t)
+    base = rs_code(t, k)
+    for _ in range(3):
+        code = apply_move(base, random_move(t, base.n, rng))
+        std, move = to_standard_form(code)
+        assert apply_move(code, move) == std
+        form = to_interpolation_form(std)
+        assert all(m == ident for m in form.maps[0])          # row k all identity
+        assert all(row[0] == ident for row in form.maps)      # column 0 identity
+        assert min_distance(std) == min_distance(code)
+        # the composed maps are the ones interpolating the standard code gives
+        assert code_mod._standard_form(code) == (form, move)
 
 
 def test_witness_on_linear_code_is_identity_map(f4):
@@ -500,6 +512,8 @@ def test_code_json_roundtrip(f9):
     assert again == code and again.gen == code.gen
     assert code_from_dict(data, f9).gen == code.gen
     for bad in ({}, dict(data, n=99), dict(data, k_fq=3),
-                {key: v for key, v in data.items() if key != "rows"}):
+                {key: v for key, v in data.items() if key != "rows"},
+                dict(data, n=-1, k_fq=0, rows=[]), dict(data, k_fq=True, rows=data["rows"][:1]),
+                dict(data, n=10.0), dict(data, k_fq="2")):
         with pytest.raises(ValueError):
             code_from_dict(bad)

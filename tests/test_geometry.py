@@ -205,7 +205,7 @@ def test_multiplication_matrix(f9):
         m = multiplication_matrix(f9, alpha)
         for x in f9.elements():
             want = list(f9.coords(f9.mul(alpha, x)))
-            got = linalg.vec_mat(f9, list(f9.coords(x)), m)
+            got = linalg.mat_mul(f9, [list(f9.coords(x))], m)[0]
             assert got == want
 
 
