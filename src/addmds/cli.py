@@ -26,6 +26,7 @@ from .code import (
     min_distance,
     project,
     rs_code,
+    to_interpolation_form,
     to_standard_form,
     weight_enumerator,
 )
@@ -174,7 +175,10 @@ def _cmd_project(cfg: RunConfig) -> bool:
 def _cmd_standard_form(cfg: RunConfig) -> bool:
     code = _load_code(cfg)
     std, move = to_standard_form(code)
-    ok = apply_move(code, move).gen == std.gen
+    # interpolate the moved code afresh: its row-0 and column-0 maps must be the identity
+    maps = to_interpolation_form(std).maps
+    one = LinearizedPoly.identity(code.tower).coeffs
+    ok = all(f.coeffs == one for f in maps[0]) and all(row[0].coeffs == one for row in maps)
     _emit(cfg, {
         "code": code_to_dict(std),
         "move": {

@@ -37,7 +37,7 @@ import numpy as np
 from . import linalg
 from .errors import BudgetExceeded, NonInvertibleMap, NotInvertible, NotMds
 from .gf import FieldTower, _is_int, require_keys
-from .linpoly import LinearizedPoly, compose_table, random_invertible
+from .linpoly import LinearizedPoly, compose_table, lex_block, random_invertible
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
 DEFAULT_CANDIDATE_BUDGET = 1 << 22
@@ -611,8 +611,10 @@ def linear_equivalence_witness(code: AdditiveCode, budget: int | None = None):
     if n_candidates > cap:
         raise BudgetExceeded(f"{n_candidates} witness candidates exceed budget {cap}")
     targets = [(r, j) for r in range(1, n - k) for j in range(1, k)]
-    for lo in range(0, n_candidates, WITNESS_CHUNK_ROWS):
-        block = _candidate_block(t, lo, min(lo + WITNESS_CHUNK_ROWS, n_candidates))
+    # the candidates (1, g_1, ..., g_{h-1}) are the polynomials
+    # n_candidates..2 n_candidates - 1 in lex order
+    for lo in range(n_candidates, 2 * n_candidates, WITNESS_CHUNK_ROWS):
+        block = lex_block(t, lo, min(lo + WITNESS_CHUNK_ROWS, 2 * n_candidates))
         if targets:
             r, j = targets[0]
             block = block[_screen(form.maps[r][j], block)]
@@ -629,13 +631,6 @@ def linear_equivalence_witness(code: AdditiveCode, budget: int | None = None):
                 if g.is_invertible():
                     return LinearWitness(g, tuple(tuple(r) for r in scalars), move)
     return None
-
-
-def _candidate_block(t: FieldTower, lo: int, hi: int):
-    """Rows (1, g_1, ..., g_{h-1}) of the candidates lo..hi-1 in lex order."""
-    index = np.arange(lo, hi, dtype=np.int64)[:, None]
-    place = t.size ** np.arange(t.h - 2, -1, -1, dtype=np.int64)
-    return np.hstack([np.ones_like(index), index // place % t.size])
 
 
 def _screen(m: LinearizedPoly, block):

@@ -16,9 +16,13 @@ sum_i C_f[l][i] * b^(q^i) with C_f[l][i] = f_i * (f^(-1))_{(l-i) mod h}^(q^i),
 so each b costs h^2 lookups on whole numpy columns and no polynomial
 objects are built.  ``compose_table`` is the second batched kernel: the
 coefficients of m o g for every row g of an int array, the same h^2 log
-lookups per row as ``compose``.  Both add through one helper, ``_add``:
-XOR for p = 2, Zech logarithms for odd p.  Compositional inverses, the
-invertible list and the numpy tables are kept in the tower's memo.
+lookups per row as ``compose``.  ``evaluation_table`` is the third: the
+values g(omega^r) of every row g at every nonzero point, h lookups per
+cell; rows come in lex order from ``lex_chunks``, so a value row with no
+zero marks an invertible g without any determinant.  All three add
+through one helper, ``_add``: XOR for p = 2, Zech logarithms for odd p.
+Compositional inverses, the invertible list and the numpy tables are
+kept in the tower's memo.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from . import linalg
 from .errors import InvalidSubfield, NotInvertible
 
 CONJ_CHUNK_ROWS = 1 << 14  # (poly, b) rows per numpy step of conjugation_table
+EVAL_CHUNK_CELLS = 1 << 14  # (poly, point) cells per numpy step over lex blocks
 
 
 @dataclass(frozen=True)
@@ -266,6 +271,45 @@ def compose_table(m, coeffs):
     return out
 
 
+def evaluation_table(tower, coeffs):
+    """Values g(omega^r) for every row g of the int array ``coeffs``.
+
+    ``coeffs`` has shape (rows, h) and holds field elements of ``tower``;
+    the result has shape (rows, q^h - 1), entry [k, r] being
+    g_k(omega^r) = sum_i g_{k,i} * omega^(r q^i).  Each term is one
+    log-domain lookup on a whole column, zero coefficients masked.
+    """
+    h, n = tower.h, tower._group_order
+    exp, log, zech = tower.np_tables()
+    g = np.asarray(coeffs, dtype=np.int64)
+    if g.ndim != 2 or g.shape[1] != h:
+        raise ValueError("evaluation_table needs an array of shape (rows, h)")
+    log_x = np.arange(n, dtype=np.int64)
+    out = np.zeros((len(g), n), dtype=np.int64)
+    for i in range(h):
+        gi = g[:, i:i + 1]
+        # g_i * (omega^r)^(q^i); exp is doubled, so log g_i + (...) needs no mod
+        term = np.where(gi != 0, exp[log[gi] + log_x * tower._qpow[i] % n], 0)
+        out = _add(out, term, exp, log, zech, n)
+    return out
+
+
+def lex_block(tower, lo, hi):
+    """Coefficient rows of the polynomials lo..hi-1 in lex order, the order
+    of ``all_linearized``: row index // size^(h-1-i) % size is coefficient i."""
+    index = np.arange(lo, hi, dtype=np.int64)[:, None]
+    place = tower.size ** np.arange(tower.h - 1, -1, -1, dtype=np.int64)
+    return index // place % tower.size
+
+
+def lex_chunks(tower, stop):
+    """Lex blocks covering polynomials 0..stop-1, each with at most
+    ``EVAL_CHUNK_CELLS`` cells in its value table."""
+    step = max(1, EVAL_CHUNK_CELLS // tower._group_order)
+    for lo in range(0, stop, step):
+        yield lex_block(tower, lo, min(lo + step, stop))
+
+
 def _add(a, b, exp, log, zech, n):
     """Elementwise a + b: XOR for p = 2, Zech logarithms for odd p; zeros allowed."""
     if zech is None:
@@ -283,9 +327,14 @@ def all_linearized(tower):
 
 
 def invertible_linearized(tower):
-    """All invertible q-linearized polynomials, lex order on coefficients."""
-    return tower.memo("invertible_lps", lambda: tuple(
-        f for f in all_linearized(tower) if f.is_invertible()))
+    """All invertible q-linearized polynomials, lex order on coefficients:
+    the rows whose value table (``evaluation_table``) has no zero."""
+    def build():
+        rows = []
+        for block in lex_chunks(tower, tower.size ** tower.h):
+            rows += block[(evaluation_table(tower, block) != 0).all(axis=1)].tolist()
+        return tuple(LinearizedPoly(tower, tuple(row)) for row in rows)
+    return tower.memo("invertible_lps", build)
 
 
 def random_invertible(tower, rng) -> LinearizedPoly:

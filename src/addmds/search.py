@@ -15,16 +15,24 @@ three message variables through the base matrix leaves one equation per
 3-subset, of the form w(x) = (lambda_1 alpha + lambda_2) x with both
 lambdas in F_q determined by the subset's kernel vector (subsets whose
 kernel vector has last entry zero impose no condition beyond alpha lying
-outside F_q).  The search screens candidates with exactly these conditions,
-so the first hit is MDS by construction and the full-enumeration check in
+outside F_q).  With x = g(y), w(x) = lam x for some x != 0 exactly when
+g(beta y) = lam g(y) for some y != 0, so the search screens every g of a
+lex block at once from its value table: g passes when the block's row
+has no zero (invertible), its support spans more than one residue class
+mod s (not semi-linear), and no ratio g(beta y)/g(y) lies in the set
+L_alpha of lambdas.  The first hit is MDS by construction;
+``K4Example`` validates it again through ``mds_screen`` (Dickson
+determinants of w - lam X), and the full-enumeration check in
 ``verify_k4_example`` is a confirmation, not a filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
+
+import numpy as np
 
 from . import linalg
 from .code import (
@@ -40,7 +48,7 @@ from .code import (
 )
 from .errors import BudgetExceeded, FieldTooSmall
 from .gf import FieldTower, require_keys
-from .linpoly import LinearizedPoly
+from .linpoly import LinearizedPoly, evaluation_table, lex_chunks
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +166,12 @@ def _lambdas(tower, lambda_pairs, alpha):
 def lambda_screen(w: LinearizedPoly, lams) -> bool:
     """True when no x != 0 has w(x) = lam x for any lam in ``lams``.
 
-    Each w - lam X must be invertible.  Over all lam = lambda_1 alpha +
-    lambda_2 with both lambdas in F_q this is the span-avoidance predicate:
-    w(x)/x lies outside the F_q-span of {1, alpha} for every x != 0.
+    Each w - lam X must be invertible, tested by its Dickson determinant.
+    Over all lam = lambda_1 alpha + lambda_2 with both lambdas in F_q this
+    is the span-avoidance predicate: w(x)/x lies outside the F_q-span of
+    {1, alpha} for every x != 0.  It validates a single candidate; the
+    hunt screens whole blocks through the equivalent ratio test of
+    ``_first_hit``.
     """
     return all((w - LinearizedPoly.scalar(w.tower, lam)).is_invertible() for lam in lams)
 
@@ -245,7 +256,13 @@ def _candidate_alphas(tower):
 def k4_example_search(tower: FieldTower, n: int = 6, budget: int | None = None):
     """First (alpha, beta, g) in lex order passing the MDS screen, or None.
 
-    None is returned only after the whole space is exhausted.
+    For an invertible g, ``lambda_screen(g.conjugate(beta), L_alpha)``
+    holds iff no ratio g(beta y)/g(y), y != 0, lies in L_alpha (the
+    lambdas of alpha), since w(x) = lam x with x = g(y) reads
+    g(beta y) = lam g(y).  So each (alpha, beta) screens the g space in
+    lex blocks of at most ``linpoly.EVAL_CHUNK_CELLS`` value-table cells
+    (``_first_hit``) instead of one Dickson determinant per candidate and
+    lam.  None is returned only after the whole space is exhausted.
     """
     base = base_mds_matrix(tower, 4, n)
     outside = _candidate_alphas(tower)
@@ -258,17 +275,43 @@ def k4_example_search(tower: FieldTower, n: int = 6, budget: int | None = None):
         if not _alpha_ok(tower, base, alpha, alpha_constraints):
             continue
         d_alpha = tower.subfield_degree(alpha)
-        lams = _lambdas(tower, lambda_pairs, alpha)
+        # L_alpha by log; lam = 0 never equals a ratio of nonzero values
+        in_l = np.zeros(tower._group_order, dtype=bool)
+        in_l[[tower._log[lam] for lam in _lambdas(tower, lambda_pairs, alpha) if lam]] = True
         for beta in outside:
             s = gcd(d_alpha, tower.subfield_degree(beta))
             if s == 1:
                 continue
-            for coeffs in product(range(tower.size), repeat=tower.h):
-                g = LinearizedPoly(tower, coeffs)
-                if not g.is_invertible() or g.is_semilinear(s):
-                    continue
-                if lambda_screen(g.conjugate(beta), lams):
-                    return K4Example.build(tower, base, alpha, beta, g)
+            g = _first_hit(tower, s, beta, in_l)
+            if g is not None:
+                return K4Example.build(tower, base, alpha, beta, g)
+    return None
+
+
+def _first_hit(tower: FieldTower, s: int, beta: int, in_l):
+    """First g in lex order that is invertible, not semi-linear over F_{q^s}
+    and has no ratio g(beta y)/g(y), y != 0, whose log is set in ``in_l``.
+
+    Scaling g by c != 0 keeps all three conditions, and a g with g_0 >= 2
+    has the earlier multiple g / g_0, so the first hit has g_0 <= 1: the
+    scan covers the 2 size^(h-1) polynomials up to g_0 = 1, in blocks of
+    ``lex_chunks``.  Column r of a value table is y = omega^r; beta y sits
+    at column r + log beta.
+    """
+    order = tower._group_order
+    _, log, _ = tower.np_tables()
+    shifted = (np.arange(order) + tower._log[beta]) % order
+    residue = np.arange(tower.h) % s
+    for block in lex_chunks(tower, 2 * tower.size ** (tower.h - 1)):
+        values = evaluation_table(tower, block)
+        support = block != 0
+        classes = sum(support[:, residue == c].any(axis=1) for c in range(s))
+        log_v = log[values]
+        ratios = (log_v[:, shifted] - log_v) % order
+        ok = (values != 0).all(axis=1) & (classes > 1) & ~in_l[ratios].any(axis=1)
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            return LinearizedPoly(tower, tuple(block[hits[0]].tolist()))
     return None
 
 

@@ -4,16 +4,18 @@ Everything here is written naively from definitions: dense polynomial
 arithmetic over F_p for field operations, pointwise map comparison for
 conjugacy triples, rank tests over every k-subset of blocks for
 pseudo-arcs, g^(-1) o M o g for linear-equivalence witnesses, plain
-subset enumeration for matchings, and a per-pair search with no memo for
-pair scores.  Slow on purpose; tests only feed it small inputs.
+subset enumeration for matchings, a per-pair search with no memo for
+pair scores, and Dickson determinants per candidate for the k = 4 hunt.  Slow on purpose; tests only feed it small inputs.
 """
 
 from itertools import combinations, product
+from math import gcd
 
 from addmds import linalg
 from addmds.code import LinearWitness, to_interpolation_form, to_standard_form
 from addmds.linpoly import LinearizedPoly, invertible_linearized
 from addmds.propm import _exact_matching, _levels_from_triples, prop_triples
+from addmds.search import _alpha_ok, _lambdas, base_mds_matrix, lambda_screen, screen_conditions
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +197,30 @@ def span_avoidance_direct(g, beta, alpha):
     span = {t.add(t.mul(l1, alpha), l2)
             for l1 in t.fq_elements for l2 in t.fq_elements}
     return all(t.mul(w(x), t.inv(x)) not in span for x in t.nonzero())
+
+
+def scalar_k4_search(tower, n):
+    """(alpha, beta, g coefficients) of the first candidate in lex order
+    passing the k = 4 MDS screen, or None: one Dickson determinant per
+    w - lam X and candidate, over the whole g space."""
+    base = base_mds_matrix(tower, 4, n)
+    lambda_pairs, alpha_constraints = screen_conditions(tower, base)
+    outside = [x for x in tower.elements() if not tower.in_fq(x)]
+    for alpha in outside:
+        if not _alpha_ok(tower, base, alpha, alpha_constraints):
+            continue
+        lams = _lambdas(tower, lambda_pairs, alpha)
+        for beta in outside:
+            s = gcd(tower.subfield_degree(alpha), tower.subfield_degree(beta))
+            if s == 1:
+                continue
+            for coeffs in product(range(tower.size), repeat=tower.h):
+                g = LinearizedPoly(tower, coeffs)
+                if not g.is_invertible() or g.is_semilinear(s):
+                    continue
+                if lambda_screen(g.conjugate(beta), lams):
+                    return alpha, beta, coeffs
+    return None
 
 
 def brute_semilinear_report(tower):

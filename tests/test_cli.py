@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from addmds import code as code_mod
 from addmds.cli import main
 from addmds.code import (
     AdditiveCode,
+    EquivalenceMove,
     InterpolationForm,
     apply_move,
     code_to_dict,
@@ -92,6 +94,24 @@ def test_project_and_standard_form(capsys, tmp_path, f9):
     code, out, _ = run(capsys, "standard-form", "--in", str(path))
     assert code == 0
     assert parse(out)["move_reproduces_form"] is True
+
+
+def test_standard_form_check_catches_wrong_move(capsys, tmp_path, monkeypatch, f9):
+    # scale the last coordinate's map by omega: the moved code is still
+    # equivalent, but its interpolation maps are no longer a standard form
+    right = code_mod._standard_form
+
+    def wrong(code):
+        form, move = right(code)
+        scaled = LinearizedPoly.scalar(f9, f9.omega).compose(move.maps[-1])
+        return form, EquivalenceMove(move.perm, move.maps[:-1] + (scaled,))
+
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code_to_dict(rs_code(f9, 2))))
+    monkeypatch.setattr(code_mod, "_standard_form", wrong)
+    code, out, _ = run(capsys, "standard-form", "--in", str(path))
+    assert code == 1
+    assert parse(out)["move_reproduces_form"] is False
 
 
 def test_linear_witness_on_linear_input(capsys, tmp_path, f4):

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from addmds import linalg
+from addmds import linalg, linpoly
 from addmds.errors import InvalidSubfield, NotInvertible
+from addmds.gf import field_create
 from addmds.linpoly import (
     CONJ_CHUNK_ROWS,
     LinearizedPoly,
     all_linearized,
     compose_table,
     conjugation_table,
+    evaluation_table,
     invertible_linearized,
     random_invertible,
 )
@@ -114,6 +116,53 @@ def test_compose_table_matches_compose(key):
 def test_compose_table_rejects_bad_shape(f9):
     with pytest.raises(ValueError):
         compose_table(LinearizedPoly.identity(f9), [[1, 2, 3]])
+
+
+@pytest.mark.parametrize("key", [(2, 1, 3), (2, 2, 2), (3, 1, 2), (5, 1, 2), (3, 1, 3), (5, 1, 3)])
+def test_evaluation_table_matches_evaluation(key):
+    # F_8 and F_16/F_4 add by XOR, F_9, F_25, F_27 and F_125 through Zech logarithms
+    from conftest import tower
+    t = tower(*key)
+    rng = random.Random(42)
+
+    def draw():  # about half the coefficients zero
+        return tuple(rng.choice((0, rng.randrange(1, t.size))) for _ in range(t.h))
+
+    rows = [draw() for _ in range(20)] + [(0,) * t.h, (1,) + (0,) * (t.h - 1)]
+    rows.append(tuple(rng.randrange(1, t.size) for _ in range(t.h)))
+    table = evaluation_table(t, rows)
+    assert table.shape == (len(rows), t.size - 1)
+    for g, values in zip(rows, table.tolist()):
+        f = LinearizedPoly(t, g)
+        points = [t.pow_int(t.omega, r) for r in range(t.size - 1)]
+        assert values == [f(x) for x in points]
+        assert values == [oracles.lin_eval(t, g, x) for x in points]
+    assert not table[len(rows) - 3].any()  # the zero polynomial
+
+
+def test_evaluation_table_rejects_bad_shape(f9):
+    with pytest.raises(ValueError):
+        evaluation_table(f9, [[1, 2, 3]])
+    with pytest.raises(ValueError):
+        evaluation_table(f9, [1, 2])
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 1, 3)])
+def test_invertible_list_matches_dickson_filter(key):
+    from conftest import tower
+    t = tower(*key)
+    assert invertible_linearized(t) == tuple(f for f in all_linearized(t) if f.is_invertible())
+    gl = 1
+    for i in range(t.h):
+        gl *= t.size - t.q ** i
+    assert len(invertible_linearized(t)) == gl
+
+
+def test_invertible_list_spans_blocks(monkeypatch):
+    # 3 polynomials per block on a fresh tower, so the memo is built here
+    t = field_create(3, 1, 2)
+    monkeypatch.setattr(linpoly, "EVAL_CHUNK_CELLS", 3 * (t.size - 1))
+    assert invertible_linearized(t) == tuple(f for f in all_linearized(t) if f.is_invertible())
 
 
 @pytest.mark.parametrize("key", sorted(INVERTIBLE_COUNTS))

@@ -1,14 +1,17 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
+from addmds import linpoly
 from addmds.code import is_mds, linear_equivalence_witness, project
 from addmds.errors import BudgetExceeded, FieldTooSmall
 from addmds.gf import field_create
-from addmds.linpoly import LinearizedPoly, invertible_linearized
+from addmds.linpoly import LinearizedPoly, all_linearized, invertible_linearized
 from addmds.search import (
     K4Example,
+    _first_hit,
     assemble_code,
     base_mds_matrix,
     example_from_dict,
@@ -22,6 +25,7 @@ from addmds.search import (
     verify_k4_example,
 )
 
+import conftest
 import oracles
 
 
@@ -95,6 +99,80 @@ def test_search_first_hit_frozen(f25):
     assert ex.g.coeffs == (1, 2)
     assert ex.code.n == 6 and ex.code.k_fq == 8
     assert ex.intersection_degree() == 2
+
+
+# first hits (alpha, beta, g coefficients) of the hunt by (p, e, h), n; the
+# scalar oracle needs about a million Dickson determinants on F_64, n = 9,
+# and more on F_81, n = 10, so those two are pinned from one run of it
+FIRST_HITS = {
+    ((5, 1, 2), 6): (5, 5, (1, 2)),
+    ((7, 1, 2), 6): (7, 7, (1, 2)),
+    ((7, 1, 2), 7): (7, 7, (1, 3)),
+    ((7, 1, 2), 8): (7, 9, (1, 10)),
+    ((2, 3, 2), 6): (2, 2, (1, 2)),
+    ((2, 3, 2), 7): (2, 2, (1, 2)),
+    ((2, 3, 2), 8): (2, 2, (1, 2)),
+    ((2, 3, 2), 9): (2, 37, (1, 3)),
+    ((3, 2, 2), 10): (3, 26, (1, 9)),
+}
+ORACLE_CASES = [case for case in FIRST_HITS if case[1] < 9]
+
+
+def _hunt(key, n):
+    ex = k4_example_search(conftest.tower(*key), n, budget=1 << 30)
+    return ex.alpha, ex.beta, ex.g.coeffs
+
+
+@pytest.mark.parametrize("key,n", ORACLE_CASES)
+def test_hunt_matches_scalar_oracle(key, n):
+    hit = _hunt(key, n)
+    assert hit == oracles.scalar_k4_search(conftest.tower(*key), n)
+    assert hit == FIRST_HITS[key, n]
+
+
+@pytest.mark.parametrize("key,n", [((2, 3, 2), 9), ((3, 2, 2), 10)])
+def test_hunt_pinned_slow_cases(key, n):
+    assert _hunt(key, n) == FIRST_HITS[key, n]
+
+
+def test_hunt_spans_blocks(monkeypatch):
+    # 300 cells: 3 to 12 polynomials per block on these towers
+    monkeypatch.setattr(linpoly, "EVAL_CHUNK_CELLS", 300)
+    for (key, n), hit in FIRST_HITS.items():
+        assert _hunt(key, n) == hit
+
+
+@pytest.mark.parametrize("key,trials,most,outcomes", [
+    ((5, 1, 2), 40, 12, {None, 1}),
+    ((2, 1, 3), 40, 4, {None, 1}),
+    ((2, 2, 2), 40, 8, {None, 1}),
+    ((2, 1, 4), 10, 2, {0, 1}),
+])
+def test_first_hit_matches_dickson_screen(key, trials, most, outcomes):
+    """The block screen against one Dickson-screened candidate at a time
+    over the whole g space, for random sets of at most ``most`` lambdas.
+    ``outcomes`` records which trials exhaust the space (None) and which
+    hit with g_0 = 0 or 1.  F_16 over F_2 has s = 2 and s = 4, where
+    semi-linearity is not just being a monomial; an exhausted F_16 space
+    takes the oracle 4 s, so its sets stay small."""
+    t = conftest.tower(*key)
+    rng = random.Random(43)
+    outside = [x for x in t.elements() if not t.in_fq(x)]
+    degrees = [s for s in range(2, t.h + 1) if t.h % s == 0]
+    nonzero = list(t.nonzero())
+    seen = set()
+    for _ in range(trials):
+        beta, s = rng.choice(outside), rng.choice(degrees)
+        lams = rng.sample(nonzero, rng.randrange(1, most + 1))
+        in_l = np.zeros(t.size - 1, dtype=bool)
+        in_l[[t._log[lam] for lam in lams]] = True
+        expect = next((f.coeffs for f in all_linearized(t)
+                       if f.is_invertible() and not f.is_semilinear(s)
+                       and lambda_screen(f.conjugate(beta), lams)), None)
+        got = _first_hit(t, s, beta, in_l)
+        assert (got and got.coeffs) == expect
+        seen.add(None if expect is None else expect[0])
+    assert seen == outcomes
 
 
 def test_search_budget(f25):
