@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, NonInvertibleMap, NotInvertible, NotMds
-from .gf import FieldTower, _is_int, require_keys
+from .gf import FieldTower, _inverses, _is_int, _stack_ranks, require_keys
 from .linpoly import LinearizedPoly, compose_table, lex_block, random_invertible
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
@@ -232,7 +232,7 @@ def _rank_weight_distribution(tower: FieldTower, k: int, groups, max_ranks: int 
                       dtype=np.min_scalar_type(p * p - 1))
     for j, m in enumerate(members):
         blocks[j, :, :len(m)] = mat[:, m]
-    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=blocks.dtype)
+    inv = _inverses(p)
     excess = [p ** K - 1] + [0] * n  # sum of p^(K - r(S)) - 1 per size
     level = np.zeros((1 if K else 0, 0), dtype=np.int64)  # deficient sets of one size
     ranked = 0
@@ -278,30 +278,6 @@ def _subset_ranks(blocks, sets, p, inv):
         stack = blocks[sets[lo:lo + chunk]].transpose(0, 2, 1, 3).reshape(-1, K, s * width)
         out[lo:lo + chunk] = _stack_ranks(stack, p, inv)
     return out
-
-
-def _stack_ranks(a, p, inv):
-    """F_p ranks of a (B, R, C) stack by Gaussian elimination, one pivot column
-    at a time over the shorter side; ``inv`` maps x to 1/x mod p."""
-    if a.shape[1] > a.shape[2]:
-        a = a.transpose(0, 2, 1)
-    a = np.ascontiguousarray(a)
-    n_mats, n_rows, n_cols = a.shape
-    rank = np.zeros(n_mats, dtype=np.int64)
-    rows = np.arange(n_rows)
-    for c in range(n_cols):
-        free = (a[:, :, c] != 0) & (rows >= rank[:, None])
-        hit = np.flatnonzero(free.any(axis=1))
-        if not len(hit):
-            continue
-        top, piv = rank[hit], free[hit].argmax(axis=1)
-        a[hit, top], a[hit, piv] = a[hit, piv], a[hit, top]
-        pivot = a[hit, top] * inv[a[hit, top, c]][:, None] % p
-        factor = a[hit, :, c]
-        factor[np.arange(len(hit)), top] = 0
-        a[hit] = (a[hit] + (p - factor)[:, :, None] * pivot[:, None, :]) % p
-        rank[hit] += 1
-    return rank
 
 
 def _cached_weights(obj, k, groups, budget, noun):

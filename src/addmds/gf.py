@@ -5,12 +5,19 @@ base-p digit vector is the coefficient vector of a polynomial over F_p,
 reduced modulo a fixed irreducible modulus of degree e*h.  Addition is
 digitwise mod p, multiplication is polynomial multiplication mod the modulus.
 
-Construction is canonical and reproducible:
+Construction is canonical and reproducible, and uses d x d matrices over
+F_p only (d = e*h), with C the companion matrix of the modulus:
 
-* the modulus is the monic irreducible of degree e*h over F_p whose packed
-  non-leading coefficient vector is smallest as an integer;
+* the modulus is the monic irreducible of degree d over F_p whose packed
+  non-leading coefficient vector is smallest as an integer, found by
+  Rabin's test on C (``_is_irreducible``);
 * omega is the smallest element (as an int) generating the multiplicative
-  group of F_{q^h}.
+  group of F_{q^h}: x is primitive iff M_x^(n/r) is not the identity for
+  every prime r | n = q^h - 1, where M_x, the matrix of multiplication by
+  x, has row t equal to digits(x) C^t.
+
+The F_p ranks of Rabin's test and of ``code``'s weight distributions come
+from one kernel, ``_stack_ranks``.
 
 The middle field F_q, the fixed field of x -> x^q, is 0 together with the
 powers of gamma = omega^((q^h - 1)/(q - 1)); ``fq_basis`` is its F_p-basis
@@ -18,8 +25,8 @@ powers of gamma = omega^((q^h - 1)/(q - 1)); ``fq_basis`` is its F_p-basis
 omega^(h-1)) is an F_q-basis of F_{q^h}; ``coords`` expresses elements in
 that basis through the trace dual basis.
 
-Construction builds O(size) tables for every tower (up to 2**20 elements
-by default): exp/log of omega and, for odd p, Zech logarithms
+Construction builds O(size) tables for every tower (at most
+``DEFAULT_MAX_SIZE`` = 2**20 elements): exp/log of omega and, for odd p, Zech logarithms
 log(1 + omega^t).  Multiplication, inversion, powers, Frobenius and
 negation are lookups through the logs; addition is XOR for p = 2 and one
 Zech lookup otherwise.  Codeword enumeration works on the base-p digit
@@ -31,6 +38,7 @@ cache live in the tower's ``memo``.
 from __future__ import annotations
 
 import json
+from math import gcd
 from numbers import Integral
 
 import numpy as np
@@ -42,58 +50,7 @@ _BLOCK = 1 << 14  # rows of omega powers generated per numpy step
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over F_p, dense little-endian int lists
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - dm
-            for i in range(dm + 1):
-                a[shift + i] = (a[shift + i] - c * m[i]) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _ppowmod(a, n, m, p):
-    result = [1]
-    base = _pmod(a, m, p)
-    while n:
-        if n & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        n >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        lead_inv = pow(b[-1], p - 2, p) if p > 2 else 1
-        bm = [(c * lead_inv) % p for c in b]
-        a, b = b, _pmod(a, bm, p)
-    return a
-
+# F_p matrices: construction needs no arithmetic but these
 
 def _prime_factors(n):
     out = []
@@ -109,34 +66,73 @@ def _prime_factors(n):
     return out
 
 
-def _is_irreducible(m, p):
+def _matpow(a, n, p):
+    """a^n mod p for a square int64 matrix, or a stack of them, with entries
+    in [0, p) and n >= 0."""
+    out = np.eye(a.shape[-1], dtype=np.int64)
+    while n:
+        if n & 1:
+            out = out @ a % p
+        n >>= 1
+        if n:
+            a = a @ a % p
+    return out
+
+
+def _companion(m, p):
+    """Companion matrix C of the monic ``m``: row i holds the digits of
+    x^(i+1) mod m, so a digit row vector times C is that element times x."""
     d = len(m) - 1
-    if d < 1:
-        return False
-    x = [0, 1]
-    if _ppowmod(x, p**d, m, p) != _pmod(x, m, p):
-        # x^(p^d) != x mod m
-        return False
-    for r in _prime_factors(d):
-        t = _ppowmod(x, p ** (d // r), m, p)
-        # gcd(x^(p^(d/r)) - x, m) must be constant
-        diff = list(t) + [0] * max(0, 2 - len(t))
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(list(m), _ptrim(diff), p)
-        if len(g) - 1 > 0:
-            return False
-    return True
+    c = np.eye(d, d, 1, dtype=np.int64)
+    c[-1] = [(-a) % p for a in m[:d]]
+    return c
 
 
-def _is_prime(n):
-    if n < 2:
+def _is_irreducible(m, p):
+    """Rabin's test on the companion matrix C of the monic ``m`` of degree d.
+
+    F_p[C] is F_p[x]/(m), so m is irreducible iff C^(p^d) = C and, for every
+    prime r | d, C^(p^(d/r)) - C is invertible (x^(p^(d/r)) - x is prime to m).
+    """
+    d = len(m) - 1
+    c = _companion(m, p)
+    frob = [c]  # frob[k] = C^(p^k)
+    for _ in range(d):
+        frob.append(_matpow(frob[-1], p, p))
+    if not np.array_equal(frob[d], c):
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    diffs = [(frob[d // r] - c) % p for r in _prime_factors(d)]
+    return not diffs or bool((_stack_ranks(np.array(diffs), p, _inverses(p)) == d).all())
+
+
+def _inverses(p):
+    """Table of x -> 1/x mod p (0 -> 0) in the dtype ``_stack_ranks`` works in."""
+    return np.array([0] + [pow(x, -1, p) for x in range(1, p)],
+                    dtype=np.min_scalar_type(p * p - 1))
+
+
+def _stack_ranks(a, p, inv):
+    """F_p ranks of a (B, R, C) stack by Gaussian elimination, one pivot column
+    at a time over the shorter side; ``inv`` maps x to 1/x mod p."""
+    if a.shape[1] > a.shape[2]:
+        a = a.transpose(0, 2, 1)
+    a = np.ascontiguousarray(a)
+    n_mats, n_rows, n_cols = a.shape
+    rank = np.zeros(n_mats, dtype=np.int64)
+    rows = np.arange(n_rows)
+    for c in range(n_cols):
+        free = (a[:, :, c] != 0) & (rows >= rank[:, None])
+        hit = np.flatnonzero(free.any(axis=1))
+        if not len(hit):
+            continue
+        top, piv = rank[hit], free[hit].argmax(axis=1)
+        a[hit, top], a[hit, piv] = a[hit, piv], a[hit, top]
+        pivot = a[hit, top] * inv[a[hit, top, c]][:, None] % p
+        factor = a[hit, :, c]
+        factor[np.arange(len(hit)), top] = 0
+        a[hit] = (a[hit] + (p - factor)[:, :, None] * pivot[:, None, :]) % p
+        rank[hit] += 1
+    return rank
 
 
 def _unpack(x, p, d):
@@ -187,16 +183,19 @@ class FieldTower:
     ``descriptor``; use ``field_create`` for the canonical tower.
     """
 
-    def __init__(self, p: int, e: int, h: int, max_size: int = DEFAULT_MAX_SIZE,
-                 modulus=None, omega=None):
-        if not _is_prime(p):
+    def __init__(self, p: int, e: int, h: int, modulus=None, omega=None):
+        if p < 2:
             raise NotPrime(f"p = {p} is not prime")
         if e < 1 or h < 1:
             raise ValueError("e and h must be >= 1")
         d = e * h
+        # size before primality, and without forming p^d when 2^d alone is
+        # too large: trial division of a huge p, or p^d for a huge d, never ends
+        if p > DEFAULT_MAX_SIZE or d >= DEFAULT_MAX_SIZE.bit_length() or p**d > DEFAULT_MAX_SIZE:
+            raise TowerTooLarge(f"p^(e*h) = {p}^{d} exceeds bound {DEFAULT_MAX_SIZE}")
+        if _prime_factors(p) != [p]:
+            raise NotPrime(f"p = {p} is not prime")
         size = p**d
-        if size > max_size:
-            raise TowerTooLarge(f"p^(e*h) = {size} exceeds bound {max_size}")
         self.p = p
         self.e = e
         self.h = h
@@ -213,16 +212,10 @@ class FieldTower:
             if not _is_irreducible(modulus, p):
                 raise ValueError("modulus is not irreducible over F_p")
         self.modulus = tuple(modulus)
-
-        # reduction table: x^(d+i) mod modulus, packed, for i in [0, d-1]
-        self._redc = []
-        cur = [(-c) % p for c in modulus[:d]]  # x^d mod m
-        for _ in range(d):
-            self._redc.append(list(cur) + [0] * (d - len(cur)))
-            cur = _pmod(_pmul(cur, [0, 1], p), list(modulus), p)
+        self._companion = _companion(modulus, p)
 
         self._group_order = size - 1
-        self._order_factors = _prime_factors(self._group_order) if size > 2 else []
+        self._order_factors = _prime_factors(self._group_order)
 
         self._cache = {}
         self._coords = {}
@@ -234,7 +227,7 @@ class FieldTower:
             omega = self._find_omega()
         else:
             omega = int(omega)
-            if not (0 < omega < size) or self.order(omega) != self._group_order:
+            if not (0 < omega < size) or not self._primitive([omega])[0]:
                 raise ValueError("omega is not a primitive element")
         self.omega = omega
         self._build_tables()
@@ -257,55 +250,32 @@ class FieldTower:
                 return cand
         raise AssertionError("no irreducible polynomial found")
 
-    def _mul_raw(self, a: int, b: int) -> int:
+    def _mul_matrices(self, xs):
+        """The F_p matrix M_x of multiplication by each x in ``xs``: row t is digits(x) C^t."""
         p, d = self.p, self.degree
-        da = _unpack(a, p, d)
-        db = _unpack(b, p, d)
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    conv[i + j] = (conv[i + j] + ai * bj) % p
-        out = conv[:d]
-        for i in range(d, 2 * d - 1):
-            c = conv[i]
-            if c:
-                red = self._redc[i - d]
-                for t in range(d):
-                    out[t] = (out[t] + c * red[t]) % p
-        return _pack(out, p)
+        rows = [np.asarray(xs, dtype=np.int64)[:, None] // p ** np.arange(d) % p]
+        for _ in range(d - 1):
+            rows.append(rows[-1] @ self._companion % p)
+        return np.stack(rows, axis=1)
 
-    def _pow_raw(self, x: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self._mul_raw(r, x)
-            x = self._mul_raw(x, x)
-            n >>= 1
-        return r
-
-    def order(self, x: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if x == 0:
-            raise ZeroDivisionError("order of zero")
-        n = self._group_order
+    def _primitive(self, xs):
+        """Which x in ``xs`` are primitive: M_x^(n/r) != I for every prime r | n."""
+        mx, one = self._mul_matrices(xs), np.eye(self.degree, dtype=np.int64)
+        n, out = self._group_order, np.ones(len(xs), dtype=bool)
         for r in self._order_factors:
-            while n % r == 0 and self._pow_raw(x, n // r) == 1:
-                n //= r
-        return n
+            out &= (_matpow(mx, n // r, self.p) != one).any(axis=(1, 2))
+        return out
 
     def _find_omega(self):
-        n = self._group_order
-        if n == 1:
-            return 1
-        for x in range(2, self.size):
-            ok = True
-            for r in self._order_factors:
-                if self._pow_raw(x, n // r) == 1:
-                    ok = False
-                    break
-            if ok:
-                return x
+        """The least primitive x, tested in blocks that double in width:
+        omega is often 2 or 3 but can pass 1000."""
+        lo, width = 1, 1
+        while lo < self.size:
+            xs = np.arange(lo, min(lo + width, self.size))
+            hit = self._primitive(xs)
+            if hit.any():
+                return int(xs[hit.argmax()])
+            lo, width = lo + width, 2 * width
         raise AssertionError("no primitive element found")
 
     def _build_tables(self):
@@ -317,8 +287,7 @@ class FieldTower:
         a power of that matrix, so no n x d digit array is ever held.
         """
         p, d, n = self.p, self.degree, self._group_order
-        step = np.array([_unpack(self._mul_raw(self.omega, p**t), p, d) for t in range(d)],
-                        dtype=np.int64)
+        step = self._mul_matrices([self.omega])[0]
         block = np.eye(1, d, dtype=np.int64)
         while len(block) < min(n, _BLOCK):
             block = np.vstack([block, block @ step % p])
@@ -376,6 +345,12 @@ class FieldTower:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self._exp[self._group_order - self._log[a]]
+
+    def order(self, x: int) -> int:
+        """Multiplicative order of a nonzero element."""
+        if x == 0:
+            raise ZeroDivisionError("order of zero")
+        return self._group_order // gcd(self._log[x], self._group_order)
 
     def pow_int(self, x: int, n: int) -> int:
         if n == 0:
@@ -498,7 +473,7 @@ class FieldTower:
         }
 
     @classmethod
-    def from_descriptor(cls, desc: dict, max_size: int = DEFAULT_MAX_SIZE) -> "FieldTower":
+    def from_descriptor(cls, desc: dict) -> "FieldTower":
         require_keys(desc, ("p", "e", "h", "modulus", "omega"), "field descriptor")
         for key in ("p", "e", "h"):
             if not _is_int(desc[key]):
@@ -511,8 +486,7 @@ class FieldTower:
         for key, digs in (("modulus", modulus), ("omega", omega)):
             if any(not (0 <= c < p) for c in digs):
                 raise ValueError(f"field descriptor {key} digits must lie in [0, p)")
-        return cls(p, desc["e"], desc["h"], max_size=max_size,
-                   modulus=modulus, omega=_pack(omega, p))
+        return cls(p, desc["e"], desc["h"], modulus=modulus, omega=_pack(omega, p))
 
     def check_same(self, other: "FieldTower"):
         if self.key != other.key:
@@ -534,9 +508,9 @@ class FieldTower:
         return hash(self.key)
 
 
-def field_create(p: int, e: int, h: int, max_size: int = DEFAULT_MAX_SIZE) -> FieldTower:
+def field_create(p: int, e: int, h: int) -> FieldTower:
     """Build the canonical tower F_p <= F_{p^e} <= F_{p^(e*h)}."""
-    return FieldTower(p, e, h, max_size=max_size)
+    return FieldTower(p, e, h)
 
 
 def field_to_json(tower: FieldTower) -> str:

@@ -1,11 +1,13 @@
 """Independent reimplementations used to cross-check the library.
 
 Everything here is written naively from definitions: dense polynomial
-arithmetic over F_p for field operations, pointwise map comparison for
-conjugacy triples, rank tests over every k-subset of blocks for
-pseudo-arcs, g^(-1) o M o g for linear-equivalence witnesses, plain
-subset enumeration for matchings, a per-pair search with no memo for
-pair scores, and Dickson determinants per candidate for the k = 4 hunt.  Slow on purpose; tests only feed it small inputs.
+arithmetic over F_p for field operations, trial division for the
+canonical modulus, pointwise map comparison for conjugacy triples, rank
+tests over every k-subset of blocks for pseudo-arcs, g^(-1) o M o g for
+linear-equivalence witnesses, plain subset enumeration for matchings, a
+per-pair search with no memo for pair scores, and Dickson determinants
+per candidate for the k = 4 hunt.  Slow on purpose; tests only feed it
+small inputs.
 """
 
 from itertools import combinations, product
@@ -99,6 +101,37 @@ def field_pow(x, n, modulus_digits, p):
         x = field_mul(x, x, modulus_digits, p)
         n >>= 1
     return acc
+
+
+def is_irreducible(m, p):
+    """True iff the monic ``m`` (digits, constant first) of degree >= 1 has
+    no monic factor of degree 1 .. deg(m) // 2, by trial division."""
+    d = len(m) - 1
+    return all(poly_mod(m, unpack(low, p, k) + [1], p)
+               for k in range(1, d // 2 + 1) for low in range(p ** k))
+
+
+def least_irreducible(p, d):
+    """The monic irreducible of degree d whose packed low digits are least."""
+    return next(m for m in (unpack(low, p, d) + [1] for low in range(p ** d))
+                if is_irreducible(m, p))
+
+
+def least_primitive(modulus, p):
+    """The least x (as an int) with x^k != 1 for every proper divisor k of
+    the group order."""
+    n = p ** (len(modulus) - 1) - 1
+    proper = [k for k in range(1, n) if n % k == 0]
+    return next(x for x in range(1, n + 1)
+                if all(field_pow(x, k, modulus, p) != 1 for k in proper))
+
+
+def element_order(x, modulus, p):
+    """Least k >= 1 with x^k = 1, by repeated multiplication."""
+    k, acc = 1, x
+    while acc != 1:
+        k, acc = k + 1, field_mul(acc, x, modulus, p)
+    return k
 
 
 # ---------------------------------------------------------------------------

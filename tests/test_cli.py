@@ -59,6 +59,29 @@ def test_python_m_addmds_runs(tmp_path):
     assert json.loads(proc.stdout)["size"] == 9
 
 
+HUGE_P = 2305843009213693951  # 2^61 - 1, prime
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--p", str(HUGE_P), "--h", "1"],
+    ["field", "--p", "3", "--h", "100000000"],
+    ["field", "--p", "2", "--h", "4000000000"],
+    ["check-mds", "--in", "huge.json"],
+])
+def test_huge_tower_exits_2_at_once(tmp_path, f9, argv):
+    # a subprocess with a timeout: before the size check came first, these
+    # ran trial division of p or built p^(e*h) until killed
+    code_json = code_to_dict(rs_code(f9, 2))
+    code_json["field"] = {"p": HUGE_P, "e": 1, "h": 1, "modulus": [0, 1], "omega": [1]}
+    (tmp_path / "huge.json").write_text(json.dumps(code_json))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "addmds", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: TowerTooLarge") and len(proc.stderr.splitlines()) == 1
+
+
 def test_rs_then_check_mds(capsys, tmp_path):
     rs_file = tmp_path / "rs.json"
     code, out, _ = run(capsys, "rs", "--p", "2", "--e", "1", "--h", "2",

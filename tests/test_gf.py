@@ -1,21 +1,38 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
+from addmds import linalg
 from addmds.errors import InvalidSubfield, NotPrime, TowerTooLarge
-from addmds.gf import FieldTower, field_create, field_from_json, field_to_json
+from addmds.gf import (
+    FieldTower,
+    _inverses,
+    _is_irreducible,
+    _stack_ranks,
+    field_create,
+    field_from_json,
+    field_to_json,
+)
 
 import oracles
 
 # canonical moduli (lex-least monic irreducible, little-endian digits,
-# constant term first) and least primitive elements
+# constant term first) and least primitive elements; every tower perfbench
+# builds is here, F_{64^2} and F_{81^2} included
 FROZEN = {
     (2, 1, 2): {"modulus": (1, 1, 1), "omega": 2},
     (2, 1, 3): {"modulus": (1, 1, 0, 1), "omega": 2},
     (3, 1, 2): {"modulus": (1, 0, 1), "omega": 4},
     (5, 1, 2): {"modulus": (2, 0, 1), "omega": 6},
     (3, 1, 3): {"modulus": (1, 2, 0, 1), "omega": 3},
+    (7, 1, 2): {"modulus": (1, 0, 1), "omega": 9},
+    (2, 2, 2): {"modulus": (1, 1, 0, 0, 1), "omega": 2},
+    (2, 2, 3): {"modulus": (1, 1, 0, 0, 0, 0, 1), "omega": 2},
+    (5, 1, 3): {"modulus": (1, 1, 0, 1), "omega": 9},
+    (2, 6, 2): {"modulus": (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), "omega": 3},
+    (3, 4, 2): {"modulus": (2, 0, 1, 0, 0, 0, 0, 0, 1), "omega": 38},
 }
 
 
@@ -25,6 +42,67 @@ def test_frozen_modulus_and_omega(key):
     t = tower(*key)
     assert t.modulus == FROZEN[key]["modulus"]
     assert t.omega == FROZEN[key]["omega"]
+
+
+def test_canonical_construction_against_oracle():
+    """Modulus and omega of every tower with at most 4,096 elements against
+    trial division and the least x with no x^k = 1 for a proper divisor k."""
+    bound = 4096
+    want = {}
+    for p in range(2, bound + 1):
+        if any(p % r == 0 for r in range(2, int(p ** 0.5) + 1)):
+            continue
+        d = 1
+        while p ** d <= bound:
+            m = oracles.least_irreducible(p, d)
+            want[p, d] = (tuple(m), oracles.least_primitive(m, p))
+            d += 1
+    for (p, d), (modulus, omega) in want.items():
+        for e in (e for e in range(1, d + 1) if d % e == 0):
+            t = field_create(p, e, d // e)
+            assert (t.modulus, t.omega) == (modulus, omega), (p, e, d // e)
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 6), (3, 4), (5, 3)])
+def test_is_irreducible_against_trial_division(p, max_degree):
+    for d in range(1, max_degree + 1):
+        for low in range(p ** d):
+            m = oracles.unpack(low, p, d) + [1]
+            assert _is_irreducible(m, p) == oracles.is_irreducible(m, p), m
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (5, 1, 2), (3, 1, 3)])
+def test_order_against_repeated_multiplication(key):
+    from conftest import tower
+    t = tower(*key)
+    for x in t.nonzero():
+        assert t.order(x) == oracles.element_order(x, t.modulus, t.p)
+    with pytest.raises(ZeroDivisionError):
+        t.order(0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_stack_ranks_against_mat_rank(p):
+    t = field_create(p, 1, 1)  # F_p itself: elements are the residues
+    rng = random.Random(p)
+    for n_rows, n_cols in [(4, 4), (3, 6), (6, 3), (1, 5), (5, 1)]:
+        stack = []
+        for i in range(40):
+            m = [[rng.randrange(p) for _ in range(n_cols)] for _ in range(n_rows)]
+            if i % 2 and n_rows > 1:
+                # rows past a random cut become combinations of the rows before it
+                cut = rng.randrange(1, n_rows)
+                for r in range(cut, n_rows):
+                    cs = [rng.randrange(p) for _ in range(cut)]
+                    m[r] = [sum(c * row[j] for c, row in zip(cs, m[:cut])) % p
+                            for j in range(n_cols)]
+            stack.append(m)
+        stack.append([[0] * n_cols for _ in range(n_rows)])
+        want = [linalg.mat_rank(t, m) for m in stack]
+        assert len(set(want)) > 1
+        for dtype in (np.int64, np.min_scalar_type(p * p - 1)):
+            got = _stack_ranks(np.array(stack, dtype=dtype), p, _inverses(p))
+            assert got.tolist() == want
 
 
 def test_sizes(f4, f9, f16_over_f4):
@@ -186,6 +264,10 @@ def test_explicit_modulus_validation():
 def test_constructor_errors():
     with pytest.raises(NotPrime):
         field_create(6, 1, 2)
+    with pytest.raises(NotPrime):
+        field_create(1, 1, 2)
+    with pytest.raises(TowerTooLarge):
+        field_create(6, 1, 40)  # the size is checked before primality
     with pytest.raises(TowerTooLarge):
         field_create(2, 1, 40)
     with pytest.raises(ValueError):
