@@ -21,9 +21,10 @@ from one kernel, ``_stack_ranks``.
 
 The middle field F_q, the fixed field of x -> x^q, is 0 together with the
 powers of gamma = omega^((q^h - 1)/(q - 1)); ``fq_basis`` is its F_p-basis
-1, gamma, ..., gamma^(e-1).  Since omega is primitive, (1, omega, ...,
-omega^(h-1)) is an F_q-basis of F_{q^h}; ``coords`` expresses elements in
-that basis through the trace dual basis.
+1, gamma, ..., gamma^(e-1).  ``in_fq`` is a test on log x, so no tower
+holds its q elements until ``fq_elements`` is first read.  Since omega is
+primitive, (1, omega, ..., omega^(h-1)) is an F_q-basis of F_{q^h};
+``coords`` expresses elements in that basis through the trace dual basis.
 
 Construction builds O(size) tables for every tower (at most
 ``DEFAULT_MAX_SIZE`` = 2**20 elements): exp/log of omega and, for odd p, Zech logarithms
@@ -235,10 +236,8 @@ class FieldTower:
         self.omega_powers = [self.pow_int(self.omega, l) for l in range(h)]
         self.key = (p, e, h, self.modulus, self.omega)
         # gamma = omega^((q^h - 1)/(q - 1)) generates the multiplicative group of F_q
-        s = self._group_order // (self.q - 1)
-        self.fq_basis = tuple(self._exp[s * t] for t in range(e))
-        self.fq_elements = tuple(sorted([0] + [self._exp[s * j] for j in range(self.q - 1)]))
-        self._fq_index = {x: i for i, x in enumerate(self.fq_elements)}
+        self._fq_step = self._group_order // (self.q - 1)
+        self.fq_basis = tuple(self._exp[self._fq_step * t] for t in range(e))
 
     # -- construction helpers ------------------------------------------------
 
@@ -375,8 +374,16 @@ class FieldTower:
             raise InvalidSubfield(f"s = {s} does not divide h = {self.h}")
         return self.frob(x, s) == x
 
+    @property
+    def fq_elements(self):
+        """The q elements of F_q in increasing order, built on first use."""
+        return self.memo("fq_elements", lambda: tuple(sorted(
+            [0] + self._exp[:self._group_order:self._fq_step])))
+
     def in_fq(self, x: int) -> bool:
-        return x in self._fq_index
+        """x = 0, or log x a multiple of (q^h - 1)/(q - 1): x is a power of gamma.
+        False for an int outside the tower."""
+        return x == 0 or (0 < x < self.size and self._log[x] % self._fq_step == 0)
 
     def subfield_degree(self, x: int) -> int:
         """Smallest s dividing h with x in F_{q^s}, i.e. [F_q(x) : F_q]."""

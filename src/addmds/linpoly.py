@@ -21,8 +21,15 @@ values g(omega^r) of every row g at every nonzero point, h lookups per
 cell; rows come in lex order from ``lex_chunks``, so a value row with no
 zero marks an invertible g without any determinant.  All three add
 through one helper, ``_add``: XOR for p = 2, Zech logarithms for odd p.
-Compositional inverses, the invertible list and the numpy tables are
-kept in the tower's memo.
+
+Compositional inverses come by two routes and share the tower memo
+``inverses``, each filling it in both directions.  ``inverse`` solves one
+Dickson matrix.  ``inverse_table`` inverts many rows at once: f^(-1) maps
+f(omega^r) to omega^r, so its values at omega^l, l < h, are read off f's
+``evaluation_table`` row, and the inverse Moore matrix turns them into
+coefficients; every row is checked at every nonzero point before use.
+``conjugation_table`` takes its inverses from the second route, chunk by
+chunk.  The invertible list and the numpy tables are kept in the memo too.
 """
 
 from __future__ import annotations
@@ -73,9 +80,7 @@ class LinearizedPoly:
     @classmethod
     def from_values(cls, tower, values):
         """The unique f with f(omega^l) = values[l] for l < h (Moore solve)."""
-        vinv = tower.memo("moore_inv", lambda: linalg.mat_inv(
-            tower, [[tower.frob(w, i) for i in range(tower.h)] for w in tower.omega_powers]))
-        return cls(tower, tuple(linalg.mat_vec(tower, vinv, list(values))))
+        return cls(tower, tuple(linalg.mat_vec(tower, _moore_inv(tower), list(values))))
 
     # -- basic queries ------------------------------------------------------
 
@@ -213,7 +218,8 @@ def conjugation_table(polys):
     tower.  Returns an int array of shape (len(polys), q^h - 1, h) whose
     entry [k, r] is the coefficient vector of conj(polys[k], omega^r), so
     rows are indexed by log b.  Work runs in chunks of at most
-    ``CONJ_CHUNK_ROWS`` (poly, b) rows.
+    ``CONJ_CHUNK_ROWS`` (poly, b) rows, each chunk's inverses coming from
+    one ``_inverse_rows`` call.
     """
     if not polys:
         raise ValueError("conjugation_table needs at least one polynomial")
@@ -230,7 +236,7 @@ def conjugation_table(polys):
     for lo in range(0, len(polys), step):
         chunk = polys[lo:lo + step]
         fi = np.array([poly.coeffs for poly in chunk], dtype=np.int64)[:, None, :]
-        gi = np.array([poly.inverse().coeffs for poly in chunk], dtype=np.int64)[:, lag]
+        gi = _inverse_rows(t, chunk)[:, lag]
         # C[k, l, i] = f_i * finv_{(l-i) mod h}^(q^i), kept as a log and a nonzero mask
         live = (fi != 0) & (gi != 0)
         log_c = (log[fi] + log[gi] * qpow % n) % n
@@ -292,6 +298,69 @@ def evaluation_table(tower, coeffs):
         term = np.where(gi != 0, exp[log[gi] + log_x * tower._qpow[i] % n], 0)
         out = _add(out, term, exp, log, zech, n)
     return out
+
+
+def inverse_table(tower, coeffs):
+    """Coefficients of f^(-1) for every row f of the int array ``coeffs``.
+
+    ``coeffs`` has shape (rows, h) and holds field elements of ``tower``;
+    so has the result.  Raises NotInvertible for a singular row.  See
+    ``_inverse_rows``, which does the work.
+    """
+    f = np.asarray(coeffs, dtype=np.int64)
+    if f.ndim != 2 or f.shape[1] != tower.h:
+        raise ValueError("inverse_table needs an array of shape (rows, h)")
+    return _inverse_rows(tower, [LinearizedPoly(tower, tuple(row)) for row in f.tolist()])
+
+
+def _inverse_rows(tower, polys):
+    """Coefficients of f^(-1) for every f in ``polys``, an int array of shape
+    (len(polys), h).
+
+    Inverses that the tower memo ``inverses`` holds are read from it.  The
+    others are computed together from their ``evaluation_table`` rows:
+    f^(-1)(omega^l) is the omega^r with log f(omega^r) = l, and the Moore
+    inverse turns the h values at l < h into coefficients.  Every computed
+    inverse is checked, f(f^(-1)(omega^s)) = omega^s at every nonzero point,
+    before any row is used, then memoised in both directions as
+    ``LinearizedPoly.inverse`` does.  Raises NotInvertible for a polynomial
+    whose value row has a zero.
+    """
+    h, n = tower.h, tower._group_order
+    memo = tower.memo("inverses")
+    todo = [f for f in polys if f.coeffs not in memo]
+    if todo:
+        exp, log, zech = tower.np_tables()
+        values = evaluation_table(tower, [f.coeffs for f in todo])
+        singular = (values == 0).any(axis=1)
+        if singular.any():
+            raise NotInvertible(f"no compositional inverse: {todo[singular.argmax()].coeffs}")
+        index = np.arange(len(todo))[:, None]
+        where = np.empty_like(values)  # where[k, log f_k(omega^r)] = r
+        where[index, log[values]] = np.arange(n)
+        at_basis = log[exp[where[:, :h]]]  # log f^(-1)(omega^l), l < h
+        inv = np.zeros((len(todo), h), dtype=np.int64)
+        for i, row in enumerate(_moore_inv(tower)):
+            for l, v in enumerate(row):
+                if v:
+                    inv[:, i] = _add(inv[:, i], exp[tower._log[v] + at_basis[:, l]],
+                                     exp, log, zech, n)
+        back = evaluation_table(tower, inv)  # f^(-1)(omega^s)
+        ok = (back != 0) & (values[index, log[back]] == exp[:n])
+        if not ok.all():
+            bad = todo[ok.all(axis=1).argmin()].coeffs
+            raise AssertionError(f"inverse_table: f(f^-1(x)) != x for {bad}")
+        for f, row in zip(todo, inv.tolist()):
+            finv = LinearizedPoly(tower, tuple(row))
+            memo[f.coeffs], memo[finv.coeffs] = finv, f
+    return np.array([memo[f.coeffs].coeffs for f in polys], dtype=np.int64).reshape(-1, h)
+
+
+def _moore_inv(tower):
+    """Inverse of the Moore matrix [omega^(l q^i)] (rows l, columns i), memoised:
+    it maps the values f(omega^l), l < h, to f's coefficients."""
+    return tower.memo("moore_inv", lambda: linalg.mat_inv(
+        tower, [[tower.frob(w, i) for i in range(tower.h)] for w in tower.omega_powers]))
 
 
 def lex_block(tower, lo, hi):

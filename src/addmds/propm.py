@@ -22,10 +22,10 @@ Two routes compute conjugates.  The search side reads the batched
 every score) takes one f's rows, and ``verify_semilinear_criterion`` takes
 the whole table of the tower.  The checking side stays on
 ``LinearizedPoly.compose``: ``PropWitness``, the transferred triples of
-``verify_inverse_lemma`` (both through ``_triple_holds``) and
-``ZeroCoeffCertificate.validate`` re-derive every triple they accept from
-the polynomials, independently of the table, and compare every triple they
-receive.
+``verify_inverse_lemma`` (both through ``_triple_holds``),
+``ZeroCoeffCertificate.validate`` and the batched zero-coefficient checks
+re-derive every triple they accept from the polynomials, independently of
+the table, and compare every triple they receive.
 
 Scores are searched once per orbit class of pairs.  The triples of (f, g)
 are exactly those of (lam*f(mu X), lam*g(nu X)) for nonzero lam, mu, nu:
@@ -37,18 +37,25 @@ are exactly those of (lam*f(mu X), lam*g(nu X)) for nonzero lam, mu, nu:
 So ``_orbit_key`` names the class, and two results are memoised under it:
 the exact score and witness (``_orbit_score``, read by ``max_prop_m`` and
 by ``verify_inverse_lemma`` for its derived pairs) and the lm-prop bound
-(``_orbit_bound``).  Records stay per pair: every pair's witness is
-validated against that pair, and every zero-coefficient pair builds and
-validates its own certificate.
+(``_orbit_bound``).  The batteries never key pairs one at a time:
+``_orbit_classes`` gives the whole N x N array of class ids of a
+polynomial list from one ranking of all normal forms, and each battery
+calls the memoised search or bound once per class.  Every pair is still
+checked.  ``verify_zero_coeff_lemma`` tests each class's witness, and
+each pair's certificate identity, against all pairs of the class in numpy
+passes over per-polynomial tables (``_witness_tables``, ``_class_checks``):
+the same checks as ``PropWitness`` and ``ZeroCoeffCertificate``, which
+stay the per-pair route for single pairs and for the tests' oracle.
 
 Work that depends on one polynomial or one element, not on the pair, is
 memoised on the tower (``FieldTower.memo``), so a battery pays it once:
 
 - compositional inverses (in ``linpoly``) and conj buckets;
 - each polynomial's normal forms lam*f(mu X), first nonzero coefficient
-  scaled to 1, one per lam, from which ``_orbit_key`` is read;
+  scaled to 1, one per lam, which ``_orbit_key`` and ``_orbit_classes``
+  read;
 - conj(f, b) from the ``compose`` chain, keyed by (f.coeffs, b), which
-  ``_triple_holds`` reads;
+  ``_triple_holds`` and ``_witness_tables`` read;
 - each normalized polynomial's certificate minor and diagonal, each
   element's difference vector and the shift matrix L;
 - the certificate products Mhat*D and Mhat*D*B and the relation
@@ -66,7 +73,14 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, NotInvertible
-from .linpoly import LinearizedPoly, conjugation_table, invertible_linearized
+from .linpoly import (
+    EVAL_CHUNK_CELLS,
+    LinearizedPoly,
+    conjugation_table,
+    evaluation_table,
+    inverse_table,
+    invertible_linearized,
+)
 
 DEFAULT_TRIPLE_BUDGET = 1 << 22
 
@@ -275,6 +289,42 @@ def _orbit_key(f: LinearizedPoly, g: LinearizedPoly):
     return forms_f[least_f[0]], min(forms_g[k] for k in least_f)
 
 
+def _orbit_classes(polys):
+    """N x N int array of class ids: entries [i, j] and [k, l] are equal
+    exactly when ``_orbit_key`` is equal on (polys[i], polys[j]) and
+    (polys[k], polys[l]).
+
+    Every normal form of every polynomial is ranked once in lex order, R[i, k]
+    being the rank of the k-th form of polys[i] among all of them.  The key's
+    two parts then become rank(least form of f_i) = R[i, least_i[0]] and
+    min over k in least_i of R[j, k], and the id packs them into one int.
+    """
+    t = polys[0].tower
+    normal = [_normal_forms(f) for f in polys]
+    place = t.size ** np.arange(t.h - 1, -1, -1, dtype=np.int64)
+    packed = np.array([forms for forms, _least in normal], dtype=np.int64) @ place
+    distinct, rank = np.unique(packed, return_inverse=True)
+    rank = rank.reshape(packed.shape)
+    by_least = {}
+    for i, (_forms, least) in enumerate(normal):
+        by_least.setdefault(least, []).append(i)
+    ids = np.empty((len(polys), len(polys)), dtype=np.int64)
+    for least, rows in by_least.items():
+        ids[rows] = (rank[rows, least[0]][:, None] * len(distinct)
+                     + rank[:, least].min(axis=1)[None, :])
+    return ids
+
+
+def _class_members(ids):
+    """Flat indices of the members of each class of the id array ``ids``, one
+    array per class in increasing id order; negative ids are left out."""
+    flat = ids.ravel()
+    ordered = np.sort(flat)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return (np.flatnonzero(flat == c) for c in ordered[first].tolist() if c >= 0)
+
+
 def _check_budget(count: int, budget: int | None = None):
     cap = DEFAULT_TRIPLE_BUDGET if budget is None else budget
     if count > cap:
@@ -322,18 +372,25 @@ class PropWitness:
     triples: tuple
 
     def __post_init__(self):
-        for idx, triple in enumerate(self.triples):
-            if not all(triple):
-                raise ValueError("triples must have nonzero entries")
-            if not _triple_holds(self.f, self.g, triple):
-                raise ValueError(f"triple {idx} fails the defining identity")
-        for i, j in combinations(range(len(self.triples)), 2):
-            ti, tj = self.triples[i], self.triples[j]
-            if ti[0] == tj[0] or ti[1] == tj[1] or ti[2] == tj[2]:
-                raise ValueError("triples share a coordinate value")
-        one = (1, 1, 1)
-        if one in self.triples and self.triples[0] != one:
-            raise ValueError("(1,1,1) must come first when present")
+        _check_witness(self.triples, lambda idx: _triple_holds(self.f, self.g, self.triples[idx]))
+
+
+def _check_witness(triples, holds):
+    """The checks of ``PropWitness``, in its order; ``holds(idx)`` says
+    whether triple idx satisfies the defining identity (it is only asked
+    about triples with nonzero entries)."""
+    for idx, triple in enumerate(triples):
+        if not all(triple):
+            raise ValueError("triples must have nonzero entries")
+        if not holds(idx):
+            raise ValueError(f"triple {idx} fails the defining identity")
+    for i, j in combinations(range(len(triples)), 2):
+        ti, tj = triples[i], triples[j]
+        if ti[0] == tj[0] or ti[1] == tj[1] or ti[2] == tj[2]:
+            raise ValueError("triples share a coordinate value")
+    one = (1, 1, 1)
+    if one in triples and triples[0] != one:
+        raise ValueError("(1,1,1) must come first when present")
 
 
 def max_prop_m(f: LinearizedPoly, g: LinearizedPoly, budget: int | None = None):
@@ -451,9 +508,57 @@ def build_zero_coeff_certificate(f: LinearizedPoly, g: LinearizedPoly, triples) 
     mg_hat, dg = _minor_and_diagonal(g)
     bs = tuple(_diff_vector(t, b) for _a, b, _c in triples)
     cs = tuple(_diff_vector(t, c) for _a, _b, c in triples)
-    lmat = t.memo("zero_coeff_shift", lambda: tuple(
-        tuple(r) for r in shift_minus_one_matrix(t, t.h - 1)))
-    return ZeroCoeffCertificate(f, g, tuple(triples), mf_hat, mg_hat, df, dg, bs, cs, lmat)
+    return ZeroCoeffCertificate(f, g, tuple(triples), mf_hat, mg_hat, df, dg, bs, cs,
+                                _shift_matrix(t))
+
+
+def _shift_matrix(tower):
+    """``shift_minus_one_matrix`` of size h - 1 as row tuples, memoised on the tower."""
+    return tower.memo("zero_coeff_shift", lambda: tuple(
+        tuple(r) for r in shift_minus_one_matrix(tower, tower.h - 1)))
+
+
+def _witness_tables(polys):
+    """The checking side's per-polynomial tables, rows in ``polys`` order and
+    column b - 1 for each element b != 0:
+
+    - conj[i, b - 1] = conj(f_i, b) from the ``compose`` chain (``_conjugate``);
+    - prod[i, b - 1] = Mhat_f D_f B(b) of f = f_i (``_minor_product``);
+    - frob[b - 1]: B(b)'s entrywise q-th power equals L * B(b).
+    """
+    t = polys[0].tower
+    diffs = [_diff_vector(t, b) for b in t.nonzero()]
+    conj = np.array([[_conjugate(f, b) for b in t.nonzero()] for f in polys], dtype=np.int64)
+    prod = np.array([[_minor_product(t, *_minor_and_diagonal(f), d) for d in diffs]
+                     for f in polys], dtype=np.int64).reshape(len(polys), len(diffs), t.h - 1)
+    lmat = _shift_matrix(t)
+    frob = np.array([_frobenius_is_shift(t, lmat, d) for d in diffs])
+    return conj, prod, frob
+
+
+def _class_checks(tower, triples, rows, cols, tables):
+    """(holds, cert) for one class's witness ``triples`` against all of the
+    class's pairs (f_I, f_J), I in ``rows`` and J in ``cols``, read from
+    ``_witness_tables``: holds[idx] says a*conj(f_I, b) = conj(f_J, c) on
+    every pair, cert[k] says pair k's certificate holds, a*Mhat_I D_I B(b) =
+    Mhat_J D_J C(c) and B(b)^q = L*B(b) for every triple.  Products by a are
+    log-domain lookups.  Triples with a zero entry are skipped:
+    ``_check_witness`` rejects them before it asks ``holds``."""
+    exp, log, _zech = tower.np_tables()
+    conj, prod, frob = tables
+
+    def scaled_equal(table, a, b, c):
+        """Per pair: a*table[I, b - 1] == table[J, c - 1]."""
+        lhs = table[rows, b - 1]
+        lhs = np.where(lhs != 0, exp[log[lhs] + tower._log[a]], 0)
+        return (lhs == table[cols, c - 1]).all(axis=1)
+
+    holds, cert = {}, np.ones(len(rows), dtype=bool)
+    for idx, (a, b, c) in enumerate(triples):
+        if a and b and c:
+            holds[idx] = bool(scaled_equal(conj, a, b, c).all())
+            cert &= scaled_equal(prod, a, b, c) & frob[b - 1]
+    return holds, cert
 
 
 # ---------------------------------------------------------------------------
@@ -502,46 +607,56 @@ def verify_zero_coeff_lemma(tower, pair_limit: int | None = None) -> dict:
 
     Every pair of invertible polynomials is scored exactly.  For qualifying
     pairs the zero-coefficient counts of f and g must agree and be positive.
-    The matrix-identity certificate is built and validated on the witness of
-    every pair (after twisting both entries to nonzero constant term).
+    Both entries are first twisted to nonzero constant term.  Pairs go by
+    orbit class (``_orbit_classes``): the score and witness are searched
+    once per class, then the witness (the checks of ``PropWitness``) and the
+    matrix-identity certificate (those of ``ZeroCoeffCertificate``) are
+    checked against every pair of the class at once (``_class_checks``).
     """
     inv_polys = invertible_linearized(tower)
     total = len(inv_polys) ** 2
     if pair_limit is not None and total > pair_limit:
         raise BudgetExceeded(f"{total} pairs exceed limit {pair_limit}")
     bound = zero_coeff_bound(tower)
+    npoly = len(inv_polys)
+    twisted = [twist_to_nonzero_f0(f)[0] for f in inv_polys]
+    tables = _witness_tables(twisted)
+    scores = np.empty((npoly, npoly), dtype=np.int64)
+    cert_ok = np.empty((npoly, npoly), dtype=bool)
+    for members in _class_members(_orbit_classes(twisted)):
+        i, j = divmod(int(members[0]), npoly)
+        _count, m, picked = _orbit_score(twisted[i], twisted[j])
+        holds, cert = _class_checks(tower, picked, *np.divmod(members, npoly), tables)
+        _check_witness(picked, holds.__getitem__)
+        scores.flat[members] = m
+        cert_ok.flat[members] = cert
     records = []
     qualifying = 0
     violations = []
-    max_m = 0
     # per polynomial, not per pair: records share each polynomial's JSON list
-    rows = [(twist_to_nonzero_f0(f)[0], f.to_json(), f.zero_coeff_count()) for f in inv_polys]
-    for fn, fj, zf in rows:
-        for gn, gj, zg in rows:
-            m, witness = max_prop_m(fn, gn)
-            max_m = max(max_m, m)
-            cert = build_zero_coeff_certificate(fn, gn, witness.triples)
-            cert_ok = cert.validate()
+    rows = [(f.to_json(), f.zero_coeff_count()) for f in inv_polys]
+    for (fj, zf), row_scores, row_ok in zip(rows, scores, cert_ok):
+        for (gj, zg), m, ok in zip(rows, row_scores.tolist(), row_ok.tolist()):
             record = {
                 "f": fj,
                 "g": gj,
                 "m": m,
                 "zero_counts": [zf, zg],
-                "certificate_ok": cert_ok,
+                "certificate_ok": ok,
             }
             records.append(record)
             if m > bound:
                 qualifying += 1
                 if not (zf == zg >= 1):
                     violations.append(record)
-            if not cert_ok:
+            if not ok:
                 violations.append(record)
     return {
         "tower": tower.descriptor(),
         "bound": bound,
         "pairs": total,
         "qualifying_pairs": qualifying,
-        "max_m": max_m,
+        "max_m": int(scores.max()),
         "violations": violations,
         "ok": not violations,
         "records": records,
@@ -553,25 +668,29 @@ def verify_two_nonzero_lemma(tower) -> dict:
 
     Support {i, l} avoids semi-linearity over every intermediate field
     exactly when gcd(l - i, h) = 1; for those, f^{-1} must have no zero
-    coefficient.  Exhaustive over all two-term coefficient vectors.
+    coefficient.  Exhaustive over all two-term coefficient vectors: a
+    candidate is invertible iff its ``evaluation_table`` row has no zero,
+    and the qualifying ones are inverted by ``inverse_table``.
     """
-    h = tower.h
+    h, n = tower.h, tower.size - 1
+    step = max(1, EVAL_CHUNK_CELLS // n)
     candidates = 0
     qualifying = 0
     violations = []
     for i, l in combinations(range(h), 2):
-        coprime = math.gcd(l - i, h) == 1
-        for ci in tower.nonzero():
-            for cl in tower.nonzero():
-                coeffs = [0] * h
-                coeffs[i], coeffs[l] = ci, cl
-                f = LinearizedPoly(tower, tuple(coeffs))
-                candidates += 1
-                if not coprime or not f.is_invertible():
-                    continue
-                qualifying += 1
-                if f.inverse().zero_coeff_count() != 0:
-                    violations.append(f.to_json())
+        candidates += n * n
+        if math.gcd(l - i, h) != 1:
+            continue
+        # (c_i, c_l) in lex order, c_i the slower
+        for lo in range(0, n * n, step):
+            pick = np.arange(lo, min(lo + step, n * n))
+            rows = np.zeros((len(pick), h), dtype=np.int64)
+            rows[:, i], rows[:, l] = pick // n + 1, pick % n + 1
+            rows = rows[(evaluation_table(tower, rows) != 0).all(axis=1)]
+            qualifying += len(rows)
+            dense = (inverse_table(tower, rows) != 0).all(axis=1)
+            violations += [LinearizedPoly(tower, tuple(row)).to_json()
+                           for row in rows[~dense].tolist()]
     return {
         "tower": tower.descriptor(),
         "two_term_candidates": candidates,
@@ -615,46 +734,46 @@ def verify_lm_prop_implication(tower, n: int) -> dict:
 
     Pairs of monomials pass by definition.  For the rest, the cheap upper
     bound min(#distinct a, #distinct b, #distinct c), read from the conj
-    buckets (``_triple_bound``), prunes most pairs; only survivors build
-    their triples and get an early-stopping exact search.
+    buckets (``_triple_bound``) once per orbit class (``_orbit_classes``),
+    prunes most pairs; only survivors build their triples and get an
+    early-stopping exact search.
     """
     threshold = n - 3
     if threshold < 1:
         raise ValueError("need n >= 4")
     inv_polys = invertible_linearized(tower)
-    checked = 0
-    monomial_pairs = 0
-    pruned = 0
+    npoly = len(inv_polys)
+    monomial = np.array([f.is_monomial() for f in inv_polys])
+    ids = _orbit_classes(inv_polys)
+    ids[monomial[:, None] & monomial[None, :]] = -1  # monomial pairs pass as they are
+    survives = np.zeros(npoly * npoly, dtype=bool)
+    for members in _class_members(ids):
+        i, j = divmod(int(members[0]), npoly)
+        survives[members] = _orbit_bound(inv_polys[i], inv_polys[j]) >= threshold
+    monomial_pairs = int(monomial.sum()) ** 2
     violations = []
     max_m_nonmonomial = 0
-    for f in inv_polys:
-        for g in inv_polys:
-            checked += 1
-            if f.is_monomial() and g.is_monomial():
-                monomial_pairs += 1
-                continue
-            if _orbit_bound(f, g) < threshold:
-                pruned += 1
-                continue
-            triples = prop_triples(f, g)
-            _check_budget(len(triples))
-            size, picked = _search(triples, stop_at=threshold)
-            if size >= threshold:
-                violations.append({
-                    "f": f.to_json(),
-                    "g": g.to_json(),
-                    "m_at_least": size,
-                    "witness": [[tower.digits(x) for x in tr] for tr in picked],
-                })
-            else:
-                max_m_nonmonomial = max(max_m_nonmonomial, size)
+    for pair in np.flatnonzero(survives).tolist():
+        f, g = (inv_polys[k] for k in divmod(pair, npoly))
+        triples = prop_triples(f, g)
+        _check_budget(len(triples))
+        found, picked = _search(triples, stop_at=threshold)
+        if found >= threshold:
+            violations.append({
+                "f": f.to_json(),
+                "g": g.to_json(),
+                "m_at_least": found,
+                "witness": [[tower.digits(x) for x in tr] for tr in picked],
+            })
+        else:
+            max_m_nonmonomial = max(max_m_nonmonomial, found)
     return {
         "tower": tower.descriptor(),
         "n": n,
         "threshold": threshold,
-        "pairs": checked,
+        "pairs": npoly * npoly,
         "monomial_pairs": monomial_pairs,
-        "pruned_by_upper_bound": pruned,
+        "pruned_by_upper_bound": npoly * npoly - monomial_pairs - int(survives.sum()),
         "max_m_nonmonomial_seen": max_m_nonmonomial,
         "violations": violations,
         "ok": not violations,

@@ -5,8 +5,9 @@ arithmetic over F_p for field operations, trial division for the
 canonical modulus, pointwise map comparison for conjugacy triples, rank
 tests over every k-subset of blocks for pseudo-arcs, g^(-1) o M o g for
 linear-equivalence witnesses, plain subset enumeration for matchings, a
-per-pair search with no memo for pair scores, and Dickson determinants
-per candidate for the k = 4 hunt.  Slow on purpose; tests only feed it
+per-pair search with no memo for pair scores, a per-pair witness and
+certificate for the zero-coefficient lemma, and Dickson determinants per
+candidate for the k = 4 hunt.  Slow on purpose; tests only feed it
 small inputs.
 """
 
@@ -16,7 +17,15 @@ from math import gcd
 from addmds import linalg
 from addmds.code import LinearWitness, to_interpolation_form, to_standard_form
 from addmds.linpoly import LinearizedPoly, invertible_linearized
-from addmds.propm import _exact_matching, _levels_from_triples, prop_triples
+from addmds.propm import (
+    _exact_matching,
+    _levels_from_triples,
+    build_zero_coeff_certificate,
+    max_prop_m,
+    prop_triples,
+    twist_to_nonzero_f0,
+    zero_coeff_bound,
+)
 from addmds.search import _alpha_ok, _lambdas, base_mds_matrix, lambda_screen, screen_conditions
 
 
@@ -375,3 +384,40 @@ def exhaustive_max_prop_m(f, g):
     if 1 + len(forced) >= m:
         return 1 + len(forced), tuple([one] + forced)
     return m, tuple(picked)
+
+
+def pairwise_zero_coeff_lemma(tower):
+    """``verify_zero_coeff_lemma`` one pair at a time: each pair's witness
+    from ``max_prop_m`` (a validated ``PropWitness``) and its own
+    ``ZeroCoeffCertificate``, built and validated.  No pair limit."""
+    inv_polys = invertible_linearized(tower)
+    bound = zero_coeff_bound(tower)
+    records = []
+    qualifying = 0
+    violations = []
+    max_m = 0
+    rows = [(twist_to_nonzero_f0(f)[0], f.to_json(), f.zero_coeff_count()) for f in inv_polys]
+    for fn, fj, zf in rows:
+        for gn, gj, zg in rows:
+            m, witness = max_prop_m(fn, gn)
+            max_m = max(max_m, m)
+            cert_ok = build_zero_coeff_certificate(fn, gn, witness.triples).validate()
+            record = {"f": fj, "g": gj, "m": m, "zero_counts": [zf, zg],
+                      "certificate_ok": cert_ok}
+            records.append(record)
+            if m > bound:
+                qualifying += 1
+                if not (zf == zg >= 1):
+                    violations.append(record)
+            if not cert_ok:
+                violations.append(record)
+    return {
+        "tower": tower.descriptor(),
+        "bound": bound,
+        "pairs": len(inv_polys) ** 2,
+        "qualifying_pairs": qualifying,
+        "max_m": max_m,
+        "violations": violations,
+        "ok": not violations,
+        "records": records,
+    }

@@ -278,3 +278,13 @@ def test_pow_int_handles_negative(f9):
     for x in f9.nonzero():
         assert f9.pow_int(x, -1) == f9.inv(x)
         assert f9.pow_int(x, 0) == 1
+
+
+@pytest.mark.parametrize("key", [(2, 1, 1), (5, 1, 1), (2, 2, 2), (3, 1, 3), (2, 3, 2)])
+def test_in_fq_log_test_matches_element_list(key):
+    # in_fq reads log x; fq_elements is built on first use, in increasing order
+    t = field_create(*key)
+    assert "fq_elements" not in t._cache
+    members = [x for x in t.elements() if t.in_fq(x)]
+    assert members == list(t.fq_elements) == sorted(x for x in t.elements() if t.frob(x) == x)
+    assert not t.in_fq(t.size) and not t.in_fq(-1)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from addmds import linalg, linpoly
@@ -12,6 +13,7 @@ from addmds.linpoly import (
     compose_table,
     conjugation_table,
     evaluation_table,
+    inverse_table,
     invertible_linearized,
     random_invertible,
 )
@@ -178,6 +180,63 @@ def test_invertibility_three_ways_exhaustive(key):
             count += 1
     assert count == INVERTIBLE_COUNTS[key]
     assert len(invertible_linearized(t)) == count
+
+
+def _rows(polys):
+    return np.array([f.coeffs for f in polys], dtype=np.int64)
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2)],
+                         ids=["F4", "F8", "F9", "F27", "F16_F4"])
+def test_inverse_table_matches_dickson_inverse(key):
+    # each route on a tower of its own, so neither reads the other's memo
+    t, dickson = field_create(*key), field_create(*key)
+    polys = invertible_linearized(t)
+    got = inverse_table(t, _rows(polys)).tolist()
+    assert got == [list(LinearizedPoly(dickson, f.coeffs).inverse().coeffs) for f in polys]
+    memo = t.memo("inverses")
+    for f, row in zip(polys, got):
+        assert memo[f.coeffs].coeffs == tuple(row)
+    # one row alone fills the memo both ways, as inverse() does
+    f = next(f for f in polys if f.inverse() != f)
+    alone = field_create(*key)
+    (row,) = inverse_table(alone, _rows([f])).tolist()
+    assert alone.memo("inverses")[tuple(row)] == f
+
+
+def test_inverse_table_spans_conjugation_chunks():
+    t = field_create(3, 1, 3)
+    step = CONJ_CHUNK_ROWS // (t.size - 1)
+    rows = _rows(invertible_linearized(t)[:2 * step + 5])
+    whole = inverse_table(t, rows)
+    pieces = field_create(3, 1, 3)
+    parts = [inverse_table(pieces, rows[lo:lo + step]) for lo in range(0, len(rows), step)]
+    assert (np.concatenate(parts) == whole).all()
+    # a later call on the same tower reads every row from the memo
+    assert (inverse_table(pieces, rows) == whole).all()
+    assert inverse_table(t, rows[:0]).shape == (0, t.h)
+
+
+def test_inverse_table_rejects_singular_rows_and_bad_shapes(f9):
+    fresh = field_create(3, 1, 2)
+    rows = _rows(invertible_linearized(fresh)[:4])
+    singular = np.array([[fresh.neg(1), 1]])  # X^q - X kills F_q
+    with pytest.raises(NotInvertible, match="no compositional inverse"):
+        inverse_table(fresh, np.concatenate([rows, singular, rows]))
+    with pytest.raises(NotInvertible):
+        inverse_table(fresh, np.zeros((1, 2), dtype=np.int64))
+    with pytest.raises(ValueError):
+        inverse_table(f9, np.zeros((2, 3), dtype=np.int64))
+
+
+def test_inverse_table_checks_every_row():
+    # a Moore inverse with two rows swapped interpolates the wrong map
+    t = field_create(2, 1, 3)
+    right = linalg.mat_inv(t, [[t.frob(w, i) for i in range(t.h)] for w in t.omega_powers])
+    t.memo("moore_inv", lambda: [right[1], right[0]] + right[2:])
+    with pytest.raises(AssertionError, match="f\\(f\\^-1\\(x\\)\\) != x"):
+        inverse_table(t, _rows(invertible_linearized(t)))
+    assert t.memo("inverses") == {}
 
 
 def test_inverse_composes_to_identity(f9):

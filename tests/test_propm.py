@@ -5,6 +5,7 @@ import random
 import pytest
 
 from addmds.errors import BudgetExceeded, NotInvertible
+from addmds.gf import field_create
 from addmds.linpoly import LinearizedPoly, invertible_linearized, random_invertible
 from addmds.propm import (
     PropWitness,
@@ -422,3 +423,136 @@ def test_semilinear_reports_each_mismatch_in_f_a_order(f9, monkeypatch):
          "collapsed": False, "predicted": True}
         for a in marked]
     json.dumps(rep)  # plain ints and bools only
+
+
+def _same_partition(ids, keys):
+    """True iff two pairs share an id in ``ids`` exactly when they share a
+    key in ``keys`` (both N x N, as nested lists or an array)."""
+    id_to_key, key_to_id = {}, {}
+    for id_row, key_row in zip(ids.tolist(), keys):
+        for x, key in zip(id_row, key_row):
+            if id_to_key.setdefault(x, key) != key or key_to_id.setdefault(key, x) != x:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)],
+                         ids=["F4", "F8", "F9", "F16_F4"])
+def test_orbit_classes_match_orbit_keys(key):
+    from conftest import tower
+    from addmds.propm import _orbit_classes, _orbit_key
+    invs = invertible_linearized(tower(*key))
+    # the lm-prop battery classes the list itself, the zero-coefficient battery
+    # its twists, which repeat polynomials
+    for polys in (invs, [twist_to_nonzero_f0(f)[0] for f in invs]):
+        keys = [[_orbit_key(f, g) for g in polys] for f in polys]
+        assert _same_partition(_orbit_classes(polys), keys)
+
+
+@pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 2)], ids=["F8", "F9"])
+def test_orbit_classes_catch_a_key_without_lambda_on_g(key, monkeypatch):
+    # g's part taken as its least form over every lam, not over the lams
+    # where f's form is least: a coarser key, which the check must reject
+    import addmds.propm as propm_mod
+    t = field_create(*key)
+    polys = invertible_linearized(t)
+    keys = [[propm_mod._orbit_key(f, g) for g in polys] for f in polys]
+    real = propm_mod._normal_forms
+
+    def every_lam_after_least(f):
+        forms, least = real(f)
+        return forms, least + tuple(k for k in range(len(forms)) if k not in least)
+
+    monkeypatch.setattr(propm_mod, "_normal_forms", every_lam_after_least)
+    assert not _same_partition(propm_mod._orbit_classes(polys), keys)
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)],
+                         ids=["F4", "F8", "F9", "F16_F4"])
+def test_zero_coeff_lemma_matches_pairwise_oracle(key):
+    # the oracle runs on a tower of its own, so it fills every memo itself
+    from conftest import tower
+    assert verify_zero_coeff_lemma(tower(*key)) == oracles.pairwise_zero_coeff_lemma(
+        field_create(*key))
+
+
+def test_zero_coeff_lemma_rejects_a_wrong_class_witness(f8, monkeypatch):
+    import addmds.propm as propm_mod
+    from addmds.propm import _orbit_key
+    twisted = [twist_to_nonzero_f0(f)[0] for f in invertible_linearized(f8)]
+    f, g = next((f, g) for f in twisted for g in twisted if max_prop_m(f, g)[0] >= 3)
+    target = _orbit_key(f, g)
+    real = propm_mod._orbit_score
+
+    def one_wrong_c(f, g, budget=None):
+        count, m, picked = real(f, g, budget)
+        if _orbit_key(f, g) == target:
+            a, b, c = picked[2]
+            picked = picked[:2] + ((a, b, c % 7 + 1),) + picked[3:]
+        return count, m, picked
+
+    monkeypatch.setattr(propm_mod, "_orbit_score", one_wrong_c)
+    with pytest.raises(ValueError, match="triple 2 fails the defining identity"):
+        verify_zero_coeff_lemma(f8)
+
+
+def test_zero_coeff_lemma_flags_a_corrupted_product(f8, monkeypatch):
+    # one entry of Mhat_f D_f B(b) for one polynomial f_i and one b: exactly
+    # the pairs whose witness reads it, (f_i, g) with b among the witness's
+    # b-values or (g, f_i) with b among its c-values, lose their certificate
+    import addmds.propm as propm_mod
+    invs = invertible_linearized(f8)
+    twisted = [twist_to_nonzero_f0(f)[0] for f in invs]
+    i, b = 5, 6
+    real = propm_mod._witness_tables
+
+    def corrupted(polys):
+        conj, prod, frob = real(polys)
+        prod = prod.copy()
+        prod[i, b - 1, 0] ^= 1
+        return conj, prod, frob
+
+    def reads(f, g, position):
+        return any(tr[position] == b for tr in max_prop_m(f, g)[1].triples)
+
+    expect = set()
+    for j, other in enumerate(twisted):
+        if reads(twisted[i], other, 1):
+            expect.add((i, j))
+        if reads(other, twisted[i], 2):
+            expect.add((j, i))
+    # no triple (a, b, b) on the diagonal pair, where the two sides would move together
+    assert not any(tr[1] == tr[2] == b for tr in max_prop_m(twisted[i], twisted[i])[1].triples)
+    assert expect
+    monkeypatch.setattr(propm_mod, "_witness_tables", corrupted)
+    rep = verify_zero_coeff_lemma(f8)
+    n = len(invs)
+    flipped = {divmod(k, n) for k, rec in enumerate(rep["records"]) if not rec["certificate_ok"]}
+    assert flipped == expect
+    assert not rep["ok"]
+    assert [r for r in rep["violations"] if not r["certificate_ok"]] == [
+        rep["records"][i * n + j] for i, j in sorted(expect)]
+
+
+def test_zero_coeff_lemma_flags_a_failed_frobenius_relation(f8, monkeypatch):
+    # B(b)^q = L*B(b) read as false for one b: exactly the pairs whose
+    # witness has b among its b-values lose their certificate
+    import addmds.propm as propm_mod
+    from addmds.propm import _orbit_score
+    twisted = [twist_to_nonzero_f0(f)[0] for f in invertible_linearized(f8)]
+    b = 3
+    real = propm_mod._witness_tables
+
+    def corrupted(polys):
+        conj, prod, frob = real(polys)
+        frob = frob.copy()
+        frob[b - 1] = False
+        return conj, prod, frob
+
+    expect = [k for k, (f, g) in enumerate((f, g) for f in twisted for g in twisted)
+              if any(tr[1] == b for tr in _orbit_score(f, g)[2])]
+    assert 0 < len(expect) < len(twisted) ** 2
+    monkeypatch.setattr(propm_mod, "_witness_tables", corrupted)
+    rep = verify_zero_coeff_lemma(f8)
+    assert [k for k, rec in enumerate(rep["records"]) if not rec["certificate_ok"]] == expect
+    assert not rep["ok"]
