@@ -17,6 +17,7 @@ from datetime import datetime, timezone
 
 from . import geometry, propm, search
 from .code import (
+    DEFAULT_CANDIDATE_BUDGET,
     apply_move,
     code_from_dict,
     code_to_dict,
@@ -109,11 +110,17 @@ def _emit(cfg: RunConfig, payload: dict, out: str | None = None) -> None:
 # ---------------------------------------------------------------------------
 # subcommands; each returns True when every assertion passed
 
+def _gl_order(t: FieldTower) -> int:
+    """|GL_h(F_q)|: the number of invertible q-linearized polynomials."""
+    order = 1
+    for i in range(t.h):
+        order *= t.size - t.q ** i
+    return order
+
+
 def _cmd_field(cfg: RunConfig) -> bool:
     t = _tower(cfg)
-    glh = 1
-    for i in range(t.h):
-        glh *= t.size - t.q ** i
+    glh = _gl_order(t)
     _emit(cfg, {
         "field": t.descriptor(),
         "q": t.q,
@@ -243,6 +250,11 @@ def _cmd_propm(cfg: RunConfig) -> bool:
             "inverse_lemma": inverse,
         })
         return bool(inverse["ok"])
+    # the batteries hold N x N arrays over the N invertible polynomials
+    pairs = _gl_order(t) ** 2
+    cap = DEFAULT_CANDIDATE_BUDGET if cfg.budget_candidates is None else cfg.budget_candidates
+    if pairs > cap:
+        raise BudgetExceeded(f"{pairs} pairs exceed budget {cap}")
     n = cfg.n if cfg.n is not None else t.size + 1
     reports = {
         "semilinear_criterion": propm.verify_semilinear_criterion(t),

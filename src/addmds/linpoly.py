@@ -29,7 +29,9 @@ f(omega^r) to omega^r, so its values at omega^l, l < h, are read off f's
 ``evaluation_table`` row, and the inverse Moore matrix turns them into
 coefficients; every row is checked at every nonzero point before use.
 ``conjugation_table`` takes its inverses from the second route, chunk by
-chunk.  The invertible list and the numpy tables are kept in the memo too.
+chunk; it serves one polynomial at a time (the conj buckets of ``propm``),
+while the semilinear verifier reads value tables and needs no conjugate.
+The invertible list and the numpy tables are kept in the memo too.
 """
 
 from __future__ import annotations

@@ -19,13 +19,15 @@ reports; none of them sample.
 
 Two routes compute conjugates.  The search side reads the batched
 ``linpoly.conjugation_table``: ``_conj_buckets`` (so ``prop_triples`` and
-every score) takes one f's rows, and ``verify_semilinear_criterion`` takes
-the whole table of the tower.  The checking side stays on
+every score) takes one f's rows.  The checking side stays on
 ``LinearizedPoly.compose``: ``PropWitness``, the transferred triples of
 ``verify_inverse_lemma`` (both through ``_triple_holds``),
 ``ZeroCoeffCertificate.validate`` and the batched zero-coefficient checks
 re-derive every triple they accept from the polynomials, independently of
 the table, and compare every triple they receive.
+``verify_semilinear_criterion`` computes no conjugate: conj(f, a) is
+scalar iff f(a y) = c f(y) for every y, which f's value row decides on the
+basis y = omega^l, l < h, in the same lex pass that screens invertibility.
 
 Scores are searched once per orbit class of pairs.  The triples of (f, g)
 are exactly those of (lam*f(mu X), lam*g(nu X)) for nonzero lam, mu, nu:
@@ -80,6 +82,7 @@ from .linpoly import (
     evaluation_table,
     inverse_table,
     invertible_linearized,
+    lex_chunks,
 )
 
 DEFAULT_TRIPLE_BUDGET = 1 << 22
@@ -700,30 +703,63 @@ def verify_two_nonzero_lemma(tower) -> dict:
     }
 
 
+def _collapse_table(log_values, h):
+    """collapsed[k, s]: conj(f_k, omega^s) is scalar, f_k the invertible
+    polynomial whose value logs log f_k(omega^r) are row k of ``log_values``.
+
+    conj(f, a) = cX iff f(a y) = c f(y) for every y.  Both sides are
+    F_q-linear in y and omega^l, l < h, is an F_q-basis, so with a = omega^s
+    this holds iff log f(omega^(s+l)) - log f(omega^l) is the same for
+    every l < h.
+    """
+    n = log_values.shape[1]
+    shifted = (np.arange(n)[:, None] + np.arange(h)) % n  # [s, l] -> s + l
+    ratios = (log_values[:, shifted] - log_values[:, None, :h]) % n
+    return (ratios == ratios[..., :1]).all(axis=2)
+
+
+def _support_degrees(coeffs, h):
+    """``conjugation_subfield_degree`` of every nonzero row of the int array
+    ``coeffs``: gcd(h, every support index minus the first one)."""
+    support = coeffs != 0
+    gaps = np.where(support, np.arange(h) - support.argmax(axis=1)[:, None], 0)
+    return np.gcd(np.gcd.reduce(gaps, axis=1), h)
+
+
 def verify_semilinear_criterion(tower) -> dict:
     """f(a f^{-1}(X)) collapses to a monomial exactly per the support test.
 
     The predicted collapse set is the subfield of degree gcd over all
     support-index differences of f.  Exhaustive over every invertible f
     and every a != 0: a = omega^r lies in F_{q^s} iff r (q^s - 1) = 0
-    mod q^h - 1, and the conjugates come from one ``conjugation_table``.
+    mod q^h - 1.  Every coefficient row goes through ``lex_chunks``: a row
+    whose ``evaluation_table`` row has no zero is an invertible f, in the
+    order of ``invertible_linearized``, and its collapses are read off that
+    value row (``_collapse_table``).  No inverse or conjugate is computed.
     """
-    polys = invertible_linearized(tower)
-    n = tower.size - 1
-    log_a = tower.np_tables()[1][1:]  # columns in the order a = 1, 2, ..., size - 1
-    collapsed = ~conjugation_table(polys)[:, :, 1:].any(axis=2)[:, log_a]
+    h, n = tower.h, tower.size - 1
+    log = tower.np_tables()[1]
+    log_a = log[1:]  # columns in the order a = 1, 2, ..., size - 1
     # row s - 1, for s dividing h: which a lie in F_{q^s}
-    in_subfield = np.array([log_a * (tower.q ** s - 1) % n == 0 for s in range(1, tower.h + 1)])
-    predicted = in_subfield[[f.conjugation_subfield_degree() - 1 for f in polys]]
-    violations = [{
-        "f": polys[k].to_json(),
-        "a": tower.digits(int(j) + 1),
-        "collapsed": bool(collapsed[k, j]),
-        "predicted": bool(predicted[k, j]),
-    } for k, j in zip(*np.nonzero(collapsed != predicted))]
+    in_subfield = np.array([log_a * (tower.q ** s - 1) % n == 0 for s in range(1, h + 1)])
+    invertible = 0
+    violations = []
+    for block in lex_chunks(tower, tower.size ** h):
+        values = evaluation_table(tower, block)
+        keep = (values != 0).all(axis=1)
+        rows = block[keep]
+        invertible += len(rows)
+        collapsed = _collapse_table(log[values[keep]], h)[:, log_a]
+        predicted = in_subfield[_support_degrees(rows, h) - 1]
+        violations += [{
+            "f": LinearizedPoly(tower, tuple(rows[k].tolist())).to_json(),
+            "a": tower.digits(int(j) + 1),
+            "collapsed": bool(collapsed[k, j]),
+            "predicted": bool(predicted[k, j]),
+        } for k, j in zip(*np.nonzero(collapsed != predicted))]
     return {
         "tower": tower.descriptor(),
-        "pairs": len(polys) * n,
+        "pairs": invertible * n,
         "violations": violations,
         "ok": not violations,
     }

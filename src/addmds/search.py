@@ -262,11 +262,13 @@ def k4_example_search(tower: FieldTower, n: int = 6, budget: int | None = None):
     g(beta y) = lam g(y).  So each (alpha, beta) screens the g space in
     lex blocks of at most ``linpoly.EVAL_CHUNK_CELLS`` value-table cells
     (``_first_hit``) instead of one Dickson determinant per candidate and
-    lam.  None is returned only after the whole space is exhausted.
+    lam.  The budget is charged, before any work, the most g the scans can
+    read: 2 size^(h-1) per (alpha, beta).  None is returned only after the
+    whole space is exhausted.
     """
     base = base_mds_matrix(tower, 4, n)
     outside = _candidate_alphas(tower)
-    space = len(outside) ** 2 * tower.size ** tower.h
+    space = len(outside) ** 2 * 2 * tower.size ** (tower.h - 1)
     cap = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
     if space > cap:
         raise BudgetExceeded(f"{space} candidates exceed budget {cap}")

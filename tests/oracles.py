@@ -2,21 +2,24 @@
 
 Everything here is written naively from definitions: dense polynomial
 arithmetic over F_p for field operations, trial division for the
-canonical modulus, pointwise map comparison for conjugacy triples, rank
-tests over every k-subset of blocks for pseudo-arcs, g^(-1) o M o g for
-linear-equivalence witnesses, plain subset enumeration for matchings, a
-per-pair search with no memo for pair scores, a per-pair witness and
-certificate for the zero-coefficient lemma, and Dickson determinants per
-candidate for the k = 4 hunt.  Slow on purpose; tests only feed it
-small inputs.
+canonical modulus, pointwise map comparison for conjugacy triples,
+conjugates (one at a time, or a whole conjugation table) for the
+semilinear criterion, rank tests over every k-subset of blocks for
+pseudo-arcs, g^(-1) o M o g for linear-equivalence witnesses, plain
+subset enumeration for matchings, a per-pair search with no memo for pair
+scores, a per-pair witness and certificate for the zero-coefficient
+lemma, and Dickson determinants per candidate for the k = 4 hunt.  Slow
+on purpose; tests only feed it small inputs.
 """
 
 from itertools import combinations, product
 from math import gcd
 
+import numpy as np
+
 from addmds import linalg
 from addmds.code import LinearWitness, to_interpolation_form, to_standard_form
-from addmds.linpoly import LinearizedPoly, invertible_linearized
+from addmds.linpoly import LinearizedPoly, conjugation_table, invertible_linearized
 from addmds.propm import (
     _exact_matching,
     _levels_from_triples,
@@ -286,6 +289,30 @@ def brute_semilinear_report(tower):
     return {
         "tower": tower.descriptor(),
         "pairs": checked,
+        "violations": violations,
+        "ok": not violations,
+    }
+
+
+def table_semilinear_report(tower):
+    """The semilinear-criterion report from ``conjugation_table``: every
+    conj(f, a) is computed, through f's inverse, and collapses when its
+    coefficients 1..h-1 vanish."""
+    polys = invertible_linearized(tower)
+    n = tower.size - 1
+    log_a = tower.np_tables()[1][1:]  # columns in the order a = 1, 2, ..., size - 1
+    collapsed = ~conjugation_table(polys)[:, :, 1:].any(axis=2)[:, log_a]
+    in_subfield = np.array([log_a * (tower.q ** s - 1) % n == 0 for s in range(1, tower.h + 1)])
+    predicted = in_subfield[[f.conjugation_subfield_degree() - 1 for f in polys]]
+    violations = [{
+        "f": polys[k].to_json(),
+        "a": tower.digits(int(j) + 1),
+        "collapsed": bool(collapsed[k, j]),
+        "predicted": bool(predicted[k, j]),
+    } for k, j in zip(*np.nonzero(collapsed != predicted))]
+    return {
+        "tower": tower.descriptor(),
+        "pairs": len(polys) * n,
         "violations": violations,
         "ok": not violations,
     }

@@ -82,6 +82,25 @@ def test_huge_tower_exits_2_at_once(tmp_path, f9, argv):
     assert proc.stderr.startswith("error: TowerTooLarge") and len(proc.stderr.splitlines()) == 1
 
 
+def test_propm_battery_over_budget_exits_2_at_once(tmp_path):
+    # F_27 has 11232^2 pairs; without the cap the batteries built N x N
+    # arrays of about 1 GB each
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "addmds", "propm", "--p", "3", "--h", "3"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: BudgetExceeded: 126157824 pairs exceed budget 4194304\n"
+
+
+def test_propm_battery_budget_flag(capsys):
+    # F_9: 48^2 = 2304 pairs
+    code, out, err = run(capsys, "propm", "--p", "3", "--h", "2", "--budget-candidates", "2303")
+    assert code == 2 and out == "" and "2304 pairs exceed budget 2303" in err
+    code, out, _ = run(capsys, "propm", "--p", "3", "--h", "2", "--budget-candidates", "2304")
+    assert code == 0 and parse(out)["all_ok"] is True
+
+
 def test_rs_then_check_mds(capsys, tmp_path):
     rs_file = tmp_path / "rs.json"
     code, out, _ = run(capsys, "rs", "--p", "2", "--e", "1", "--h", "2",

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from addmds.errors import BudgetExceeded, NotInvertible
@@ -348,6 +349,25 @@ def test_semilinear_criterion_matches_oracle(f4, f8, f9, f16_over_f4):
         assert verify_semilinear_criterion(t) == oracles.brute_semilinear_report(t)
 
 
+@pytest.mark.parametrize("key", [(5, 1, 2), (3, 1, 3), (7, 1, 2), (2, 1, 4), (2, 3, 2)],
+                         ids=["F25", "F27", "F49", "F16_F2", "F64_F8"])
+def test_semilinear_criterion_matches_table_oracle(key):
+    t = field_create(*key)  # a tower of its own: the oracle fills its memos
+    assert verify_semilinear_criterion(t) == oracles.table_semilinear_report(t)
+
+
+@pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 2), (2, 1, 4), (3, 1, 3), (2, 2, 2)],
+                         ids=["F8", "F9", "F16_F2", "F27", "F16_F4"])
+def test_support_degrees_match_subfield_degree(key):
+    from addmds.propm import _support_degrees
+    from conftest import tower
+    t = tower(*key)
+    polys = invertible_linearized(t)
+    coeffs = np.array([f.coeffs for f in polys], dtype=np.int64)
+    assert _support_degrees(coeffs, t.h).tolist() == [
+        f.conjugation_subfield_degree() for f in polys]
+
+
 def _digest(report):
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -407,14 +427,15 @@ def test_semilinear_reports_each_mismatch_in_f_a_order(f9, monkeypatch):
     polys = invertible_linearized(f9)
     k = polys.index(LinearizedPoly.identity(f9))  # conj(X, b) = bX: always collapses
     logs = [6, 1, 4]  # marked out of element order on purpose
-    real = propm_mod.conjugation_table
+    real = propm_mod._collapse_table
 
-    def corrupted(ps):
-        table = real(ps).copy()
-        table[k, logs, 1] = 1
+    def corrupted(log_values, h):
+        table = real(log_values, h)
+        identity = (log_values == np.arange(log_values.shape[1])).all(axis=1)  # X(omega^r) = omega^r
+        table[np.ix_(identity, logs)] = False
         return table
 
-    monkeypatch.setattr(propm_mod, "conjugation_table", corrupted)
+    monkeypatch.setattr(propm_mod, "_collapse_table", corrupted)
     rep = verify_semilinear_criterion(f9)
     marked = sorted(f9.pow_int(f9.omega, r) for r in logs)
     assert not rep["ok"] and rep["pairs"] == 384

@@ -180,6 +180,15 @@ def test_search_budget(f25):
         k4_example_search(f25, budget=1000)
 
 
+def test_search_budget_charges_the_scanned_rows():
+    # F_81 over F_9, n = 6: 72^2 (alpha, beta), each scanning at most 2 * 81 g
+    t = field_create(3, 2, 2)
+    with pytest.raises(BudgetExceeded, match="^839808 candidates exceed budget 839807$"):
+        k4_example_search(t, budget=839807)
+    ex = k4_example_search(t)  # the default budget
+    assert ex is not None and ex.tower is t and len(ex.base[0]) == 6
+
+
 def test_example_invariants(f25):
     ex = k4_example_search(f25)
     good = dict(tower=f25, base=ex.base, alpha=ex.alpha, beta=ex.beta,
