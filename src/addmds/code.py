@@ -12,8 +12,10 @@ budget from the same F_p matrix of the coordinates, by one of two numpy
 routes that give the same list.  The rank route sums p^(K - rank) over the
 rank-deficient coordinate sets and inverts; it runs when it needs at most
 q^k / ``_RANK_COST`` subset ranks.  Otherwise the q^k messages are
-enumerated.  So d, A_0..A_n and MDS cost one distribution, and for an MDS
-code with large q^k that is sum_(s <= k) C(n, s) small F_p ranks.
+enumerated.  The budget charges the route that runs: q^k messages, or
+``_RANK_COST`` per rank of the walk.  So d, A_0..A_n and MDS cost one
+distribution, and for an MDS code with large q^k that is
+sum_(s <= k) C(n, s) small F_p ranks.
 
 Equivalence moves are coordinate permutations combined with per-coordinate
 invertible q-linearized substitutions; they preserve cardinality and weight
@@ -114,13 +116,8 @@ class AdditiveCode:
         red, pivots = linalg.mat_rref(t, self.expansion())
         red = red[: len(pivots)]
         for row in self.gen:
-            scaled = [t.mul(t.omega, x) for x in row]
-            v = [c for x in scaled for c in t.coords(x)]
-            for rr, pc in zip(red, pivots):
-                if v[pc]:
-                    f = v[pc]
-                    v = [t.sub(a, t.mul(f, b)) for a, b in zip(v, rr)]
-            if any(v):
+            v = [c for x in row for c in t.coords(t.mul(t.omega, x))]
+            if any(linalg.reduce_vector(t, red, pivots, v)):
                 return False
         return True
 
@@ -219,7 +216,8 @@ def _rank_weight_distribution(tower: FieldTower, k: int, groups, max_ranks: int 
     is walked, level by level: each deficient set is extended by every
     larger index and the new sets of a level are ranked in one batch.
 
-    Returns None, having done no more than ``max_ranks`` ranks, when the
+    Returns (A_0..A_n, ranks taken), or None exactly when the walk needs
+    more than ``max_ranks`` ranks, having done no more than that: when the
     sets it is sure to rank (``_sure_ranks``, from column counts alone) or
     the sets a level is about to rank bring the total above ``max_ranks``.
     """
@@ -254,7 +252,7 @@ def _rank_weight_distribution(tower: FieldTower, k: int, groups, max_ranks: int 
         excess[s] = sum(int(c) * (p ** (K - r) - 1) for r, c in enumerate(by_rank))
     b = [comb(n, s) + excess[s] for s in range(n + 1)]
     return [sum((-1) ** (s - j) * comb(s, j) * b[s] for s in range(j, n + 1))
-            for j in range(n, -1, -1)]
+            for j in range(n, -1, -1)], ranked
 
 
 def _sure_ranks(members, K):
@@ -286,24 +284,28 @@ def _cached_weights(obj, k, groups, budget, noun):
     Two routes give the same list.  The rank route
     (``_rank_weight_distribution``) goes first and may take q^k //
     ``_RANK_COST`` subset ranks, ``_RANK_COST`` being the messages the
-    enumeration covers in the time of one rank: it stops before any rank
-    when the ranks that column counts alone make certain exceed that, and
-    before a level of its walk that would exceed it.  Then the q^k
-    messages are enumerated (``_weight_distribution``).  The budget is
-    checked before the memo is read or either route runs, so neither the
-    route nor the cache state changes an answer or a BudgetExceeded; each
-    caller gets a fresh list.
+    enumeration covers in the time of one rank; otherwise the q^k
+    messages are enumerated (``_weight_distribution``).  A budget B is
+    charged the route that runs: it admits q^k <= B messages, or a rank
+    walk of at most B // ``_RANK_COST`` ranks.  Over q^k > B only a walk
+    can run, and the memo keeps the rank count of every completed walk, so
+    neither the route nor the cache state changes an answer or a
+    BudgetExceeded (weights enumerated before mean a walk longer than
+    q^k // ``_RANK_COST``).  Each caller gets a fresh list.
     """
     total = obj.tower.q ** k
     cap = DEFAULT_CODEWORD_BUDGET if budget is None else budget
-    if total > cap:
+    limit = min(total, cap) // _RANK_COST
+    cache = obj._cache
+    if "weights" not in cache:
+        walk = _rank_weight_distribution(obj.tower, k, groups, limit)
+        if walk is not None:
+            cache["weights"], cache["walk_ranks"] = tuple(walk[0]), walk[1]
+        elif total <= cap:
+            cache["weights"] = tuple(_weight_distribution(obj.tower, k, groups))
+    if total > cap and cache.get("walk_ranks", limit + 1) > limit:
         raise BudgetExceeded(f"{total} {noun} exceed budget {cap}")
-    if "weights" not in obj._cache:
-        weights = _rank_weight_distribution(obj.tower, k, groups, total // _RANK_COST)
-        if weights is None:
-            weights = _weight_distribution(obj.tower, k, groups)
-        obj._cache["weights"] = tuple(weights)
-    return list(obj._cache["weights"])
+    return list(cache["weights"])
 
 
 def _code_weights(code, budget):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from . import linalg
 from .code import AdditiveCode, _cached_weights, distance_from_weights
 from .errors import DimensionMismatch, SpanFailure
-from .gf import FieldTower, require_keys
+from .gf import FieldTower, _is_int, require_keys
 
 
 class ProjectiveHSystem:
@@ -235,15 +235,8 @@ def project_system(system: ProjectiveHSystem, index: int) -> ProjectiveHSystem:
     for j in range(system.n):
         if j == index:
             continue
-        blk = []
-        for u in system.blocks[j]:
-            v = list(u)
-            for rr, pc in zip(red, pivots):
-                if v[pc]:
-                    f = v[pc]
-                    v = [t.sub(a, t.mul(f, b)) for a, b in zip(v, rr)]
-            blk.append(tuple(v[c] for c in keep))
-        new_blocks.append(tuple(blk))
+        reduced = [linalg.reduce_vector(t, red, pivots, u) for u in system.blocks[j]]
+        new_blocks.append(tuple(tuple(v[c] for c in keep) for v in reduced))
     return ProjectiveHSystem(t, len(keep), new_blocks)
 
 
@@ -262,13 +255,13 @@ def system_to_dict(system: ProjectiveHSystem) -> dict:
 def system_from_dict(data: dict, tower: FieldTower | None = None) -> ProjectiveHSystem:
     """Inverse of ``system_to_dict``; ValueError when keys are missing,
     ``blocks`` is not a list of lists of vectors (lists) or ``dim`` is not
-    an integer."""
+    a non-negative integer."""
     keys = ("dim", "blocks") if tower is not None else ("field", "dim", "blocks")
     require_keys(data, keys, "system JSON", nested=("blocks",))
     if not all(isinstance(u, list) for blk in data["blocks"] for u in blk):
         raise ValueError("system JSON blocks must hold vectors as lists")
-    if not isinstance(data["dim"], int):
-        raise ValueError("system JSON dim must be an integer")
+    if not _is_int(data["dim"]) or data["dim"] < 0:
+        raise ValueError("system JSON dim must be an integer >= 0")
     t = tower if tower is not None else FieldTower.from_descriptor(data["field"])
     blocks = [[[t.from_digits(d) for d in u] for u in blk] for blk in data["blocks"]]
     return ProjectiveHSystem(t, data["dim"], blocks)

@@ -10,28 +10,23 @@ The Dickson matrix D(f)[i][j] = f_{(j-i) mod h}^(q^i) turns composition
 into matrix multiplication, so f is invertible iff det D(f) != 0, and the
 compositional inverse can be read off the first row of D(f)^(-1).
 
-``conjugation_table`` is the batched kernel for conj(f, b) = f o (bX) o
-f^(-1) over every nonzero b at once.  Coefficient l of conj(f, b) is
-sum_i C_f[l][i] * b^(q^i) with C_f[l][i] = f_i * (f^(-1))_{(l-i) mod h}^(q^i),
-so each b costs h^2 lookups on whole numpy columns and no polynomial
-objects are built.  ``compose_table`` is the second batched kernel: the
-coefficients of m o g for every row g of an int array, the same h^2 log
-lookups per row as ``compose``.  ``evaluation_table`` is the third: the
-values g(omega^r) of every row g at every nonzero point, h lookups per
-cell; rows come in lex order from ``lex_chunks``, so a value row with no
-zero marks an invertible g without any determinant.  All three add
+Three batched kernels work on int arrays of coefficient rows.
+``evaluation_table`` gives the values g(omega^r) of every row g at every
+nonzero point, h lookups per cell; rows come in lex order from
+``lex_chunks``, so a value row with no zero marks an invertible g without
+any determinant, and conj(f, b) = f o (bX) o f^(-1) is read off f's row,
+since conj(f, b)(f(y)) = f(b y).  ``compose_table`` gives the
+coefficients of m o g for every row g, the same h^2 log lookups per row
+as ``compose``.  ``inverse_table`` gives f^(-1) for every row f: it maps
+f(omega^r) to omega^r, so its values at omega^l, l < h, are read off f's
+value row and the inverse Moore matrix turns them into coefficients;
+every row is checked at every nonzero point before use.  All three add
 through one helper, ``_add``: XOR for p = 2, Zech logarithms for odd p.
 
-Compositional inverses come by two routes and share the tower memo
-``inverses``, each filling it in both directions.  ``inverse`` solves one
-Dickson matrix.  ``inverse_table`` inverts many rows at once: f^(-1) maps
-f(omega^r) to omega^r, so its values at omega^l, l < h, are read off f's
-``evaluation_table`` row, and the inverse Moore matrix turns them into
-coefficients; every row is checked at every nonzero point before use.
-``conjugation_table`` takes its inverses from the second route, chunk by
-chunk; it serves one polynomial at a time (the conj buckets of ``propm``),
-while the semilinear verifier reads value tables and needs no conjugate.
-The invertible list and the numpy tables are kept in the memo too.
+``inverse`` (one Dickson matrix) is the only memoised inverse: it alone
+reads and writes the tower memo ``inverses``, filling it in both
+directions, while ``inverse_table`` is a pure array function.  The
+invertible list and the numpy tables are kept in the memo too.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ import numpy as np
 from . import linalg
 from .errors import InvalidSubfield, NotInvertible
 
-CONJ_CHUNK_ROWS = 1 << 14  # (poly, b) rows per numpy step of conjugation_table
 EVAL_CHUNK_CELLS = 1 << 14  # (poly, point) cells per numpy step over lex blocks
 
 
@@ -213,45 +207,6 @@ class LinearizedPoly:
         return f"LinearizedPoly{self.coeffs}"
 
 
-def conjugation_table(polys):
-    """Coefficients of conj(f, b) = f o (bX) o f^(-1) for every f and b != 0.
-
-    ``polys`` is a nonempty sequence of invertible polynomials over one
-    tower.  Returns an int array of shape (len(polys), q^h - 1, h) whose
-    entry [k, r] is the coefficient vector of conj(polys[k], omega^r), so
-    rows are indexed by log b.  Work runs in chunks of at most
-    ``CONJ_CHUNK_ROWS`` (poly, b) rows, each chunk's inverses coming from
-    one ``_inverse_rows`` call.
-    """
-    if not polys:
-        raise ValueError("conjugation_table needs at least one polynomial")
-    t = polys[0].tower
-    for poly in polys:
-        t.check_same(poly.tower)
-    h, n = t.h, t._group_order
-    exp, log, zech = t.np_tables()
-    qpow = np.array(t._qpow, dtype=np.int64)
-    lag = (np.arange(h)[:, None] - np.arange(h)[None, :]) % h
-    log_b = np.arange(n, dtype=np.int64)[:, None] * qpow % n  # log b^(q^i), b = omega^r
-    out = np.empty((len(polys), n, h), dtype=np.min_scalar_type(t.size - 1))
-    step = max(1, CONJ_CHUNK_ROWS // n)
-    for lo in range(0, len(polys), step):
-        chunk = polys[lo:lo + step]
-        fi = np.array([poly.coeffs for poly in chunk], dtype=np.int64)[:, None, :]
-        gi = _inverse_rows(t, chunk)[:, lag]
-        # C[k, l, i] = f_i * finv_{(l-i) mod h}^(q^i), kept as a log and a nonzero mask
-        live = (fi != 0) & (gi != 0)
-        log_c = (log[fi] + log[gi] * qpow % n) % n
-        for l in range(h):
-            # terms[k, r, i] = C[k, l, i] * (omega^r)^(q^i)
-            terms = np.where(live[:, None, l], exp[log_c[:, None, l] + log_b], 0)
-            acc = terms[..., 0]
-            for i in range(1, h):
-                acc = _add(acc, terms[..., i], exp, log, zech, n)
-            out[lo:lo + step, :, l] = acc
-    return out
-
-
 def compose_table(m, coeffs):
     """Coefficients of m o g for every row g of the int array ``coeffs``.
 
@@ -306,56 +261,36 @@ def inverse_table(tower, coeffs):
     """Coefficients of f^(-1) for every row f of the int array ``coeffs``.
 
     ``coeffs`` has shape (rows, h) and holds field elements of ``tower``;
-    so has the result.  Raises NotInvertible for a singular row.  See
-    ``_inverse_rows``, which does the work.
+    so has the result.  f^(-1)(omega^l) is the omega^r with log f(omega^r)
+    = l, read off f's ``evaluation_table`` row, and the Moore inverse turns
+    the h values at l < h into coefficients.  Every inverse is checked,
+    f(f^(-1)(omega^s)) = omega^s at every nonzero point, before it is
+    returned.  Raises NotInvertible for a row whose value row has a zero.
+    No memo is read or written.
     """
     f = np.asarray(coeffs, dtype=np.int64)
     if f.ndim != 2 or f.shape[1] != tower.h:
         raise ValueError("inverse_table needs an array of shape (rows, h)")
-    return _inverse_rows(tower, [LinearizedPoly(tower, tuple(row)) for row in f.tolist()])
-
-
-def _inverse_rows(tower, polys):
-    """Coefficients of f^(-1) for every f in ``polys``, an int array of shape
-    (len(polys), h).
-
-    Inverses that the tower memo ``inverses`` holds are read from it.  The
-    others are computed together from their ``evaluation_table`` rows:
-    f^(-1)(omega^l) is the omega^r with log f(omega^r) = l, and the Moore
-    inverse turns the h values at l < h into coefficients.  Every computed
-    inverse is checked, f(f^(-1)(omega^s)) = omega^s at every nonzero point,
-    before any row is used, then memoised in both directions as
-    ``LinearizedPoly.inverse`` does.  Raises NotInvertible for a polynomial
-    whose value row has a zero.
-    """
-    h, n = tower.h, tower._group_order
-    memo = tower.memo("inverses")
-    todo = [f for f in polys if f.coeffs not in memo]
-    if todo:
-        exp, log, zech = tower.np_tables()
-        values = evaluation_table(tower, [f.coeffs for f in todo])
-        singular = (values == 0).any(axis=1)
-        if singular.any():
-            raise NotInvertible(f"no compositional inverse: {todo[singular.argmax()].coeffs}")
-        index = np.arange(len(todo))[:, None]
-        where = np.empty_like(values)  # where[k, log f_k(omega^r)] = r
-        where[index, log[values]] = np.arange(n)
-        at_basis = log[exp[where[:, :h]]]  # log f^(-1)(omega^l), l < h
-        inv = np.zeros((len(todo), h), dtype=np.int64)
-        for i, row in enumerate(_moore_inv(tower)):
-            for l, v in enumerate(row):
-                if v:
-                    inv[:, i] = _add(inv[:, i], exp[tower._log[v] + at_basis[:, l]],
-                                     exp, log, zech, n)
-        back = evaluation_table(tower, inv)  # f^(-1)(omega^s)
-        ok = (back != 0) & (values[index, log[back]] == exp[:n])
-        if not ok.all():
-            bad = todo[ok.all(axis=1).argmin()].coeffs
-            raise AssertionError(f"inverse_table: f(f^-1(x)) != x for {bad}")
-        for f, row in zip(todo, inv.tolist()):
-            finv = LinearizedPoly(tower, tuple(row))
-            memo[f.coeffs], memo[finv.coeffs] = finv, f
-    return np.array([memo[f.coeffs].coeffs for f in polys], dtype=np.int64).reshape(-1, h)
+    n = tower._group_order
+    exp, log, zech = tower.np_tables()
+    values = evaluation_table(tower, f)
+    singular = (values == 0).any(axis=1)
+    if singular.any():
+        raise NotInvertible(f"no compositional inverse: {tuple(f[singular.argmax()].tolist())}")
+    index = np.arange(len(f))[:, None]
+    where = np.empty_like(values)  # where[k, log f_k(omega^r)] = r = log f_k^(-1)(omega^l)
+    where[index, log[values]] = np.arange(n)
+    inv = np.zeros_like(f)
+    for i, row in enumerate(_moore_inv(tower)):
+        for l, v in enumerate(row):
+            if v:
+                inv[:, i] = _add(inv[:, i], exp[tower._log[v] + where[:, l]], exp, log, zech, n)
+    back = evaluation_table(tower, inv)  # f^(-1)(omega^s)
+    ok = (back != 0) & (values[index, log[back]] == exp[:n])
+    if not ok.all():
+        bad = tuple(f[ok.all(axis=1).argmin()].tolist())
+        raise AssertionError(f"inverse_table: f(f^-1(x)) != x for {bad}")
+    return inv
 
 
 def _moore_inv(tower):

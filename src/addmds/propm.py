@@ -17,17 +17,19 @@ of two-term polynomials, and the score-threshold-implies-monomial check.
 All verifiers enumerate complete small towers and return JSON-ready
 reports; none of them sample.
 
-Two routes compute conjugates.  The search side reads the batched
-``linpoly.conjugation_table``: ``_conj_buckets`` (so ``prop_triples`` and
-every score) takes one f's rows.  The checking side stays on
-``LinearizedPoly.compose``: ``PropWitness``, the transferred triples of
-``verify_inverse_lemma`` (both through ``_triple_holds``),
-``ZeroCoeffCertificate.validate`` and the batched zero-coefficient checks
-re-derive every triple they accept from the polynomials, independently of
-the table, and compare every triple they receive.
-``verify_semilinear_criterion`` computes no conjugate: conj(f, a) is
-scalar iff f(a y) = c f(y) for every y, which f's value row decides on the
-basis y = omega^l, l < h, in the same lex pass that screens invertibility.
+Two routes compute conjugates.  The search side reads value rows:
+``_conj_buckets`` (so ``prop_triples`` and every score) groups the b by
+conj(f, b) up to scalars from f's one ``evaluation_table`` row, since
+conj(f, b)(f(y)) = f(b y), and computes no inverse.  The checking side
+stays on ``LinearizedPoly.compose`` and the Dickson inverse:
+``PropWitness``, the transferred triples of ``verify_inverse_lemma``
+(both through ``_triple_holds``), ``ZeroCoeffCertificate.validate`` and
+the batched zero-coefficient checks re-derive every triple they accept
+from the polynomials, independently of the buckets, and compare every
+triple they receive.  ``verify_semilinear_criterion`` computes no
+conjugate: conj(f, a) is scalar iff f(a y) = c f(y) for every y, which
+f's value row decides on the basis y = omega^l, l < h, in the same lex
+pass that screens invertibility.
 
 Scores are searched once per orbit class of pairs.  The triples of (f, g)
 are exactly those of (lam*f(mu X), lam*g(nu X)) for nonzero lam, mu, nu:
@@ -52,7 +54,7 @@ stay the per-pair route for single pairs and for the tests' oracle.
 Work that depends on one polynomial or one element, not on the pair, is
 memoised on the tower (``FieldTower.memo``), so a battery pays it once:
 
-- compositional inverses (in ``linpoly``) and conj buckets;
+- Dickson inverses (in ``linpoly``) and conj buckets;
 - each polynomial's normal forms lam*f(mu X), first nonzero coefficient
   scaled to 1, one per lam, which ``_orbit_key`` and ``_orbit_classes``
   read;
@@ -78,7 +80,6 @@ from .errors import BudgetExceeded, NotInvertible
 from .linpoly import (
     EVAL_CHUNK_CELLS,
     LinearizedPoly,
-    conjugation_table,
     evaluation_table,
     inverse_table,
     invertible_linearized,
@@ -98,42 +99,48 @@ def _memoised(tower, name: str, key, build):
 
 
 def _conj_buckets(f: LinearizedPoly):
-    """Map: normalized conj(f,b) coefficient vector -> list of (b, leading coeff).
+    """Map: key of conj(f, b) up to scalars -> list of (b, conj(f, b)(1)).
 
-    Normalization divides by the first nonzero coefficient, so two
-    conjugates are proportional iff they share a bucket key.  The conjugates
-    are the rows of f's ``conjugation_table``; buckets are memoised on the
-    tower.
+    conj(f, b)(f(y)) = f(b y), so with where[log f(omega^r)] = r the log
+    u[b, l] of conj(f, b)(omega^l) is log f(b omega^where[l]), read off f's
+    one ``evaluation_table`` row.  omega^l, l < h, is an F_q-basis, so two
+    conjugates are proportional iff they share the key (u[b, l] - u[b, 0])
+    mod (q^h - 1), l = 1..h-1, and their ratio is the ratio of their values
+    at 1.  No inverse is computed; raises NotInvertible when f's value row
+    has a zero.  Buckets are memoised on the tower.
     """
     t = f.tower
 
     def build():
-        log = t.np_tables()[1]
-        rows = conjugation_table([f])[0][log[1:]].tolist()  # rows for b = 1, 2, ...
+        n = t._group_order
+        exp, log, _ = t.np_tables()
+        (values,) = evaluation_table(t, [f.coeffs])
+        if not values.all():
+            raise NotInvertible(f"no compositional inverse: {f.coeffs}")
+        log_v = log[values]
+        where = np.empty(n, dtype=np.int64)
+        where[log_v] = np.arange(n)
+        u = log_v[(log[1:, None] + where[:t.h]) % n]  # rows b = 1, 2, ...
+        keys = map(tuple, ((u[:, 1:] - u[:, :1]) % n).tolist())
         buckets = {}
-        for b, u in enumerate(rows, 1):
-            lead = next(c for c in u if c)
-            lead_inv = t.inv(lead)
-            norm = tuple(t.mul(lead_inv, c) for c in u)
-            buckets.setdefault(norm, []).append((b, lead))
+        for b, (key, lead) in enumerate(zip(keys, exp[u[:, 0]].tolist()), 1):
+            buckets.setdefault(key, []).append((b, lead))
         return buckets
     return _memoised(t, "conj_buckets", f.coeffs, build)
 
 
-def _require_invertible(f: LinearizedPoly, g: LinearizedPoly):
+def _pair_buckets(f: LinearizedPoly, g: LinearizedPoly):
+    """The conj buckets of f and of g; NotInvertible unless both are invertible."""
     try:
-        f.inverse()
-        g.inverse()
+        return _conj_buckets(f), _conj_buckets(g)
     except NotInvertible:
         raise NotInvertible("triples are defined for invertible pairs only") from None
 
 
 def prop_triples(f: LinearizedPoly, g: LinearizedPoly):
     """All (a, b, c) in (F_{q^h}*)^3 with a*conj(f,b) = conj(g,c), sorted by (b, c)."""
-    _require_invertible(f, g)
     t = f.tower
-    bf = _conj_buckets(f)
-    bg = _conj_buckets(g)
+    bf, bg = _pair_buckets(f, g)
     out = []
     for norm, blist in bf.items():
         clist = bg.get(norm)
@@ -403,7 +410,7 @@ def max_prop_m(f: LinearizedPoly, g: LinearizedPoly, budget: int | None = None):
     witness does, listed first.  The search runs once per orbit class
     (``_orbit_score``); the witness is validated against this very pair.
     """
-    _require_invertible(f, g)  # before the key: a zero f has no normal form
+    _pair_buckets(f, g)  # before the key: a zero f has no normal form
     _count, m, picked = _orbit_score(f, g, budget)
     return m, PropWitness(f, g, picked)
 

@@ -21,8 +21,8 @@ lex block at once from its value table: g passes when the block's row
 has no zero (invertible), its support spans more than one residue class
 mod s (not semi-linear), and no ratio g(beta y)/g(y) lies in the set
 L_alpha of lambdas.  The first hit is MDS by construction;
-``K4Example`` validates it again through ``mds_screen`` (Dickson
-determinants of w - lam X), and the full-enumeration check in
+``K4Example`` validates it again through ``mds_screen`` (the same ratio
+test on g's one value row), and the weight-distribution check in
 ``verify_k4_example`` is a confirmation, not a filter.
 """
 
@@ -46,7 +46,7 @@ from .code import (
     min_distance,
     project,
 )
-from .errors import BudgetExceeded, FieldTooSmall
+from .errors import BudgetExceeded, FieldTooSmall, NotInvertible
 from .gf import FieldTower, require_keys
 from .linpoly import LinearizedPoly, evaluation_table, lex_chunks
 
@@ -163,25 +163,36 @@ def _lambdas(tower, lambda_pairs, alpha):
     return [tower.add(tower.mul(lam1, alpha), lam2) for lam1, lam2 in lambda_pairs]
 
 
-def lambda_screen(w: LinearizedPoly, lams) -> bool:
-    """True when no x != 0 has w(x) = lam x for any lam in ``lams``.
+def _log_mask(tower, lams):
+    """Bool array over logs, set at log lam for every nonzero lam in ``lams``;
+    lam = 0 never equals a ratio of nonzero values."""
+    in_l = np.zeros(tower._group_order, dtype=bool)
+    in_l[[tower._log[lam] for lam in lams if lam]] = True
+    return in_l
 
-    Each w - lam X must be invertible, tested by its Dickson determinant.
-    Over all lam = lambda_1 alpha + lambda_2 with both lambdas in F_q this
-    is the span-avoidance predicate: w(x)/x lies outside the F_q-span of
-    {1, alpha} for every x != 0.  It validates a single candidate; the
-    hunt screens whole blocks through the equivalent ratio test of
-    ``_first_hit``.
-    """
-    return all((w - LinearizedPoly.scalar(w.tower, lam)).is_invertible() for lam in lams)
+
+def _ratios_avoid(tower, values, beta, in_l):
+    """Per row g of the value table ``values``: no ratio g(beta y)/g(y),
+    y != 0, has its log set in ``in_l``.  Column r is y = omega^r, so beta y
+    sits at column r + log beta.  Meaningful for rows with no zero only."""
+    order = tower._group_order
+    log_v = tower.np_tables()[1][values]
+    shifted = (np.arange(order) + tower._log[beta]) % order
+    return ~in_l[(log_v[:, shifted] - log_v) % order].any(axis=1)
 
 
 def mds_screen(tower: FieldTower, base, alpha: int, beta: int, g: LinearizedPoly) -> bool:
-    """Exact MDS test for the assembled code, via the elimination equations."""
+    """Exact MDS test for the assembled code, via the elimination equations:
+    alpha passes its constraints and no ratio g(beta y)/g(y), y != 0, lies
+    in L_alpha.  Raises NotInvertible when g's value row has a zero."""
     lambda_pairs, alpha_constraints = screen_conditions(tower, base)
     if not _alpha_ok(tower, base, alpha, alpha_constraints):
         return False
-    return lambda_screen(g.conjugate(beta), _lambdas(tower, lambda_pairs, alpha))
+    values = evaluation_table(tower, [g.coeffs])
+    if not values.all():
+        raise NotInvertible(f"no compositional inverse: {g.coeffs}")
+    in_l = _log_mask(tower, _lambdas(tower, lambda_pairs, alpha))
+    return bool(_ratios_avoid(tower, values, beta, in_l)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +267,14 @@ def _candidate_alphas(tower):
 def k4_example_search(tower: FieldTower, n: int = 6, budget: int | None = None):
     """First (alpha, beta, g) in lex order passing the MDS screen, or None.
 
-    For an invertible g, ``lambda_screen(g.conjugate(beta), L_alpha)``
-    holds iff no ratio g(beta y)/g(y), y != 0, lies in L_alpha (the
-    lambdas of alpha), since w(x) = lam x with x = g(y) reads
-    g(beta y) = lam g(y).  So each (alpha, beta) screens the g space in
-    lex blocks of at most ``linpoly.EVAL_CHUNK_CELLS`` value-table cells
-    (``_first_hit``) instead of one Dickson determinant per candidate and
-    lam.  The budget is charged, before any work, the most g the scans can
-    read: 2 size^(h-1) per (alpha, beta).  None is returned only after the
+    For an invertible g, w = g(beta g^{-1}(X)) has w(x) = lam x with
+    x = g(y) exactly when g(beta y) = lam g(y), so g passes when no ratio
+    g(beta y)/g(y), y != 0, lies in L_alpha (the lambdas of alpha).  Each
+    (alpha, beta) screens the g space in lex blocks of at most
+    ``linpoly.EVAL_CHUNK_CELLS`` value-table cells (``_first_hit``), the
+    ratio test and the log mask of L_alpha shared with ``mds_screen``.  The
+    budget is charged, before any work, the most g the scans can read:
+    2 size^(h-1) per (alpha, beta).  None is returned only after the
     whole space is exhausted.
     """
     base = base_mds_matrix(tower, 4, n)
@@ -277,9 +288,7 @@ def k4_example_search(tower: FieldTower, n: int = 6, budget: int | None = None):
         if not _alpha_ok(tower, base, alpha, alpha_constraints):
             continue
         d_alpha = tower.subfield_degree(alpha)
-        # L_alpha by log; lam = 0 never equals a ratio of nonzero values
-        in_l = np.zeros(tower._group_order, dtype=bool)
-        in_l[[tower._log[lam] for lam in _lambdas(tower, lambda_pairs, alpha) if lam]] = True
+        in_l = _log_mask(tower, _lambdas(tower, lambda_pairs, alpha))
         for beta in outside:
             s = gcd(d_alpha, tower.subfield_degree(beta))
             if s == 1:
@@ -297,20 +306,15 @@ def _first_hit(tower: FieldTower, s: int, beta: int, in_l):
     Scaling g by c != 0 keeps all three conditions, and a g with g_0 >= 2
     has the earlier multiple g / g_0, so the first hit has g_0 <= 1: the
     scan covers the 2 size^(h-1) polynomials up to g_0 = 1, in blocks of
-    ``lex_chunks``.  Column r of a value table is y = omega^r; beta y sits
-    at column r + log beta.
+    ``lex_chunks``.
     """
-    order = tower._group_order
-    _, log, _ = tower.np_tables()
-    shifted = (np.arange(order) + tower._log[beta]) % order
     residue = np.arange(tower.h) % s
     for block in lex_chunks(tower, 2 * tower.size ** (tower.h - 1)):
         values = evaluation_table(tower, block)
         support = block != 0
         classes = sum(support[:, residue == c].any(axis=1) for c in range(s))
-        log_v = log[values]
-        ratios = (log_v[:, shifted] - log_v) % order
-        ok = (values != 0).all(axis=1) & (classes > 1) & ~in_l[ratios].any(axis=1)
+        ok = ((values != 0).all(axis=1) & (classes > 1)
+              & _ratios_avoid(tower, values, beta, in_l))
         hits = np.flatnonzero(ok)
         if hits.size:
             return LinearizedPoly(tower, tuple(block[hits[0]].tolist()))
@@ -322,8 +326,9 @@ def _first_hit(tower: FieldTower, s: int, beta: int, in_l):
 
 def verify_k4_example(ex: K4Example, codeword_budget: int | None = None,
                       candidate_budget: int | None = None) -> dict:
-    """Full confirmation: MDS by enumeration, two linearizable projections,
-    and an exhaustive negative witness search for the code itself."""
+    """Full confirmation: MDS from the weight distribution, two
+    linearizable projections, and an exhaustive negative witness search
+    for the code itself."""
     t = ex.tower
     code = ex.code
     n = code.n

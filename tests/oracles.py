@@ -19,7 +19,7 @@ import numpy as np
 
 from addmds import linalg
 from addmds.code import LinearWitness, to_interpolation_form, to_standard_form
-from addmds.linpoly import LinearizedPoly, conjugation_table, invertible_linearized
+from addmds.linpoly import LinearizedPoly, _add, inverse_table, invertible_linearized
 from addmds.propm import (
     _exact_matching,
     _levels_from_triples,
@@ -29,7 +29,7 @@ from addmds.propm import (
     twist_to_nonzero_f0,
     zero_coeff_bound,
 )
-from addmds.search import _alpha_ok, _lambdas, base_mds_matrix, lambda_screen, screen_conditions
+from addmds.search import _alpha_ok, _lambdas, base_mds_matrix, screen_conditions
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +167,37 @@ def is_bijective(tower, coeffs):
     return len(seen) == tower.size
 
 
+def conjugation_table(polys):
+    """Coefficients of conj(f, b) = f o (bX) o f^(-1) for every f and b != 0.
+
+    ``polys`` is a nonempty sequence of invertible polynomials over one
+    tower.  Returns an int array of shape (len(polys), q^h - 1, h) whose
+    entry [k, r] is the coefficient vector of conj(polys[k], omega^r).
+    Coefficient l is sum_i C_f[l][i] b^(q^i) with C_f[l][i] =
+    f_i (f^(-1))_{(l-i) mod h}^(q^i), the inverses from ``inverse_table``.
+    """
+    if not polys:
+        raise ValueError("conjugation_table needs at least one polynomial")
+    t = polys[0].tower
+    h, n = t.h, t._group_order
+    exp, log, zech = t.np_tables()
+    qpow = np.array(t._qpow, dtype=np.int64)
+    lag = (np.arange(h)[:, None] - np.arange(h)[None, :]) % h
+    log_b = np.arange(n, dtype=np.int64)[:, None] * qpow % n  # log b^(q^i), b = omega^r
+    fi = np.array([f.coeffs for f in polys], dtype=np.int64)[:, None, :]
+    gi = inverse_table(t, fi[:, 0])[:, lag]
+    live = (fi != 0) & (gi != 0)
+    log_c = (log[fi] + log[gi] * qpow % n) % n
+    out = np.empty((len(polys), n, h), dtype=np.int64)
+    for l in range(h):
+        terms = np.where(live[:, None, l], exp[log_c[:, None, l] + log_b], 0)
+        acc = terms[..., 0]
+        for i in range(1, h):
+            acc = _add(acc, terms[..., i], exp, log, zech, n)
+        out[:, :, l] = acc
+    return out
+
+
 # ---------------------------------------------------------------------------
 # codes by brute force
 
@@ -242,6 +273,12 @@ def span_avoidance_direct(g, beta, alpha):
     span = {t.add(t.mul(l1, alpha), l2)
             for l1 in t.fq_elements for l2 in t.fq_elements}
     return all(t.mul(w(x), t.inv(x)) not in span for x in t.nonzero())
+
+
+def lambda_screen(w, lams):
+    """True when no x != 0 has w(x) = lam x for any lam in ``lams``: each
+    w - lam X is invertible, by its Dickson determinant."""
+    return all((w - LinearizedPoly.scalar(w.tower, lam)).is_invertible() for lam in lams)
 
 
 def scalar_k4_search(tower, n):

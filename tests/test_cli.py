@@ -274,6 +274,13 @@ def test_hunt_and_verify(capsys, tmp_path, monkeypatch):
     assert parse(out)["verification"]["ok"] is True
 
 
+def test_hunt_f81_verifies_under_the_default_budgets(capsys, tmp_path):
+    # 9^8 codewords exceed the default codeword budget; the rank walk fits it
+    code, out, _ = run(capsys, "hunt-k4", "--p", "3", "--e", "2", "--h", "2",
+                       "--out", str(tmp_path / "ex.json"))
+    assert code == 0 and parse(out)["verification"]["ok"] is True
+
+
 def test_hunt_out_flag(capsys, tmp_path):
     target = tmp_path / "custom.json"
     code, _, _ = run(capsys, "hunt-k4", "--p", "5", "--e", "1", "--h", "2",

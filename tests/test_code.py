@@ -149,7 +149,7 @@ def _check_routes(obj, twin):
     brute-force oracle runs, so does ``twin``'s distribution."""
     k, groups = _groups(obj)
     want = code_mod._weight_distribution(obj.tower, k, groups)
-    assert code_mod._rank_weight_distribution(obj.tower, k, groups) == want
+    assert code_mod._rank_weight_distribution(obj.tower, k, groups)[0] == want
     if twin.tower.q ** twin.k_fq <= 10 ** 4:
         assert want == oracles.brute_weight_distribution(twin)
     return want
@@ -206,7 +206,7 @@ def test_weight_route_cost_model(zeros, copies, route, monkeypatch):
     assert want[0] == 1 and sum(want) == t.q ** code.k_fq
     assert seen["ranks"] == {"rank": 911, "enumeration": 0}.get(route, 793)
     assert seen["enumerations"] == (route != "rank")
-    assert code_mod._rank_weight_distribution(t, k, groups) == want
+    assert code_mod._rank_weight_distribution(t, k, groups)[0] == want
 
 
 def test_weight_enumerator(f9):
@@ -221,6 +221,45 @@ def test_codeword_budget(f9):
     code = rs_code(f9, 3)
     with pytest.raises(BudgetExceeded):
         min_distance(code, budget=100)
+
+
+def _padded_k4(zeros):
+    """The F_25 k = 4 example (5^8 codewords) with ``zeros`` zero coordinates
+    in front: its rank walk takes 56 ranks, with 5 zeros 1,823."""
+    t = conftest.tower(5, 1, 2)
+    return AdditiveCode(t, [(0,) * zeros + row for row in k4_example_search(t).code.gen])
+
+
+def test_codeword_budget_charges_the_rank_walk():
+    code = _padded_k4(0)
+    k, groups = _groups(code)
+    ranks = code_mod._rank_weight_distribution(code.tower, k, groups)[1]
+    cap = ranks * code_mod._RANK_COST
+    assert ranks == 56 and cap < 5 ** 8
+    with pytest.raises(BudgetExceeded, match=f"^390625 codewords exceed budget {cap - 1}$"):
+        is_mds(_padded_k4(0), budget=cap - 1)
+    assert is_mds(_padded_k4(0), budget=cap)
+
+
+def _budget_outcome(code, budget):
+    try:
+        return weight_enumerator(code, budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("zeros", [0, 5], ids=["rank walk", "enumeration"])
+def test_codeword_budget_outcome_ignores_the_memo(zeros):
+    # a code object that computed its weights under the default budget
+    # answers every later budget as a fresh object does
+    warm = _padded_k4(zeros)
+    weight_enumerator(warm)
+    outcomes = []
+    for budget in (22399, 22400, 5 ** 8 - 1, 5 ** 8):
+        outcomes.append(_budget_outcome(warm, budget))
+        assert outcomes[-1] == _budget_outcome(_padded_k4(zeros), budget)
+    raised = [isinstance(o, str) for o in outcomes]
+    assert raised == ([True, False, False, False] if zeros == 0 else [True, True, True, False])
 
 
 def test_generator_validation(f4):

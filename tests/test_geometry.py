@@ -285,3 +285,12 @@ def test_system_json_roundtrip(f4):
                      (dict(data, blocks=[[5]]), "vectors as lists")):
         with pytest.raises(ValueError, match=msg):
             system_from_dict(bad)
+
+
+@pytest.mark.parametrize("dim", [True, -2], ids=["bool", "negative"])
+def test_system_json_rejects_bad_dim(f4, dim):
+    data = dict(system_to_dict(system_from_code(rs_code(f4, 2))), dim=dim)
+    with pytest.raises(ValueError, match="^system JSON dim must be an integer >= 0$"):
+        system_from_dict(data)
+    with pytest.raises(ValueError, match="^system JSON dim must be an integer >= 0$"):
+        system_from_dict({"field": data["field"], "dim": dim, "blocks": []})

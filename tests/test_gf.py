@@ -81,6 +81,23 @@ def test_order_against_repeated_multiplication(key):
         t.order(0)
 
 
+def test_reduce_vector_decides_span_membership(f9):
+    rng = random.Random(12)
+    for _ in range(60):
+        rows = [[rng.choice((0, rng.randrange(9))) for _ in range(5)] for _ in range(3)]
+        red, pivots = linalg.mat_rref(f9, rows)
+        red = red[: len(pivots)]
+        v = [rng.randrange(9) for _ in range(5)]
+        if rng.random() < 0.5:  # a combination of the rows
+            v = [0] * 5
+            for row in rows:
+                c = rng.randrange(9)
+                v = [f9.add(a, f9.mul(c, b)) for a, b in zip(v, row)]
+        out = linalg.reduce_vector(f9, red, pivots, v)
+        assert all(out[c] == 0 for c in pivots)
+        assert (not any(out)) == (linalg.mat_rank(f9, rows + [v]) == len(pivots))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_stack_ranks_against_mat_rank(p):
     t = field_create(p, 1, 1)  # F_p itself: elements are the residues

@@ -7,9 +7,11 @@ import pytest
 
 from addmds.errors import BudgetExceeded, NotInvertible
 from addmds.gf import field_create
+from addmds import linpoly, propm
 from addmds.linpoly import LinearizedPoly, invertible_linearized, random_invertible
 from addmds.propm import (
     PropWitness,
+    _conj_buckets,
     build_zero_coeff_certificate,
     max_prop_m,
     prop_triples,
@@ -50,6 +52,46 @@ def test_triples_complete_sampled_f9(f9):
 def test_triples_require_invertible(f9):
     with pytest.raises(NotInvertible):
         prop_triples(LinearizedPoly.zero(f9), LinearizedPoly.identity(f9))
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 1, 3)],
+                         ids=["F4", "F8", "F9", "F16_F4", "F27"])
+def test_conj_buckets_match_conjugation_table(key):
+    """The value-row buckets against the coefficient rows of the oracle's
+    table: the same b-partition of every f, one table class per bucket key
+    on the whole tower, and value leads that differ from coefficient leads
+    by one factor per class, so every a = lc/lb agrees."""
+    t = field_create(*key)
+    polys = invertible_linearized(t)
+    log = t.np_tables()[1]
+    table_key, factor = {}, {}
+    for f, rows in zip(polys, oracles.conjugation_table(polys)):
+        buckets = _conj_buckets(f)
+        assert sorted(b for members in buckets.values() for b, _ in members) == list(t.nonzero())
+        for key_v, members in buckets.items():
+            for b, lead in members:
+                row = rows[log[b]].tolist()
+                lead_inv = t.inv(next(c for c in row if c))
+                norm = tuple(t.mul(lead_inv, c) for c in row)
+                assert table_key.setdefault(key_v, norm) == norm
+                assert factor.setdefault(norm, t.mul(lead, lead_inv)) == t.mul(lead, lead_inv)
+    assert len(set(table_key.values())) == len(table_key)
+
+
+def test_prop_triples_compute_no_inverse(monkeypatch):
+    t, rng = field_create(3, 1, 3), random.Random(32)
+    f, g = random_invertible(t, rng), random_invertible(t, rng)
+    want = prop_triples(f, g)
+
+    def refuse(*args):
+        raise AssertionError("an inverse was computed")
+
+    monkeypatch.setattr(LinearizedPoly, "inverse", refuse)
+    monkeypatch.setattr(linpoly, "inverse_table", refuse)
+    monkeypatch.setattr(propm, "inverse_table", refuse)
+    fresh = field_create(3, 1, 3)
+    got = prop_triples(LinearizedPoly(fresh, f.coeffs), LinearizedPoly(fresh, g.coeffs))
+    assert got == want and len(got) > 1
 
 
 def test_identity_triple_always_present(f9):

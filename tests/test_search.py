@@ -6,18 +6,19 @@ import pytest
 
 from addmds import linpoly
 from addmds.code import is_mds, linear_equivalence_witness, project
-from addmds.errors import BudgetExceeded, FieldTooSmall
+from addmds.errors import BudgetExceeded, FieldTooSmall, NotInvertible
 from addmds.gf import field_create
 from addmds.linpoly import LinearizedPoly, all_linearized, invertible_linearized
 from addmds.search import (
     K4Example,
+    _alpha_ok,
     _first_hit,
+    _lambdas,
     assemble_code,
     base_mds_matrix,
     example_from_dict,
     example_to_dict,
     k4_example_search,
-    lambda_screen,
     largest_proper_divisor,
     mds_screen,
     nq_bounds,
@@ -90,6 +91,29 @@ def test_screen_agrees_with_bruteforce_mds(f25):
         seen_true += screened
         seen_false += not screened
     assert agree >= 12
+
+
+@pytest.mark.parametrize("p", [5, 7], ids=["F25", "F49"])
+def test_mds_screen_matches_dickson_screen(p):
+    """The value-row screen against the Dickson determinants of
+    w - lam X, w = g(beta g^(-1)(X)), on random (alpha, beta, g)."""
+    t = conftest.tower(p, 1, 2)
+    base = base_mds_matrix(t, 4, 6)
+    lambda_pairs, alpha_constraints = screen_conditions(t, base)
+    rng = random.Random(44)
+    outside = [x for x in t.elements() if not t.in_fq(x)]
+    invs = invertible_linearized(t)
+    seen = set()
+    for _ in range(60):
+        alpha, beta, g = rng.choice(outside), rng.choice(outside), rng.choice(invs)
+        expect = (_alpha_ok(t, base, alpha, alpha_constraints) and oracles.lambda_screen(
+            g.conjugate(beta), _lambdas(t, lambda_pairs, alpha)))
+        assert mds_screen(t, base, alpha, beta, g) == expect
+        seen.add(expect)
+    assert seen == {True, False}
+    alpha = next(a for a in outside if _alpha_ok(t, base, a, alpha_constraints))
+    with pytest.raises(NotInvertible):
+        mds_screen(t, base, alpha, outside[0], LinearizedPoly(t, (t.neg(1), 1)))  # X^q - X
 
 
 def test_search_first_hit_frozen(f25):
@@ -168,7 +192,7 @@ def test_first_hit_matches_dickson_screen(key, trials, most, outcomes):
         in_l[[t._log[lam] for lam in lams]] = True
         expect = next((f.coeffs for f in all_linearized(t)
                        if f.is_invertible() and not f.is_semilinear(s)
-                       and lambda_screen(f.conjugate(beta), lams)), None)
+                       and oracles.lambda_screen(f.conjugate(beta), lams)), None)
         got = _first_hit(t, s, beta, in_l)
         assert (got and got.coeffs) == expect
         seen.add(None if expect is None else expect[0])
@@ -256,7 +280,7 @@ def _screened_span(g, beta, alpha):
     """The lambda screen over every lambda_1 alpha + lambda_2 in the F_q-span of {1, alpha}."""
     t = g.tower
     lams = [t.add(t.mul(l1, alpha), l2) for l1 in t.fq_elements for l2 in t.fq_elements]
-    return lambda_screen(g.conjugate(beta), lams)
+    return oracles.lambda_screen(g.conjugate(beta), lams)
 
 
 def test_span_avoidance_routes_agree_h2(f25):
