@@ -17,7 +17,6 @@ from datetime import datetime, timezone
 
 from . import geometry, propm, search
 from .code import (
-    DEFAULT_CANDIDATE_BUDGET,
     apply_move,
     code_from_dict,
     code_to_dict,
@@ -80,13 +79,9 @@ def _load_json(path: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _MalformedInput(
+        raise ValueError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-
-
-class _MalformedInput(Exception):
-    pass
 
 
 def _load_code(cfg: RunConfig):
@@ -110,17 +105,9 @@ def _emit(cfg: RunConfig, payload: dict, out: str | None = None) -> None:
 # ---------------------------------------------------------------------------
 # subcommands; each returns True when every assertion passed
 
-def _gl_order(t: FieldTower) -> int:
-    """|GL_h(F_q)|: the number of invertible q-linearized polynomials."""
-    order = 1
-    for i in range(t.h):
-        order *= t.size - t.q ** i
-    return order
-
-
 def _cmd_field(cfg: RunConfig) -> bool:
     t = _tower(cfg)
-    glh = _gl_order(t)
+    glh = propm.gl_order(t)
     _emit(cfg, {
         "field": t.descriptor(),
         "q": t.q,
@@ -250,17 +237,14 @@ def _cmd_propm(cfg: RunConfig) -> bool:
             "inverse_lemma": inverse,
         })
         return bool(inverse["ok"])
-    # the batteries hold N x N arrays over the N invertible polynomials
-    pairs = _gl_order(t) ** 2
-    cap = DEFAULT_CANDIDATE_BUDGET if cfg.budget_candidates is None else cfg.budget_candidates
-    if pairs > cap:
-        raise BudgetExceeded(f"{pairs} pairs exceed budget {cap}")
+    budget = cfg.budget_candidates
+    propm.check_pair_budget(t, budget)  # before any battery runs
     n = cfg.n if cfg.n is not None else t.size + 1
     reports = {
         "semilinear_criterion": propm.verify_semilinear_criterion(t),
-        "zero_coefficient_lemma": propm.verify_zero_coeff_lemma(t),
+        "zero_coefficient_lemma": propm.verify_zero_coeff_lemma(t, budget),
         "two_nonzero_lemma": propm.verify_two_nonzero_lemma(t),
-        "prop_m_implication": propm.verify_lm_prop_implication(t, n),
+        "prop_m_implication": propm.verify_lm_prop_implication(t, n, budget),
         "inverse_lemma_samples": _inverse_samples(t, cfg.seed),
     }
     ok = all(r["ok"] for r in reports.values())
@@ -391,9 +375,6 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(**vars(ns))
         ok = _COMMANDS[cfg.command](cfg)
-    except _MalformedInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -172,7 +172,7 @@ def _normalize_point(tower, point):
     return None
 
 
-def desarguesian_membership(tower: FieldTower, generators, point_len: int | None = None):
+def desarguesian_membership(tower: FieldTower, generators):
     """Decide whether the span of ``generators`` is a multiplication-spread member.
 
     The spread partitions F_q^(hk) into the h-dimensional subspaces obtained
@@ -188,8 +188,6 @@ def desarguesian_membership(tower: FieldTower, generators, point_len: int | None
         raise ValueError("ragged generator list")
     if dim % tower.h:
         raise ValueError(f"vector length {dim} is not a multiple of h = {tower.h}")
-    if point_len is not None and dim != point_len * tower.h:
-        raise ValueError("generator length does not match the requested point length")
     if linalg.mat_rank(tower, [list(u) for u in gens]) != tower.h:
         return None
     ref = None

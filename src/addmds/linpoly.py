@@ -31,7 +31,6 @@ invertible list and the numpy tables are kept in the memo too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -88,19 +87,6 @@ class LinearizedPoly:
 
     def is_monomial(self):
         return len(self.support()) == 1
-
-    def conjugation_subfield_degree(self) -> int:
-        """The s with: conjugate(self, a) is scalar exactly for a in F_{q^s}.
-
-        Equals gcd(h, all differences of support indices); divides h.
-        """
-        sup = self.support()
-        if not sup:
-            raise ValueError("zero polynomial")
-        d = self.tower.h
-        for i in sup[1:]:
-            d = math.gcd(d, i - sup[0])
-        return d
 
     def is_semilinear(self, s: int) -> bool:
         """True iff f(a X) = a^(q^i) f(X) for all a in F_{q^s} and some i.
@@ -314,6 +300,17 @@ def lex_chunks(tower, stop):
     step = max(1, EVAL_CHUNK_CELLS // tower._group_order)
     for lo in range(0, stop, step):
         yield lex_block(tower, lo, min(lo + step, stop))
+
+
+def support_degrees(coeffs, h):
+    """gcd(h, every support index minus the first one) of each nonzero row of
+    the int array ``coeffs``: the s for which conj(f, a) is scalar exactly
+    when a lies in F_{q^s}.  f is semi-linear over F_{q^t}, t | h, exactly
+    when t divides s (``is_semilinear``: the support lies in one residue
+    class mod t)."""
+    support = coeffs != 0
+    gaps = np.where(support, np.arange(h) - support.argmax(axis=1)[:, None], 0)
+    return np.gcd(np.gcd.reduce(gaps, axis=1), h)
 
 
 def _add(a, b, exp, log, zech, n):

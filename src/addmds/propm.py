@@ -38,33 +38,36 @@ are exactly those of (lam*f(mu X), lam*g(nu X)) for nonzero lam, mu, nu:
     conj(lam*f, b) = lam*conj(f, b)(lam^{-1} X),  the same lam^{1-q^l}
                                              factor on both sides.
 
-So ``_orbit_key`` names the class, and two results are memoised under it:
-the exact score and witness (``_orbit_score``, read by ``max_prop_m`` and
-by ``verify_inverse_lemma`` for its derived pairs) and the lm-prop bound
-(``_orbit_bound``).  The batteries never key pairs one at a time:
-``_orbit_classes`` gives the whole N x N array of class ids of a
-polynomial list from one ranking of all normal forms, and each battery
-calls the memoised search or bound once per class.  Every pair is still
-checked.  ``verify_zero_coeff_lemma`` tests each class's witness, and
-each pair's certificate identity, against all pairs of the class in numpy
-passes over per-polynomial tables (``_witness_tables``, ``_class_checks``):
-the same checks as ``PropWitness`` and ``ZeroCoeffCertificate``, which
-stay the per-pair route for single pairs and for the tests' oracle.
+So ``_orbit_key`` names the class, and the exact score and witness are
+memoised under it (``_orbit_score``, memo ``orbit_scores``, read by
+``max_prop_m`` and by ``verify_inverse_lemma`` for its derived pairs).
+The batteries never key pairs one at a time: ``_orbit_classes`` gives
+the whole N x N array of class ids of a polynomial list from one ranking
+of all normal forms, and each battery searches or bounds
+(``_triple_bound``) once per class.  Every pair is still checked.
+``verify_zero_coeff_lemma`` tests each class's witness, and each pair's
+certificate identity, against all pairs of the class in numpy passes over
+per-polynomial tables (``_witness_tables``, ``_class_checks``): the same
+checks as ``PropWitness`` and ``ZeroCoeffCertificate``, which stay the
+per-pair route for single pairs and for the tests' oracle.  Both
+batteries charge their |GL_h(F_q)|^2 pairs to a budget before they
+enumerate anything (``check_pair_budget``).
 
-Work that depends on one polynomial or one element, not on the pair, is
-memoised on the tower (``FieldTower.memo``), so a battery pays it once:
+Work that depends on one polynomial, not on the pair, is memoised on the
+tower (``FieldTower.memo``), so a battery pays it once:
 
-- Dickson inverses (in ``linpoly``) and conj buckets;
+- Dickson inverses (``inverses``, in ``linpoly``) and conj buckets
+  (``conj_buckets``);
 - each polynomial's normal forms lam*f(mu X), first nonzero coefficient
-  scaled to 1, one per lam, which ``_orbit_key`` and ``_orbit_classes``
-  read;
-- conj(f, b) from the ``compose`` chain, keyed by (f.coeffs, b), which
-  ``_triple_holds`` and ``_witness_tables`` read;
-- each normalized polynomial's certificate minor and diagonal, each
-  element's difference vector and the shift matrix L;
-- the certificate products Mhat*D and Mhat*D*B and the relation
-  B^q = L*B, keyed by the certificate's own matrices and vectors, so a
-  certificate with other entries never reads another's result.
+  scaled to 1, one per lam (``orbit_normal_forms``);
+- conj(f, b) from the ``compose`` chain (``conjugates``, keyed by
+  (f.coeffs, b)), which ``_triple_holds`` and ``_witness_tables`` read;
+- each normalized polynomial's certificate minor and diagonal
+  (``zero_coeff_parts``), and the shift matrix L (``zero_coeff_shift``).
+
+Certificate products are not memoised: ``_witness_tables`` forms
+Mhat_f*D_f once per polynomial and multiplies it by every B(b), and
+``ZeroCoeffCertificate.validate`` computes from its own fields.
 """
 
 from __future__ import annotations
@@ -84,9 +87,10 @@ from .linpoly import (
     inverse_table,
     invertible_linearized,
     lex_chunks,
+    support_degrees,
 )
 
-DEFAULT_TRIPLE_BUDGET = 1 << 22
+DEFAULT_BUDGET = 1 << 22  # candidate triples of a pair; pairs of a battery
 
 
 def _memoised(tower, name: str, key, build):
@@ -155,26 +159,9 @@ def prop_triples(f: LinearizedPoly, g: LinearizedPoly):
 
 
 def _triple_bound(f: LinearizedPoly, g: LinearizedPoly) -> int:
-    """min(#distinct a, #distinct b, #distinct c) over ``prop_triples(f, g)``.
-
-    Read from the conj buckets without building the triples: each b (c)
-    lies in one bucket of f (g), so #b (#c) sums the bucket lengths over the
-    keys f and g share, and the a-values are the set of lc * lb^{-1}.
-    """
-    t = f.tower
-    bg = _conj_buckets(g)
-    n_b = n_c = 0
-    a_values = set()
-    for norm, blist in _conj_buckets(f).items():
-        clist = bg.get(norm)
-        if not clist:
-            continue
-        n_b += len(blist)
-        n_c += len(clist)
-        for _b, lb in blist:
-            lb_inv = t.inv(lb)
-            a_values.update([t.mul(lc, lb_inv) for _c, lc in clist])
-    return min(len(a_values), n_b, n_c)
+    """min(#distinct a, #distinct b, #distinct c) over ``prop_triples(f, g)``:
+    no set of triples distinct in every coordinate is larger."""
+    return min(len(set(values)) for values in zip(*prop_triples(f, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +322,25 @@ def _class_members(ids):
     return (np.flatnonzero(flat == c) for c in ordered[first].tolist() if c >= 0)
 
 
-def _check_budget(count: int, budget: int | None = None):
-    cap = DEFAULT_TRIPLE_BUDGET if budget is None else budget
+def _check_budget(count: int, what: str, budget: int | None = None):
+    cap = DEFAULT_BUDGET if budget is None else budget
     if count > cap:
-        raise BudgetExceeded(f"{count} candidate triples exceed budget {cap}")
+        raise BudgetExceeded(f"{count} {what} exceed budget {cap}")
+
+
+def gl_order(tower) -> int:
+    """|GL_h(F_q)|: the number of invertible q-linearized polynomials."""
+    order = 1
+    for i in range(tower.h):
+        order *= tower.size - tower.q ** i
+    return order
+
+
+def check_pair_budget(tower, budget: int | None = None):
+    """BudgetExceeded when the |GL_h(F_q)|^2 pairs of invertible polynomials,
+    which a battery holds in N x N arrays, exceed ``budget`` (default 2^22).
+    Closed form: nothing is enumerated."""
+    _check_budget(gl_order(tower) ** 2, "pairs", budget)
 
 
 def _orbit_score(f: LinearizedPoly, g: LinearizedPoly, budget: int | None = None):
@@ -348,16 +350,11 @@ def _orbit_score(f: LinearizedPoly, g: LinearizedPoly, budget: int | None = None
     budget is checked against the triple count on a hit as on a miss."""
     def build():
         triples = prop_triples(f, g)
-        _check_budget(len(triples), budget)
+        _check_budget(len(triples), "candidate triples", budget)
         return len(triples), *_best_witness(triples)
     hit = _memoised(f.tower, "orbit_scores", _orbit_key(f, g), build)
-    _check_budget(hit[0], budget)
+    _check_budget(hit[0], "candidate triples", budget)
     return hit
-
-
-def _orbit_bound(f: LinearizedPoly, g: LinearizedPoly) -> int:
-    """``_triple_bound(f, g)``, memoised per orbit key."""
-    return _memoised(f.tower, "orbit_bounds", _orbit_key(f, g), lambda: _triple_bound(f, g))
 
 
 def _conjugate(f: LinearizedPoly, b: int) -> tuple:
@@ -451,8 +448,7 @@ class ZeroCoeffCertificate:
     (b_j^{q^i} - b_j) for i = 1..h-1, every triple satisfies
     a_j * Mhat_f * D_f * B_j = Mhat_g * D_g * C_j, and B_j's entrywise
     q-th power equals L * B_j.  Matrices are tuples of row tuples and
-    vectors are tuples, as ``build_zero_coeff_certificate`` makes them:
-    ``validate`` keys its tower memo on them.
+    vectors are tuples, as ``build_zero_coeff_certificate`` makes them.
     """
     f: LinearizedPoly
     g: LinearizedPoly
@@ -467,35 +463,20 @@ class ZeroCoeffCertificate:
 
     def validate(self) -> bool:
         t = self.f.tower
+        mf = linalg.mat_mul(t, self.mf_hat, self.df)
+        mg = linalg.mat_mul(t, self.mg_hat, self.dg)
         for (a, _b, _c), bj, cj in zip(self.triples, self.bs, self.cs):
-            lhs = tuple(t.mul(a, x) for x in _minor_product(t, self.mf_hat, self.df, bj))
-            if lhs != _minor_product(t, self.mg_hat, self.dg, cj):
+            lhs = [t.mul(a, x) for x in linalg.mat_vec(t, mf, bj)]
+            if lhs != linalg.mat_vec(t, mg, cj):
                 return False
-            if not _frobenius_is_shift(t, self.lmat, bj):
+            if [t.frob(x) for x in bj] != linalg.mat_vec(t, self.lmat, bj):
                 return False
         return True
 
 
-def _minor_product(t, mhat, diag, vec) -> tuple:
-    """Mhat * D * vec, memoised on the tower under the matrices and the vector
-    themselves, so a certificate with other entries never reads this entry."""
-    def build():
-        md = _memoised(t, "zero_coeff_minor_diag", (mhat, diag),
-                       lambda: linalg.mat_mul(t, mhat, diag))
-        return tuple(linalg.mat_vec(t, md, vec))
-    return _memoised(t, "zero_coeff_products", (mhat, diag, vec), build)
-
-
-def _frobenius_is_shift(t, lmat, vec) -> bool:
-    """vec's entrywise q-th power equals L * vec, memoised under (L, vec)."""
-    return _memoised(t, "zero_coeff_frobenius", (lmat, vec),
-                     lambda: [t.frob(x) for x in vec] == linalg.mat_vec(t, lmat, vec))
-
-
 def _diff_vector(tower, x):
-    """(x^{q^i} - x for i = 1..h-1), memoised on the tower per element."""
-    return _memoised(tower, "diff_vectors", x, lambda: tuple(
-        tower.sub(tower.frob(x, i), x) for i in range(1, tower.h)))
+    """(x^{q^i} - x for i = 1..h-1)."""
+    return tuple(tower.sub(tower.frob(x, i), x) for i in range(1, tower.h))
 
 
 def _minor_and_diagonal(f: LinearizedPoly):
@@ -533,16 +514,17 @@ def _witness_tables(polys):
     column b - 1 for each element b != 0:
 
     - conj[i, b - 1] = conj(f_i, b) from the ``compose`` chain (``_conjugate``);
-    - prod[i, b - 1] = Mhat_f D_f B(b) of f = f_i (``_minor_product``);
+    - prod[i, b - 1] = Mhat_f D_f B(b) of f = f_i, from one product per
+      polynomial: the B(b) as rows times (Mhat_f D_f)^T;
     - frob[b - 1]: B(b)'s entrywise q-th power equals L * B(b).
     """
     t = polys[0].tower
     diffs = [_diff_vector(t, b) for b in t.nonzero()]
     conj = np.array([[_conjugate(f, b) for b in t.nonzero()] for f in polys], dtype=np.int64)
-    prod = np.array([[_minor_product(t, *_minor_and_diagonal(f), d) for d in diffs]
-                     for f in polys], dtype=np.int64).reshape(len(polys), len(diffs), t.h - 1)
+    prod = np.array([linalg.mat_mul(t, diffs, linalg.transpose(
+        linalg.mat_mul(t, *_minor_and_diagonal(f)))) for f in polys], dtype=np.int64)
     lmat = _shift_matrix(t)
-    frob = np.array([_frobenius_is_shift(t, lmat, d) for d in diffs])
+    frob = np.array([[t.frob(x) for x in d] == linalg.mat_vec(t, lmat, d) for d in diffs])
     return conj, prod, frob
 
 
@@ -612,7 +594,7 @@ def zero_coeff_bound(tower) -> int:
     return max(tower.q ** (tower.h - 1), tower.h * tower.q - 1)
 
 
-def verify_zero_coeff_lemma(tower, pair_limit: int | None = None) -> dict:
+def verify_zero_coeff_lemma(tower, budget: int | None = None) -> dict:
     """Exhaustive check: score above the bound forces equal zero counts >= 1.
 
     Every pair of invertible polynomials is scored exactly.  For qualifying
@@ -622,13 +604,12 @@ def verify_zero_coeff_lemma(tower, pair_limit: int | None = None) -> dict:
     once per class, then the witness (the checks of ``PropWitness``) and the
     matrix-identity certificate (those of ``ZeroCoeffCertificate``) are
     checked against every pair of the class at once (``_class_checks``).
+    The pairs are charged to ``budget`` (``check_pair_budget``) first.
     """
+    check_pair_budget(tower, budget)
     inv_polys = invertible_linearized(tower)
-    total = len(inv_polys) ** 2
-    if pair_limit is not None and total > pair_limit:
-        raise BudgetExceeded(f"{total} pairs exceed limit {pair_limit}")
-    bound = zero_coeff_bound(tower)
     npoly = len(inv_polys)
+    bound = zero_coeff_bound(tower)
     twisted = [twist_to_nonzero_f0(f)[0] for f in inv_polys]
     tables = _witness_tables(twisted)
     scores = np.empty((npoly, npoly), dtype=np.int64)
@@ -664,7 +645,7 @@ def verify_zero_coeff_lemma(tower, pair_limit: int | None = None) -> dict:
     return {
         "tower": tower.descriptor(),
         "bound": bound,
-        "pairs": total,
+        "pairs": npoly * npoly,
         "qualifying_pairs": qualifying,
         "max_m": int(scores.max()),
         "violations": violations,
@@ -725,14 +706,6 @@ def _collapse_table(log_values, h):
     return (ratios == ratios[..., :1]).all(axis=2)
 
 
-def _support_degrees(coeffs, h):
-    """``conjugation_subfield_degree`` of every nonzero row of the int array
-    ``coeffs``: gcd(h, every support index minus the first one)."""
-    support = coeffs != 0
-    gaps = np.where(support, np.arange(h) - support.argmax(axis=1)[:, None], 0)
-    return np.gcd(np.gcd.reduce(gaps, axis=1), h)
-
-
 def verify_semilinear_criterion(tower) -> dict:
     """f(a f^{-1}(X)) collapses to a monomial exactly per the support test.
 
@@ -757,7 +730,7 @@ def verify_semilinear_criterion(tower) -> dict:
         rows = block[keep]
         invertible += len(rows)
         collapsed = _collapse_table(log[values[keep]], h)[:, log_a]
-        predicted = in_subfield[_support_degrees(rows, h) - 1]
+        predicted = in_subfield[support_degrees(rows, h) - 1]
         violations += [{
             "f": LinearizedPoly(tower, tuple(rows[k].tolist())).to_json(),
             "a": tower.digits(int(j) + 1),
@@ -772,18 +745,20 @@ def verify_semilinear_criterion(tower) -> dict:
     }
 
 
-def verify_lm_prop_implication(tower, n: int) -> dict:
+def verify_lm_prop_implication(tower, n: int, budget: int | None = None) -> dict:
     """Exhaustive check that score >= n-3 forces both entries to be monomials.
 
     Pairs of monomials pass by definition.  For the rest, the cheap upper
-    bound min(#distinct a, #distinct b, #distinct c), read from the conj
-    buckets (``_triple_bound``) once per orbit class (``_orbit_classes``),
-    prunes most pairs; only survivors build their triples and get an
-    early-stopping exact search.
+    bound min(#distinct a, #distinct b, #distinct c) (``_triple_bound``),
+    the same for every pair of an orbit class, is taken once per class
+    (``_orbit_classes``) and prunes most pairs; only survivors build their
+    triples and get an early-stopping exact search.  The pairs are charged
+    to ``budget`` (``check_pair_budget``) first.
     """
     threshold = n - 3
     if threshold < 1:
         raise ValueError("need n >= 4")
+    check_pair_budget(tower, budget)
     inv_polys = invertible_linearized(tower)
     npoly = len(inv_polys)
     monomial = np.array([f.is_monomial() for f in inv_polys])
@@ -792,14 +767,14 @@ def verify_lm_prop_implication(tower, n: int) -> dict:
     survives = np.zeros(npoly * npoly, dtype=bool)
     for members in _class_members(ids):
         i, j = divmod(int(members[0]), npoly)
-        survives[members] = _orbit_bound(inv_polys[i], inv_polys[j]) >= threshold
+        survives[members] = _triple_bound(inv_polys[i], inv_polys[j]) >= threshold
     monomial_pairs = int(monomial.sum()) ** 2
     violations = []
     max_m_nonmonomial = 0
     for pair in np.flatnonzero(survives).tolist():
         f, g = (inv_polys[k] for k in divmod(pair, npoly))
         triples = prop_triples(f, g)
-        _check_budget(len(triples))
+        _check_budget(len(triples), "candidate triples")
         found, picked = _search(triples, stop_at=threshold)
         if found >= threshold:
             violations.append({

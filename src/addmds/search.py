@@ -48,7 +48,7 @@ from .code import (
 )
 from .errors import BudgetExceeded, FieldTooSmall, NotInvertible
 from .gf import FieldTower, require_keys
-from .linpoly import LinearizedPoly, evaluation_table, lex_chunks
+from .linpoly import LinearizedPoly, evaluation_table, lex_chunks, support_degrees
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +308,9 @@ def _first_hit(tower: FieldTower, s: int, beta: int, in_l):
     scan covers the 2 size^(h-1) polynomials up to g_0 = 1, in blocks of
     ``lex_chunks``.
     """
-    residue = np.arange(tower.h) % s
     for block in lex_chunks(tower, 2 * tower.size ** (tower.h - 1)):
         values = evaluation_table(tower, block)
-        support = block != 0
-        classes = sum(support[:, residue == c].any(axis=1) for c in range(s))
-        ok = ((values != 0).all(axis=1) & (classes > 1)
+        ok = ((values != 0).all(axis=1) & (support_degrees(block, tower.h) % s != 0)
               & _ratios_avoid(tower, values, beta, in_l))
         hits = np.flatnonzero(ok)
         if hits.size:

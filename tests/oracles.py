@@ -3,13 +3,13 @@
 Everything here is written naively from definitions: dense polynomial
 arithmetic over F_p for field operations, trial division for the
 canonical modulus, pointwise map comparison for conjugacy triples,
-conjugates (one at a time, or a whole conjugation table) for the
-semilinear criterion, rank tests over every k-subset of blocks for
-pseudo-arcs, g^(-1) o M o g for linear-equivalence witnesses, plain
-subset enumeration for matchings, a per-pair search with no memo for pair
-scores, a per-pair witness and certificate for the zero-coefficient
-lemma, and Dickson determinants per candidate for the k = 4 hunt.  Slow
-on purpose; tests only feed it small inputs.
+conjugates (one at a time, or a whole conjugation table) and a support
+gcd per polynomial for the semilinear criterion, rank tests over every
+k-subset of blocks for pseudo-arcs, g^(-1) o M o g for linear-equivalence
+witnesses, plain subset enumeration for matchings, a per-pair search with
+no memo for pair scores, a per-pair witness and certificate for the
+zero-coefficient lemma, and Dickson determinants per candidate for the
+k = 4 hunt.  Slow on purpose; tests only feed it small inputs.
 """
 
 from itertools import combinations, product
@@ -305,13 +305,27 @@ def scalar_k4_search(tower, n):
     return None
 
 
+def conjugation_subfield_degree(f):
+    """The s with: conj(f, a) is scalar exactly for a in F_{q^s}.
+
+    Equals gcd(h, all differences of support indices); divides h.
+    """
+    sup = f.support()
+    if not sup:
+        raise ValueError("zero polynomial")
+    d = f.tower.h
+    for i in sup[1:]:
+        d = gcd(d, i - sup[0])
+    return d
+
+
 def brute_semilinear_report(tower):
     """The semilinear-criterion report from one conjugate per (f, a):
     f(a f^{-1}(X)) is scalar iff a lies in F_{q^s}, s from f's support."""
     checked = 0
     violations = []
     for f in invertible_linearized(tower):
-        s = f.conjugation_subfield_degree()
+        s = conjugation_subfield_degree(f)
         for a in tower.nonzero():
             checked += 1
             collapsed = not any(f.conjugate(a).coeffs[1:])
@@ -340,7 +354,7 @@ def table_semilinear_report(tower):
     log_a = tower.np_tables()[1][1:]  # columns in the order a = 1, 2, ..., size - 1
     collapsed = ~conjugation_table(polys)[:, :, 1:].any(axis=2)[:, log_a]
     in_subfield = np.array([log_a * (tower.q ** s - 1) % n == 0 for s in range(1, tower.h + 1)])
-    predicted = in_subfield[[f.conjugation_subfield_degree() - 1 for f in polys]]
+    predicted = in_subfield[[conjugation_subfield_degree(f) - 1 for f in polys]]
     violations = [{
         "f": polys[k].to_json(),
         "a": tower.digits(int(j) + 1),

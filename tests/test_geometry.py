@@ -244,8 +244,6 @@ def test_membership_rejections(f9):
     assert desarguesian_membership(f9, [(1, 0, 0, 0)]) is None  # rank 1 < h
     with pytest.raises(ValueError):
         desarguesian_membership(f9, [(1, 0, 0), (0, 1, 0)])  # length not h*k
-    with pytest.raises(ValueError):
-        desarguesian_membership(f9, [(1, 0, 0, 0), (0, 1, 0, 0)], point_len=3)
     assert desarguesian_membership(f9, []) is None
 
 

@@ -122,14 +122,16 @@ def test_max_prop_m_matches_per_pair_search(key):
             assert (m, wit.triples) == oracles.exhaustive_max_prop_m(f, g)
 
 
-def test_lm_prop_bound_memo_matches_direct_calls(f16_over_f4):
-    from addmds.propm import _orbit_bound, _triple_bound
-    t = f16_over_f4
-    verify_lm_prop_implication(t, 17)  # warms the orbit bound memo
-    invs = invertible_linearized(t)
-    for f in invs:
-        for g in invs:
-            assert _orbit_bound(f, g) == _triple_bound(f, g)
+def test_triple_bound_is_a_class_invariant(f16_over_f4):
+    # verify_lm_prop_implication bounds each orbit class by its first member
+    from addmds.propm import _class_members, _orbit_classes, _triple_bound
+    invs = invertible_linearized(f16_over_f4)
+    npoly = len(invs)
+    for members in _class_members(_orbit_classes(invs)):
+        pairs = [divmod(int(k), npoly) for k in members]
+        i, j = pairs[0]
+        first = _triple_bound(invs[i], invs[j])
+        assert all(_triple_bound(invs[k], invs[l]) == first for k, l in pairs)
 
 
 def test_orbit_moves_keep_triples_and_key():
@@ -282,7 +284,7 @@ def test_certificate_requires_normalization(f9):
 
 def test_certificate_detects_tampering(f9):
     from dataclasses import replace
-    verify_zero_coeff_lemma(f9)  # every product and relation of the battery memoised
+    verify_zero_coeff_lemma(f9)  # the battery's memos must not answer for validate
     f = next(p for p in invertible_linearized(f9) if all(p.coeffs))
     _m, wit = max_prop_m(f, f)
     cert = build_zero_coeff_certificate(f, f, wit.triples)
@@ -290,7 +292,9 @@ def test_certificate_detects_tampering(f9):
     # (1,) violates x^q = -x, the relation every difference vector satisfies
     tampered = replace(cert, bs=((1,),) * len(cert.bs))
     assert not tampered.validate()
-    # another polynomial's minor, and a scalar a that is not part of any memo key
+    # an L for which B^q = L*B fails while the matrix identity still holds
+    assert not replace(cert, lmat=((1,),)).validate()
+    # another polynomial's minor, and another scalar a
     minors = (build_zero_coeff_certificate(p, p, ()).mf_hat
               for p in invertible_linearized(f9) if all(p.coeffs))
     other_minor = next(m for m in minors if m != cert.mf_hat)
@@ -327,9 +331,25 @@ def test_zero_coeff_verifier_frozen_f9(f9):
             assert rec["zero_counts"] == [1, 1]
 
 
-def test_zero_coeff_verifier_budget(f9):
-    with pytest.raises(BudgetExceeded):
-        verify_zero_coeff_lemma(f9, pair_limit=10)
+BATTERIES = [verify_zero_coeff_lemma,
+             lambda t, budget=None: verify_lm_prop_implication(t, 17, budget)]
+
+
+@pytest.mark.parametrize("verify", BATTERIES, ids=["zero_coeff", "lm_prop"])
+def test_battery_refuses_pairs_over_budget_before_enumerating(monkeypatch, verify):
+    def refuse(_tower):
+        raise AssertionError("the polynomials were enumerated")
+    monkeypatch.setattr(propm, "invertible_linearized", refuse)
+    # F_16/F_2: |GL_4(F_2)| = 20160, so N x N arrays of about 3.25 GB each
+    with pytest.raises(BudgetExceeded, match="^406425600 pairs exceed budget 4194304$"):
+        verify(field_create(2, 1, 4))
+    with pytest.raises(BudgetExceeded, match="^2304 pairs exceed budget 2303$"):
+        verify(field_create(3, 1, 2), budget=2303)
+
+
+@pytest.mark.parametrize("verify", BATTERIES, ids=["zero_coeff", "lm_prop"])
+def test_battery_runs_at_its_pair_budget(f9, verify):
+    assert verify(f9, budget=2304)["pairs"] == 2304
 
 
 def test_two_nonzero_verifier(f8, f27):
@@ -401,13 +421,12 @@ def test_semilinear_criterion_matches_table_oracle(key):
 @pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 2), (2, 1, 4), (3, 1, 3), (2, 2, 2)],
                          ids=["F8", "F9", "F16_F2", "F27", "F16_F4"])
 def test_support_degrees_match_subfield_degree(key):
-    from addmds.propm import _support_degrees
     from conftest import tower
     t = tower(*key)
     polys = invertible_linearized(t)
     coeffs = np.array([f.coeffs for f in polys], dtype=np.int64)
-    assert _support_degrees(coeffs, t.h).tolist() == [
-        f.conjugation_subfield_degree() for f in polys]
+    assert linpoly.support_degrees(coeffs, t.h).tolist() == [
+        oracles.conjugation_subfield_degree(f) for f in polys]
 
 
 def _digest(report):
