@@ -24,9 +24,22 @@ whether some move turns it into an F_{q^h}-linear code: in standard form,
 whether one g has M o g = g o (aX), with a scalar a per map, for every
 interpolation map M.  The code is interpolated once per decision, and the
 standard form's maps are composed from that interpolation and the move.
-It returns an explicit witness or a definitive negative (the invertible
-candidates are a complete set of representatives, so "None" is a
-certificate, not a timeout).
+It returns an explicit witness or a definitive negative (the invertible g
+with g_0 = 1 are a complete set of representatives, so "None" is a
+certificate, not a timeout).  The candidates for g come from the first
+map S whose Krylov sequence S^i(1), i <= h, settles the question:
+
+- pivot: S^0(1)..S^(h-1)(1) are F_q-independent and their relation
+  x^h - sum c_i x^i is irreducible.  S is then similar to aX for each of
+  its h roots a, and any valid g maps a^i to S^i(1) up to a scalar and a
+  Frobenius power, so at most h g with g_0 = 1 remain;
+- reducible: the S^i(1) are independent but that polynomial, the minimal
+  polynomial of S, is reducible; a conjugate of aX has the irreducible
+  minimal polynomial of a, so no g exists;
+- dependent S^i(1): inconclusive, the next map is tried.
+
+Only when no map settles it are all size^(h-1) g with g_0 = 1 scanned, and
+only that scan is charged to the candidate budget.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ import numpy as np
 from . import linalg
 from .errors import BudgetExceeded, NonInvertibleMap, NotInvertible, NotMds
 from .gf import FieldTower, _inverses, _is_int, _stack_ranks, require_keys
-from .linpoly import LinearizedPoly, compose_table, lex_block, random_invertible
+from .linpoly import LinearizedPoly, _add, compose_table, lex_block, random_invertible
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
 DEFAULT_CANDIDATE_BUDGET = 1 << 22
@@ -567,36 +580,38 @@ class LinearWitness:
 
 
 def linear_equivalence_witness(code: AdditiveCode, budget: int | None = None):
-    """Search for g making every standard-form map a scalar conjugate.
+    """The lex-first g (g_0 = 1) making every standard-form map a scalar
+    conjugate, as a LinearWitness, or None.
 
-    Candidates run over all g with g_0 = 1 in lex order; the invertible ones
-    are complete up to the symmetries that fix conjugacy (right composition
-    with scalars and with Frobenius powers), so returning None certifies
-    that no equivalence to a linear code exists.  M = g o (aX) o g^(-1)
-    iff u = M o g has u_i = g_i a^(q^i) for all i (a = u_0 as g_0 = 1), so
-    no candidate needs an inverse.  The candidates go in lex-order blocks
-    of ``WITNESS_CHUNK_ROWS`` through one numpy screen against the first
-    target (``compose_table``); each survivor, in lex order, is checked
-    against every target by ``compose`` and then for invertibility.  The
+    The invertible g with g_0 = 1 are complete up to the symmetries that fix
+    conjugacy (right composition with scalars and with Frobenius powers), so
+    None certifies that no equivalence to a linear code exists.  M = g o (aX)
+    o g^(-1) iff u = M o g has u_i = g_i a^(q^i) for all i (a = u_0 as g_0 =
+    1), so no candidate needs an inverse; each candidate, in lex order, is
+    checked against every target by ``compose`` and then for invertibility,
+    and the first to pass is the witness.  The candidates come from the
+    first target map S, in target order, that ``_pivot_candidates`` settles
+    from its Krylov sequence S^i(1):
+
+    - pivot: at most h rows, the only invertible g with g_0 = 1 and
+      S o g = g o (aX) for some a;
+    - reducible characteristic polynomial: none, so the answer is None;
+    - dependent S^i(1): inconclusive, the next target is tried.
+
+    A code with no targets gets the identity.  When no target is conclusive
+    all size^(h-1) g with g_0 = 1 are scanned, in lex-order blocks of
+    ``WITNESS_CHUNK_ROWS`` through one numpy screen against the first target
+    (``compose_table``); only this scan is charged to ``budget``.  The
     standard form's maps are composed from the code's single interpolation
     (``_standard_form``); no standard code is built.
     """
     t = code.tower
     form, move = _standard_form(code)
     k, n = form.k, form.n
-    cap = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
-    n_candidates = t.size ** (t.h - 1)
-    if n_candidates > cap:
-        raise BudgetExceeded(f"{n_candidates} witness candidates exceed budget {cap}")
     targets = [(r, j) for r in range(1, n - k) for j in range(1, k)]
-    # the candidates (1, g_1, ..., g_{h-1}) are the polynomials
-    # n_candidates..2 n_candidates - 1 in lex order
-    for lo in range(n_candidates, 2 * n_candidates, WITNESS_CHUNK_ROWS):
-        block = lex_block(t, lo, min(lo + WITNESS_CHUNK_ROWS, 2 * n_candidates))
-        if targets:
-            r, j = targets[0]
-            block = block[_screen(form.maps[r][j], block)]
-        for row in block.tolist():
+
+    def first_witness(rows):
+        for row in rows:
             g = LinearizedPoly(t, tuple(row))
             scalars = [[1] * k for _ in range(n - k)]
             for r, j in targets:
@@ -608,7 +623,70 @@ def linear_equivalence_witness(code: AdditiveCode, budget: int | None = None):
             else:
                 if g.is_invertible():
                     return LinearWitness(g, tuple(tuple(r) for r in scalars), move)
+        return None
+
+    if not targets:
+        return first_witness([LinearizedPoly.identity(t).coeffs])
+    for r, j in targets:
+        rows = _pivot_candidates(form.maps[r][j])
+        if rows is not None:
+            return first_witness(rows)
+    cap = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
+    n_candidates = t.size ** (t.h - 1)
+    if n_candidates > cap:
+        raise BudgetExceeded(f"{n_candidates} witness candidates exceed budget {cap}")
+    r, j = targets[0]
+    # the candidates (1, g_1, ..., g_{h-1}) are the polynomials
+    # n_candidates..2 n_candidates - 1 in lex order
+    for lo in range(n_candidates, 2 * n_candidates, WITNESS_CHUNK_ROWS):
+        block = lex_block(t, lo, min(lo + WITNESS_CHUNK_ROWS, 2 * n_candidates))
+        hit = first_witness(block[_screen(form.maps[r][j], block)].tolist())
+        if hit is not None:
+            return hit
     return None
+
+
+def _pivot_candidates(m: LinearizedPoly):
+    """Every invertible g with g_0 = 1 and m o g = g o (aX) for some a, in lex
+    order, or None when the Krylov sequence w_i = m^i(1) does not settle it.
+
+    If w_0..w_(h-1) are F_q-dependent the answer is None.  Otherwise 1 is a
+    cyclic vector of m, whose minimal polynomial is then chi(x) = x^h -
+    sum c_i x^i, with w_h = sum c_i w_i.  A conjugate g o (aX) o g^(-1) has
+    the minimal polynomial mu_a of a, so if chi has no root of degree h
+    (chi is reducible) there is no g and the list is empty.  If chi has a
+    root a, then g' with g'(a^i) = w_i satisfies m o g' = g' o (aX), and the
+    g for the root a^(q^(-e)) are g' o X^(q^e) o (cX), c != 0 (two g for one
+    root differ by a map commuting with aX, a scalar of F_q(a) = F_{q^h}).
+    So each of the h roots gives at most one g with g_0 = 1.  The roots are
+    found in one pass over the logs of the q^h - 1 nonzero elements.
+    """
+    t = m.tower
+    h, n = t.h, t._group_order
+    w = [1]
+    for _ in range(h):
+        w.append(m(w[-1]))
+    try:
+        w_inv = linalg.mat_inv(t, [t.coords(x) for x in w[:h]])
+    except NotInvertible:
+        return None
+    c = linalg.mat_mul(t, [t.coords(w[h])], w_inv)[0]
+    exp, log, zech = t.np_tables()
+    s = np.arange(n, dtype=np.int64)
+    chi = exp[h * s % n]
+    for i, ci in enumerate(c):
+        if ci:
+            chi = _add(chi, exp[log[t.neg(ci)] + i * s % n], exp, log, zech, n)
+    roots = np.flatnonzero(chi == 0)
+    a = t._exp[roots[0]] if len(roots) else 0
+    # an irreducible chi has h roots, all of degree h; a reducible one has none of degree h
+    if not a or t.subfield_degree(a) < h:
+        return []
+    basis = linalg.mat_inv(t, [t.coords(t.pow_int(a, i)) for i in range(h)])
+    g = LinearizedPoly.from_values(t, linalg.mat_vec(t, basis, w[:h]))
+    twists = [g.frobenius_twist(e) for e in range(h)]
+    return sorted(f.compose(LinearizedPoly.scalar(t, t.inv(f.coeffs[0]))).coeffs
+                  for f in twists if f.coeffs[0])
 
 
 def _screen(m: LinearizedPoly, block):

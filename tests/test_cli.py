@@ -167,6 +167,24 @@ def test_standard_form_check_catches_wrong_move(capsys, tmp_path, monkeypatch, f
     assert parse(out)["move_reproduces_form"] is False
 
 
+def test_standard_form_of_the_whole_space(capsys, tmp_path, f9):
+    # n = k = 2 over F_9 (k_fq = 4): no interpolation maps, the identity move
+    w = f9.omega
+    whole = AdditiveCode(f9, [(1, 0), (w, 0), (0, 1), (0, w)])
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code_to_dict(whole)))
+    code, out, err = run(capsys, "standard-form", "--in", str(path))
+    assert (code, err) == (0, "")
+    rep = parse(out)
+    assert rep["move_reproduces_form"] is True
+    assert rep["move"]["perm"] == [0, 1]
+    code, out, _ = run(capsys, "linear-witness", "--in", str(path))
+    assert code == 0
+    rep = parse(out)
+    assert rep["witness_found"] and rep["g"] == [[1, 0], [0, 0]]
+    assert rep["moved_code_is_linear"] is True
+
+
 def test_linear_witness_on_linear_input(capsys, tmp_path, f4):
     path = tmp_path / "code.json"
     path.write_text(json.dumps(code_to_dict(rs_code(f4, 2))))

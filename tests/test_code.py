@@ -535,13 +535,91 @@ def test_negative_witness_takes_few_inverses():
     code = apply_move(code, random_move(t, code.n, random.Random(63)))
     before = len(t.memo("inverses"))
     assert linear_equivalence_witness(code) is None
-    # the standard form inverts at most 2n maps; the scan itself inverts none
+    # the standard form inverts at most 2n maps; the decision itself inverts none
     assert len(t.memo("inverses")) - before <= 2 * code.n
 
 
 def test_witness_candidate_budget(f9):
-    with pytest.raises(BudgetExceeded):
-        linear_equivalence_witness(rs_code(f9, 2), budget=2)
+    # the one target 2X has dependent S^i(1), so only the scan of 9 g decides
+    code = _k2_code(f9, [LinearizedPoly.scalar(f9, 2)])
+    with pytest.raises(BudgetExceeded, match="9 witness candidates exceed budget 2"):
+        linear_equivalence_witness(code, budget=2)
+    assert linear_equivalence_witness(code, budget=9).g == LinearizedPoly.identity(f9)
+    # a pivot or a code without targets is never charged
+    assert linear_equivalence_witness(rs_code(f9, 2), budget=0) is not None
+    assert linear_equivalence_witness(_negative(f9, random.Random(5)), budget=0) is None
+
+
+def test_witness_on_f256_over_f4_under_the_default_budget():
+    # the scan would read 256^3 = 16,777,216 candidates, over the default 2^22
+    t = field_create(2, 2, 4)
+    rng = random.Random(256)
+    neg = _negative(t, rng)
+    assert linear_equivalence_witness(apply_move(neg, random_move(t, neg.n, rng))) is None
+    pos = _conj_positive(t, rng)
+    pos = apply_move(pos, random_move(t, pos.n, rng))
+    wit = linear_equivalence_witness(pos)
+    assert wit is not None and wit.g.coeffs[0] == 1
+    assert apply_move(pos, wit.linearizing_move()).is_field_linear()
+
+
+def _of_degree(tower, degree, count, rng):
+    return rng.sample([x for x in tower.nonzero()
+                       if tower.subfield_degree(x) == degree], count)
+
+
+def _route_cases(tower, route, rng):
+    """(code, linearizable) pairs whose decision takes ``route``.
+
+    Pivots come from maps g0 o (aX) o g0^-1 with F_q(a) = F_{q^h}.  A map
+    with a scalar in a proper subfield (s, the largest proper divisor of h)
+    has dependent S^i(1): the "pivot hit" code puts one first, so the
+    decision moves on to the next target, and the "scan" code has only such
+    maps, or the Frobenius X^q, which is never a scalar conjugate.
+    """
+    h = tower.h
+    s = max(d for d in range(1, h) if h % d == 0)
+    g0 = random_invertible(tower, rng)
+    sub = g0.conjugate(_of_degree(tower, s, 1, rng)[0])
+    if route == "pivot hit":
+        a, b = _of_degree(tower, h, 2, rng)
+        return [(_k2_code(tower, [sub, g0.conjugate(a), g0.conjugate(b)]), True),
+                (_k2_code(tower, [g0.conjugate(b)]), True)]
+    if route == "pivot miss":
+        a, = _of_degree(tower, h, 1, rng)
+        return [(_k2_code(tower, [g0.conjugate(a), random_invertible(tower, rng)]), False)]
+    if route == "reducible":
+        while True:
+            m = random_invertible(tower, rng)
+            if code_mod._pivot_candidates(m) == []:
+                return [(_k2_code(tower, [m, g0.conjugate(_of_degree(tower, h, 1, rng)[0])]),
+                         False)]
+    return [(_k2_code(tower, [sub, sub.compose(sub)]), True),
+            (_k2_code(tower, [LinearizedPoly.monomial(tower, 1, 1)]), False)]
+
+
+def _no_screen(m, block):
+    raise AssertionError("the scan ran")
+
+
+@pytest.mark.parametrize("route", ["pivot hit", "pivot miss", "reducible", "scan"])
+@pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 2), (5, 1, 2), (3, 1, 3), (2, 2, 3),
+                                 (2, 1, 4)],
+                         ids=["F8", "F9", "F25", "F27", "F64_F4", "F16"])
+def test_witness_route_matches_oracle(key, route, monkeypatch):
+    t = conftest.tower(*key)
+    screened = []
+    if route == "scan":
+        screen = code_mod._screen
+        monkeypatch.setattr(code_mod, "_screen",
+                            lambda m, block: screened.append(m) or screen(m, block))
+    else:
+        monkeypatch.setattr(code_mod, "_screen", _no_screen)
+    for code, linearizable in _route_cases(t, route, random.Random(sum(key) + len(route))):
+        wit = linear_equivalence_witness(code)
+        assert wit == oracles.brute_linear_witness(code)
+        assert (wit is not None) == linearizable
+    assert bool(screened) == (route == "scan")
 
 
 def test_code_json_roundtrip(f9):
