@@ -496,10 +496,10 @@ def test_witness_matches_oracle(name):
 
 @pytest.mark.parametrize("name", ["rs", "conjugate", "negative", "k4", "singular"])
 def test_witness_screen_spans_blocks(name, monkeypatch):
-    # blocks of 5 candidates: survivors of the screen sit in many blocks, and
-    # the singular F_16 candidate (1, 0, 8, 0) passes every target in an
-    # earlier block than the witness (1, 0, 8, 4), so only is_invertible
-    # keeps it out
+    # blocks of 5 candidates; of these codes only the singular F_16 one has
+    # no map with independent S^i(1) and reaches the scan, where the singular
+    # candidate (1, 0, 8, 0) passes every target in an earlier block than
+    # the witness (1, 0, 8, 4), so only is_invertible keeps it out
     monkeypatch.setattr(code_mod, "WITNESS_CHUNK_ROWS", 5)
     _check_witness_cases(name)
 
