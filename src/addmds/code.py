@@ -15,7 +15,9 @@ q^k / ``_RANK_COST`` subset ranks.  Otherwise the q^k messages are
 enumerated.  The budget charges the route that runs: q^k messages, or
 ``_RANK_COST`` per rank of the walk.  So d, A_0..A_n and MDS cost one
 distribution, and for an MDS code with large q^k that is
-sum_(s <= k) C(n, s) small F_p ranks.
+sum_(s <= k) C(n, s) small F_p ranks, taken in one padded batch: a set
+whose prefix has fewer than K = k*e F_p columns is sure to be ranked, so
+those sets are known before any rank.
 
 Equivalence moves are coordinate permutations combined with per-coordinate
 invertible q-linearized substitutions; they preserve cardinality and weight
@@ -225,47 +227,72 @@ def _rank_weight_distribution(tower: FieldTower, k: int, groups, max_ranks: int 
     zero on S, and Moebius inversion gives the number of messages zero on
     exactly j coordinates, A_(n-j) = sum_(s >= j) (-1)^(s-j) C(s, j) B_s
     (Greene's theorem for additive codes).  A set of rank K adds 1, as does
-    every superset, so only the down-closed family of rank-deficient sets
-    is walked, level by level: each deficient set is extended by every
-    larger index and the new sets of a level are ranked in one batch.
+    every superset, so a set is ranked only when its prefix (the set
+    without its largest index) is ranked and deficient.  A prefix with
+    fewer than K nonzero F_p columns is sure to be deficient, so these sure
+    sets (``_sure_ranks``) are listed from column counts alone and ranked
+    in one batch, the smaller ones padded with an all-zero group.  Then the
+    deficient sets of at least K columns, which only zero, repeated or
+    narrow coordinates leave, are extended by every larger index and the
+    extensions ranked in one batch, until none is deficient.
 
     Returns (A_0..A_n, ranks taken), or None exactly when the walk needs
     more than ``max_ranks`` ranks, having done no more than that: when the
-    sets it is sure to rank (``_sure_ranks``, from column counts alone) or
-    the sets a level is about to rank bring the total above ``max_ranks``.
+    sure sets or the extensions about to be ranked bring the total above
+    ``max_ranks``.
     """
     p = tower.p
     mat, members = _fp_blocks(tower, k, groups)
     K, n = mat.shape[0], len(groups)
     if max_ranks is not None and _sure_ranks(members, K) > max_ranks:
         return None
-    blocks = np.zeros((n, K, max([len(m) for m in members] + [1])),
-                      dtype=np.min_scalar_type(p * p - 1))
+    width = np.array([len(m) for m in members] + [0])  # group n is the all-zero pad
+    blocks = np.zeros((n + 1, K, max(width.max(), 1)), dtype=np.min_scalar_type(p * p - 1))
     for j, m in enumerate(members):
         blocks[j, :, :len(m)] = mat[:, m]
     inv = _inverses(p)
+    sure, level = [], np.zeros((1 if K else 0, 0), dtype=np.int64)
+    while len(level):
+        level = _extensions(level, n)
+        sure.append(level)
+        level = level[width[level].sum(axis=1) < K]
+    level = np.full((sum(map(len, sure)), max((sets.shape[1] for sets in sure), default=0)), n)
+    row = 0
+    for sets in sure:
+        level[row:row + len(sets), :sets.shape[1]] = sets
+        row += len(sets)
     excess = [p ** K - 1] + [0] * n  # sum of p^(K - r(S)) - 1 per size
-    level = np.zeros((1 if K else 0, 0), dtype=np.int64)  # deficient sets of one size
-    ranked = 0
-    for s in range(1, n + 1):
-        if not len(level):
-            break
-        last = level[:, -1] if s > 1 else np.full(len(level), -1)
-        fan = n - 1 - last
-        ranked += int(fan.sum())
+    ranked = len(level)
+    while len(level):
+        ranks = _subset_ranks(blocks, level, p, inv)
+        deficient = ranks < K
+        level = level[deficient]
+        sizes = (level < n).sum(axis=1)
+        by_rank = np.bincount(sizes * K + ranks[deficient], minlength=(n + 1) * K)
+        for s, counts in enumerate(by_rank.reshape(n + 1, K)):
+            excess[s] += sum(int(c) * (p ** (K - r) - 1) for r, c in enumerate(counts) if c)
+        level = _extensions(level[width[level].sum(axis=1) >= K], n)
+        ranked += len(level)
         if max_ranks is not None and ranked > max_ranks:
             return None
-        parent = np.repeat(np.arange(len(level)), fan)
-        new = last[parent] + 1 + np.arange(len(parent)) - (np.cumsum(fan) - fan)[parent]
-        sets = np.hstack([level[parent], new[:, None]])
-        ranks = _subset_ranks(blocks, sets, p, inv)
-        deficient = ranks < K
-        level = sets[deficient]
-        by_rank = np.bincount(ranks[deficient], minlength=K)
-        excess[s] = sum(int(c) * (p ** (K - r) - 1) for r, c in enumerate(by_rank))
     b = [comb(n, s) + excess[s] for s in range(n + 1)]
     return [sum((-1) ** (s - j) * comb(s, j) * b[s] for s in range(j, n + 1))
             for j in range(n, -1, -1)], ranked
+
+
+def _extensions(sets, n):
+    """Every set in ``sets`` (rows of indices below n, padded with n) extended
+    by each larger index below n, as sorted rows padded with n."""
+    size = (sets < n).sum(axis=1)
+    last = np.where(sets < n, sets, -1).max(axis=1, initial=-1)
+    fan = n - 1 - last
+    parent = np.repeat(np.arange(len(sets)), fan)
+    size = size[parent]
+    out = np.full((len(parent), sets.shape[1] + 1), n)
+    out[:, :-1] = sets[parent]
+    out[np.arange(len(parent)), size] = (last[parent] + 1 + np.arange(len(parent))
+                                         - (np.cumsum(fan) - fan)[parent])
+    return out[:, :size.max(initial=-1) + 1]
 
 
 def _sure_ranks(members, K):

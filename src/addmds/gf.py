@@ -152,14 +152,15 @@ def _pack(digits, p):
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, Integral) and not isinstance(x, bool)
+    """True for ints and numpy integers, False for bools; plain ints skip the ABC check."""
+    return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
 
 
 def _int_list(value, what: str):
     """``value`` as a list of ints; ValueError for any other JSON shape."""
     if not isinstance(value, (list, tuple)) or not all(_is_int(c) for c in value):
         raise ValueError(f"{what} must be a list of integers")
-    return list(value)
+    return list(map(int, value))
 
 
 def require_keys(data, keys, what: str, nested=()):
@@ -485,15 +486,15 @@ class FieldTower:
         for key in ("p", "e", "h"):
             if not _is_int(desc[key]):
                 raise ValueError(f"field descriptor {key} must be an integer")
-        p = desc["p"]
+        p, e, h = (int(desc[key]) for key in ("p", "e", "h"))
         modulus = _int_list(desc["modulus"], "field descriptor modulus")
         omega = _int_list(desc["omega"], "field descriptor omega")
-        if len(omega) != desc["e"] * desc["h"]:
+        if len(omega) != e * h:
             raise ValueError("field descriptor omega must have e*h digits")
         for key, digs in (("modulus", modulus), ("omega", omega)):
             if any(not (0 <= c < p) for c in digs):
                 raise ValueError(f"field descriptor {key} digits must lie in [0, p)")
-        return cls(p, desc["e"], desc["h"], modulus=modulus, omega=_pack(omega, p))
+        return cls(p, e, h, modulus=modulus, omega=_pack(omega, p))
 
     def check_same(self, other: "FieldTower"):
         if self.key != other.key:

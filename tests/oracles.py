@@ -5,20 +5,30 @@ arithmetic over F_p for field operations, trial division for the
 canonical modulus, pointwise map comparison for conjugacy triples,
 conjugates (one at a time, or a whole conjugation table) and a support
 gcd per polynomial for the semilinear criterion, rank tests over every
-k-subset of blocks for pseudo-arcs, g^(-1) o M o g for linear-equivalence
-witnesses, plain subset enumeration for matchings, a per-pair search with
-no memo for pair scores, a per-pair witness and certificate for the
-zero-coefficient lemma, and Dickson determinants per candidate for the
-k = 4 hunt.  Slow on purpose; tests only feed it small inputs.
+k-subset of blocks for pseudo-arcs, a subset-rank walk with one kernel
+call per level for weight distributions, g^(-1) o M o g for
+linear-equivalence witnesses, plain subset enumeration for matchings, a
+per-pair search with no memo for pair scores, a per-pair witness and
+certificate for the zero-coefficient lemma, and Dickson determinants per
+candidate for the k = 4 hunt.  Slow on purpose; tests only feed it small
+inputs.
 """
 
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
 from addmds import linalg
-from addmds.code import LinearWitness, to_interpolation_form, to_standard_form
+from addmds.code import (
+    LinearWitness,
+    _fp_blocks,
+    _subset_ranks,
+    _sure_ranks,
+    to_interpolation_form,
+    to_standard_form,
+)
+from addmds.gf import _inverses
 from addmds.linpoly import LinearizedPoly, _add, inverse_table, invertible_linearized
 from addmds.propm import (
     _exact_matching,
@@ -229,6 +239,45 @@ def brute_weight_distribution(code):
     for w in brute_codewords(code):
         counts[sum(1 for x in w if x)] += 1
     return counts
+
+
+def level_rank_weight_distribution(tower, k, groups, max_ranks=None):
+    """``code._rank_weight_distribution`` walked one level at a time: the
+    deficient sets of size s - 1 are extended by every larger index and the
+    sets of size s are ranked in one batch, so every level has its own
+    kernel call.  Same set family, rank count and None as the library."""
+    p = tower.p
+    mat, members = _fp_blocks(tower, k, groups)
+    K, n = mat.shape[0], len(groups)
+    if max_ranks is not None and _sure_ranks(members, K) > max_ranks:
+        return None
+    blocks = np.zeros((n, K, max([len(m) for m in members] + [1])),
+                      dtype=np.min_scalar_type(p * p - 1))
+    for j, m in enumerate(members):
+        blocks[j, :, :len(m)] = mat[:, m]
+    inv = _inverses(p)
+    excess = [p ** K - 1] + [0] * n  # sum of p^(K - r(S)) - 1 per size
+    level = np.zeros((1 if K else 0, 0), dtype=np.int64)  # deficient sets of one size
+    ranked = 0
+    for s in range(1, n + 1):
+        if not len(level):
+            break
+        last = level[:, -1] if s > 1 else np.full(len(level), -1)
+        fan = n - 1 - last
+        ranked += int(fan.sum())
+        if max_ranks is not None and ranked > max_ranks:
+            return None
+        parent = np.repeat(np.arange(len(level)), fan)
+        new = last[parent] + 1 + np.arange(len(parent)) - (np.cumsum(fan) - fan)[parent]
+        sets = np.hstack([level[parent], new[:, None]])
+        ranks = _subset_ranks(blocks, sets, p, inv)
+        deficient = ranks < K
+        level = sets[deficient]
+        by_rank = np.bincount(ranks[deficient], minlength=K)
+        excess[s] = sum(int(c) * (p ** (K - r) - 1) for r, c in enumerate(by_rank))
+    b = [comb(n, s) + excess[s] for s in range(n + 1)]
+    return [sum((-1) ** (s - j) * comb(s, j) * b[s] for s in range(j, n + 1))
+            for j in range(n, -1, -1)], ranked
 
 
 def brute_system_min_distance(system):

@@ -1,0 +1,30 @@
+"""Every committed BENCH_*.json is a complete before/after record."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_there_are_bench_records():
+    assert RECORDS
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_bench_record_is_complete(path):
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert {"parent", "change", "host", "summary"} <= data.keys()
+    assert data["summary"]
+    for workload, summary in data["summary"].items():
+        assert summary["pairs"] >= 10, workload
+        for side in ("parent", "change"):
+            runs = [r for r in data.get("runs", []) if r["workload"] == workload and r["side"] == side]
+            assert len(runs) in (0, summary["pairs"]), (workload, side)
+        for metric in METRICS:
+            for side in ("parent", "change"):
+                stats = summary[metric][side]
+                assert stats["q1"] <= stats["median"] <= stats["q3"], (workload, metric, side)

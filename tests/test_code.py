@@ -209,6 +209,83 @@ def test_weight_route_cost_model(zeros, copies, route, monkeypatch):
     assert code_mod._rank_weight_distribution(t, k, groups)[0] == want
 
 
+_WALK_TOWERS = {"F4": (2, 1, 2), "F8": (2, 1, 3), "F9": (3, 1, 2),
+                "F16/F4": (2, 2, 2), "F25": (5, 1, 2), "F27": (3, 1, 3)}
+
+
+def _walk_cases(t, rng):
+    """(k, groups) inputs of the rank walk: random codes with a zero and a
+    repeated coordinate, random systems with blocks of rank < h (fewer or
+    dependent generators, or none), and a code with K = 0."""
+    fq = t.fq_elements
+    cases = [(0, [[()] for _ in range(3)])]
+    for k_fq in (1, t.h, t.h + 1, 2 * t.h):
+        n = rng.randint(3, 6)
+        cols = [tuple(rng.randrange(t.size) for _ in range(k_fq)) for _ in range(n)]
+        cols[rng.randrange(n)] = (0,) * k_fq
+        cols.insert(rng.randrange(n + 1), cols[rng.randrange(n)])
+        cases.append((k_fq, [[c] for c in cols]))
+    for dim in (t.h, 2 * t.h):
+        blocks = []
+        for _ in range(rng.randint(3, 6)):
+            blk = [tuple(rng.choice(fq) for _ in range(dim)) for _ in range(rng.randint(0, t.h))]
+            if blk and rng.random() < 0.5:
+                blk.append(tuple(t.mul(rng.choice(fq), c) for c in blk[0]))
+            blocks.append(blk)
+        cases.append((dim, blocks))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_WALK_TOWERS))
+def test_rank_walk_matches_level_oracle(name):
+    # one padded batch of sure sets, then the continuation from deficient
+    # sets of >= K columns, against the walk with one kernel call per level:
+    # the same weights, ranks taken and None at every cap
+    t = conftest.tower(*_WALK_TOWERS[name])
+    rng = random.Random(sum(_WALK_TOWERS[name]))
+    continued = 0
+    for k, groups in _walk_cases(t, rng):
+        weights, ranks = oracles.level_rank_weight_distribution(t, k, groups)
+        assert code_mod._rank_weight_distribution(t, k, groups) == (weights, ranks)
+        if t.q ** k <= 1 << 16:
+            assert weights == code_mod._weight_distribution(t, k, groups)
+        mat, members = code_mod._fp_blocks(t, k, groups)
+        sure = code_mod._sure_ranks(members, mat.shape[0])
+        continued += ranks > sure
+        for cap in sorted({0, ranks // 2, max(sure - 1, 0), sure, max(ranks - 1, 0), ranks}):
+            got = code_mod._rank_weight_distribution(t, k, groups, cap)
+            assert got == oracles.level_rank_weight_distribution(t, k, groups, cap)
+            assert got == (None if cap < ranks else (weights, ranks))
+    assert continued  # some walk ranks past its sure sets
+
+
+def _move_cases(t, rng):
+    """(code, is it MDS) over ``t``: an RS code and a punctured one, and
+    non-MDS codes: random rows (k_fq = h + 1) and RS with a repeated coordinate."""
+    rs = rs_code(t, 2)
+    keep = sorted(rng.sample(range(rs.n), 5))
+    rows = [tuple(rng.randrange(t.size) for _ in range(4)) for _ in range(t.h + 1)]
+    return [(rs, True), (AdditiveCode(t, [tuple(r[j] for j in keep) for r in rs.gen]), True),
+            (AdditiveCode(t, rows, check=False), False),
+            (AdditiveCode(t, [r + r[:1] for r in rs.gen]), False)]
+
+
+@pytest.mark.parametrize("name", list(_WALK_TOWERS))
+def test_moves_preserve_weight_distributions(name):
+    t = conftest.tower(*_WALK_TOWERS[name])
+    rng = random.Random(len(name) + t.size)
+    for code, mds in _move_cases(t, rng):
+        want = weight_enumerator(code)
+        assert is_mds(code) == mds
+        for _ in range(3):
+            moved = apply_move(code, random_move(t, code.n, rng))
+            k, groups = _groups(moved)
+            assert weight_enumerator(moved) == want
+            assert code_mod._weight_distribution(t, k, groups) == want
+            assert code_mod._rank_weight_distribution(t, k, groups)[0] == want
+            assert is_mds(moved) == mds
+
+
 def test_weight_enumerator(f9):
     code = rs_code(f9, 2)
     enum = weight_enumerator(code)

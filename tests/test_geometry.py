@@ -154,9 +154,9 @@ def test_weight_memo_is_invisible(f9):
 
 def test_weight_memo_is_invisible_on_rank_route(f25, monkeypatch):
     # the F_25 k = 4 example takes the rank route: the walk ranks the 56
-    # nonempty sets of at most k = 4 of the 6 coordinates (every set of 3
-    # is deficient, every set of 4 spans) and enumerates none of the 5^8
-    # messages
+    # nonempty sets of at most k = 4 of the 6 coordinates in one batch
+    # (every set of 3 has 6 < K = 8 F_p columns, every set of 4 spans) and
+    # enumerates none of the 5^8 messages
     def no_enumeration(*args):
         raise AssertionError("enumerated a code that takes the rank route")
 
@@ -191,7 +191,7 @@ def test_weight_memo_is_invisible_on_rank_route(f25, monkeypatch):
     assert want == [1, 0, 0, 480, 7920, 76464, 305760]
     assert system_min_distance(system) == 3 and is_pseudo_arc(system)
     assert is_mds(code) and min_distance(code) == 3
-    assert ranked == [6, 15, 20, 15] * 2  # once for the code, once for the system
+    assert ranked == [56, 56]  # once for the code, once for the system
     assert refusals() == cold
     got = weight_enumerator(code)
     got[3] = 0

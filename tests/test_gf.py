@@ -269,6 +269,19 @@ def test_descriptor_and_json_roundtrip(f25):
     assert field_from_json(text).key == f25.key
 
 
+def test_integers_accept_numpy_and_reject_bools(f25):
+    desc = f25.descriptor()
+    for key in ("p", "e", "h"):
+        assert FieldTower.from_descriptor(dict(desc, **{key: np.int64(desc[key])})).key == f25.key
+        for bad in (True, 2.0, "2"):
+            with pytest.raises(ValueError, match=f"^field descriptor {key} must be an integer$"):
+                FieldTower.from_descriptor(dict(desc, **{key: bad}))
+    assert f25.from_digits([np.int64(3), np.uint8(1)]) == f25.from_digits([3, 1])
+    for bad in ([True, 1], [1.0, 1]):
+        with pytest.raises(ValueError, match="^digit vector must be a list of integers$"):
+            f25.from_digits(bad)
+
+
 def test_explicit_modulus_validation():
     with pytest.raises(ValueError):
         FieldTower(2, 1, 2, modulus=[1, 0, 1])  # reducible: x^2 + 1 over F_2
