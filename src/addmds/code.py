@@ -28,37 +28,32 @@ interpolation map M.  The code is interpolated once per decision, and the
 standard form's maps are composed from that interpolation and the move.
 It returns an explicit witness or a definitive negative (the invertible g
 with g_0 = 1 are a complete set of representatives, so "None" is a
-certificate, not a timeout).  The candidates for g come from the first
-map S whose Krylov sequence S^i(1), i <= h, settles the question:
-
-- pivot: S^0(1)..S^(h-1)(1) are F_q-independent and their relation
-  x^h - sum c_i x^i is irreducible.  S is then similar to aX for each of
-  its h roots a, and any valid g maps a^i to S^i(1) up to a scalar and a
-  Frobenius power, so at most h g with g_0 = 1 remain;
-- reducible: the S^i(1) are independent but that polynomial, the minimal
-  polynomial of S, is reducible; a conjugate of aX has the irreducible
-  minimal polynomial of a, so no g exists;
-- dependent S^i(1): inconclusive, the next map is tried.
-
-Only when no map settles it are all size^(h-1) g with g_0 = 1 scanned, and
-only that scan is charged to the candidate budget.
+certificate, not a timeout).  S o g = g o (aX) iff u = (g_0, g_(h-1)^q,
+..., g_1^(q^(h-1))), column 0 of the Dickson matrix D(g), is an
+eigenvector of D(S) for a, since D(f o g) = D(f) D(g) and D(aX) =
+diag(a^(q^i)).  So the candidates lie in the spaces of common eigenvectors
+of the maps' Dickson matrices, one per tuple of eigenvalues, refined map by
+map.  A space E whose eigenvalues generate F_{q^s} holds an invertible g
+iff dim E = h/s, and the others are dropped.  A line gives at most one g
+with g_0 = 1; a larger space is walked in lex order of g until a g is
+invertible, and only that walk is charged to the candidate budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import product
+from math import comb, lcm
 
 import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, NonInvertibleMap, NotInvertible, NotMds
 from .gf import FieldTower, _inverses, _is_int, _stack_ranks, require_keys
-from .linpoly import LinearizedPoly, _add, compose_table, lex_block, random_invertible
+from .linpoly import LinearizedPoly, _add, random_invertible
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
 DEFAULT_CANDIDATE_BUDGET = 1 << 22
-WITNESS_CHUNK_ROWS = 1 << 12  # candidate rows per numpy step of the witness screen
 
 
 class AdditiveCode:
@@ -616,21 +611,17 @@ def linear_equivalence_witness(code: AdditiveCode, budget: int | None = None):
     o g^(-1) iff u = M o g has u_i = g_i a^(q^i) for all i (a = u_0 as g_0 =
     1), so no candidate needs an inverse; each candidate, in lex order, is
     checked against every target by ``compose`` and then for invertibility,
-    and the first to pass is the witness.  The candidates come from the
-    first target map S, in target order, that ``_pivot_candidates`` settles
-    from its Krylov sequence S^i(1):
+    and the first to pass is the witness.
 
-    - pivot: at most h rows, the only invertible g with g_0 = 1 and
-      S o g = g o (aX) for some a;
-    - reducible characteristic polynomial: none, so the answer is None;
-    - dependent S^i(1): inconclusive, the next target is tried.
-
-    A code with no targets gets the identity.  When no target is conclusive
-    all size^(h-1) g with g_0 = 1 are scanned, in lex-order blocks of
-    ``WITNESS_CHUNK_ROWS`` through one numpy screen against the first target
-    (``compose_table``); only this scan is charged to ``budget``.  The
-    standard form's maps are composed from the code's single interpolation
-    (``_standard_form``); no standard code is built.
+    The candidates come from the spaces of common eigenvectors of the
+    standard form's Dickson matrices that can hold an invertible g
+    (``_eigenbranches``), one per branch: a line holds at most one g with
+    g_0 = 1, and a larger branch, whose every g passes every target, is
+    walked in lex order of g until ``is_invertible``.  Only these walks are
+    charged to ``budget``, one per candidate read, so a budget B admits
+    walks of at most B candidates in all.  The standard form's maps are
+    composed from the code's single interpolation (``_standard_form``); no
+    standard code is built.
     """
     t = code.tower
     form, move = _standard_form(code)
@@ -652,82 +643,104 @@ def linear_equivalence_witness(code: AdditiveCode, budget: int | None = None):
                     return LinearWitness(g, tuple(tuple(r) for r in scalars), move)
         return None
 
-    if not targets:
-        return first_witness([LinearizedPoly.identity(t).coeffs])
-    for r, j in targets:
-        rows = _pivot_candidates(form.maps[r][j])
-        if rows is not None:
-            return first_witness(rows)
     cap = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
-    n_candidates = t.size ** (t.h - 1)
-    if n_candidates > cap:
-        raise BudgetExceeded(f"{n_candidates} witness candidates exceed budget {cap}")
-    r, j = targets[0]
-    # the candidates (1, g_1, ..., g_{h-1}) are the polynomials
-    # n_candidates..2 n_candidates - 1 in lex order
-    for lo in range(n_candidates, 2 * n_candidates, WITNESS_CHUNK_ROWS):
-        block = lex_block(t, lo, min(lo + WITNESS_CHUNK_ROWS, 2 * n_candidates))
-        hit = first_witness(block[_screen(form.maps[r][j], block)].tolist())
-        if hit is not None:
-            return hit
-    return None
+    rows, walked = [], 0
+    for basis in _eigenbranches(t, [form.maps[r][j] for r, j in targets]):
+        pivots = [row.index(1) for row in basis]  # reduced rows lead with 1
+        if pivots[0]:
+            continue  # every g of the branch has g_0 = 0
+        # g_p = v_p^(q^p) at a pivot p, and g is lex-ordered by its values there
+        for ys in product(range(t.size), repeat=len(basis) - 1):
+            if ys:
+                walked += 1
+                if walked > cap:
+                    raise BudgetExceeded(f"witness walk exceeds budget {cap}")
+            xs = [1] + [t.frob(y, -p) for y, p in zip(ys, pivots[1:])]
+            v = linalg.mat_vec(t, linalg.transpose(basis), xs)
+            g = tuple(t.frob(x, i) for i, x in enumerate(v))
+            # a line's one g is left to first_witness's invertibility check
+            if not ys or LinearizedPoly(t, g).is_invertible():
+                rows.append(g)
+                break
+    return first_witness(sorted(rows))
 
 
-def _pivot_candidates(m: LinearizedPoly):
-    """Every invertible g with g_0 = 1 and m o g = g o (aX) for some a, in lex
-    order, or None when the Krylov sequence w_i = m^i(1) does not settle it.
+def _eigenbranches(t: FieldTower, maps):
+    """Reduced bases of the spaces of common eigenvectors that can hold an
+    invertible g, one per tuple of eigenvalues, in the coordinates v_i =
+    u_(-i) of u = column 0 of D(g), so that g_i = v_i^(q^i).
 
-    If w_0..w_(h-1) are F_q-dependent the answer is None.  Otherwise 1 is a
-    cyclic vector of m, whose minimal polynomial is then chi(x) = x^h -
-    sum c_i x^i, with w_h = sum c_i w_i.  A conjugate g o (aX) o g^(-1) has
-    the minimal polynomial mu_a of a, so if chi has no root of degree h
-    (chi is reducible) there is no g and the list is empty.  If chi has a
-    root a, then g' with g'(a^i) = w_i satisfies m o g' = g' o (aX), and the
-    g for the root a^(q^(-e)) are g' o X^(q^e) o (cX), c != 0 (two g for one
-    root differ by a map commuting with aX, a scalar of F_q(a) = F_{q^h}).
-    So each of the h roots gives at most one g with g_0 = 1.  The roots are
-    found in one pass over the logs of the q^h - 1 nonzero elements.
+    D(f o g) = D(f) D(g) and D(aX) = diag(a^(q^i)), and column i of D(g) is
+    column 0 Frobenius-shifted, so S o g = g o (aX) iff D(S) u = a u.  The
+    branches start from all of F_{q^h}^h; each map S that is not cX with c
+    in F_q (D(S) = cI) splits every branch E into its intersections with the
+    eigenspaces of D(S), one per eigenvalue a (``_eigenvalues``).  A branch
+    with eigenvalues (a_S) generating F_{q^s} holds an invertible g iff its
+    dimension is h/s: the g of E are the F_q(a_S)-module maps from F_{q^h}
+    with a_S acting by multiplication, which is F_{q^s}^(h/s), to F_{q^h}
+    with a_S acting as S, and dim E is the multiplicity of the simple module
+    F_{q^s} in the latter.  The other branches are dropped.  Refinement
+    stops once every branch is a line; the remaining maps are checked per
+    candidate.
+    """
+    h = t.h
+    branches = [([[int(i == l) for l in range(h)] for i in range(h)], 1)]
+    for m in maps:
+        if all(len(basis) == 1 for basis, _ in branches):
+            break
+        if not any(m.coeffs[1:]) and t.in_fq(m.coeffs[0]):
+            continue
+        # D(S) in the v coordinates: D'[i][l] = S_(i-l)^(q^(-i))
+        dick = [[t.frob(m.coeffs[(i - l) % h], -i) for l in range(h)] for i in range(h)]
+        roots = _eigenvalues(m)
+        split = []
+        for basis, s in branches:
+            images = [linalg.mat_vec(t, dick, b) for b in basis]
+            for a in roots:
+                # the x B with x B (D' - aI)^T = 0 are the rows of the reduced
+                # [B (D' - aI)^T | B] that vanish on the left, already reduced
+                red, pivots = linalg.mat_rref(t, [
+                    [t.sub(x, t.mul(a, y)) for x, y in zip(im, b)] + b
+                    for im, b in zip(images, basis)])
+                kernel = [row[h:] for row, c in zip(red, pivots) if c >= h]
+                s_a = lcm(s, t.subfield_degree(a))
+                if len(kernel) * s_a == h:
+                    split.append((kernel, s_a))
+        branches = split
+    return [basis for basis, _ in branches]
+
+
+def _eigenvalues(m: LinearizedPoly):
+    """Roots in F_{q^h} of m's minimal polynomial over F_q, in log order.
+
+    That polynomial is the lcm of the Krylov relations of 1, omega, omega^2,
+    ... once their Krylov spaces span F_{q^h}, so its roots are the union of
+    theirs.  The first relation of w_i = m^i(v) is the first left kernel
+    vector of w_0..w_h, and its roots are found in one pass over the logs of
+    the q^h - 1 nonzero elements; 0 is no root, as m is invertible.
     """
     t = m.tower
     h, n = t.h, t._group_order
-    w = [1]
-    for _ in range(h):
-        w.append(m(w[-1]))
-    try:
-        w_inv = linalg.mat_inv(t, [t.coords(x) for x in w[:h]])
-    except NotInvertible:
-        return None
-    c = linalg.mat_mul(t, [t.coords(w[h])], w_inv)[0]
     exp, log, zech = t.np_tables()
     s = np.arange(n, dtype=np.int64)
-    chi = exp[h * s % n]
-    for i, ci in enumerate(c):
-        if ci:
-            chi = _add(chi, exp[log[t.neg(ci)] + i * s % n], exp, log, zech, n)
-    roots = np.flatnonzero(chi == 0)
-    a = t._exp[roots[0]] if len(roots) else 0
-    # an irreducible chi has h roots, all of degree h; a reducible one has none of degree h
-    if not a or t.subfield_degree(a) < h:
-        return []
-    basis = linalg.mat_inv(t, [t.coords(t.pow_int(a, i)) for i in range(h)])
-    g = LinearizedPoly.from_values(t, linalg.mat_vec(t, basis, w[:h]))
-    twists = [g.frobenius_twist(e) for e in range(h)]
-    return sorted(f.compose(LinearizedPoly.scalar(t, t.inv(f.coeffs[0]))).coeffs
-                  for f in twists if f.coeffs[0])
-
-
-def _screen(m: LinearizedPoly, block):
-    """Mask of the rows g (g_0 = 1) with m o g = g o (aX): u = m o g has
-    u_l = g_l a^(q^l) for l >= 1, a = u_0."""
-    t = m.tower
-    n = t._group_order
-    exp, log, _ = t.np_tables()
-    u = compose_table(m, block)
-    qpow = np.array(t._qpow[1:], dtype=np.int64)
-    a = u[:, :1]
-    g = block[:, 1:]
-    rhs = np.where((a != 0) & (g != 0), exp[log[g] + log[a] * qpow % n], 0)
-    return (u[:, 1:] == rhs).all(axis=1)
+    roots = np.zeros(n, dtype=bool)
+    span = []
+    for v in t.omega_powers:
+        w = [v]
+        for _ in range(h):
+            w.append(m(w[-1]))
+        rows = [t.coords(x) for x in w]
+        relation = linalg.left_nullspace(t, rows)[0]
+        d = max(i for i, c in enumerate(relation) if c)
+        value = np.zeros(n, dtype=np.int64)
+        for i, c in enumerate(relation):
+            if c:
+                value = _add(value, exp[log[c] + i * s % n], exp, log, zech, n)
+        roots |= value == 0
+        span += rows[:d]
+        if d == h or linalg.mat_rank(t, span) == h:
+            break
+    return [t._exp[i] for i in np.flatnonzero(roots)]
 
 
 # ---------------------------------------------------------------------------

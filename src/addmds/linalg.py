@@ -29,7 +29,7 @@ def mat_rref(tower, rows):
         for i in range(len(m)):
             if i != r and m[i][c]:
                 g = m[i][c]
-                m[i] = [tower.sub(a, tower.mul(g, b)) for a, b in zip(m[i], m[r])]
+                m[i] = [tower.sub(a, tower.mul(g, b)) if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):

@@ -10,18 +10,17 @@ The Dickson matrix D(f)[i][j] = f_{(j-i) mod h}^(q^i) turns composition
 into matrix multiplication, so f is invertible iff det D(f) != 0, and the
 compositional inverse can be read off the first row of D(f)^(-1).
 
-Three batched kernels work on int arrays of coefficient rows.
+Two batched kernels work on int arrays of coefficient rows.
 ``evaluation_table`` gives the values g(omega^r) of every row g at every
 nonzero point, h lookups per cell; rows come in lex order from
 ``lex_chunks``, so a value row with no zero marks an invertible g without
 any determinant, and conj(f, b) = f o (bX) o f^(-1) is read off f's row,
-since conj(f, b)(f(y)) = f(b y).  ``compose_table`` gives the
-coefficients of m o g for every row g, the same h^2 log lookups per row
-as ``compose``.  ``inverse_table`` gives f^(-1) for every row f: it maps
-f(omega^r) to omega^r, so its values at omega^l, l < h, are read off f's
-value row and the inverse Moore matrix turns them into coefficients;
-every row is checked at every nonzero point before use.  All three add
-through one helper, ``_add``: XOR for p = 2, Zech logarithms for odd p.
+since conj(f, b)(f(y)) = f(b y).  ``inverse_table`` gives f^(-1) for every
+row f: it maps f(omega^r) to omega^r, so its values at omega^l, l < h, are
+read off f's value row and the inverse Moore matrix turns them into
+coefficients; every row is checked at every nonzero point before use.
+Both add through one helper, ``_add``: XOR for p = 2, Zech logarithms for
+odd p.
 
 ``inverse`` (one Dickson matrix) is the only memoised inverse: it alone
 reads and writes the tower memo ``inverses``, filling it in both
@@ -193,33 +192,6 @@ class LinearizedPoly:
         return f"LinearizedPoly{self.coeffs}"
 
 
-def compose_table(m, coeffs):
-    """Coefficients of m o g for every row g of the int array ``coeffs``.
-
-    ``coeffs`` has shape (rows, h) and holds field elements of m's tower;
-    the result has the same shape, row r being ``m.compose(g_r).coeffs``.
-    Coefficient l is sum_i m_i * g_{(l-i) mod h}^(q^i), each term one
-    log-domain lookup on a whole column, with zero g entries masked (log[0]
-    reads 0).  Work goes column by column to keep the temporaries small.
-    """
-    t = m.tower
-    h, n = t.h, t._group_order
-    exp, log, zech = t.np_tables()
-    g = np.asarray(coeffs, dtype=np.int64)
-    if g.ndim != 2 or g.shape[1] != h:
-        raise ValueError("compose_table needs an array of shape (rows, h)")
-    log_g = log[g]
-    out = np.zeros_like(g)
-    for l in range(h):
-        for i in m.support():
-            j = (l - i) % h
-            # m_i * g_j^(q^i); exp is doubled, so log m_i + (...) needs no mod
-            log_term = t._log[m.coeffs[i]] + log_g[:, j] * t._qpow[i] % n
-            term = np.where(g[:, j] != 0, exp[log_term], 0)
-            out[:, l] = _add(out[:, l], term, exp, log, zech, n)
-    return out
-
-
 def evaluation_table(tower, coeffs):
     """Values g(omega^r) for every row g of the int array ``coeffs``.
 
@@ -286,20 +258,15 @@ def _moore_inv(tower):
         tower, [[tower.frob(w, i) for i in range(tower.h)] for w in tower.omega_powers]))
 
 
-def lex_block(tower, lo, hi):
-    """Coefficient rows of the polynomials lo..hi-1 in lex order, the order
-    of ``all_linearized``: row index // size^(h-1-i) % size is coefficient i."""
-    index = np.arange(lo, hi, dtype=np.int64)[:, None]
-    place = tower.size ** np.arange(tower.h - 1, -1, -1, dtype=np.int64)
-    return index // place % tower.size
-
-
 def lex_chunks(tower, stop):
-    """Lex blocks covering polynomials 0..stop-1, each with at most
-    ``EVAL_CHUNK_CELLS`` cells in its value table."""
+    """Coefficient rows of the polynomials 0..stop-1 in lex order, the order
+    of ``all_linearized`` (row index // size^(h-1-i) % size is coefficient
+    i), in blocks with at most ``EVAL_CHUNK_CELLS`` cells in their value
+    table."""
     step = max(1, EVAL_CHUNK_CELLS // tower._group_order)
+    place = tower.size ** np.arange(tower.h - 1, -1, -1, dtype=np.int64)
     for lo in range(0, stop, step):
-        yield lex_block(tower, lo, min(lo + step, stop))
+        yield np.arange(lo, min(lo + step, stop), dtype=np.int64)[:, None] // place % tower.size
 
 
 def support_degrees(coeffs, h):

@@ -7,7 +7,8 @@ conjugates (one at a time, or a whole conjugation table) and a support
 gcd per polynomial for the semilinear criterion, rank tests over every
 k-subset of blocks for pseudo-arcs, a subset-rank walk with one kernel
 call per level for weight distributions, g^(-1) o M o g for
-linear-equivalence witnesses, plain subset enumeration for matchings, a
+linear-equivalence witnesses (per candidate, or after a batched
+``compose_table`` screen), plain subset enumeration for matchings, a
 per-pair search with no memo for pair scores, a per-pair witness and
 certificate for the zero-coefficient lemma, and Dickson determinants per
 candidate for the k = 4 hunt.  Slow on purpose; tests only feed it small
@@ -418,29 +419,96 @@ def table_semilinear_report(tower):
     }
 
 
+def _standard_targets(code):
+    """(standard form, move, target positions (r, j) with r, j >= 1)."""
+    std, move = to_standard_form(code)
+    form = to_interpolation_form(std)
+    k, n = form.k, form.n
+    return form, move, [(r, j) for r in range(1, n - k) for j in range(1, k)]
+
+
+def _conjugating_witness(form, move, targets, g):
+    """LinearWitness for g when g is invertible and every g^(-1) o M o g over
+    the targets M is a scalar, else None."""
+    if not g.is_invertible():
+        return None
+    ginv = g.inverse()
+    scalars = [[1] * form.k for _ in range(form.n - form.k)]
+    for r, j in targets:
+        u = ginv.compose(form.maps[r][j]).compose(g)
+        if any(u.coeffs[1:]):
+            return None
+        scalars[r][j] = u.coeffs[0]
+    return LinearWitness(g, tuple(tuple(r) for r in scalars), move)
+
+
 def brute_linear_witness(code):
     """The lex-first invertible g (g_0 = 1) with every g^(-1) o M o g scalar,
     over the standard-form maps M, as a LinearWitness; None when none is."""
     t = code.tower
-    std, move = to_standard_form(code)
-    form = to_interpolation_form(std)
-    k, n = form.k, form.n
-    targets = [(r, j) for r in range(1, n - k) for j in range(1, k)]
+    form, move, targets = _standard_targets(code)
     for rest in product(range(t.size), repeat=t.h - 1):
-        g = LinearizedPoly(t, (1,) + rest)
-        if not g.is_invertible():
-            continue
-        ginv = g.inverse()
-        scalars = [[1] * k for _ in range(n - k)]
-        ok = True
+        wit = _conjugating_witness(form, move, targets, LinearizedPoly(t, (1,) + rest))
+        if wit is not None:
+            return wit
+    return None
+
+
+def compose_table(m, coeffs):
+    """Coefficients of m o g for every row g of the int array ``coeffs``.
+
+    ``coeffs`` has shape (rows, h) and holds field elements of m's tower;
+    the result has the same shape, row r being ``m.compose(g_r).coeffs``.
+    Coefficient l is sum_i m_i * g_{(l-i) mod h}^(q^i), each term one
+    log-domain lookup on a whole column, with zero g entries masked (log[0]
+    reads 0).  Work goes column by column to keep the temporaries small.
+    """
+    t = m.tower
+    h, n = t.h, t._group_order
+    exp, log, zech = t.np_tables()
+    g = np.asarray(coeffs, dtype=np.int64)
+    if g.ndim != 2 or g.shape[1] != h:
+        raise ValueError("compose_table needs an array of shape (rows, h)")
+    log_g = log[g]
+    out = np.zeros_like(g)
+    for l in range(h):
+        for i in m.support():
+            j = (l - i) % h
+            # m_i * g_j^(q^i); exp is doubled, so log m_i + (...) needs no mod
+            log_term = t._log[m.coeffs[i]] + log_g[:, j] * t._qpow[i] % n
+            term = np.where(g[:, j] != 0, exp[log_term], 0)
+            out[:, l] = _add(out[:, l], term, exp, log, zech, n)
+    return out
+
+
+def scan_linear_witness(code):
+    """``brute_linear_witness`` by a batched scan, for towers where it is too
+    slow (F_81/F_3 reads 81^3 candidates).
+
+    The size^(h-1) g with g_0 = 1 go in lex-order blocks of 4096 rows
+    through one numpy screen per target M: u = M o g (``compose_table``)
+    must have u_l = g_l a^(q^l) for l >= 1, a = u_0.  The survivors, in lex
+    order, are checked like the brute oracle's candidates.
+    """
+    t = code.tower
+    h, n = t.h, t._group_order
+    exp, log, _ = t.np_tables()
+    form, move, targets = _standard_targets(code)
+    total = t.size ** (h - 1)
+    place = t.size ** np.arange(h - 2, -1, -1, dtype=np.int64)
+    qpow = np.array(t._qpow[1:], dtype=np.int64)
+    for lo in range(0, total, 1 << 12):
+        index = np.arange(lo, min(lo + (1 << 12), total), dtype=np.int64)[:, None]
+        block = np.hstack([np.ones_like(index), index // place % t.size])
         for r, j in targets:
-            u = ginv.compose(form.maps[r][j]).compose(g)
-            if any(u.coeffs[1:]):
-                ok = False
-                break
-            scalars[r][j] = u.coeffs[0]
-        if ok:
-            return LinearWitness(g, tuple(tuple(r) for r in scalars), move)
+            u = compose_table(form.maps[r][j], block)
+            a, g = u[:, :1], block[:, 1:]
+            rhs = np.where((a != 0) & (g != 0), exp[log[g] + log[a] * qpow % n], 0)
+            block = block[(u[:, 1:] == rhs).all(axis=1)]
+        for row in block.tolist():
+            wit = _conjugating_witness(form, move, targets, LinearizedPoly(t, tuple(row)))
+            if wit is not None:
+                return wit
     return None
 
 

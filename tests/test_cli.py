@@ -5,6 +5,8 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -193,6 +195,24 @@ def test_linear_witness_on_linear_input(capsys, tmp_path, f4):
     rep = parse(out)
     assert rep["witness_found"] and rep["g"] == [[1, 0], [0, 0]]
     assert rep["moved_code_is_linear"] is True
+
+
+def test_linear_witness_on_subfield_only_code(capsys, tmp_path):
+    # both maps conjugate scalars of F_16 < F_256 by one g0, so no map has
+    # independent M^i(1) and 256^3 candidates g would exceed the default budget
+    t = conftest.tower(2, 2, 4)
+    rng = random.Random(16)
+    g0 = random_invertible(t, rng)
+    scalars = rng.sample([x for x in t.nonzero() if t.subfield_degree(x) == 2], 2)
+    ident = LinearizedPoly.identity(t)
+    rows = ((ident, ident),) + tuple((ident, g0.conjugate(a)) for a in scalars)
+    code = InterpolationForm(t, 5, 2, rows).build_code()
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code_to_dict(apply_move(code, random_move(t, code.n, rng)))))
+    code, out, err = run(capsys, "linear-witness", "--in", str(path))
+    assert code == 0 and err == ""
+    rep = parse(out)
+    assert rep["witness_found"] and rep["moved_code_is_linear"]
 
 
 def _scrambled_code(tower, rng, linearizable):
@@ -463,3 +483,64 @@ def test_foreign_flag_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "unrecognized arguments" in err
+
+
+_ODD_VALUES = (None, True, -1, 0, 1, 2, 5, 10 ** 6, 1.5, "3", [], {}, [0], [[0]], {"p": 3})
+
+
+def _mutate(data, rng):
+    """``data`` with one seeded change at a random place: a list entry or a
+    key dropped, a list entry doubled, or a leaf replaced by a small int
+    (often still a valid digit) or an odd value."""
+    if isinstance(data, (dict, list)) and data:
+        key = rng.choice(list(data) if isinstance(data, dict) else range(len(data)))
+        out = dict(data) if isinstance(data, dict) else list(data)
+        roll = rng.random()
+        if roll < 0.1:
+            del out[key]
+        elif roll < 0.15 and isinstance(out, list):
+            out.insert(key, out[key])
+        else:
+            out[key] = _mutate(out[key], rng)
+        return out
+    if type(data) is int and rng.random() < 0.6:
+        return rng.randrange(6)
+    return rng.choice(_ODD_VALUES)
+
+
+@lru_cache(maxsize=None)
+def _fuzz_sources():
+    """(JSON document, the argv that read it) per input format; no verb
+    reads a system, so a system goes where a code is read."""
+    f9 = conftest.tower(3, 1, 2)
+    code = code_to_dict(rs_code(f9, 2))
+    system = {"field": f9.descriptor(), "dim": 4,
+              "blocks": [[[f9.digits(1), f9.digits(0)], [f9.digits(0), f9.digits(1)]]]}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "ex.json")
+        assert main(["hunt-k4", "--p", "5", "--h", "2", "--out", out]) == 0
+        example = json.loads(Path(out).read_text())
+    pair = {"f": [[1, 0], [0, 0]], "g": [[1, 1], [2, 0]]}
+    verbs = [["check-mds"], ["standard-form"], ["linear-witness"], ["geometry"],
+             ["project", "--n", "1"]]
+    return {"code": (code, verbs), "system": (system, verbs[:1] + verbs[3:4]),
+            "example": (example, [["verify-example"]]),
+            "pair": (pair, [["propm", "--p", "3", "--h", "2"]])}
+
+
+@pytest.mark.parametrize("kind, count", [("code", 150), ("system", 30), ("example", 60),
+                                         ("pair", 100)])
+def test_mutated_json_exits_cleanly(capsys, tmp_path, kind, count):
+    # every mutant exits 0, 1 or 2 with at most a one-line diagnostic, never a traceback
+    data, verbs = _fuzz_sources()[kind]
+    rng = random.Random(kind)
+    path = tmp_path / "in.json"
+    exits = set()
+    for _ in range(count):
+        mutant = _mutate(data, rng)
+        path.write_text(json.dumps(mutant))
+        for argv in verbs:
+            code, _, err = run(capsys, *argv, "--in", str(path))
+            assert code in (0, 1, 2) and len(err.splitlines()) <= 1, (mutant, argv, err)
+            exits.add(code)
+    assert 2 in exits

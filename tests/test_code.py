@@ -571,16 +571,6 @@ def test_witness_matches_oracle(name):
     _check_witness_cases(name)
 
 
-@pytest.mark.parametrize("name", ["rs", "conjugate", "negative", "k4", "singular"])
-def test_witness_screen_spans_blocks(name, monkeypatch):
-    # blocks of 5 candidates; of these codes only the singular F_16 one has
-    # no map with independent S^i(1) and reaches the scan, where the singular
-    # candidate (1, 0, 8, 0) passes every target in an earlier block than
-    # the witness (1, 0, 8, 4), so only is_invertible keeps it out
-    monkeypatch.setattr(code_mod, "WITNESS_CHUNK_ROWS", 5)
-    _check_witness_cases(name)
-
-
 def test_witness_on_f16_over_f2_matches_oracle():
     t = field_create(2, 1, 4)
     rng = random.Random(64)
@@ -617,12 +607,21 @@ def test_negative_witness_takes_few_inverses():
 
 
 def test_witness_candidate_budget(f9):
-    # the one target 2X has dependent S^i(1), so only the scan of 9 g decides
+    # the singular F_16 case: 6 and 7 lie in F_4, so both branches are planes
+    # and are walked; the branch of 6 starts with the witness (1, 0, 8, 4),
+    # the branch of 7 reads the singular (1, 0, 8, 0) and then one more g
+    (code,), _ = _witness_cases("singular")
+    for budget in (0, 2):
+        with pytest.raises(BudgetExceeded, match=f"^witness walk exceeds budget {budget}$"):
+            linear_equivalence_witness(code, budget=budget)
+    assert linear_equivalence_witness(code, budget=3).g.coeffs == (1, 0, 8, 4)
+    # the one target 2X is an F_3 scalar, so the whole space is walked and
+    # its first g, the identity, is the witness
     code = _k2_code(f9, [LinearizedPoly.scalar(f9, 2)])
-    with pytest.raises(BudgetExceeded, match="9 witness candidates exceed budget 2"):
-        linear_equivalence_witness(code, budget=2)
-    assert linear_equivalence_witness(code, budget=9).g == LinearizedPoly.identity(f9)
-    # a pivot or a code without targets is never charged
+    with pytest.raises(BudgetExceeded, match="^witness walk exceeds budget 0$"):
+        linear_equivalence_witness(code, budget=0)
+    assert linear_equivalence_witness(code, budget=1).g == LinearizedPoly.identity(f9)
+    # lines are never walked, so never charged
     assert linear_equivalence_witness(rs_code(f9, 2), budget=0) is not None
     assert linear_equivalence_witness(_negative(f9, random.Random(5)), budget=0) is None
 
@@ -645,14 +644,32 @@ def _of_degree(tower, degree, count, rng):
                        if tower.subfield_degree(x) == degree], count)
 
 
-def _route_cases(tower, route, rng):
-    """(code, linearizable) pairs whose decision takes ``route``.
+def _split_map(tower, rng):
+    """g0 o T o g0^(-1) for a T whose F_q-matrix in the omega basis is upper
+    triangular and not scalar: its characteristic polynomial splits over F_q."""
+    fq = tower.fq_elements
+    g0 = random_invertible(tower, rng)
+    while True:
+        values = []
+        for l in range(tower.h):
+            column = [rng.choice(fq) for _ in range(l)] + [rng.choice(fq[1:])]
+            values.append(tower.from_coords(column + [0] * (tower.h - l - 1)))
+        t_map = LinearizedPoly.from_values(tower, values)
+        if any(t_map.coeffs[1:]) or not tower.in_fq(t_map.coeffs[0]):
+            return g0.compose(t_map).compose(g0.inverse())
 
-    Pivots come from maps g0 o (aX) o g0^-1 with F_q(a) = F_{q^h}.  A map
-    with a scalar in a proper subfield (s, the largest proper divisor of h)
-    has dependent S^i(1): the "pivot hit" code puts one first, so the
-    decision moves on to the next target, and the "scan" code has only such
-    maps, or the Frobenius X^q, which is never a scalar conjugate.
+
+def _route_cases(tower, route, rng):
+    """(code, linearizable) pairs of one kind of k = 2 code.
+
+    - "pivot hit": a conjugate of a scalar of a proper subfield (degree s,
+      the largest proper divisor of h) first, then conjugates of scalars a
+      with F_q(a) = F_{q^h} by the same g0; or one such conjugate alone;
+    - "pivot miss": one such conjugate and a random invertible map;
+    - "reducible": a map whose characteristic polynomial splits over F_q
+      (``_split_map``) and one such conjugate;
+    - "scan": only maps with dependent S^i(1), the subfield conjugate and its
+      square, or the Frobenius X^q, which is never a scalar conjugate.
     """
     h = tower.h
     s = max(d for d in range(1, h) if h % d == 0)
@@ -666,37 +683,86 @@ def _route_cases(tower, route, rng):
         a, = _of_degree(tower, h, 1, rng)
         return [(_k2_code(tower, [g0.conjugate(a), random_invertible(tower, rng)]), False)]
     if route == "reducible":
-        while True:
-            m = random_invertible(tower, rng)
-            if code_mod._pivot_candidates(m) == []:
-                return [(_k2_code(tower, [m, g0.conjugate(_of_degree(tower, h, 1, rng)[0])]),
-                         False)]
+        a, = _of_degree(tower, h, 1, rng)
+        return [(_k2_code(tower, [_split_map(tower, rng), g0.conjugate(a)]), False)]
     return [(_k2_code(tower, [sub, sub.compose(sub)]), True),
             (_k2_code(tower, [LinearizedPoly.monomial(tower, 1, 1)]), False)]
-
-
-def _no_screen(m, block):
-    raise AssertionError("the scan ran")
 
 
 @pytest.mark.parametrize("route", ["pivot hit", "pivot miss", "reducible", "scan"])
 @pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 2), (5, 1, 2), (3, 1, 3), (2, 2, 3),
                                  (2, 1, 4)],
                          ids=["F8", "F9", "F25", "F27", "F64_F4", "F16"])
-def test_witness_route_matches_oracle(key, route, monkeypatch):
+def test_witness_route_matches_oracle(key, route):
     t = conftest.tower(*key)
-    screened = []
-    if route == "scan":
-        screen = code_mod._screen
-        monkeypatch.setattr(code_mod, "_screen",
-                            lambda m, block: screened.append(m) or screen(m, block))
-    else:
-        monkeypatch.setattr(code_mod, "_screen", _no_screen)
     for code, linearizable in _route_cases(t, route, random.Random(sum(key) + len(route))):
         wit = linear_equivalence_witness(code)
         assert wit == oracles.brute_linear_witness(code)
         assert (wit is not None) == linearizable
-    assert bool(screened) == (route == "scan")
+
+
+def _fuzz_code(tower, rng):
+    """A seeded k = 2 code with one to three maps, each a conjugate of an
+    element of a random subfield degree by one of one or two g0, a random
+    invertible map or a monomial; scrambled half of the time."""
+    h = tower.h
+    g0s = [random_invertible(tower, rng) for _ in range(rng.choice((1, 2)))]
+    maps = []
+    for _ in range(rng.randrange(1, 4)):
+        kind = rng.randrange(4)
+        if kind < 2:
+            degree = rng.choice([d for d in range(1, h + 1) if h % d == 0])
+            maps.append(rng.choice(g0s).conjugate(_of_degree(tower, degree, 1, rng)[0]))
+        elif kind == 2:
+            maps.append(random_invertible(tower, rng))
+        else:
+            c = rng.randrange(1, tower.size)
+            maps.append(LinearizedPoly.monomial(tower, c, rng.randrange(h)))
+    code = _k2_code(tower, maps)
+    if rng.random() < 0.5:
+        code = apply_move(code, random_move(tower, code.n, rng))
+    return code
+
+
+def _outcome(decide, code):
+    try:
+        return decide(code)
+    except NotMds:
+        return NotMds
+
+
+@pytest.mark.parametrize("key, count", [((2, 1, 3), 60), ((3, 1, 3), 40), ((2, 1, 4), 20),
+                                        ((2, 2, 2), 60), ((3, 1, 4), 16)],
+                         ids=["F8", "F27", "F16", "F16_F4", "F81"])
+def test_witness_fuzz_matches_oracle(key, count):
+    # F_81/F_3 against the batched scan, the rest against the brute oracle
+    t = conftest.tower(*key)
+    oracle = oracles.scan_linear_witness if t.size == 81 else oracles.brute_linear_witness
+    rng = random.Random(7 * sum(key))
+    kinds = set()
+    for _ in range(count):
+        code = _fuzz_code(t, rng)
+        got = _outcome(linear_equivalence_witness, code)
+        assert got == _outcome(oracle, code)
+        kinds.add(got if got in (None, NotMds) else "witness")
+    assert {None, "witness"} <= kinds
+
+
+@pytest.mark.parametrize("key", [(2, 2, 4), (2, 1, 6), (5, 1, 4)],
+                         ids=["F256_F4", "F64_F2", "F625_F5"])
+def test_witness_on_subfield_only_codes(key):
+    # every map conjugates a scalar of one proper subfield F_{q^s}, so no map
+    # has independent S^i(1) and the witness comes from a walk of planes or
+    # larger branches; a scan would read 256^3, 32^5... candidates
+    t = conftest.tower(*key)
+    rng = random.Random(sum(key))
+    for s in (d for d in range(2, t.h) if t.h % d == 0):
+        g0 = random_invertible(t, rng)
+        code = _k2_code(t, [g0.conjugate(a) for a in _of_degree(t, s, 2, rng)])
+        code = apply_move(code, random_move(t, code.n, rng))
+        wit = linear_equivalence_witness(code)
+        assert wit is not None and wit.g.coeffs[0] == 1 and wit.g.is_invertible()
+        assert apply_move(code, wit.linearizing_move()).is_field_linear()
 
 
 def test_code_json_roundtrip(f9):
