@@ -613,15 +613,17 @@ def linear_equivalence_witness(code: AdditiveCode, budget: int | None = None):
     checked against every target by ``compose`` and then for invertibility,
     and the first to pass is the witness.
 
-    The candidates come from the spaces of common eigenvectors of the
-    standard form's Dickson matrices that can hold an invertible g
-    (``_eigenbranches``), one per branch: a line holds at most one g with
-    g_0 = 1, and a larger branch, whose every g passes every target, is
-    walked in lex order of g until ``is_invertible``.  Only these walks are
-    charged to ``budget``, one per candidate read, so a budget B admits
-    walks of at most B candidates in all.  The standard form's maps are
-    composed from the code's single interpolation (``_standard_form``); no
-    standard code is built.
+    S o g = g o (aX) iff column 0 of D(g) is an eigenvector of D(S) for a,
+    so the candidates come from the spaces of common eigenvectors of the
+    standard form's Dickson matrices (``_eigenbranches``), one per tuple of
+    eigenvalues, kept only when the space can hold an invertible g: its
+    dimension is h/s, where the eigenvalues generate F_{q^s}.  A line holds
+    at most one g with g_0 = 1; a larger branch, whose every g passes every
+    target, is walked in lex order of g until ``is_invertible``.  Only
+    these walks are charged to ``budget``, one per candidate read, so a
+    budget B admits walks of at most B candidates in all.  The standard
+    form's maps are composed from the code's single interpolation
+    (``_standard_form``); no standard code is built.
     """
     t = code.tower
     form, move = _standard_form(code)
