@@ -497,8 +497,9 @@ def scan_linear_witness(code):
     total = t.size ** (h - 1)
     place = t.size ** np.arange(h - 2, -1, -1, dtype=np.int64)
     qpow = np.array(t._qpow[1:], dtype=np.int64)
-    for lo in range(0, total, 1 << 12):
-        index = np.arange(lo, min(lo + (1 << 12), total), dtype=np.int64)[:, None]
+    step = 1 << 12
+    for lo in range(0, total, step):
+        index = np.arange(lo, min(lo + step, total), dtype=np.int64)[:, None]
         block = np.hstack([np.ones_like(index), index // place % t.size])
         for r, j in targets:
             u = compose_table(form.maps[r][j], block)

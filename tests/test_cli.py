@@ -206,9 +206,9 @@ def test_linear_witness_on_subfield_only_code(capsys, tmp_path):
     scalars = rng.sample([x for x in t.nonzero() if t.subfield_degree(x) == 2], 2)
     ident = LinearizedPoly.identity(t)
     rows = ((ident, ident),) + tuple((ident, g0.conjugate(a)) for a in scalars)
-    code = InterpolationForm(t, 5, 2, rows).build_code()
+    subfield = InterpolationForm(t, 5, 2, rows).build_code()
     path = tmp_path / "code.json"
-    path.write_text(json.dumps(code_to_dict(apply_move(code, random_move(t, code.n, rng)))))
+    path.write_text(json.dumps(code_to_dict(apply_move(subfield, random_move(t, 5, rng)))))
     code, out, err = run(capsys, "linear-witness", "--in", str(path))
     assert code == 0 and err == ""
     rep = parse(out)

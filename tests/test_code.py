@@ -584,7 +584,7 @@ def test_witness_on_f16_over_f2_matches_oracle():
 
 
 def test_witness_on_f81_decides_both_ways():
-    # 531,441 candidates; too many for the oracle, so check the verdicts
+    # 531,441 candidates, too many for the brute oracle; the fuzz test runs the scan oracle here
     t = field_create(3, 1, 4)
     rng = random.Random(81)
     neg = _negative(t, rng)
