@@ -24,8 +24,9 @@ invertible q-linearized substitutions; they preserve cardinality and weight
 distribution.  ``linear_equivalence_witness`` decides, for an MDS code,
 whether some move turns it into an F_{q^h}-linear code: in standard form,
 whether one g has M o g = g o (aX), with a scalar a per map, for every
-interpolation map M.  The code is interpolated once per decision, and the
-standard form's maps are composed from that interpolation and the move.
+interpolation map M.  The code is interpolated once per decision, each
+interpolation map is checked for invertibility once, and the standard
+form's maps are composed from that interpolation and the move.
 It returns an explicit witness or a definitive negative (the invertible g
 with g_0 = 1 are a complete set of representatives, so "None" is a
 certificate, not a timeout).  S o g = g o (aX) iff u = (g_0, g_(h-1)^q,
@@ -441,17 +442,26 @@ class EquivalenceMove:
             if not f.is_invertible():
                 raise NonInvertibleMap(f"coordinate map {f.coeffs} is singular")
 
+    @classmethod
+    def _of_invertible(cls, perm, maps):
+        """A move built from a permutation and maps already known to be
+        invertible, without the Dickson determinant per map."""
+        move = object.__new__(cls)
+        object.__setattr__(move, "perm", perm)
+        object.__setattr__(move, "maps", maps)
+        return move
+
 
 def identity_move(tower: FieldTower, n: int) -> EquivalenceMove:
     ident = LinearizedPoly.identity(tower)
-    return EquivalenceMove(tuple(range(n)), (ident,) * n)
+    return EquivalenceMove._of_invertible(tuple(range(n)), (ident,) * n)
 
 
 def random_move(tower: FieldTower, n: int, rng) -> EquivalenceMove:
     perm = list(range(n))
     rng.shuffle(perm)
     maps = tuple(random_invertible(tower, rng) for _ in range(n))
-    return EquivalenceMove(tuple(perm), maps)
+    return EquivalenceMove._of_invertible(tuple(perm), maps)
 
 
 def apply_move(code: AdditiveCode, move: EquivalenceMove) -> AdditiveCode:
@@ -469,7 +479,7 @@ def compose_moves(second: EquivalenceMove, first: EquivalenceMove) -> Equivalenc
     n = len(first.perm)
     perm = tuple(first.perm[second.perm[j]] for j in range(n))
     maps = tuple(second.maps[j].compose(first.maps[second.perm[j]]) for j in range(n))
-    return EquivalenceMove(perm, maps)
+    return EquivalenceMove._of_invertible(perm, maps)
 
 
 def inverse_move(move: EquivalenceMove) -> EquivalenceMove:
@@ -478,7 +488,7 @@ def inverse_move(move: EquivalenceMove) -> EquivalenceMove:
     for j, pj in enumerate(move.perm):
         inv_perm[pj] = j
     maps = tuple(move.maps[inv_perm[i]].inverse() for i in range(n))
-    return EquivalenceMove(tuple(inv_perm), maps)
+    return EquivalenceMove._of_invertible(tuple(inv_perm), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +516,10 @@ class InterpolationForm:
         return AdditiveCode(t, rows, n=self.n, check=False)
 
 
-def to_interpolation_form(code: AdditiveCode) -> InterpolationForm:
-    """Express each trailing coordinate as a sum of maps of the first k.
-
-    Requires the first k coordinates to form an information set and every
-    interpolation map to be invertible; both hold for MDS codes, and NotMds
-    is raised otherwise.
-    """
+def _interpolate(code: AdditiveCode) -> InterpolationForm:
+    """The interpolation form of ``code``, its maps not checked for
+    invertibility.  NotMds unless the first k coordinates form an
+    information set."""
     t = code.tower
     h = t.h
     k = code.message_length()
@@ -525,25 +532,30 @@ def to_interpolation_form(code: AdditiveCode) -> InterpolationForm:
         inv = linalg.mat_inv(t, exp_first)
     except NotInvertible:
         raise NotMds("first k coordinates are not an information set")
-    rows_mat = linalg.mat_mul(t, inv, [list(r) for r in code.gen])
-    values = [[None] * k for _ in range(code.n - k)]
-    for i in range(k):
-        for l in range(h):
-            w = rows_mat[i * h + l]
-            for r in range(code.n - k):
-                if values[r][i] is None:
-                    values[r][i] = []
-                values[r][i].append(w[k + r])
-    maps = []
-    for r in range(code.n - k):
-        row = []
-        for i in range(k):
-            f = LinearizedPoly.from_values(t, values[r][i])
+    # row i*h + l holds the values M_ri(omega^l) on the trailing coordinates r
+    values = linalg.mat_mul(t, inv, [row[k:] for row in code.gen])
+    return InterpolationForm(t, code.n, k, tuple(
+        tuple(LinearizedPoly.from_values(t, [values[i * h + l][r] for l in range(h)])
+              for i in range(k)) for r in range(code.n - k)))
+
+
+def _singular_map(k: int, r: int, i: int) -> NotMds:
+    return NotMds(f"interpolation map at ({k + r}, {i}) is singular")
+
+
+def to_interpolation_form(code: AdditiveCode) -> InterpolationForm:
+    """Express each trailing coordinate as a sum of maps of the first k.
+
+    Requires the first k coordinates to form an information set and every
+    interpolation map to be invertible; both hold for MDS codes, and NotMds
+    is raised otherwise, for the first singular map in (r, i) order.
+    """
+    form = _interpolate(code)
+    for r, row in enumerate(form.maps):
+        for i, f in enumerate(row):
             if not f.is_invertible():
-                raise NotMds(f"interpolation map at ({k + r}, {i}) is singular")
-            row.append(f)
-        maps.append(tuple(row))
-    return InterpolationForm(t, code.n, k, tuple(maps))
+                raise _singular_map(form.k, r, i)
+    return form
 
 
 def _standard_form(code: AdditiveCode):
@@ -551,24 +563,43 @@ def _standard_form(code: AdditiveCode):
     interpolation of ``code``.
 
     With M the maps of ``code``, the move is phi_j = M_0j on the first k
-    coordinates, psi_0 = id and psi_r = (M_r0 o phi_0^(-1))^(-1) on the
-    others, so the moved code has the maps S_rj = psi_r o M_rj o phi_j^(-1),
-    whose row 0 and column 0 are the identity.  The interpolation form is
-    unique, so these compositions are the maps that interpolating the moved
-    code would give, and they are invertible because every M_rj is.
+    coordinates, psi_0 = id and psi_r = phi_0 o M_r0^(-1) (that is,
+    (M_r0 o phi_0^(-1))^(-1)) on the others, so the moved code has the maps
+    S_rj = psi_r o M_rj o phi_j^(-1), whose row 0 and column 0 are the
+    identity and are not composed.  The interpolation form is unique, so
+    these are the maps that interpolating the moved code would give.  Each
+    M_rj is checked once, in (r, i) order as ``to_interpolation_form``
+    does: row 0 by the inverses phi_j^(-1), column 0 by M_r0^(-1), every
+    other map by its Dickson determinant.  So every map of the form and of
+    the move is invertible.
     """
     t = code.tower
-    form = to_interpolation_form(code)
-    k, n = form.k, form.n
+    form = _interpolate(code)
+    k, n, maps = form.k, form.n, form.maps
     if n == k:
         return form, identity_move(t, n)
-    phi = form.maps[0]
-    phi_inv = [f.inverse() for f in phi]
-    psi = (LinearizedPoly.identity(t),) + tuple(
-        form.maps[r][0].compose(phi_inv[0]).inverse() for r in range(1, n - k))
-    maps = tuple(tuple(psi[r].compose(form.maps[r][j]).compose(phi_inv[j]) for j in range(k))
-                 for r in range(n - k))
-    return InterpolationForm(t, n, k, maps), EquivalenceMove(tuple(range(n)), phi + psi)
+
+    def inverse(r, i):
+        try:
+            return maps[r][i].inverse()
+        except NotInvertible:
+            raise _singular_map(k, r, i) from None
+
+    ident = LinearizedPoly.identity(t)
+    phi = maps[0]
+    phi_inv = [inverse(0, i) for i in range(k)]
+    psi, std = [ident], [(ident,) * k]
+    for r in range(1, n - k):
+        psi_r = phi[0].compose(inverse(r, 0))
+        row = [ident]
+        for i in range(1, k):
+            if not maps[r][i].is_invertible():
+                raise _singular_map(k, r, i)
+            row.append(psi_r.compose(maps[r][i]).compose(phi_inv[i]))
+        psi.append(psi_r)
+        std.append(tuple(row))
+    return (InterpolationForm(t, n, k, tuple(std)),
+            EquivalenceMove._of_invertible(tuple(range(n)), phi + tuple(psi)))
 
 
 def to_standard_form(code: AdditiveCode):
@@ -597,7 +628,7 @@ class LinearWitness:
     def linearizing_move(self) -> EquivalenceMove:
         n = len(self.standard_move.perm)
         ginv = self.g.inverse()
-        post = EquivalenceMove(tuple(range(n)), (ginv,) * n)
+        post = EquivalenceMove._of_invertible(tuple(range(n)), (ginv,) * n)
         return compose_moves(post, self.standard_move)
 
 

@@ -30,7 +30,9 @@ Construction builds O(size) tables for every tower (at most
 ``DEFAULT_MAX_SIZE`` = 2**20 elements): exp/log of omega and, for odd p, Zech logarithms
 log(1 + omega^t).  Multiplication, inversion, powers, Frobenius and
 negation are lookups through the logs; addition is XOR for p = 2 and one
-Zech lookup otherwise.  Codeword enumeration works on the base-p digit
+Zech lookup otherwise.  The row kernels ``scale``, ``axpy``, ``dot`` and
+``accumulate`` do the same on whole rows, for ``linalg``'s elimination and
+``linpoly``'s composition.  Codeword enumeration works on the base-p digit
 vectors directly.  ``np_tables`` gives numpy copies of the tables for
 vectorised kernels, built on first use; they and every other per-tower
 cache live in the tower's ``memo``.
@@ -114,7 +116,8 @@ def _inverses(p):
 
 def _stack_ranks(a, p, inv):
     """F_p ranks of a (B, R, C) stack by Gaussian elimination, one pivot column
-    at a time over the shorter side; ``inv`` maps x to 1/x mod p."""
+    at a time over the shorter side, until every matrix has full rank;
+    ``inv`` maps x to 1/x mod p."""
     if a.shape[1] > a.shape[2]:
         a = a.transpose(0, 2, 1)
     a = np.ascontiguousarray(a)
@@ -133,6 +136,8 @@ def _stack_ranks(a, p, inv):
         factor[np.arange(len(hit)), top] = 0
         a[hit] = (a[hit] + (p - factor)[:, :, None] * pivot[:, None, :]) % p
         rank[hit] += 1
+        if (rank == n_rows).all():
+            break
     return rank
 
 
@@ -313,6 +318,85 @@ class FieldTower:
             zech = log[one_plus]
             zech[one_plus == 0] = -1
             self._zech = zech.tolist()
+        self._build_kernels()
+
+    def _build_kernels(self):
+        """Row kernels on the tables, so that elimination and composition make
+        one call per row or term where the scalar methods make one per entry.
+
+        ``scale(f, row)`` is f*row and ``axpy(a, g, b)`` is a - g*b, for
+        nonzero f and g; ``dot(xs, ys)`` is the sum of the x*y;
+        ``accumulate(out, terms)`` adds omega^t to out[l] for every (l, t) in
+        ``terms``, in place, with 0 <= t <= 2n - 2, and returns out.  Like
+        ``add`` they XOR for p = 2 and use Zech logs for odd p, where the
+        index (log of one summand minus log of the other) is reduced mod n,
+        as a sum of two logs can reach 2n - 2.
+        """
+        exp, log, zech, n = self._exp, self._log, self._zech, self._group_order
+
+        def scale(f, row):
+            lf = log[f]
+            return [exp[lf + log[v]] if v else 0 for v in row]
+
+        if zech is None:
+            def axpy(a, g, b):
+                lg = log[g]
+                return [x ^ exp[lg + log[y]] if y else x for x, y in zip(a, b)]
+
+            def dot(xs, ys):
+                acc = 0
+                for x, y in zip(xs, ys):
+                    if x and y:
+                        acc ^= exp[log[x] + log[y]]
+                return acc
+
+            def accumulate(out, terms):
+                for l, t in terms:
+                    out[l] ^= exp[t]
+                return out
+        else:
+            half = self._half
+
+            def axpy(a, g, b):
+                lg = (log[g] + half) % n  # log of -g
+                out = []
+                for x, y in zip(a, b):
+                    if y:
+                        t = lg + log[y]
+                        if x:
+                            lx = log[x]
+                            z = zech[(t - lx) % n]
+                            x = exp[lx + z] if z >= 0 else 0
+                        else:
+                            x = exp[t]
+                    out.append(x)
+                return out
+
+            def dot(xs, ys):
+                acc = 0
+                for x, y in zip(xs, ys):
+                    if x and y:
+                        t = log[x] + log[y]
+                        if acc:
+                            la = log[acc]
+                            z = zech[(t - la) % n]
+                            acc = exp[la + z] if z >= 0 else 0
+                        else:
+                            acc = exp[t]
+                return acc
+
+            def accumulate(out, terms):
+                for l, t in terms:
+                    x = out[l]
+                    if x:
+                        lx = log[x]
+                        z = zech[(t - lx) % n]
+                        out[l] = exp[lx + z] if z >= 0 else 0
+                    else:
+                        out[l] = exp[t]
+                return out
+
+        self.scale, self.axpy, self.dot, self.accumulate = scale, axpy, dot, accumulate
 
     # -- scalar arithmetic ----------------------------------------------------
 

@@ -3,6 +3,8 @@
 Matrices are lists (or tuples) of rows of packed element ints.  The same
 routines serve the full field F_{q^h} and the subfield F_q: subfield inputs
 stay inside the subfield because it is closed under the field operations.
+Each row operation is one call of the tower's table-driven row kernels
+(``scale``, ``axpy``), and each entry of a product one ``dot``.
 """
 
 from __future__ import annotations
@@ -15,21 +17,22 @@ def mat_rref(tower, rows):
     m = [list(r) for r in rows]
     if not m:
         return [], []
-    ncols = len(m[0])
+    scale, axpy = tower.scale, tower.axpy
     pivots = []
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
+    for c in range(len(m[0])):
+        for piv in range(r, len(m)):
+            if m[piv][c]:
+                break
+        else:
             continue
         m[r], m[piv] = m[piv], m[r]
-        f = tower.inv(m[r][c])
-        if f != 1:
-            m[r] = [tower.mul(f, v) for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                g = m[i][c]
-                m[i] = [tower.sub(a, tower.mul(g, b)) if b else a for a, b in zip(m[i], m[r])]
+        if m[r][c] != 1:
+            m[r] = scale(tower.inv(m[r][c]), m[r])
+        top = m[r]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                m[i] = axpy(row, row[c], top)
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -43,8 +46,7 @@ def reduce_vector(tower, red, pivots, v):
     v = list(v)
     for row, c in zip(red, pivots):
         if v[c]:
-            f = v[c]
-            v = [tower.sub(a, tower.mul(f, b)) for a, b in zip(v, row)]
+            v = tower.axpy(v, v[c], row)
     return v
 
 
@@ -75,30 +77,14 @@ def left_nullspace(tower, rows):
 
 
 def mat_mul(tower, a, b):
-    n, k = len(a), len(b)
-    ncols = len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(ncols):
-            acc = 0
-            for t in range(k):
-                if a[i][t] and b[t][j]:
-                    acc = tower.add(acc, tower.mul(a[i][t], b[t][j]))
-            row.append(acc)
-        out.append(row)
-    return out
+    dot = tower.dot
+    cols = transpose(b)
+    return [[dot(row, col) for col in cols] for row in a]
 
 
 def mat_vec(tower, a, v):
-    out = []
-    for row in a:
-        acc = 0
-        for x, y in zip(row, v):
-            if x and y:
-                acc = tower.add(acc, tower.mul(x, y))
-        out.append(acc)
-    return out
+    dot = tower.dot
+    return [dot(row, v) for row in a]
 
 
 def mat_inv(tower, rows):
@@ -113,20 +99,23 @@ def mat_inv(tower, rows):
 def mat_det(tower, rows):
     m = [list(r) for r in rows]
     n = len(m)
+    axpy = tower.axpy
     det = 1
     for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
+        for piv in range(c, n):
+            if m[piv][c]:
+                break
+        else:
             return 0
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             det = tower.neg(det)
-        det = tower.mul(det, m[c][c])
-        f = tower.inv(m[c][c])
+        top = m[c]
+        det = tower.mul(det, top[c])
+        f = tower.inv(top[c])
         for i in range(c + 1, n):
             if m[i][c]:
-                g = tower.mul(f, m[i][c])
-                m[i] = [tower.sub(a, tower.mul(g, b)) for a, b in zip(m[i], m[c])]
+                m[i] = axpy(m[i], tower.mul(f, m[i][c]), top)
     return det
 
 

@@ -3,12 +3,13 @@
 A polynomial f(X) = sum_{i<h} f_i X^(q^i) is stored as its coefficient
 tuple (f_0, ..., f_{h-1}).  Evaluation is F_q-linear.  Composition reduces
 exponent indices mod h, matching the quotient by X^(q^h) - X, and works in
-the log domain: each term f_i * g_j^(q^i) is one lookup
-exp[log f_i + q^i log g_j mod (q^h - 1)] in the tower's tables.
+the log domain: each term f_i * g_j^(q^i) is omega^(log f_i + q^i log g_j),
+and one call of the tower's ``accumulate`` kernel sums them all.
 
 The Dickson matrix D(f)[i][j] = f_{(j-i) mod h}^(q^i) turns composition
 into matrix multiplication, so f is invertible iff det D(f) != 0, and the
-compositional inverse can be read off the first row of D(f)^(-1).
+compositional inverse can be read off the first row of D(f)^(-1), the x
+with x D(f) = (1, 0, ..., 0).
 
 Two batched kernels work on int arrays of coefficient rows.
 ``evaluation_table`` gives the values g(omega^r) of every row g at every
@@ -124,25 +125,23 @@ class LinearizedPoly:
         """self(other(X)), exponent indices reduced mod h."""
         t = self.tower
         t.check_same(other.tower)
-        h, n = t.h, t._group_order
-        exp, log, add = t._exp, t._log, t.add
+        h, n, log, qpow = t.h, t._group_order, t._log, t._qpow
         g_logs = [(j, log[gj]) for j, gj in enumerate(other.coeffs) if gj]
-        out = [0] * h
-        for i, fi in enumerate(self.coeffs):
-            if not fi:
-                continue
-            lf, qi = log[fi], t._qpow[i]
-            for j, lg in g_logs:
-                l = (i + j) % h
-                # f_i * g_j^(q^i); exp is doubled, so lf + (...) needs no mod
-                out[l] = add(out[l], exp[lf + lg * qi % n])
-        return LinearizedPoly(t, tuple(out))
+        # f_i * g_j^(q^i) lands at (i + j) mod h with log f_i + q^i log g_j
+        terms = [((i + j) % h, log[fi] + lg * qpow[i] % n)
+                 for i, fi in enumerate(self.coeffs) if fi for j, lg in g_logs]
+        return LinearizedPoly(t, tuple(t.accumulate([0] * h, terms)))
 
     def dickson(self):
         """h x h matrix D[i][j] = f_{(j-i) mod h}^(q^i)."""
         t = self.tower
-        h = t.h
-        return [[t.frob(self.coeffs[(j - i) % h], i) for j in range(h)] for i in range(h)]
+        exp, log, n = t._exp, t._log, t._group_order
+        logs = [log[c] if c else None for c in self.coeffs]
+        rows = []
+        for i, qi in enumerate(t._qpow):
+            conj = [0 if lc is None else exp[lc * qi % n] for lc in logs]  # f_j^(q^i)
+            rows.append(conj[-i:] + conj[:-i])  # rotated right by i
+        return rows
 
     def dickson_det(self) -> int:
         return linalg.mat_det(self.tower, self.dickson())
@@ -157,11 +156,13 @@ class LinearizedPoly:
         hit = memo.get(self.coeffs)
         if hit is not None:
             return hit
-        try:
-            dinv = linalg.mat_inv(t, self.dickson())
-        except NotInvertible:
+        # the first row x of D(f)^(-1) solves x D(f) = e_0: reduce [D(f)^T | e_0]
+        h = t.h
+        red, pivots = linalg.mat_rref(t, [col + [int(j == 0)] for j, col in
+                                          enumerate(linalg.transpose(self.dickson()))])
+        if pivots != list(range(h)):
             raise NotInvertible(f"no compositional inverse: {self.coeffs}")
-        out = LinearizedPoly(t, tuple(dinv[0]))
+        out = LinearizedPoly(t, tuple(row[h] for row in red))
         assert self.compose(out).coeffs == LinearizedPoly.identity(t).coeffs
         memo[self.coeffs] = out
         memo[out.coeffs] = self

@@ -1,8 +1,10 @@
 """Independent reimplementations used to cross-check the library.
 
 Everything here is written naively from definitions: dense polynomial
-arithmetic over F_p for field operations, trial division for the
-canonical modulus, pointwise map comparison for conjugacy triples,
+arithmetic over F_p for field operations, elimination, matrix products
+and composition with one tower method call per entry or term, trial
+division for the canonical modulus, pointwise map comparison for
+conjugacy triples,
 conjugates (one at a time, or a whole conjugation table) and a support
 gcd per polynomial for the semilinear criterion, rank tests over every
 k-subset of blocks for pseudo-arcs, a subset-rank walk with one kernel
@@ -168,6 +170,18 @@ def lin_eval(tower, coeffs, x):
     return acc
 
 
+def scalar_compose(tower, f_coeffs, g_coeffs):
+    """Coefficients of f o g: sum of f_i * g_j^(q^i) at (i + j) mod h, one
+    tower method call per operation."""
+    h = tower.h
+    out = [0] * h
+    for i, fi in enumerate(f_coeffs):
+        for j, gj in enumerate(g_coeffs):
+            if fi and gj:
+                out[(i + j) % h] = tower.add(out[(i + j) % h], tower.mul(fi, tower.frob(gj, i)))
+    return tuple(out)
+
+
 def maps_equal(tower, coeffs_a, coeffs_b):
     return all(lin_eval(tower, coeffs_a, x) == lin_eval(tower, coeffs_b, x)
                for x in tower.elements())
@@ -207,6 +221,66 @@ def conjugation_table(polys):
             acc = _add(acc, terms[..., i], exp, log, zech, n)
         out[:, :, l] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# Gaussian elimination with one tower method call per entry
+
+def scalar_mat_rref(tower, rows):
+    """Reduced row echelon form and pivot columns."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        f = tower.inv(m[r][c])
+        m[r] = [tower.mul(f, v) for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                g = m[i][c]
+                m[i] = [tower.sub(a, tower.mul(g, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def scalar_mat_det(tower, rows):
+    m = [list(r) for r in rows]
+    n = len(m)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = tower.neg(det)
+        det = tower.mul(det, m[c][c])
+        f = tower.inv(m[c][c])
+        for i in range(c + 1, n):
+            g = tower.mul(f, m[i][c])
+            m[i] = [tower.sub(a, tower.mul(g, b)) for a, b in zip(m[i], m[c])]
+    return det
+
+
+def scalar_mat_vec(tower, a, v):
+    out = []
+    for row in a:
+        acc = 0
+        for x, y in zip(row, v):
+            acc = tower.add(acc, tower.mul(x, y))
+        out.append(acc)
+    return out
+
+
+def scalar_mat_mul(tower, a, b):
+    cols = [[row[j] for row in b] for j in range(len(b[0]) if b else 0)]
+    return [scalar_mat_vec(tower, cols, row) for row in a]
 
 
 # ---------------------------------------------------------------------------

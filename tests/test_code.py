@@ -457,6 +457,57 @@ def test_dimension_zero_code_is_not_mds(f9):
                 fn(empty)
 
 
+# singular maps at (r, i) of a k = 2, n = 5 interpolation form over F_9, and
+# the text naming the first of them in (r, i) order: row 0, column 0, interior
+_SINGULAR_CASES = {
+    "row0": ({(0, 1), (2, 0)}, "interpolation map at (2, 1) is singular"),
+    "column0": ({(1, 0), (1, 1), (2, 1)}, "interpolation map at (3, 0) is singular"),
+    "interior": ({(1, 1), (2, 0)}, "interpolation map at (3, 1) is singular"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SINGULAR_CASES))
+def test_not_mds_text_names_the_first_singular_map(f9, case):
+    singular, text = _SINGULAR_CASES[case]
+    rng = random.Random(sorted(_SINGULAR_CASES).index(case))
+    trace = LinearizedPoly(f9, (f9.neg(1), 1))  # X^3 - X vanishes on F_3
+    maps = tuple(tuple(trace if (r, i) in singular else random_invertible(f9, rng)
+                       for i in range(2)) for r in range(3))
+    code = InterpolationForm(f9, 5, 2, maps).build_code()
+    # new maps per coordinate keep every singular map where it is
+    moved = apply_move(code, EquivalenceMove(tuple(range(5)), tuple(
+        random_invertible(f9, rng) for _ in range(5))))
+    for c in (code, moved):
+        for fn in (to_interpolation_form, to_standard_form, linear_equivalence_witness):
+            with pytest.raises(NotMds) as err:
+                fn(c)
+            assert str(err.value) == text
+
+
+def test_moves_built_by_the_library_have_invertible_maps(f9):
+    rng = random.Random(29)
+    codes = [rs_code(f9, 2), rs_code(conftest.tower(2, 1, 3), 3)]
+    for t in (conftest.tower(2, 2, 2), conftest.tower(3, 1, 3)):
+        codes += [_conj_positive(t, rng), _negative(t, rng)]
+    codes = [apply_move(c, random_move(c.tower, c.n, rng)) for c in codes]
+    moves = []
+    for code in codes:
+        form, move = code_mod._standard_form(code)
+        assert all(f.is_invertible() for row in form.maps for f in row)
+        moves += [move, inverse_move(move), compose_moves(move, inverse_move(move))]
+        wit = linear_equivalence_witness(code)
+        if wit is not None:
+            moves.append(wit.linearizing_move())
+    assert len(moves) > 3 * len(codes)
+    for move in moves:
+        assert all(f.is_invertible() for f in move.maps)
+        # the same maps pass the check a move built from outside goes through
+        assert EquivalenceMove(move.perm, move.maps) == move
+    ident = LinearizedPoly.identity(f9)
+    with pytest.raises(NonInvertibleMap):
+        EquivalenceMove((0, 1, 2), (ident, LinearizedPoly(f9, (f9.neg(1), 1)), ident))
+
+
 @pytest.mark.parametrize("key, k", [((3, 1, 2), 3), ((5, 1, 2), 2), ((2, 1, 3), 3),
                                     ((2, 2, 2), 2), ((3, 1, 3), 2)],
                          ids=["F9", "F25", "F8", "F16_F4", "F27"])

@@ -6,6 +6,7 @@ import pytest
 
 from addmds import linalg
 from addmds.errors import InvalidSubfield, NotPrime, TowerTooLarge
+from addmds.linpoly import LinearizedPoly
 from addmds.gf import (
     FieldTower,
     _inverses,
@@ -16,6 +17,7 @@ from addmds.gf import (
     field_to_json,
 )
 
+import conftest
 import oracles
 
 # canonical moduli (lex-least monic irreducible, little-endian digits,
@@ -120,6 +122,105 @@ def test_stack_ranks_against_mat_rank(p):
         for dtype in (np.int64, np.min_scalar_type(p * p - 1)):
             got = _stack_ranks(np.array(stack, dtype=dtype), p, _inverses(p))
             assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stack_ranks_at_early_full_rank(p):
+    # matrices whose first columns already have full rank, stacked with
+    # deficient ones and padded with zero columns (or rows, on the long side)
+    t = field_create(p, 1, 1)
+    rng = random.Random(100 + p)
+    for n_rows, n_cols, pad in [(3, 7, 0), (3, 7, 4), (4, 4, 3), (6, 3, 2), (2, 9, 5)]:
+        short = min(n_rows, n_cols)
+        stack = []
+        for i in range(30):
+            m = [[rng.randrange(p) for _ in range(n_cols)] for _ in range(n_rows)]
+            if i % 3 == 0:  # rank 1
+                cs = [rng.randrange(p) for _ in range(n_rows)]
+                m = [[c * x % p for x in m[0]] for c in cs]
+            else:  # a unit triangle in the leading short x short block
+                for r in range(short):
+                    for c in range(short):
+                        cell = (r, c) if n_rows <= n_cols else (c, r)
+                        m[cell[0]][cell[1]] = rng.randrange(1, p) if r == c else \
+                            (rng.randrange(p) if c > r else 0)
+            stack.append(m)
+        if n_rows <= n_cols:
+            stack = [[row + [0] * pad for row in m] for m in stack]
+        else:
+            stack = [m + [[0] * n_cols for _ in range(pad)] for m in stack]
+        want = [len(oracles.scalar_mat_rref(t, m)[1]) for m in stack]
+        assert short in want and min(want) < short
+        got = _stack_ranks(np.array(stack, dtype=np.min_scalar_type(p * p - 1)), p, _inverses(p))
+        assert got.tolist() == want
+        full = [m for m, r in zip(stack, want) if r == short]
+        assert _stack_ranks(np.array(full), p, _inverses(p)).tolist() == [short] * len(full)
+
+
+# F_4, F_8, F_9, F_25, F_27, F_16/F_4, F_64/F_4 and F_{81^2}
+KERNEL_TOWERS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (5, 1, 2), (3, 1, 3), (2, 2, 2), (2, 2, 3),
+                 (3, 4, 2)]
+
+
+def _sparse(rng, t, length):
+    """A random row of ``length`` elements, about a third of them zero."""
+    return [rng.choice((0, rng.randrange(1, t.size), rng.randrange(1, t.size)))
+            for _ in range(length)]
+
+
+@pytest.mark.parametrize("key", KERNEL_TOWERS, ids=lambda k: "F%d_%d_%d" % k)
+def test_row_kernels_match_scalar_ops(key):
+    t = conftest.tower(*key)
+    n = t.size - 1
+    rng = random.Random(hash(key) % 1000)
+    for _ in range(60):
+        a, b = _sparse(rng, t, 7), _sparse(rng, t, 7)
+        f = rng.randrange(1, t.size)
+        assert t.scale(f, b) == [t.mul(f, y) for y in b]
+        assert t.axpy(a, f, b) == [t.sub(x, t.mul(f, y)) for x, y in zip(a, b)]
+        acc = 0
+        for x, y in zip(a, b):
+            acc = t.add(acc, t.mul(x, y))
+        assert t.dot(a, b) == acc
+        # logs up to 2n - 2, so the Zech index wraps past n
+        terms = [(rng.randrange(4), rng.choice((0, n - 1, 2 * n - 2, rng.randrange(2 * n - 1))))
+                 for _ in range(9)]
+        out = list(a[:4])
+        want = list(out)
+        for l, e in terms:
+            want[l] = t.add(want[l], t.pow_int(t.omega, e))
+        assert t.accumulate(out, terms) is out and out == want
+    # x + (-x) cancels to zero inside every kernel
+    x = [rng.randrange(1, t.size) for _ in range(5)]
+    assert t.axpy(x, 1, x) == [0] * 5
+    minus = t.scale(t.neg(1), x)
+    assert t.dot([1] * 10, x + minus) == 0
+    assert t.accumulate(list(x), [(l, t._log[v]) for l, v in enumerate(minus)]) == [0] * 5
+
+
+@pytest.mark.parametrize("key", KERNEL_TOWERS, ids=lambda k: "F%d_%d_%d" % k)
+def test_elimination_and_compose_match_scalar_oracles(key):
+    t = conftest.tower(*key)
+    rng = random.Random(7 * sum(key))
+    for n_rows, n_cols in [(3, 3), (4, 4), (3, 6), (5, 2), (1, 4)]:
+        for i in range(12):
+            m = [_sparse(rng, t, n_cols) for _ in range(n_rows)]
+            if i % 4 == 1:
+                m[rng.randrange(n_rows)] = [0] * n_cols  # a zero row
+            elif i % 4 == 2 and n_rows > 1:  # a row dependent on the others
+                c = rng.randrange(1, t.size)
+                m[-1] = t.axpy(m[0], c, m[1 % (n_rows - 1)])
+            assert linalg.mat_rref(t, m) == oracles.scalar_mat_rref(t, m)
+            if n_rows == n_cols:
+                assert linalg.mat_det(t, m) == oracles.scalar_mat_det(t, m)
+            v = _sparse(rng, t, n_cols)
+            assert linalg.mat_vec(t, m, v) == oracles.scalar_mat_vec(t, m, v)
+            b = [_sparse(rng, t, 3) for _ in range(n_cols)]
+            assert linalg.mat_mul(t, m, b) == oracles.scalar_mat_mul(t, m, b)
+    for _ in range(40):
+        f, g = (tuple(_sparse(rng, t, t.h)) for _ in range(2))
+        got = LinearizedPoly(t, f).compose(LinearizedPoly(t, g)).coeffs
+        assert got == oracles.scalar_compose(t, f, g)
 
 
 def test_sizes(f4, f9, f16_over_f4):
