@@ -585,21 +585,20 @@ def _standard_form(code: AdditiveCode):
         except NotInvertible:
             raise _singular_map(k, r, i) from None
 
+    def checked(r, i):
+        if not maps[r][i].is_invertible():
+            raise _singular_map(k, r, i)
+        return maps[r][i]
+
     ident = LinearizedPoly.identity(t)
-    phi = maps[0]
     phi_inv = [inverse(0, i) for i in range(k)]
     psi, std = [ident], [(ident,) * k]
     for r in range(1, n - k):
-        psi_r = phi[0].compose(inverse(r, 0))
-        row = [ident]
-        for i in range(1, k):
-            if not maps[r][i].is_invertible():
-                raise _singular_map(k, r, i)
-            row.append(psi_r.compose(maps[r][i]).compose(phi_inv[i]))
-        psi.append(psi_r)
-        std.append(tuple(row))
+        psi.append(maps[0][0].compose(inverse(r, 0)))
+        std.append((ident,) + tuple(psi[r].compose(checked(r, i)).compose(phi_inv[i])
+                                    for i in range(1, k)))
     return (InterpolationForm(t, n, k, tuple(std)),
-            EquivalenceMove._of_invertible(tuple(range(n)), phi + tuple(psi)))
+            EquivalenceMove._of_invertible(tuple(range(n)), maps[0] + tuple(psi)))
 
 
 def to_standard_form(code: AdditiveCode):

@@ -172,7 +172,7 @@ def _sparse(rng, t, length):
 def test_row_kernels_match_scalar_ops(key):
     t = conftest.tower(*key)
     n = t.size - 1
-    rng = random.Random(hash(key) % 1000)
+    rng = random.Random(str(key))
     for _ in range(60):
         a, b = _sparse(rng, t, 7), _sparse(rng, t, 7)
         f = rng.randrange(1, t.size)
@@ -201,7 +201,7 @@ def test_row_kernels_match_scalar_ops(key):
 @pytest.mark.parametrize("key", KERNEL_TOWERS, ids=lambda k: "F%d_%d_%d" % k)
 def test_elimination_and_compose_match_scalar_oracles(key):
     t = conftest.tower(*key)
-    rng = random.Random(7 * sum(key))
+    rng = random.Random(str(key))
     for n_rows, n_cols in [(3, 3), (4, 4), (3, 6), (5, 2), (1, 4)]:
         for i in range(12):
             m = [_sparse(rng, t, n_cols) for _ in range(n_rows)]
@@ -209,7 +209,7 @@ def test_elimination_and_compose_match_scalar_oracles(key):
                 m[rng.randrange(n_rows)] = [0] * n_cols  # a zero row
             elif i % 4 == 2 and n_rows > 1:  # a row dependent on the others
                 c = rng.randrange(1, t.size)
-                m[-1] = t.axpy(m[0], c, m[1 % (n_rows - 1)])
+                m[-1] = [t.add(x, t.mul(c, y)) for x, y in zip(m[0], m[1 % (n_rows - 1)])]
             assert linalg.mat_rref(t, m) == oracles.scalar_mat_rref(t, m)
             if n_rows == n_cols:
                 assert linalg.mat_det(t, m) == oracles.scalar_mat_det(t, m)
