@@ -132,13 +132,6 @@ class AdditiveCode:
                 return False
         return True
 
-    def field_linear_rows(self):
-        """Canonical F_{q^h}-basis (RREF over the big field); requires linearity."""
-        if not self.is_field_linear():
-            raise ValueError("code is not F_{q^h}-linear")
-        red, pivots = linalg.mat_rref(self.tower, [list(r) for r in self.gen])
-        return [tuple(r) for r in red[: len(pivots)]]
-
 
 # ---------------------------------------------------------------------------
 # weight distributions

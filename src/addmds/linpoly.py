@@ -11,16 +11,20 @@ into matrix multiplication, so f is invertible iff det D(f) != 0, and the
 compositional inverse can be read off the first row of D(f)^(-1), the x
 with x D(f) = (1, 0, ..., 0).
 
-Two batched kernels work on int arrays of coefficient rows.
-``evaluation_table`` gives the values g(omega^r) of every row g at every
-nonzero point, h lookups per cell; rows come in lex order from
-``lex_chunks``, so a value row with no zero marks an invertible g without
-any determinant, and conj(f, b) = f o (bX) o f^(-1) is read off f's row,
-since conj(f, b)(f(y)) = f(b y).  ``inverse_table`` gives f^(-1) for every
-row f: it maps f(omega^r) to omega^r, so its values at omega^l, l < h, are
+Three batched kernels work on int arrays of coefficient rows.
+``evaluation_table`` gives the values g(omega^r) of arbitrary rows g at
+every nonzero point, h lookups per cell.  ``value_grid`` gives the rows
+and value tables of a whole grid of polynomials, coefficient i ranging
+over its own choices, in lex blocks: the term rows c * omega^(r q^i) are
+looked up once, the leading coefficients are summed once per run of the
+last one, and each run costs one broadcast add per cell.  A value row
+with no zero marks an invertible g without any determinant, and
+conj(f, b) = f o (bX) o f^(-1) is read off f's row, since
+conj(f, b)(f(y)) = f(b y).  ``inverse_table`` gives f^(-1) for every row
+f: it maps f(omega^r) to omega^r, so its values at omega^l, l < h, are
 read off f's value row and the inverse Moore matrix turns them into
 coefficients; every row is checked at every nonzero point before use.
-Both add through one helper, ``_add``: XOR for p = 2, Zech logarithms for
+All add through one helper, ``_add``: XOR for p = 2, Zech logarithms for
 odd p.
 
 ``inverse`` (one Dickson matrix) is the only memoised inverse: it alone
@@ -31,6 +35,7 @@ invertible list and the numpy tables are kept in the memo too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -39,7 +44,7 @@ import numpy as np
 from . import linalg
 from .errors import InvalidSubfield, NotInvertible
 
-EVAL_CHUNK_CELLS = 1 << 14  # (poly, point) cells per numpy step over lex blocks
+EVAL_CHUNK_CELLS = 1 << 14  # (poly, point) cells per ``value_grid`` block
 
 
 @dataclass(frozen=True)
@@ -207,12 +212,12 @@ def evaluation_table(tower, coeffs):
     if g.ndim != 2 or g.shape[1] != h:
         raise ValueError("evaluation_table needs an array of shape (rows, h)")
     log_x = np.arange(n, dtype=np.int64)
-    out = np.zeros((len(g), n), dtype=np.int64)
+    out = None
     for i in range(h):
         gi = g[:, i:i + 1]
         # g_i * (omega^r)^(q^i); exp is doubled, so log g_i + (...) needs no mod
         term = np.where(gi != 0, exp[log[gi] + log_x * tower._qpow[i] % n], 0)
-        out = _add(out, term, exp, log, zech, n)
+        out = term if out is None else _add(out, term, exp, log, zech, n)
     return out
 
 
@@ -239,11 +244,12 @@ def inverse_table(tower, coeffs):
     index = np.arange(len(f))[:, None]
     where = np.empty_like(values)  # where[k, log f_k(omega^r)] = r = log f_k^(-1)(omega^l)
     where[index, log[values]] = np.arange(n)
-    inv = np.zeros_like(f)
-    for i, row in enumerate(_moore_inv(tower)):
-        for l, v in enumerate(row):
-            if v:
-                inv[:, i] = _add(inv[:, i], exp[tower._log[v] + where[:, l]], exp, log, zech, n)
+    inv = np.empty_like(f)
+    for i, row in enumerate(_moore_inv(tower)):  # no row of an invertible matrix is zero
+        col, *rest = [exp[tower._log[v] + where[:, l]] for l, v in enumerate(row) if v]
+        for term in rest:
+            col = _add(col, term, exp, log, zech, n)
+        inv[:, i] = col
     back = evaluation_table(tower, inv)  # f^(-1)(omega^s)
     ok = (back != 0) & (values[index, log[back]] == exp[:n])
     if not ok.all():
@@ -259,15 +265,52 @@ def _moore_inv(tower):
         tower, [[tower.frob(w, i) for i in range(tower.h)] for w in tower.omega_powers]))
 
 
-def lex_chunks(tower, stop):
-    """Coefficient rows of the polynomials 0..stop-1 in lex order, the order
-    of ``all_linearized`` (row index // size^(h-1-i) % size is coefficient
-    i), in blocks with at most ``EVAL_CHUNK_CELLS`` cells in their value
-    table."""
-    step = max(1, EVAL_CHUNK_CELLS // tower._group_order)
-    place = tower.size ** np.arange(tower.h - 1, -1, -1, dtype=np.int64)
-    for lo in range(0, stop, step):
-        yield np.arange(lo, min(lo + step, stop), dtype=np.int64)[:, None] // place % tower.size
+def value_grid(tower, choices):
+    """Coefficient rows and value table of every polynomial whose
+    coefficient i ranges over ``choices[i]``, in lex order (coefficient 0
+    slowest, each position in the order of its choices).
+
+    Yields (block, values): ``block`` an int array of shape (rows, h),
+    ``values`` its ``evaluation_table``, in blocks of at most
+    max(``EVAL_CHUNK_CELLS``, q^h - 1) cells.  The term rows
+    T_i[c, r] = c * omega^(r q^i) come from the log tables.  A block holds
+    whole runs of the last varying position: the other positions' sum is
+    evaluated once per run, and the run's term rows are added to it by one
+    broadcast ``_add``, so a block costs one add per cell, not h.  Positions
+    whose only choice is 0 contribute nothing; the last position's run is
+    split when one run alone would exceed the cap.
+    """
+    h, n = tower.h, tower._group_order
+    if len(choices) != h:
+        raise ValueError("value_grid needs one sequence of choices per coefficient")
+    exp, log, zech = tower.np_tables()
+    choices = [np.asarray(c, dtype=np.int64).reshape(-1) for c in choices]
+    if not all(map(len, choices)):
+        return
+    live = [i for i, c in enumerate(choices) if c.tolist() != [0]] or [h - 1]
+    log_x = np.arange(n, dtype=np.int64)
+    terms = [np.where(c[:, None] != 0, exp[log[c][:, None] + log_x * tower._qpow[i] % n], 0)
+             for i, c in enumerate(choices)]
+    *prefix, last = live
+    sizes = [len(choices[i]) for i in prefix]
+    place = np.cumprod([1] + sizes[:0:-1])[::-1]  # lex weight of each prefix position
+    runs, width = math.prod(sizes), len(choices[last])
+    rows = max(1, EVAL_CHUNK_CELLS // n)
+    per_block, step = max(1, rows // width), min(rows, width)
+    for lo in range(0, runs, per_block):
+        index = np.arange(lo, min(lo + per_block, runs), dtype=np.int64)
+        digits = [index // w % size for w, size in zip(place, sizes)]
+        head = None  # the prefix positions' sum, one row per run
+        for i, d in zip(prefix, digits):
+            head = terms[i][d] if head is None else _add(head, terms[i][d], exp, log, zech, n)
+        for c in range(0, width, step):
+            tail = terms[last][c:c + step]
+            values = tail if head is None else _add(head[:, None], tail, exp, log, zech, n)
+            block = np.zeros((len(index), len(tail), h), dtype=np.int64)
+            for i, d in zip(prefix, digits):
+                block[:, :, i] = choices[i][d][:, None]
+            block[:, :, last] = choices[last][c:c + step]
+            yield block.reshape(-1, h), values.reshape(-1, n)
 
 
 def support_degrees(coeffs, h):
@@ -299,11 +342,11 @@ def all_linearized(tower):
 
 def invertible_linearized(tower):
     """All invertible q-linearized polynomials, lex order on coefficients:
-    the rows whose value table (``evaluation_table``) has no zero."""
+    the rows of the full ``value_grid`` whose value row has no zero."""
     def build():
         rows = []
-        for block in lex_chunks(tower, tower.size ** tower.h):
-            rows += block[(evaluation_table(tower, block) != 0).all(axis=1)].tolist()
+        for block, values in value_grid(tower, [range(tower.size)] * tower.h):
+            rows += block[(values != 0).all(axis=1)].tolist()
         return tuple(LinearizedPoly(tower, tuple(row)) for row in rows)
     return tower.memo("invertible_lps", build)
 

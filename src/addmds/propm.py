@@ -28,8 +28,8 @@ the batched zero-coefficient checks re-derive every triple they accept
 from the polynomials, independently of the buckets, and compare every
 triple they receive.  ``verify_semilinear_criterion`` computes no
 conjugate: conj(f, a) is scalar iff f(a y) = c f(y) for every y, which
-f's value row decides on the basis y = omega^l, l < h, in the same lex
-pass that screens invertibility.
+f's value row decides on the basis y = omega^l, l < h, in the same
+``value_grid`` pass that screens invertibility.
 
 Scores are searched once per orbit class of pairs.  The triples of (f, g)
 are exactly those of (lam*f(mu X), lam*g(nu X)) for nonzero lam, mu, nu:
@@ -81,13 +81,12 @@ import numpy as np
 from . import linalg
 from .errors import BudgetExceeded, NotInvertible
 from .linpoly import (
-    EVAL_CHUNK_CELLS,
     LinearizedPoly,
     evaluation_table,
     inverse_table,
     invertible_linearized,
-    lex_chunks,
     support_degrees,
+    value_grid,
 )
 
 DEFAULT_BUDGET = 1 << 22  # candidate triples of a pair; pairs of a battery
@@ -659,12 +658,13 @@ def verify_two_nonzero_lemma(tower) -> dict:
 
     Support {i, l} avoids semi-linearity over every intermediate field
     exactly when gcd(l - i, h) = 1; for those, f^{-1} must have no zero
-    coefficient.  Exhaustive over all two-term coefficient vectors: a
-    candidate is invertible iff its ``evaluation_table`` row has no zero,
-    and the qualifying ones are inverted by ``inverse_table``.
+    coefficient.  Exhaustive over all two-term coefficient vectors: each
+    support {i, l} is one ``value_grid`` of c_i x c_l over the nonzero
+    elements, a candidate is invertible iff its value row has no zero, and
+    the qualifying ones are inverted by ``inverse_table``.
     """
     h, n = tower.h, tower.size - 1
-    step = max(1, EVAL_CHUNK_CELLS // n)
+    nonzero = range(1, tower.size)
     candidates = 0
     qualifying = 0
     violations = []
@@ -673,11 +673,9 @@ def verify_two_nonzero_lemma(tower) -> dict:
         if math.gcd(l - i, h) != 1:
             continue
         # (c_i, c_l) in lex order, c_i the slower
-        for lo in range(0, n * n, step):
-            pick = np.arange(lo, min(lo + step, n * n))
-            rows = np.zeros((len(pick), h), dtype=np.int64)
-            rows[:, i], rows[:, l] = pick // n + 1, pick % n + 1
-            rows = rows[(evaluation_table(tower, rows) != 0).all(axis=1)]
+        grid = [nonzero if j in (i, l) else (0,) for j in range(h)]
+        for rows, values in value_grid(tower, grid):
+            rows = rows[(values != 0).all(axis=1)]
             qualifying += len(rows)
             dense = (inverse_table(tower, rows) != 0).all(axis=1)
             violations += [LinearizedPoly(tower, tuple(row)).to_json()
@@ -698,12 +696,18 @@ def _collapse_table(log_values, h):
     conj(f, a) = cX iff f(a y) = c f(y) for every y.  Both sides are
     F_q-linear in y and omega^l, l < h, is an F_q-basis, so with a = omega^s
     this holds iff log f(omega^(s+l)) - log f(omega^l) is the same for
-    every l < h.
+    every l < h, that is iff log f(omega^(s+l)) - log f(omega^s) =
+    log f(omega^l) - log f(1) mod q^h - 1 for l = 1..h-1: h - 1
+    comparisons of shifted (rows, q^h - 1) arrays.
     """
     n = log_values.shape[1]
-    shifted = (np.arange(n)[:, None] + np.arange(h)) % n  # [s, l] -> s + l
-    ratios = (log_values[:, shifted] - log_values[:, None, :h]) % n
-    return (ratios == ratios[..., :1]).all(axis=2)
+    wrapped = np.hstack([log_values, log_values[:, :h - 1]])  # column s + l, read mod n
+    collapsed = np.ones(log_values.shape, dtype=bool)
+    for l in range(1, h):
+        # log f(omega^(s+l)) - log f(omega^s) = log f(omega^l) - log f(1)
+        step = wrapped[:, l:l + n] - log_values
+        collapsed &= (step - (log_values[:, l:l + 1] - log_values[:, :1])) % n == 0
+    return collapsed
 
 
 def verify_semilinear_criterion(tower) -> dict:
@@ -712,10 +716,10 @@ def verify_semilinear_criterion(tower) -> dict:
     The predicted collapse set is the subfield of degree gcd over all
     support-index differences of f.  Exhaustive over every invertible f
     and every a != 0: a = omega^r lies in F_{q^s} iff r (q^s - 1) = 0
-    mod q^h - 1.  Every coefficient row goes through ``lex_chunks``: a row
-    whose ``evaluation_table`` row has no zero is an invertible f, in the
-    order of ``invertible_linearized``, and its collapses are read off that
-    value row (``_collapse_table``).  No inverse or conjugate is computed.
+    mod q^h - 1.  Every polynomial comes with its value row from the full
+    ``value_grid``: a row with no zero is an invertible f, in the order of
+    ``invertible_linearized``, and its collapses are read off that value
+    row (``_collapse_table``).  No inverse or conjugate is computed.
     """
     h, n = tower.h, tower.size - 1
     log = tower.np_tables()[1]
@@ -724,8 +728,7 @@ def verify_semilinear_criterion(tower) -> dict:
     in_subfield = np.array([log_a * (tower.q ** s - 1) % n == 0 for s in range(1, h + 1)])
     invertible = 0
     violations = []
-    for block in lex_chunks(tower, tower.size ** h):
-        values = evaluation_table(tower, block)
+    for block, values in value_grid(tower, [range(tower.size)] * h):
         keep = (values != 0).all(axis=1)
         rows = block[keep]
         invertible += len(rows)

@@ -48,7 +48,7 @@ from .code import (
 )
 from .errors import BudgetExceeded, FieldTooSmall, NotInvertible
 from .gf import FieldTower, require_keys
-from .linpoly import LinearizedPoly, evaluation_table, lex_chunks, support_degrees
+from .linpoly import LinearizedPoly, evaluation_table, support_degrees, value_grid
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +270,9 @@ def k4_example_search(tower: FieldTower, n: int = 6, budget: int | None = None):
     For an invertible g, w = g(beta g^{-1}(X)) has w(x) = lam x with
     x = g(y) exactly when g(beta y) = lam g(y), so g passes when no ratio
     g(beta y)/g(y), y != 0, lies in L_alpha (the lambdas of alpha).  Each
-    (alpha, beta) screens the g space in lex blocks of at most
-    ``linpoly.EVAL_CHUNK_CELLS`` value-table cells (``_first_hit``), the
-    ratio test and the log mask of L_alpha shared with ``mds_screen``.  The
+    (alpha, beta) screens the g space in the lex blocks of one
+    ``value_grid`` (``_first_hit``), the ratio test and the log mask of
+    L_alpha shared with ``mds_screen``.  The
     budget is charged, before any work, the most g the scans can read:
     2 size^(h-1) per (alpha, beta).  None is returned only after the
     whole space is exhausted.
@@ -305,11 +305,11 @@ def _first_hit(tower: FieldTower, s: int, beta: int, in_l):
 
     Scaling g by c != 0 keeps all three conditions, and a g with g_0 >= 2
     has the earlier multiple g / g_0, so the first hit has g_0 <= 1: the
-    scan covers the 2 size^(h-1) polynomials up to g_0 = 1, in blocks of
-    ``lex_chunks``.
+    scan is the ``value_grid`` of g_0 in {0, 1} and every other coefficient
+    in F_{q^h}, 2 size^(h-1) polynomials in lex order, and it stops at the
+    first block with a hit.
     """
-    for block in lex_chunks(tower, 2 * tower.size ** (tower.h - 1)):
-        values = evaluation_table(tower, block)
+    for block, values in value_grid(tower, [(0, 1)] + [range(tower.size)] * (tower.h - 1)):
         ok = ((values != 0).all(axis=1) & (support_degrees(block, tower.h) % s != 0)
               & _ratios_avoid(tower, values, beta, in_l))
         hits = np.flatnonzero(ok)

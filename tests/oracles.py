@@ -12,9 +12,11 @@ call per level for weight distributions, g^(-1) o M o g for
 linear-equivalence witnesses (per candidate, or after a batched
 ``compose_table`` screen), plain subset enumeration for matchings, a
 per-pair search with no memo for pair scores, a per-pair witness and
-certificate for the zero-coefficient lemma, and Dickson determinants per
-candidate for the k = 4 hunt.  Slow on purpose; tests only feed it small
-inputs.
+certificate for the zero-coefficient lemma, Dickson determinants per
+candidate for the k = 4 hunt, lex rows from integer digits for value
+grids, one (rows, n, h) gather for collapse tables, and a scalar RREF for
+the basis of a field-linear code.  Slow on purpose; tests only feed it
+small inputs.
 """
 
 from itertools import combinations, product
@@ -223,6 +225,31 @@ def conjugation_table(polys):
     return out
 
 
+def lex_rows(tower, stop):
+    """Coefficient rows of the polynomials 0..stop-1 in the lex order of
+    ``all_linearized``: row index // size^(h-1-i) % size is coefficient i."""
+    place = tower.size ** np.arange(tower.h - 1, -1, -1, dtype=np.int64)
+    return np.arange(stop, dtype=np.int64)[:, None] // place % tower.size
+
+
+def two_term_rows(tower, i, l):
+    """Rows with nonzero c_i and c_l and every other coefficient zero, in lex
+    order (c_i the slower, for i < l)."""
+    nonzero = range(1, tower.size)
+    rows = np.zeros(((tower.size - 1) ** 2, tower.h), dtype=np.int64)
+    rows[:, [i, l]] = list(product(nonzero, nonzero))
+    return rows
+
+
+def gather_collapse_table(log_values, h):
+    """collapsed[k, s]: log f_k(omega^(s+l)) - log f_k(omega^l) is the same
+    for every l < h, from one (rows, n, h) gather of the shifted logs."""
+    n = log_values.shape[1]
+    shifted = (np.arange(n)[:, None] + np.arange(h)) % n  # [s, l] -> s + l
+    ratios = (log_values[:, shifted] - log_values[:, None, :h]) % n
+    return (ratios == ratios[..., :1]).all(axis=2)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian elimination with one tower method call per entry
 
@@ -285,6 +312,15 @@ def scalar_mat_mul(tower, a, b):
 
 # ---------------------------------------------------------------------------
 # codes by brute force
+
+def field_linear_rows(code):
+    """Canonical F_{q^h}-basis of a field-linear code: the RREF of its
+    generator over the big field."""
+    if not code.is_field_linear():
+        raise ValueError("code is not F_{q^h}-linear")
+    red, pivots = scalar_mat_rref(code.tower, [list(r) for r in code.gen])
+    return [tuple(r) for r in red[: len(pivots)]]
+
 
 def brute_codewords(code):
     t = code.tower

@@ -19,6 +19,8 @@ def test_bench_record_is_complete(path):
     data = json.loads(path.read_text(encoding="utf-8"))
     assert {"parent", "change", "host", "summary"} <= data.keys()
     assert data["summary"]
+    lines = data["src_addmds_lines"]
+    assert all(type(lines[side]) is int for side in ("parent", "change")), lines
     for workload, summary in data["summary"].items():
         assert summary["pairs"] >= 10, workload
         for side in ("parent", "change"):

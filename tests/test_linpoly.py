@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from addmds.linpoly import (
     inverse_table,
     invertible_linearized,
     random_invertible,
+    value_grid,
 )
 
 import oracles
@@ -134,6 +136,51 @@ def test_evaluation_table_rejects_bad_shape(f9):
         evaluation_table(f9, [[1, 2, 3]])
     with pytest.raises(ValueError):
         evaluation_table(f9, [1, 2])
+
+
+GRID_TOWERS = {"F4": (2, 1, 2), "F8": (2, 1, 3), "F9": (3, 1, 2), "F27": (3, 1, 3),
+               "F16_F4": (2, 2, 2), "F16_F2": (2, 1, 4), "F49": (7, 1, 2), "F64_F8": (2, 3, 2)}
+
+
+def _grid(t, choices):
+    """The blocks of ``value_grid`` stacked, after checking each block's
+    values and its cell count against the cap."""
+    blocks, tables = [], []
+    for block, values in value_grid(t, choices):
+        assert block.shape == (len(values), t.h) and values.shape[1] == t.size - 1
+        assert 0 < values.size <= max(linpoly.EVAL_CHUNK_CELLS, t.size - 1)
+        blocks.append(block)
+        tables.append(values)
+    rows, values = np.vstack(blocks), np.vstack(tables)
+    assert (values == evaluation_table(t, rows)).all()
+    return rows
+
+
+@pytest.mark.parametrize("key", GRID_TOWERS.values(), ids=GRID_TOWERS)
+def test_value_grid_matches_lex_rows(key, monkeypatch):
+    # every polynomial, and the hunt's g_0 <= 1 range, under caps that give one
+    # row per block, a few rows, a few runs of the last position, and the default
+    from conftest import tower
+    t = tower(*key)
+    n, every = t.size - 1, range(t.size)
+    for cap in (7, 300, 3 * n, linpoly.EVAL_CHUNK_CELLS):
+        monkeypatch.setattr(linpoly, "EVAL_CHUNK_CELLS", cap)
+        assert (_grid(t, [every] * t.h) == oracles.lex_rows(t, t.size ** t.h)).all()
+        hunt = [(0, 1)] + [every] * (t.h - 1)
+        assert (_grid(t, hunt) == oracles.lex_rows(t, 2 * t.size ** (t.h - 1))).all()
+        for i, l in combinations(range(t.h), 2):
+            pair = [range(1, t.size) if j in (i, l) else (0,) for j in range(t.h)]
+            assert (_grid(t, pair) == oracles.two_term_rows(t, i, l)).all()
+
+
+def test_value_grid_edge_cases(f9, f8):
+    assert [b.tolist() + v.tolist() for b, v in value_grid(f9, [(0,), (0,)])] == [[[0, 0], [0] * 8]]
+    assert list(value_grid(f9, [(), range(9)])) == []
+    (block, values), = value_grid(f8, [(5,), (0,), (0, 3)])  # a fixed nonzero position
+    assert block.tolist() == [[5, 0, 0], [5, 0, 3]]
+    assert (values == evaluation_table(f8, block)).all()
+    with pytest.raises(ValueError):
+        next(value_grid(f9, [range(9)]))
 
 
 @pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 1, 3)])

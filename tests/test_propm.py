@@ -418,6 +418,32 @@ def test_semilinear_criterion_matches_table_oracle(key):
     assert verify_semilinear_criterion(t) == oracles.table_semilinear_report(t)
 
 
+@pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2), (2, 1, 4)],
+                         ids=["F8", "F9", "F27", "F16_F4", "F16_F2"])
+def test_collapse_table_matches_gather_oracle(key):
+    from conftest import tower
+    t = tower(*key)
+    rows = np.array([f.coeffs for f in invertible_linearized(t)], dtype=np.int64)
+    log_values = t.np_tables()[1][linpoly.evaluation_table(t, rows)]
+    got = propm._collapse_table(log_values, t.h)
+    assert (got == oracles.gather_collapse_table(log_values, t.h)).all()
+    assert got[:, 0].all() and not got.all()
+
+
+@pytest.mark.parametrize("n,h", [(3, 2), (8, 2), (26, 3), (15, 4), (63, 2), (80, 4)])
+def test_collapse_table_matches_gather_oracle_on_random_logs(n, h):
+    # affine rows c + e r collapse at every s; a few entries moved off the line
+    # break the collapses whose windows s + l, l < h, or base window l < h they hit
+    rng = np.random.default_rng(n * h)
+    r = np.arange(n)
+    log_values = (rng.integers(0, n, (200, 1)) + rng.integers(0, n, (200, 1)) * r) % n
+    moved = rng.random(log_values.shape) < 0.05
+    log_values[moved] = rng.integers(0, n, moved.sum())
+    got = propm._collapse_table(log_values, h)
+    assert (got == oracles.gather_collapse_table(log_values, h)).all()
+    assert got[:, 1:].any() and not got[:, 1:].all()
+
+
 @pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 2), (2, 1, 4), (3, 1, 3), (2, 2, 2)],
                          ids=["F8", "F9", "F16_F2", "F27", "F16_F4"])
 def test_support_degrees_match_subfield_degree(key):
