@@ -158,8 +158,9 @@ def _grid(t, choices):
 
 @pytest.mark.parametrize("key", GRID_TOWERS.values(), ids=GRID_TOWERS)
 def test_value_grid_matches_lex_rows(key, monkeypatch):
-    # every polynomial, and the hunt's g_0 <= 1 range, under caps that give one
-    # row per block, a few rows, a few runs of the last position, and the default
+    # every polynomial, the hunt's g_0 <= 1 range and every two-term grid, with
+    # blocks of one row (cap 7), three rows (3n), a split run of the last
+    # position or a few whole runs (300), and the default cap
     from conftest import tower
     t = tower(*key)
     n, every = t.size - 1, range(t.size)
