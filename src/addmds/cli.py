@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import geometry, propm, search
@@ -40,37 +40,17 @@ from .errors import (
     TowerTooLarge,
 )
 from .gf import FieldTower, field_create, require_keys
-from .linpoly import LinearizedPoly
+from .linpoly import LinearizedPoly, random_invertible
 
 USAGE_ERRORS = (BudgetExceeded, FieldTooSmall, NotPrime, TowerTooLarge,
                 TowerMismatch, InvalidSubfield)
+INVERSE_SAMPLES = 25  # random pairs the propm battery checks the inverse lemma on
 
 
-@dataclass
-class RunConfig:
-    command: str
-    p: int | None = None
-    e: int = 1
-    h: int | None = None
-    k: int | None = None
-    n: int | None = None
-    budget_codewords: int | None = None
-    budget_candidates: int | None = None
-    seed: int = 0
-    input: str | None = None
-    output: str | None = None
-
-    def __post_init__(self):
-        for name in ("budget_codewords", "budget_candidates"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-def _tower(cfg: RunConfig) -> FieldTower:
-    if cfg.p is None or cfg.h is None:
+def _tower(args: argparse.Namespace) -> FieldTower:
+    if args.p is None or args.h is None:
         raise ValueError("this command needs --p and --h (and --e for q = p^e)")
-    return field_create(cfg.p, cfg.e, cfg.h)
+    return field_create(args.p, args.e, args.h)
 
 
 def _load_json(path: str):
@@ -84,19 +64,19 @@ def _load_json(path: str):
         ) from exc
 
 
-def _load_code(cfg: RunConfig):
-    if cfg.input is None:
+def _load_code(args: argparse.Namespace):
+    if args.input is None:
         raise ValueError("this command needs --in with a code JSON file")
-    return code_from_dict(_load_json(cfg.input))
+    return code_from_dict(_load_json(args.input))
 
 
-def _emit(cfg: RunConfig, payload: dict, out: str | None = None) -> None:
-    report = {"command": cfg.command,
+def _emit(args: argparse.Namespace, payload: dict, out: str | None = None) -> None:
+    report = {"command": args.command,
               "generated_at": datetime.now(timezone.utc).isoformat()}
     report.update(payload)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
-    path = out or cfg.output
+    path = out or args.output
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -105,10 +85,10 @@ def _emit(cfg: RunConfig, payload: dict, out: str | None = None) -> None:
 # ---------------------------------------------------------------------------
 # subcommands; each returns True when every assertion passed
 
-def _cmd_field(cfg: RunConfig) -> bool:
-    t = _tower(cfg)
+def _cmd_field(args: argparse.Namespace) -> bool:
+    t = _tower(args)
     glh = propm.gl_order(t)
-    _emit(cfg, {
+    _emit(args, {
         "field": t.descriptor(),
         "q": t.q,
         "size": t.size,
@@ -119,12 +99,12 @@ def _cmd_field(cfg: RunConfig) -> bool:
     return True
 
 
-def _cmd_rs(cfg: RunConfig) -> bool:
-    t = _tower(cfg)
-    if cfg.k is None:
+def _cmd_rs(args: argparse.Namespace) -> bool:
+    t = _tower(args)
+    if args.k is None:
         raise ValueError("rs needs --k")
-    code = rs_code(t, cfg.k)
-    _emit(cfg, {
+    code = rs_code(t, args.k)
+    _emit(args, {
         "field": t.descriptor(),
         "code": code_to_dict(code),
         "n": code.n,
@@ -134,13 +114,13 @@ def _cmd_rs(cfg: RunConfig) -> bool:
     return True
 
 
-def _cmd_check_mds(cfg: RunConfig) -> bool:
-    code = _load_code(cfg)
-    enum = weight_enumerator(code, cfg.budget_codewords)
+def _cmd_check_mds(args: argparse.Namespace) -> bool:
+    code = _load_code(args)
+    enum = weight_enumerator(code, args.budget_codewords)
     d = distance_from_weights(enum)
     k = code.message_length()
-    mds = is_mds(code, cfg.budget_codewords)
-    _emit(cfg, {
+    mds = is_mds(code, args.budget_codewords)
+    _emit(args, {
         "n": code.n,
         "message_length": k,
         "codewords": code.tower.size ** k,
@@ -152,13 +132,13 @@ def _cmd_check_mds(cfg: RunConfig) -> bool:
     return mds
 
 
-def _cmd_project(cfg: RunConfig) -> bool:
-    code = _load_code(cfg)
-    if cfg.n is None:
+def _cmd_project(args: argparse.Namespace) -> bool:
+    code = _load_code(args)
+    if args.n is None:
         raise ValueError("project needs --n with the position to remove")
-    shortened = project(code, {cfg.n})
-    _emit(cfg, {
-        "position": cfg.n,
+    shortened = project(code, {args.n})
+    _emit(args, {
+        "position": args.n,
         "before": {"n": code.n, "k_fq": code.k_fq},
         "after": {"n": shortened.n, "k_fq": shortened.k_fq},
         "code": code_to_dict(shortened),
@@ -166,8 +146,8 @@ def _cmd_project(cfg: RunConfig) -> bool:
     return True
 
 
-def _cmd_standard_form(cfg: RunConfig) -> bool:
-    code = _load_code(cfg)
+def _cmd_standard_form(args: argparse.Namespace) -> bool:
+    code = _load_code(args)
     std, move = to_standard_form(code)
     # interpolate the moved code afresh: its row-0 and column-0 maps must be the identity
     maps = to_interpolation_form(std).maps
@@ -175,7 +155,7 @@ def _cmd_standard_form(cfg: RunConfig) -> bool:
     # n = k leaves no maps at all, so there is nothing to check
     ok = all(f.coeffs == one for row in maps[:1] for f in row) and all(
         row[0].coeffs == one for row in maps)
-    _emit(cfg, {
+    _emit(args, {
         "code": code_to_dict(std),
         "move": {
             "perm": list(move.perm),
@@ -186,35 +166,35 @@ def _cmd_standard_form(cfg: RunConfig) -> bool:
     return ok
 
 
-def _cmd_linear_witness(cfg: RunConfig) -> bool:
-    code = _load_code(cfg)
+def _cmd_linear_witness(args: argparse.Namespace) -> bool:
+    code = _load_code(args)
     t = code.tower
-    wit = linear_equivalence_witness(code, cfg.budget_candidates)
+    wit = linear_equivalence_witness(code, args.budget_candidates)
     payload = {"witness_found": wit is not None}
     if wit is not None:
         moved = apply_move(code, wit.linearizing_move())
         payload["g"] = wit.g.to_json()
         payload["scalars"] = [[t.digits(c) for c in row] for row in wit.scalars]
         payload["moved_code_is_linear"] = moved.is_field_linear()
-    _emit(cfg, payload)
+    _emit(args, payload)
     return wit is not None and payload["moved_code_is_linear"]
 
 
-def _cmd_geometry(cfg: RunConfig) -> bool:
-    code = _load_code(cfg)
+def _cmd_geometry(args: argparse.Namespace) -> bool:
+    code = _load_code(args)
     t = code.tower
     system = geometry.system_from_code(code)
     membership = []
     for block in system.blocks:
         pt = geometry.desarguesian_membership(t, block)
         membership.append(None if pt is None else [t.digits(x) for x in pt])
-    d_code = min_distance(code, cfg.budget_codewords)
-    d_system = geometry.system_min_distance(system, cfg.budget_codewords)
+    d_code = min_distance(code, args.budget_codewords)
+    d_system = geometry.system_min_distance(system, args.budget_codewords)
     bridge = d_code == d_system
-    _emit(cfg, {
+    _emit(args, {
         "system": geometry.system_to_dict(system),
         "block_ranks": [system.block_rank(i) for i in range(len(system.blocks))],
-        "pseudo_arc": geometry.is_pseudo_arc(system, cfg.budget_codewords),
+        "pseudo_arc": geometry.is_pseudo_arc(system, args.budget_codewords),
         "spread_membership": membership,
         "min_distance_code": d_code,
         "min_distance_system": d_system,
@@ -223,13 +203,13 @@ def _cmd_geometry(cfg: RunConfig) -> bool:
     return bridge
 
 
-def _cmd_propm(cfg: RunConfig) -> bool:
-    t = _tower(cfg)
-    if cfg.input is not None:
-        f, g = _load_pair(t, _load_json(cfg.input))
-        m, wit = propm.max_prop_m(f, g, cfg.budget_candidates)
+def _cmd_propm(args: argparse.Namespace) -> bool:
+    t = _tower(args)
+    if args.input is not None:
+        f, g = _load_pair(t, _load_json(args.input))
+        m, wit = propm.max_prop_m(f, g, args.budget_candidates)
         inverse = propm.verify_inverse_lemma(f, g)
-        _emit(cfg, {
+        _emit(args, {
             "field": t.descriptor(),
             "f": f.to_json(),
             "g": g.to_json(),
@@ -239,18 +219,18 @@ def _cmd_propm(cfg: RunConfig) -> bool:
             "inverse_lemma": inverse,
         })
         return bool(inverse["ok"])
-    budget = cfg.budget_candidates
+    budget = args.budget_candidates
     propm.check_pair_budget(t, budget)  # before any battery runs
-    n = cfg.n if cfg.n is not None else t.size + 1
+    n = args.n if args.n is not None else t.size + 1
     reports = {
         "semilinear_criterion": propm.verify_semilinear_criterion(t),
         "zero_coefficient_lemma": propm.verify_zero_coeff_lemma(t, budget),
         "two_nonzero_lemma": propm.verify_two_nonzero_lemma(t),
         "prop_m_implication": propm.verify_lm_prop_implication(t, n, budget),
-        "inverse_lemma_samples": _inverse_samples(t, cfg.seed),
+        "inverse_lemma_samples": _inverse_samples(t, args.seed),
     }
     ok = all(r["ok"] for r in reports.values())
-    _emit(cfg, {"field": t.descriptor(), "n": n, "verifiers": reports, "all_ok": ok})
+    _emit(args, {"field": t.descriptor(), "n": n, "verifiers": reports, "all_ok": ok})
     return ok
 
 
@@ -265,80 +245,63 @@ def _load_pair(t: FieldTower, data):
     return pair
 
 
-def _inverse_samples(t: FieldTower, seed: int, count: int = 25) -> dict:
-    import random
-
-    from .linpoly import random_invertible
-
+def _inverse_samples(t: FieldTower, seed: int) -> dict:
     rng = random.Random(seed)
     bad = []
-    for _ in range(count):
+    for _ in range(INVERSE_SAMPLES):
         f = random_invertible(t, rng)
         g = random_invertible(t, rng)
         rep = propm.verify_inverse_lemma(f, g)
         if not rep["ok"]:
             bad.append(rep)
-    return {"seed": seed, "samples": count, "violations": bad, "ok": not bad}
+    return {"seed": seed, "samples": INVERSE_SAMPLES, "violations": bad, "ok": not bad}
 
 
-def _cmd_hunt_k4(cfg: RunConfig) -> bool:
-    t = _tower(cfg)
-    n = cfg.n if cfg.n is not None else 6
-    ex = search.k4_example_search(t, n=n, budget=cfg.budget_candidates)
+def _cmd_hunt_k4(args: argparse.Namespace) -> bool:
+    t = _tower(args)
+    n = args.n if args.n is not None else 6
+    ex = search.k4_example_search(t, n=n, budget=args.budget_candidates)
     if ex is None:
-        _emit(cfg, {"found": False, "exhausted": True, "n": n})
+        _emit(args, {"found": False, "exhausted": True, "n": n})
         return False
-    report = search.verify_k4_example(ex, cfg.budget_codewords,
-                                      cfg.budget_candidates)
+    report = search.verify_k4_example(ex, args.budget_codewords,
+                                      args.budget_candidates)
     payload = {
         "found": True,
         "example": search.example_to_dict(ex),
         "verification": report,
     }
-    _emit(cfg, payload, out=cfg.output or "found-example.json")
+    _emit(args, payload, out=args.output or "found-example.json")
     return bool(report["ok"])
 
 
-def _cmd_verify_example(cfg: RunConfig) -> bool:
-    if cfg.input is None:
+def _cmd_verify_example(args: argparse.Namespace) -> bool:
+    if args.input is None:
         raise ValueError("verify-example needs --in with a found-example JSON file")
-    data = _load_json(cfg.input)
+    data = _load_json(args.input)
     if isinstance(data, dict) and "example" in data:
         data = data["example"]
     ex = search.example_from_dict(data)
-    report = search.verify_k4_example(ex, cfg.budget_codewords,
-                                      cfg.budget_candidates)
-    _emit(cfg, {"verification": report})
+    report = search.verify_k4_example(ex, args.budget_codewords,
+                                      args.budget_candidates)
+    _emit(args, {"verification": report})
     return bool(report["ok"])
 
 
-_COMMANDS = {
-    "field": _cmd_field,
-    "rs": _cmd_rs,
-    "check-mds": _cmd_check_mds,
-    "project": _cmd_project,
-    "standard-form": _cmd_standard_form,
-    "linear-witness": _cmd_linear_witness,
-    "geometry": _cmd_geometry,
-    "propm": _cmd_propm,
-    "hunt-k4": _cmd_hunt_k4,
-    "verify-example": _cmd_verify_example,
-}
-
-
-# the flags each verb reads; any other flag is a usage error
+# each verb: its handler and the flags it reads; any other flag is a usage error
 _FIELD = ("p", "e", "h")
-_FLAGS = {
-    "field": _FIELD + ("out",),
-    "rs": _FIELD + ("k", "out"),
-    "check-mds": ("in", "budget-codewords", "out"),
-    "project": ("in", "n", "out"),
-    "standard-form": ("in", "out"),
-    "linear-witness": ("in", "budget-candidates", "out"),
-    "geometry": ("in", "budget-codewords", "out"),
-    "propm": _FIELD + ("n", "budget-candidates", "seed", "in", "out"),
-    "hunt-k4": _FIELD + ("n", "budget-codewords", "budget-candidates", "out"),
-    "verify-example": ("in", "budget-codewords", "budget-candidates", "out"),
+_VERBS = {
+    "field": (_cmd_field, _FIELD + ("out",)),
+    "rs": (_cmd_rs, _FIELD + ("k", "out")),
+    "check-mds": (_cmd_check_mds, ("in", "budget-codewords", "out")),
+    "project": (_cmd_project, ("in", "n", "out")),
+    "standard-form": (_cmd_standard_form, ("in", "out")),
+    "linear-witness": (_cmd_linear_witness, ("in", "budget-candidates", "out")),
+    "geometry": (_cmd_geometry, ("in", "budget-codewords", "out")),
+    "propm": (_cmd_propm, _FIELD + ("n", "budget-candidates", "seed", "in", "out")),
+    "hunt-k4": (_cmd_hunt_k4, _FIELD + ("n", "budget-codewords", "budget-candidates", "out")),
+    "verify-example": (_cmd_verify_example,
+                       ("in", "budget-codewords", "budget-candidates", "out")),
 }
 
 _FLAG_ARGS = {
@@ -361,9 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="additive MDS codes: construction, certificates, searches",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        for flag in _FLAGS[name]:
+    for name, (_handler, flags) in _VERBS.items():
+        # no abbreviations: "--h" on a verb without --h would otherwise mean --help
+        sp = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags:
             sp.add_argument(f"--{flag}", **_FLAG_ARGS[flag])
     return parser
 
@@ -371,12 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        cfg = RunConfig(**vars(ns))
-        ok = _COMMANDS[cfg.command](cfg)
+        for name in ("budget_codewords", "budget_candidates"):
+            value = getattr(args, name, None)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive")
+        ok = _VERBS[args.command][0](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

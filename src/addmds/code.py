@@ -404,16 +404,8 @@ def project(code: AdditiveCode, positions) -> AdditiveCode:
     kernel = linalg.left_nullspace(t, cond) if positions else \
         [[1 if i == r else 0 for i in range(code.k_fq)] for r in range(code.k_fq)]
     keep = [j for j in range(code.n) if j not in positions]
-    new_rows = []
-    for v in kernel:
-        row = []
-        for j in keep:
-            acc = 0
-            for c, grow in zip(v, code.gen):
-                if c and grow[j]:
-                    acc = t.add(acc, t.mul(c, grow[j]))
-            row.append(acc)
-        new_rows.append(tuple(row))
+    kept = [[row[j] for j in keep] for row in code.gen]
+    new_rows = [tuple(row) for row in linalg.mat_mul(t, kernel, kept)]
     return AdditiveCode(t, new_rows, n=len(keep), check=False)
 
 

@@ -116,9 +116,8 @@ def _inverses(p):
 
 def _stack_ranks(a, p, inv):
     """F_p ranks of a (B, R, C) stack by Gaussian elimination, one pivot column
-    at a time over the shorter side, until every matrix has full rank;
-    ``inv`` maps x to 1/x mod p."""
-    if a.shape[1] > a.shape[2]:
+    at a time over the shorter side; ``inv`` maps x to 1/x mod p."""
+    if a.shape[2] > a.shape[1]:
         a = a.transpose(0, 2, 1)
     a = np.ascontiguousarray(a)
     n_mats, n_rows, n_cols = a.shape
@@ -136,8 +135,6 @@ def _stack_ranks(a, p, inv):
         factor[np.arange(len(hit)), top] = 0
         a[hit] = (a[hit] + (p - factor)[:, :, None] * pivot[:, None, :]) % p
         rank[hit] += 1
-        if (rank == n_rows).all():
-            break
     return rank
 
 

@@ -168,7 +168,8 @@ class LinearizedPoly:
         if pivots != list(range(h)):
             raise NotInvertible(f"no compositional inverse: {self.coeffs}")
         out = LinearizedPoly(t, tuple(row[h] for row in red))
-        assert self.compose(out).coeffs == LinearizedPoly.identity(t).coeffs
+        if self.compose(out).coeffs != LinearizedPoly.identity(t).coeffs:
+            raise AssertionError(f"inverse: f(f^-1) != X for {self.coeffs}")
         memo[self.coeffs] = out
         memo[out.coeffs] = self
         return out

@@ -11,8 +11,9 @@ k-subset of blocks for pseudo-arcs, a subset-rank walk with one kernel
 call per level for weight distributions, g^(-1) o M o g for
 linear-equivalence witnesses (per candidate, or after a batched
 ``compose_table`` screen), plain subset enumeration for matchings, a
-per-pair search with no memo for pair scores, a per-pair witness and
-certificate for the zero-coefficient lemma, Dickson determinants per
+per-pair search with no memo for pair scores, every (lam, mu, nu) scaling
+for pair orbit keys, a per-pair witness and certificate for the
+zero-coefficient lemma, Dickson determinants per
 candidate for the k = 4 hunt, lex rows from integer digits for value
 grids, one (rows, n, h) gather for collapse tables, and a scalar RREF for
 the basis of a field-linear code.  Slow on purpose; tests only feed it
@@ -690,6 +691,19 @@ def exhaustive_max_prop_m(f, g):
     if 1 + len(forced) >= m:
         return 1 + len(forced), tuple([one] + forced)
     return m, tuple(picked)
+
+
+def brute_orbit_key(f, g):
+    """The lex-least pair (lam*f(mu X), lam*g(nu X)) over all nonzero lam, mu
+    and nu, each coefficient lam * c_j * mu^(q^j) by powering."""
+    t = f.tower
+    nonzero = list(t.nonzero())
+
+    def forms(poly, lam):
+        return [tuple(t.mul(lam, t.mul(c, t.pow_int(mu, t.q ** j)))
+                      for j, c in enumerate(poly.coeffs)) for mu in nonzero]
+
+    return min(min(product(forms(f, lam), forms(g, lam))) for lam in nonzero)
 
 
 def pairwise_zero_coeff_lemma(tower):

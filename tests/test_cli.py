@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from addmds import code as code_mod
-from addmds.cli import main
+from addmds.cli import _FLAG_ARGS, _VERBS, main
 from addmds.code import (
     AdditiveCode,
     EquivalenceMove,
@@ -483,6 +483,27 @@ def test_foreign_flag_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["check-mds", "--in", "none.json", "--budget-codewords", "0"], "budget_codewords"),
+    (["linear-witness", "--in", "none.json", "--budget-candidates", "-1"], "budget_candidates"),
+    (["hunt-k4", "--p", "5", "--h", "2", "--budget-codewords", "-3"], "budget_codewords"),
+])
+def test_non_positive_budget_is_a_usage_error(capsys, argv, name):
+    # checked before the verb runs: the missing file is never opened
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {name} must be positive\n")
+
+
+@pytest.mark.parametrize("verb", sorted(_VERBS))
+def test_every_verb_takes_only_its_own_flags(capsys, verb):
+    flags = _VERBS[verb][1]
+    code, out, _ = run(capsys, verb, "--help")
+    assert code == 0 and all(f"--{flag}" in out for flag in flags)
+    for flag in sorted(set(_FLAG_ARGS) - set(flags)):
+        code, out, err = run(capsys, verb, f"--{flag}", "1")
+        assert code == 2 and out == "" and "unrecognized arguments" in err, flag
 
 
 _ODD_VALUES = (None, True, -1, 0, 1, 2, 5, 10 ** 6, 1.5, "3", [], {}, [0], [[0]], {"p": 3})

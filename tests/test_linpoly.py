@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +284,29 @@ def test_inverse_raises_on_singular(f9):
     # X^q - X kills F_q, hence singular
     with pytest.raises(NotInvertible):
         LinearizedPoly(f9, (f9.neg(1), 1)).inverse()
+
+
+def test_inverse_check_survives_python_O(tmp_path):
+    # under -O an assert is stripped, and an unchecked inverse would be returned
+    script = """
+import random, sys
+from addmds.gf import field_create
+from addmds.linpoly import LinearizedPoly, random_invertible
+assert False, "this script must run under -O"
+t = field_create(3, 1, 2)
+f = random_invertible(t, random.Random(0))
+LinearizedPoly.compose = lambda self, other: LinearizedPoly(t, (0, 1))  # X^q, not X
+try:
+    f.inverse()
+except AssertionError as exc:
+    sys.exit(0 if "f(f^-1) != X" in str(exc) else 3)
+sys.exit(1)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_dickson_turns_composition_into_product(f8):

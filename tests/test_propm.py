@@ -557,6 +557,19 @@ def test_orbit_classes_match_orbit_keys(key):
         assert _same_partition(_orbit_classes(polys), keys)
 
 
+@pytest.mark.parametrize("key, count", [((2, 1, 2), None), ((2, 1, 3), 14), ((3, 1, 2), 14),
+                                        ((2, 2, 2), 8)], ids=["F4", "F8", "F9", "F16_F4"])
+def test_orbit_classes_match_brute_orbit_keys(key, count):
+    # the oracle minimises over every (lam, mu, nu) without _normal_forms
+    from conftest import tower
+    from addmds.propm import _orbit_classes
+    invs = invertible_linearized(tower(*key))
+    polys = invs if count is None else random.Random(repr(key)).sample(invs, count)
+    for group in (polys, [twist_to_nonzero_f0(f)[0] for f in polys]):
+        keys = [[oracles.brute_orbit_key(f, g) for g in group] for f in group]
+        assert _same_partition(_orbit_classes(group), keys)
+
+
 @pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 2)], ids=["F8", "F9"])
 def test_orbit_classes_catch_a_key_without_lambda_on_g(key, monkeypatch):
     # g's part taken as its least form over every lam, not over the lams
