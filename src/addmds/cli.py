@@ -221,7 +221,7 @@ def _cmd_propm(args: argparse.Namespace) -> bool:
         return bool(inverse["ok"])
     budget = args.budget_candidates
     propm.check_pair_budget(t, budget)  # before any battery runs
-    n = args.n if args.n is not None else t.size + 1
+    n = args.n if args.n is not None else max(t.size + 1, 4)  # the lemma needs n >= 4
     reports = {
         "semilinear_criterion": propm.verify_semilinear_criterion(t),
         "zero_coefficient_lemma": propm.verify_zero_coeff_lemma(t, budget),

@@ -222,7 +222,6 @@ class FieldTower:
         self._order_factors = _prime_factors(self._group_order)
 
         self._cache = {}
-        self._coords = {}
         # perfbench patches _build_tables and reads these; no O(size^2) table is built
         self.add_np = None
         self.mul_np = None
@@ -476,11 +475,11 @@ class FieldTower:
 
     def coords(self, x: int):
         """Coefficients (c_0, ..., c_{h-1}) in F_q with x = sum c_l omega^l."""
-        cs = self._coords.get(x)
+        memo = self.memo("coords")
+        cs = memo.get(x)
         if cs is None:
             # c_l = Tr(d_l * x) for the dual basis (d_l)
-            cs = self._coords[x] = tuple(self.trace_to_fq(self.mul(dl, x))
-                                         for dl in self.dual_basis())
+            cs = memo[x] = tuple(self.trace_to_fq(self.mul(dl, x)) for dl in self.dual_basis())
         return cs
 
     def from_coords(self, cs) -> int:

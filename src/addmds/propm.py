@@ -39,12 +39,15 @@ are exactly those of (lam*f(mu X), lam*g(nu X)) for nonzero lam, mu, nu:
                                              factor on both sides.
 
 So ``_orbit_key`` names the class, and the exact score and witness are
-memoised under it (``_orbit_score``, memo ``orbit_scores``, read by
-``max_prop_m`` and by ``verify_inverse_lemma`` for its derived pairs).
-The batteries never key pairs one at a time: ``_orbit_classes`` gives
-the whole N x N array of class ids of a polynomial list from one ranking
-of all normal forms, and each battery searches or bounds
-(``_triple_bound``) once per class.  Every pair is still checked.
+memoised under it (``_orbit_score``, memo ``orbit_scores``).  That is the
+one search: ``max_prop_m``, ``verify_inverse_lemma`` for its derived
+pairs and both batteries read it, and nothing stops a search early.  The
+batteries never key pairs one at a time: ``_orbit_classes`` gives the
+whole N x N array of class ids of a polynomial list from one ranking of
+all normal forms, and each battery scores a class once, on its first
+member; ``verify_lm_prop_implication`` first bounds the class
+(``_triple_bound``) and scores only the classes the bound leaves.  Every
+pair is still checked.
 ``verify_zero_coeff_lemma`` tests each class's witness, and each pair's
 certificate identity, against all pairs of the class in numpy passes over
 per-polynomial tables (``_witness_tables``, ``_class_checks``): the same
@@ -79,6 +82,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
+from .code import DEFAULT_CANDIDATE_BUDGET
 from .errors import BudgetExceeded, NotInvertible
 from .linpoly import (
     LinearizedPoly,
@@ -88,8 +92,6 @@ from .linpoly import (
     support_degrees,
     value_grid,
 )
-
-DEFAULT_BUDGET = 1 << 22  # candidate triples of a pair; pairs of a battery
 
 
 def _memoised(tower, name: str, key, build):
@@ -166,21 +168,21 @@ def _triple_bound(f: LinearizedPoly, g: LinearizedPoly) -> int:
 # ---------------------------------------------------------------------------
 # exact maximum matching
 
-def _exact_matching(levels, stop_at=None):
-    """Largest set picking at most one (a, c) per level, all a and c distinct.
+def _exact_matching(triples):
+    """Largest set of triples, one per b at most, all a and all c distinct,
+    sorted by (b, c).
 
-    levels: list of (b, [(a, c), ...]).  Exact depth-first search with a
-    greedy warm start and a remaining-levels bound.  It stops as soon as the
-    set reaches min(#levels, #distinct a, #distinct c), which no set can
-    exceed; the set only ever grows strictly, so the stop changes nothing
-    returned.  It optionally stops at ``stop_at`` too (the returned size is
-    then a lower bound).
+    The triples are grouped by b into levels, then an exact depth-first
+    search with a greedy warm start and a remaining-levels bound runs over
+    them.  It stops as soon as the set reaches min(#levels, #distinct a,
+    #distinct c), which no set can exceed; the set only ever grows
+    strictly, so the stop changes nothing returned.
     """
-    limit = min(len(levels),
-                len({a for _b, opts in levels for a, _c in opts}),
-                len({c for _b, opts in levels for _a, c in opts}))
-    if stop_at is not None:
-        limit = min(limit, stop_at)
+    by_b = {}
+    for a, b, c in triples:
+        by_b.setdefault(b, []).append((a, c))
+    levels = sorted(by_b.items())
+    limit = min(len(levels), len({a for a, _b, _c in triples}), len({c for _a, _b, c in triples}))
     order = sorted(range(len(levels)), key=lambda i: (len(levels[i][1]), levels[i][0]))
     used_a, used_c = set(), set()
     greedy = []
@@ -193,9 +195,6 @@ def _exact_matching(levels, stop_at=None):
                 used_c.add(c)
                 break
     best = greedy
-    if len(best) >= limit:
-        return best
-
     chosen = []
     used_a, used_c = set(), set()
 
@@ -221,37 +220,21 @@ def _exact_matching(levels, stop_at=None):
         dfs(pos + 1)  # skip this level
 
     dfs(0)
-    return best
-
-
-def _levels_from_triples(triples):
-    by_b = {}
-    for a, b, c in triples:
-        by_b.setdefault(b, []).append((a, c))
-    return sorted(by_b.items())
-
-
-def _search(triples, stop_at=None):
-    """(m or, with ``stop_at``, a lower bound; witness sorted by (b, c))."""
-    found = _exact_matching(_levels_from_triples(triples), stop_at)
-    return len(found), sorted(found, key=lambda x: (x[1], x[2]))
+    return sorted(best, key=lambda x: (x[1], x[2]))
 
 
 def _best_witness(triples):
     """(m, optimal witness) of the exact search, listing (1,1,1) first when
-    some optimum contains it."""
-    m, picked = _search(triples)
+    some optimum contains it: b = 1 is the least b, so the (b, c) order puts
+    it first whenever it is picked."""
+    picked = _exact_matching(triples)
     one = (1, 1, 1)
     if one not in picked:
         # retry with (1,1,1) forced: drop its level, ban a = 1 and c = 1
-        rest = [tr for tr in triples if tr[1] != 1 and tr[0] != 1 and tr[2] != 1]
-        size, forced = _search(rest)
-        if 1 + size >= m:
-            m = 1 + size
-            picked = [one] + forced
-    else:
-        picked = [one] + [tr for tr in picked if tr != one]
-    return m, tuple(picked)
+        forced = [one] + _exact_matching([tr for tr in triples if 1 not in tr])
+        if len(forced) >= len(picked):
+            picked = forced
+    return len(picked), tuple(picked)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +305,7 @@ def _class_members(ids):
 
 
 def _check_budget(count: int, what: str, budget: int | None = None):
-    cap = DEFAULT_BUDGET if budget is None else budget
+    cap = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
     if count > cap:
         raise BudgetExceeded(f"{count} {what} exceed budget {cap}")
 
@@ -751,12 +734,14 @@ def verify_semilinear_criterion(tower) -> dict:
 def verify_lm_prop_implication(tower, n: int, budget: int | None = None) -> dict:
     """Exhaustive check that score >= n-3 forces both entries to be monomials.
 
-    Pairs of monomials pass by definition.  For the rest, the cheap upper
-    bound min(#distinct a, #distinct b, #distinct c) (``_triple_bound``),
-    the same for every pair of an orbit class, is taken once per class
-    (``_orbit_classes``) and prunes most pairs; only survivors build their
-    triples and get an early-stopping exact search.  The pairs are charged
-    to ``budget`` (``check_pair_budget``) first.
+    Pairs of monomials pass by definition.  The rest go by orbit class
+    (``_orbit_classes``), each bounded and scored on its first member: the
+    cheap upper bound min(#distinct a, #distinct b, #distinct c)
+    (``_triple_bound``) prunes most classes, and every other class gets its
+    exact score and witness from ``_orbit_score``, the search every battery
+    shares.  A class scoring at least n-3 gives one violation per member
+    pair, in row-major pair order.  The pairs are charged to ``budget``
+    (``check_pair_budget``) first.
     """
     threshold = n - 3
     if threshold < 1:
@@ -767,34 +752,35 @@ def verify_lm_prop_implication(tower, n: int, budget: int | None = None) -> dict
     monomial = np.array([f.is_monomial() for f in inv_polys])
     ids = _orbit_classes(inv_polys)
     ids[monomial[:, None] & monomial[None, :]] = -1  # monomial pairs pass as they are
-    survives = np.zeros(npoly * npoly, dtype=bool)
-    for members in _class_members(ids):
-        i, j = divmod(int(members[0]), npoly)
-        survives[members] = _triple_bound(inv_polys[i], inv_polys[j]) >= threshold
     monomial_pairs = int(monomial.sum()) ** 2
-    violations = []
+    pruned = 0
     max_m_nonmonomial = 0
-    for pair in np.flatnonzero(survives).tolist():
-        f, g = (inv_polys[k] for k in divmod(pair, npoly))
-        triples = prop_triples(f, g)
-        _check_budget(len(triples), "candidate triples")
-        found, picked = _search(triples, stop_at=threshold)
-        if found >= threshold:
-            violations.append({
-                "f": f.to_json(),
-                "g": g.to_json(),
-                "m_at_least": found,
-                "witness": [[tower.digits(x) for x in tr] for tr in picked],
-            })
-        else:
-            max_m_nonmonomial = max(max_m_nonmonomial, found)
+    flagged = []  # (pair index, class score, class witness) per violating pair
+    for members in _class_members(ids):
+        f, g = (inv_polys[k] for k in divmod(int(members[0]), npoly))
+        if _triple_bound(f, g) < threshold:
+            pruned += len(members)
+            continue
+        _count, m, picked = _orbit_score(f, g, budget)
+        if m < threshold:
+            max_m_nonmonomial = max(max_m_nonmonomial, m)
+            continue
+        witness = [[tower.digits(x) for x in tr] for tr in picked]
+        flagged += [(pair, m, witness) for pair in members.tolist()]
+    flagged.sort(key=lambda v: v[0])
+    violations = [{
+        "f": inv_polys[pair // npoly].to_json(),
+        "g": inv_polys[pair % npoly].to_json(),
+        "m_at_least": m,
+        "witness": witness,
+    } for pair, m, witness in flagged]
     return {
         "tower": tower.descriptor(),
         "n": n,
         "threshold": threshold,
         "pairs": npoly * npoly,
         "monomial_pairs": monomial_pairs,
-        "pruned_by_upper_bound": npoly * npoly - monomial_pairs - int(survives.sum()),
+        "pruned_by_upper_bound": pruned,
         "max_m_nonmonomial_seen": max_m_nonmonomial,
         "violations": violations,
         "ok": not violations,

@@ -38,7 +38,6 @@ from addmds.gf import _inverses
 from addmds.linpoly import LinearizedPoly, _add, inverse_table, invertible_linearized
 from addmds.propm import (
     _exact_matching,
-    _levels_from_triples,
     build_zero_coeff_certificate,
     max_prop_m,
     prop_triples,
@@ -681,13 +680,13 @@ def exhaustive_max_prop_m(f, g):
         return tr[1], tr[2]
 
     triples = prop_triples(f, g)
-    picked = sorted(_exact_matching(_levels_from_triples(triples)), key=by_bc)
+    picked = sorted(_exact_matching(triples), key=by_bc)
     m = len(picked)
     one = (1, 1, 1)
     if one in picked:
         return m, tuple([one] + [tr for tr in picked if tr != one])
     rest = [tr for tr in triples if 1 not in tr]
-    forced = sorted(_exact_matching(_levels_from_triples(rest)), key=by_bc)
+    forced = sorted(_exact_matching(rest), key=by_bc)
     if 1 + len(forced) >= m:
         return 1 + len(forced), tuple([one] + forced)
     return m, tuple(picked)

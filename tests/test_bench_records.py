@@ -7,7 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+RECORDS = sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.removeprefix("BENCH_")))
 
 
 def test_there_are_bench_records():
@@ -30,3 +30,10 @@ def test_bench_record_is_complete(path):
             for side in ("parent", "change"):
                 stats = summary[metric][side]
                 assert stats["q1"] <= stats["median"] <= stats["q3"], (workload, metric, side)
+
+
+@pytest.mark.parametrize("before, path", zip(RECORDS, RECORDS[1:]), ids=[p.name for p in RECORDS[1:]])
+def test_bench_line_counts_chain(before, path):
+    """Each record's parent line count is the change count of the record before it."""
+    lines = [json.loads(p.read_text(encoding="utf-8"))["src_addmds_lines"] for p in (before, path)]
+    assert lines[1]["parent"] == lines[0]["change"], (before.name, path.name)

@@ -296,6 +296,15 @@ def test_propm_battery(capsys):
         "prop_m_implication", "inverse_lemma_samples"}
 
 
+def test_propm_battery_default_n_meets_the_lemma_minimum(capsys):
+    # F_2 itself: q^h + 1 = 3 is below the lm_prop minimum n = 4
+    code, out, err = run(capsys, "propm", "--p", "2", "--h", "1")
+    assert (code, err) == (0, "")
+    rep = parse(out)
+    assert rep["n"] == 4 == rep["verifiers"]["prop_m_implication"]["n"]
+    assert rep["all_ok"] is True
+
+
 def test_propm_pair(capsys, tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"f": [[1, 0], [0, 0]], "g": [[1, 0], [0, 0]]}))

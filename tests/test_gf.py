@@ -268,6 +268,17 @@ def test_mul_against_naive_poly_arithmetic(key):
         assert all(c in t.fq_elements for c in t.coords(x))
 
 
+def test_coords_cache_lives_in_the_tower_memo():
+    # two towers of their own, equal but not the same object
+    t, other = field_create(5, 1, 2), field_create(5, 1, 2)
+    x = t.omega_powers[1]
+    assert x not in t.memo("coords")
+    cs = t.coords(x)
+    assert cs == (0, 1) and t.memo("coords") == {x: cs}
+    assert other.memo("coords") == {}
+    assert other.coords(x) == cs and t.coords(x) is cs
+
+
 def test_field_axioms_sampled(f25):
     rng = random.Random(1)
     els = list(f25.elements())

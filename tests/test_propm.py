@@ -156,10 +156,9 @@ def test_exact_matching_reaches_cap_from_a_bad_greedy_start():
     from addmds.propm import _exact_matching
     # greedy takes (1, 1) at b = 1 and blocks both other levels; the optimum
     # {(2,1,3), (1,2,2), (3,3,1)} meets the cap of 3 levels / a-values / c-values
-    levels = [(1, [(1, 1), (2, 3)]), (2, [(1, 2), (2, 1)]), (3, [(1, 3), (3, 1)])]
-    found = _exact_matching(levels)
-    assert len(found) == 3 == oracles.brute_max_matching(
-        [(a, b, c) for b, opts in levels for a, c in opts])
+    triples = [(1, 1, 1), (2, 1, 3), (1, 2, 2), (2, 2, 1), (1, 3, 3), (3, 3, 1)]
+    found = _exact_matching(triples)
+    assert len(found) == 3 == oracles.brute_max_matching(triples)
 
 
 @pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (2, 2, 2)],
@@ -376,21 +375,21 @@ def test_lm_prop_implication_frozen_f9(f9):
 
 @pytest.mark.parametrize("n, survivors, violating, max_seen", [(5, 2048, 2048, 0), (6, 512, 0, 2)])
 def test_lm_prop_early_stop_matches_oracle_f9(f9, n, survivors, violating, max_seen):
-    # n = 9 prunes every pair; here pairs survive the bound and reach the
-    # early-stopping search, whose verdicts the full search must confirm
+    # n = 9 prunes every pair; here pairs survive the bound and get the class
+    # score, whose verdicts, order and scores each pair's own search must confirm
     from addmds.propm import _triple_bound
     rep = verify_lm_prop_implication(f9, n)
-    flagged = {(tuple(map(tuple, v["f"])), tuple(map(tuple, v["g"]))) for v in rep["violations"]}
+    flagged = [(v["f"], v["g"], v["m_at_least"]) for v in rep["violations"]]
     invs = invertible_linearized(f9)
-    seen, expect, oracle_max = 0, set(), 0
-    for f in invs:
+    seen, expect, oracle_max = 0, [], 0
+    for f in invs:  # row-major pair order
         for g in invs:
             if (f.is_monomial() and g.is_monomial()) or _triple_bound(f, g) < n - 3:
                 continue
             seen += 1
             m, _ = oracles.exhaustive_max_prop_m(f, g)
             if m >= n - 3:
-                expect.add((tuple(map(tuple, f.to_json())), tuple(map(tuple, g.to_json()))))
+                expect.append((f.to_json(), g.to_json(), m))
             else:
                 oracle_max = max(oracle_max, m)
     assert seen == survivors == rep["pairs"] - rep["monomial_pairs"] - rep["pruned_by_upper_bound"]
@@ -460,7 +459,8 @@ def _digest(report):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# sha256 of the canonical JSON of each report, frozen before the conjugation kernel
+# sha256 of the canonical JSON of each report, frozen before the conjugation kernel;
+# the two lm_prop n = 5 reports (survivors of the bound) before class scoring
 @pytest.mark.parametrize("key, verify, digest", [
     ((2, 1, 3), verify_zero_coeff_lemma,
      "6dc0d82b98050f26b62b633675a28803610d3bd05895316695213cb114ce887f"),
@@ -470,10 +470,14 @@ def _digest(report):
      "55c5aca6f1f0b9e4717e631d9a7e465785eab592bd4b24d7bfaa330e8a1a53cf"),
     ((2, 2, 2), lambda t: verify_lm_prop_implication(t, 17),
      "a77481f4d5c99fce3c31a985feed6c89e307ce25e35c6110490c84651fae5005"),
+    ((3, 1, 2), lambda t: verify_lm_prop_implication(t, 5),
+     "02bb5906162eca3c7165ee3555f405a003c2e6f63fcf4a0b1812568705b58bf5"),
+    ((2, 1, 3), lambda t: verify_lm_prop_implication(t, 5),
+     "99bc9e26dc23d622148b4860c6728ab11720a2d9fe66a76460cefc0086049182"),
     ((3, 1, 3), verify_two_nonzero_lemma,
      "7848cae8b8c8fc591fd14f683866407bf031e39ef7abdd4d7b8048adcaede2a5"),
 ], ids=["zero_coeff-F8", "zero_coeff-F9", "semilinear-F27", "lm_prop-F16_F4",
-        "two_nonzero-F27"])
+        "lm_prop-F9-n5", "lm_prop-F8-n5", "two_nonzero-F27"])
 def test_lemma_report_digests(key, verify, digest):
     from conftest import tower
     assert _digest(verify(tower(*key))) == digest
