@@ -208,7 +208,7 @@ def _cmd_propm(args: argparse.Namespace) -> bool:
     if args.input is not None:
         f, g = _load_pair(t, _load_json(args.input))
         m, wit = propm.max_prop_m(f, g, args.budget_candidates)
-        inverse = propm.verify_inverse_lemma(f, g)
+        inverse = propm.verify_inverse_lemma(f, g, args.budget_candidates)
         _emit(args, {
             "field": t.descriptor(),
             "f": f.to_json(),
@@ -227,7 +227,7 @@ def _cmd_propm(args: argparse.Namespace) -> bool:
         "zero_coefficient_lemma": propm.verify_zero_coeff_lemma(t, budget),
         "two_nonzero_lemma": propm.verify_two_nonzero_lemma(t),
         "prop_m_implication": propm.verify_lm_prop_implication(t, n, budget),
-        "inverse_lemma_samples": _inverse_samples(t, args.seed),
+        "inverse_lemma_samples": _inverse_samples(t, args.seed, budget),
     }
     ok = all(r["ok"] for r in reports.values())
     _emit(args, {"field": t.descriptor(), "n": n, "verifiers": reports, "all_ok": ok})
@@ -245,13 +245,13 @@ def _load_pair(t: FieldTower, data):
     return pair
 
 
-def _inverse_samples(t: FieldTower, seed: int) -> dict:
+def _inverse_samples(t: FieldTower, seed: int, budget: int | None) -> dict:
     rng = random.Random(seed)
     bad = []
     for _ in range(INVERSE_SAMPLES):
         f = random_invertible(t, rng)
         g = random_invertible(t, rng)
-        rep = propm.verify_inverse_lemma(f, g)
+        rep = propm.verify_inverse_lemma(f, g, budget)
         if not rep["ok"]:
             bad.append(rep)
     return {"seed": seed, "samples": INVERSE_SAMPLES, "violations": bad, "ok": not bad}

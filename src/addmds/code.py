@@ -57,6 +57,14 @@ DEFAULT_CODEWORD_BUDGET = 1 << 24
 DEFAULT_CANDIDATE_BUDGET = 1 << 22
 
 
+def _charge(count: int, what: str, budget: int | None, default: int | None = None):
+    """BudgetExceeded when count > budget; None means ``default``, or else
+    ``DEFAULT_CANDIDATE_BUDGET`` as it reads at the call."""
+    cap = budget if budget is not None else default or DEFAULT_CANDIDATE_BUDGET
+    if count > cap:
+        raise BudgetExceeded(f"{count} {what} exceed budget {cap}")
+
+
 class AdditiveCode:
     def __init__(self, tower: FieldTower, rows, n: int | None = None, check: bool = True):
         rows = tuple(tuple(r) for r in rows)
@@ -332,8 +340,8 @@ def _cached_weights(obj, k, groups, budget, noun):
             cache["weights"], cache["walk_ranks"] = tuple(walk[0]), walk[1]
         elif total <= cap:
             cache["weights"] = tuple(_weight_distribution(obj.tower, k, groups))
-    if total > cap and cache.get("walk_ranks", limit + 1) > limit:
-        raise BudgetExceeded(f"{total} {noun} exceed budget {cap}")
+    if cache.get("walk_ranks", limit + 1) > limit:
+        _charge(total, noun, budget, DEFAULT_CODEWORD_BUDGET)
     return list(cache["weights"])
 
 

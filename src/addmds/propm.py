@@ -52,9 +52,11 @@ pair is still checked.
 certificate identity, against all pairs of the class in numpy passes over
 per-polynomial tables (``_witness_tables``, ``_class_checks``): the same
 checks as ``PropWitness`` and ``ZeroCoeffCertificate``, which stay the
-per-pair route for single pairs and for the tests' oracle.  Both
-batteries charge their |GL_h(F_q)|^2 pairs to a budget before they
-enumerate anything (``check_pair_budget``).
+per-pair route for single pairs and for the tests' oracle.  Each public
+entry charges its budget once, before any search: the batteries their
+|GL_h(F_q)|^2 pairs (``check_pair_budget``; a pair has at most
+(q^h - 1)^2 triples), ``max_prop_m`` and ``verify_inverse_lemma`` the
+pair's candidate triples; the scorer ``_orbit_score`` charges nothing.
 
 Work that depends on one polynomial, not on the pair, is memoised on the
 tower (``FieldTower.memo``), so a battery pays it once:
@@ -82,8 +84,8 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .code import DEFAULT_CANDIDATE_BUDGET
-from .errors import BudgetExceeded, NotInvertible
+from .code import _charge
+from .errors import NotInvertible
 from .linpoly import (
     LinearizedPoly,
     evaluation_table,
@@ -134,18 +136,14 @@ def _conj_buckets(f: LinearizedPoly):
     return _memoised(t, "conj_buckets", f.coeffs, build)
 
 
-def _pair_buckets(f: LinearizedPoly, g: LinearizedPoly):
-    """The conj buckets of f and of g; NotInvertible unless both are invertible."""
+def prop_triples(f: LinearizedPoly, g: LinearizedPoly):
+    """All (a, b, c) in (F_{q^h}*)^3 with a*conj(f,b) = conj(g,c), sorted by
+    (b, c); NotInvertible unless f and g are both invertible."""
+    t = f.tower
     try:
-        return _conj_buckets(f), _conj_buckets(g)
+        bf, bg = _conj_buckets(f), _conj_buckets(g)
     except NotInvertible:
         raise NotInvertible("triples are defined for invertible pairs only") from None
-
-
-def prop_triples(f: LinearizedPoly, g: LinearizedPoly):
-    """All (a, b, c) in (F_{q^h}*)^3 with a*conj(f,b) = conj(g,c), sorted by (b, c)."""
-    t = f.tower
-    bf, bg = _pair_buckets(f, g)
     out = []
     for norm, blist in bf.items():
         clist = bg.get(norm)
@@ -304,12 +302,6 @@ def _class_members(ids):
     return (np.flatnonzero(flat == c) for c in ordered[first].tolist() if c >= 0)
 
 
-def _check_budget(count: int, what: str, budget: int | None = None):
-    cap = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
-    if count > cap:
-        raise BudgetExceeded(f"{count} {what} exceed budget {cap}")
-
-
 def gl_order(tower) -> int:
     """|GL_h(F_q)|: the number of invertible q-linearized polynomials."""
     order = 1
@@ -322,21 +314,16 @@ def check_pair_budget(tower, budget: int | None = None):
     """BudgetExceeded when the |GL_h(F_q)|^2 pairs of invertible polynomials,
     which a battery holds in N x N arrays, exceed ``budget`` (default 2^22).
     Closed form: nothing is enumerated."""
-    _check_budget(gl_order(tower) ** 2, "pairs", budget)
+    _charge(gl_order(tower) ** 2, "pairs", budget)
 
 
-def _orbit_score(f: LinearizedPoly, g: LinearizedPoly, budget: int | None = None):
-    """(triple count, m, witness triples) of the pair's orbit class, searched
-    once per class and memoised on the tower.  The triple list, and so the
-    search and its witness, is the same for every pair of the class.  The
-    budget is checked against the triple count on a hit as on a miss."""
-    def build():
-        triples = prop_triples(f, g)
-        _check_budget(len(triples), "candidate triples", budget)
-        return len(triples), *_best_witness(triples)
-    hit = _memoised(f.tower, "orbit_scores", _orbit_key(f, g), build)
-    _check_budget(hit[0], "candidate triples", budget)
-    return hit
+def _orbit_score(f: LinearizedPoly, g: LinearizedPoly):
+    """(m, witness triples) of the pair's orbit class, searched once per
+    class and memoised on the tower; it charges no budget.  The triple list,
+    and so the search and its witness, is the same for every pair of the
+    class."""
+    return _memoised(f.tower, "orbit_scores", _orbit_key(f, g),
+                     lambda: _best_witness(prop_triples(f, g)))
 
 
 def _conjugate(f: LinearizedPoly, b: int) -> tuple:
@@ -386,11 +373,12 @@ def max_prop_m(f: LinearizedPoly, g: LinearizedPoly, budget: int | None = None):
     """Exact maximum score m and an optimal witness.
 
     When some optimum contains the guaranteed triple (1,1,1) the returned
-    witness does, listed first.  The search runs once per orbit class
-    (``_orbit_score``); the witness is validated against this very pair.
+    witness does, listed first.  The pair's triples are charged to
+    ``budget`` first, memo hit or miss.  The search runs once per orbit
+    class (``_orbit_score``); the witness is validated against this pair.
     """
-    _pair_buckets(f, g)  # before the key: a zero f has no normal form
-    _count, m, picked = _orbit_score(f, g, budget)
+    _charge(len(prop_triples(f, g)), "candidate triples", budget)
+    m, picked = _orbit_score(f, g)
     return m, PropWitness(f, g, picked)
 
 
@@ -538,20 +526,22 @@ def _class_checks(tower, triples, rows, cols, tables):
 # ---------------------------------------------------------------------------
 # lemma verifiers (exhaustive on small towers)
 
-def verify_inverse_lemma(f: LinearizedPoly, g: LinearizedPoly) -> dict:
+def verify_inverse_lemma(f: LinearizedPoly, g: LinearizedPoly, budget: int | None = None) -> dict:
     """Scores of (f,g), (f^{-1}, f^{-1}g), (g^{-1}, g^{-1}f) agree.
 
     The witness of (f,g) transfers: (a,b,c) -> (b^{-1}, a^{-1}, c^{-1}) for
     the first derived pair and (a,b,c) -> (c^{-1}, a, b^{-1}) for the second.
-    Both transferred sets are validated triple by triple.
+    Both transferred sets are validated triple by triple.  Only the triples
+    of (f, g) are charged to ``budget``: the same maps put each derived
+    pair's triples in bijection with them.
     """
     t = f.tower
-    m, witness = max_prop_m(f, g)
+    m, witness = max_prop_m(f, g, budget)
     finv, ginv = f.inverse(), g.inverse()
     pair1 = (finv, finv.compose(g))
     pair2 = (ginv, ginv.compose(f))
-    m1 = _orbit_score(*pair1)[1]
-    m2 = _orbit_score(*pair2)[1]
+    m1 = _orbit_score(*pair1)[0]
+    m2 = _orbit_score(*pair2)[0]
     tr1 = [(t.inv(b), t.inv(a), t.inv(c)) for a, b, c in witness.triples]
     tr2 = [(t.inv(c), a, t.inv(b)) for a, b, c in witness.triples]
     ok1 = all(_triple_holds(*pair1, tr) for tr in tr1)
@@ -598,7 +588,7 @@ def verify_zero_coeff_lemma(tower, budget: int | None = None) -> dict:
     cert_ok = np.empty((npoly, npoly), dtype=bool)
     for members in _class_members(_orbit_classes(twisted)):
         i, j = divmod(int(members[0]), npoly)
-        _count, m, picked = _orbit_score(twisted[i], twisted[j])
+        m, picked = _orbit_score(twisted[i], twisted[j])
         holds, cert = _class_checks(tower, picked, *np.divmod(members, npoly), tables)
         _check_witness(picked, holds.__getitem__)
         scores.flat[members] = m
@@ -761,16 +751,17 @@ def verify_lm_prop_implication(tower, n: int, budget: int | None = None) -> dict
         if _triple_bound(f, g) < threshold:
             pruned += len(members)
             continue
-        _count, m, picked = _orbit_score(f, g, budget)
+        m, picked = _orbit_score(f, g)
         if m < threshold:
             max_m_nonmonomial = max(max_m_nonmonomial, m)
             continue
         witness = [[tower.digits(x) for x in tr] for tr in picked]
         flagged += [(pair, m, witness) for pair in members.tolist()]
     flagged.sort(key=lambda v: v[0])
+    names = [f.to_json() for f in inv_polys]  # per polynomial, not per violating pair
     violations = [{
-        "f": inv_polys[pair // npoly].to_json(),
-        "g": inv_polys[pair % npoly].to_json(),
+        "f": names[pair // npoly],
+        "g": names[pair % npoly],
         "m_at_least": m,
         "witness": witness,
     } for pair, m, witness in flagged]

@@ -36,8 +36,8 @@ import numpy as np
 
 from . import linalg
 from .code import (
-    DEFAULT_CANDIDATE_BUDGET,
     AdditiveCode,
+    _charge,
     apply_move,
     code_from_dict,
     code_to_dict,
@@ -46,7 +46,7 @@ from .code import (
     min_distance,
     project,
 )
-from .errors import BudgetExceeded, FieldTooSmall, NotInvertible
+from .errors import FieldTooSmall, NotInvertible
 from .gf import FieldTower, require_keys
 from .linpoly import LinearizedPoly, evaluation_table, support_degrees, value_grid
 
@@ -280,9 +280,7 @@ def k4_example_search(tower: FieldTower, n: int = 6, budget: int | None = None):
     base = base_mds_matrix(tower, 4, n)
     outside = _candidate_alphas(tower)
     space = len(outside) ** 2 * 2 * tower.size ** (tower.h - 1)
-    cap = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
-    if space > cap:
-        raise BudgetExceeded(f"{space} candidates exceed budget {cap}")
+    _charge(space, "candidates", budget)
     lambda_pairs, alpha_constraints = screen_conditions(tower, base)
     for alpha in outside:
         if not _alpha_ok(tower, base, alpha, alpha_constraints):

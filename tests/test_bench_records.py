@@ -37,3 +37,12 @@ def test_bench_line_counts_chain(before, path):
     """Each record's parent line count is the change count of the record before it."""
     lines = [json.loads(p.read_text(encoding="utf-8"))["src_addmds_lines"] for p in (before, path)]
     assert lines[1]["parent"] == lines[0]["change"], (before.name, path.name)
+
+
+def test_newest_bench_line_count_is_the_tree():
+    """The newest record's change count is src/addmds as it stands, counted as
+    ``perfbench/run.py`` counts it."""
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines())
+                for p in (ROOT / "src" / "addmds").glob("*.py"))
+    record = json.loads(RECORDS[-1].read_text(encoding="utf-8"))["src_addmds_lines"]
+    assert record["change"] == lines, RECORDS[-1].name

@@ -317,6 +317,22 @@ def test_propm_pair(capsys, tmp_path):
     assert rep["inverse_lemma"]["ok"] is True
 
 
+def test_propm_pair_budget_covers_the_inverse_lemma(capsys, tmp_path, monkeypatch):
+    # the default lowered to 10 stands in for 2^22; (X, X) over F_9 has 64
+    # candidate triples, so only the flag may admit them, in both halves
+    from addmds import propm
+    monkeypatch.setattr(code_mod, "DEFAULT_CANDIDATE_BUDGET", 10)
+    monkeypatch.setattr(propm, "DEFAULT_CANDIDATE_BUDGET", 10, raising=False)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"f": [[1, 0], [0, 0]], "g": [[1, 0], [0, 0]]}))
+    argv = ("propm", "--p", "3", "--h", "2", "--in", str(path))
+    code, out, err = run(capsys, *argv, "--budget-candidates", "1000")
+    assert (code, err) == (0, "") and parse(out)["inverse_lemma"]["ok"] is True
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: BudgetExceeded: 64 candidate triples exceed budget 10\n"
+
+
 def test_hunt_and_verify(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "hunt-k4", "--p", "5", "--e", "1", "--h", "2")

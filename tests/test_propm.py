@@ -224,8 +224,8 @@ def test_triple_budget():
     with pytest.raises(BudgetExceeded) as cold:
         max_prop_m(x, x, budget=3)
     assert max_prop_m(x, x)[0] == 7  # fills the orbit memo of (X, X)
-    # (2X, 5X) = (X(2X), X(5X)) lies in the class of (X, X): a warm hit
-    # compares the stored triple count with the budget before returning
+    # (2X, 5X) = (X(2X), X(5X)) lies in the class of (X, X): max_prop_m
+    # charges the pair's triples before it reads the warm memo entry
     other = (LinearizedPoly.scalar(t, 2), LinearizedPoly.scalar(t, 5))
     assert _orbit_key(*other) == _orbit_key(x, x)
     with pytest.raises(BudgetExceeded) as warm:
@@ -315,6 +315,25 @@ def test_inverse_lemma_specific(f9):
     assert rep["ok"] and rep["scores_equal"]
     assert rep["m"] == rep["m_inverse_pair_f"] == rep["m_inverse_pair_g"]
     assert rep["transferred_valid_f"] and rep["transferred_valid_g"]
+
+
+@pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2)],
+                         ids=["F8", "F9", "F16/F4", "F25"])
+def test_derived_pairs_have_as_many_triples(key):
+    # why verify_inverse_lemma charges only the triples of (f, g): the
+    # transfer maps are bijections onto the derived pairs' triples
+    from conftest import tower
+    t = tower(*key)
+    rng = random.Random(20261019)
+    for _ in range(10):
+        f, g = random_invertible(t, rng), random_invertible(t, rng)
+        count = len(prop_triples(f, g))
+        finv, ginv = f.inverse(), g.inverse()
+        assert len(prop_triples(finv, finv.compose(g))) == count
+        assert len(prop_triples(ginv, ginv.compose(f))) == count
+    with pytest.raises(BudgetExceeded, match=f"^{count} candidate triples exceed budget {count - 1}$"):
+        verify_inverse_lemma(f, g, count - 1)
+    assert verify_inverse_lemma(f, g, count)["ok"]
 
 
 def test_zero_coeff_verifier_frozen_f9(f9):
@@ -609,12 +628,12 @@ def test_zero_coeff_lemma_rejects_a_wrong_class_witness(f8, monkeypatch):
     target = _orbit_key(f, g)
     real = propm_mod._orbit_score
 
-    def one_wrong_c(f, g, budget=None):
-        count, m, picked = real(f, g, budget)
+    def one_wrong_c(f, g):
+        m, picked = real(f, g)
         if _orbit_key(f, g) == target:
             a, b, c = picked[2]
             picked = picked[:2] + ((a, b, c % 7 + 1),) + picked[3:]
-        return count, m, picked
+        return m, picked
 
     monkeypatch.setattr(propm_mod, "_orbit_score", one_wrong_c)
     with pytest.raises(ValueError, match="triple 2 fails the defining identity"):
@@ -675,7 +694,7 @@ def test_zero_coeff_lemma_flags_a_failed_frobenius_relation(f8, monkeypatch):
         return conj, prod, frob
 
     expect = [k for k, (f, g) in enumerate((f, g) for f in twisted for g in twisted)
-              if any(tr[1] == b for tr in _orbit_score(f, g)[2])]
+              if any(tr[1] == b for tr in _orbit_score(f, g)[1])]
     assert 0 < len(expect) < len(twisted) ** 2
     monkeypatch.setattr(propm_mod, "_witness_tables", corrupted)
     rep = verify_zero_coeff_lemma(f8)
