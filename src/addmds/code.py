@@ -57,10 +57,9 @@ DEFAULT_CODEWORD_BUDGET = 1 << 24
 DEFAULT_CANDIDATE_BUDGET = 1 << 22
 
 
-def _charge(count: int, what: str, budget: int | None, default: int | None = None):
-    """BudgetExceeded when count > budget; None means ``default``, or else
-    ``DEFAULT_CANDIDATE_BUDGET`` as it reads at the call."""
-    cap = budget if budget is not None else default or DEFAULT_CANDIDATE_BUDGET
+def _charge(count: int, what: str, budget: int | None):
+    """BudgetExceeded when count > budget (None: DEFAULT_CANDIDATE_BUDGET at the call)."""
+    cap = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
     if count > cap:
         raise BudgetExceeded(f"{count} {what} exceed budget {cap}")
 
@@ -341,7 +340,7 @@ def _cached_weights(obj, k, groups, budget, noun):
         elif total <= cap:
             cache["weights"] = tuple(_weight_distribution(obj.tower, k, groups))
     if cache.get("walk_ranks", limit + 1) > limit:
-        _charge(total, noun, budget, DEFAULT_CODEWORD_BUDGET)
+        _charge(total, noun, cap)
     return list(cache["weights"])
 
 

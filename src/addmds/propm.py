@@ -52,11 +52,10 @@ pair is still checked.
 certificate identity, against all pairs of the class in numpy passes over
 per-polynomial tables (``_witness_tables``, ``_class_checks``): the same
 checks as ``PropWitness`` and ``ZeroCoeffCertificate``, which stay the
-per-pair route for single pairs and for the tests' oracle.  Each public
-entry charges its budget once, before any search: the batteries their
-|GL_h(F_q)|^2 pairs (``check_pair_budget``; a pair has at most
-(q^h - 1)^2 triples), ``max_prop_m`` and ``verify_inverse_lemma`` the
-pair's candidate triples; the scorer ``_orbit_score`` charges nothing.
+per-pair route for single pairs and for the tests' oracle.  Budgets are
+charged once, before any search: a battery its |GL_h(F_q)|^2 pairs
+(``check_pair_budget``), a single-pair entry (``max_prop_m``) the pair's
+triples; the scorer ``_orbit_score`` charges nothing.
 
 Work that depends on one polynomial, not on the pair, is memoised on the
 tower (``FieldTower.memo``), so a battery pays it once:
@@ -136,14 +135,18 @@ def _conj_buckets(f: LinearizedPoly):
     return _memoised(t, "conj_buckets", f.coeffs, build)
 
 
-def prop_triples(f: LinearizedPoly, g: LinearizedPoly):
-    """All (a, b, c) in (F_{q^h}*)^3 with a*conj(f,b) = conj(g,c), sorted by
-    (b, c); NotInvertible unless f and g are both invertible."""
-    t = f.tower
+def _pair_buckets(f: LinearizedPoly, g: LinearizedPoly):
+    """The conj buckets of f and of g; NotInvertible unless both are invertible."""
     try:
-        bf, bg = _conj_buckets(f), _conj_buckets(g)
+        return _conj_buckets(f), _conj_buckets(g)
     except NotInvertible:
         raise NotInvertible("triples are defined for invertible pairs only") from None
+
+
+def prop_triples(f: LinearizedPoly, g: LinearizedPoly):
+    """All (a, b, c) in (F_{q^h}*)^3 with a*conj(f,b) = conj(g,c), sorted by (b, c)."""
+    t = f.tower
+    bf, bg = _pair_buckets(f, g)
     out = []
     for norm, blist in bf.items():
         clist = bg.get(norm)
@@ -318,10 +321,9 @@ def check_pair_budget(tower, budget: int | None = None):
 
 
 def _orbit_score(f: LinearizedPoly, g: LinearizedPoly):
-    """(m, witness triples) of the pair's orbit class, searched once per
-    class and memoised on the tower; it charges no budget.  The triple list,
-    and so the search and its witness, is the same for every pair of the
-    class."""
+    """(m, witness triples) of the pair's orbit class, searched once per class,
+    memoised on the tower and charged to no budget: every pair of the class
+    has the same triples, so the same search and witness."""
     return _memoised(f.tower, "orbit_scores", _orbit_key(f, g),
                      lambda: _best_witness(prop_triples(f, g)))
 
@@ -373,11 +375,13 @@ def max_prop_m(f: LinearizedPoly, g: LinearizedPoly, budget: int | None = None):
     """Exact maximum score m and an optimal witness.
 
     When some optimum contains the guaranteed triple (1,1,1) the returned
-    witness does, listed first.  The pair's triples are charged to
-    ``budget`` first, memo hit or miss.  The search runs once per orbit
-    class (``_orbit_score``); the witness is validated against this pair.
+    witness does, listed first.  The pair's triples are counted (not listed)
+    and charged to ``budget`` before the memoised search (``_orbit_score``);
+    the witness is validated against this very pair.
     """
-    _charge(len(prop_triples(f, g)), "candidate triples", budget)
+    bf, bg = _pair_buckets(f, g)  # before the key: a zero f has no normal form
+    count = sum(len(blist) * len(bg.get(norm, ())) for norm, blist in bf.items())
+    _charge(count, "candidate triples", budget)
     m, picked = _orbit_score(f, g)
     return m, PropWitness(f, g, picked)
 
@@ -531,9 +535,8 @@ def verify_inverse_lemma(f: LinearizedPoly, g: LinearizedPoly, budget: int | Non
 
     The witness of (f,g) transfers: (a,b,c) -> (b^{-1}, a^{-1}, c^{-1}) for
     the first derived pair and (a,b,c) -> (c^{-1}, a, b^{-1}) for the second.
-    Both transferred sets are validated triple by triple.  Only the triples
-    of (f, g) are charged to ``budget``: the same maps put each derived
-    pair's triples in bijection with them.
+    Both transferred sets are validated triple by triple.  Only (f, g) is
+    charged to ``budget``: the maps biject its triples with each derived pair's.
     """
     t = f.tower
     m, witness = max_prop_m(f, g, budget)

@@ -333,6 +333,18 @@ def test_propm_pair_budget_covers_the_inverse_lemma(capsys, tmp_path, monkeypatc
     assert err == "error: BudgetExceeded: 64 candidate triples exceed budget 10\n"
 
 
+def test_propm_battery_budget_covers_the_inverse_samples(capsys, monkeypatch):
+    # the default lowered to 8 stands in for 2^22: F_4's 36 pairs need the
+    # flag, and its sampled pairs have 9 triples each, so samples charged
+    # to the default, not to the flag, would refuse
+    from addmds import propm
+    monkeypatch.setattr(code_mod, "DEFAULT_CANDIDATE_BUDGET", 8)
+    monkeypatch.setattr(propm, "DEFAULT_CANDIDATE_BUDGET", 8, raising=False)
+    code, out, err = run(capsys, "propm", "--p", "2", "--h", "2", "--budget-candidates", "36")
+    assert (code, err) == (0, "")
+    assert parse(out)["verifiers"]["inverse_lemma_samples"]["ok"] is True
+
+
 def test_hunt_and_verify(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "hunt-k4", "--p", "5", "--e", "1", "--h", "2")

@@ -328,6 +328,8 @@ def test_derived_pairs_have_as_many_triples(key):
     for _ in range(10):
         f, g = random_invertible(t, rng), random_invertible(t, rng)
         count = len(prop_triples(f, g))
+        with pytest.raises(BudgetExceeded):  # max_prop_m counts without listing
+            max_prop_m(f, g, count - 1)
         finv, ginv = f.inverse(), g.inverse()
         assert len(prop_triples(finv, finv.compose(g))) == count
         assert len(prop_triples(ginv, ginv.compose(f))) == count
