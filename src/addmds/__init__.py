@@ -44,7 +44,6 @@ from .geometry import (
     desarguesian_block,
     desarguesian_membership,
     is_pseudo_arc,
-    multiplication_matrix,
     project_system,
     system_from_code,
     system_from_dict,

@@ -42,8 +42,9 @@ from .errors import (
 from .gf import FieldTower, field_create, require_keys
 from .linpoly import LinearizedPoly, random_invertible
 
+# exit 2 with one line; MemoryError is an input too large for the machine
 USAGE_ERRORS = (BudgetExceeded, FieldTooSmall, NotPrime, TowerTooLarge,
-                TowerMismatch, InvalidSubfield)
+                TowerMismatch, InvalidSubfield, MemoryError)
 INVERSE_SAMPLES = 25  # random pairs the propm battery checks the inverse lemma on
 
 
@@ -213,7 +214,7 @@ def _cmd_propm(args: argparse.Namespace) -> bool:
             "field": t.descriptor(),
             "f": f.to_json(),
             "g": g.to_json(),
-            "triples": len(propm.prop_triples(f, g)),
+            "triples": propm.triple_count(f, g),
             "m": m,
             "witness": [[t.digits(x) for x in tr] for tr in wit.triples],
             "inverse_lemma": inverse,

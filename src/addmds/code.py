@@ -5,6 +5,9 @@ vectors over F_{q^h}; the code is the set of F_q-combinations of the rows,
 so |C| = q^k_fq.  The stored row basis is preserved exactly (several
 constructions rely on a structured basis); equality of codes compares the
 canonical reduced row echelon form of the F_q-coordinate expansion.
+Constructions give a k x n grid of F_q-linear maps M_ij, whose rows
+``_rows_from_maps`` writes out, and F_q coordinates turn back into rows
+only through ``_rows_from_expansion``.
 
 Distance work reads one weight distribution A_0..A_n per code or system
 (the systems of ``geometry`` too), computed once under a hard codeword
@@ -95,19 +98,11 @@ class AdditiveCode:
             ]
         return self._cache["expansion"]
 
-    def _reassemble(self, exp_rows):
-        t = self.tower
-        h = t.h
-        return tuple(
-            tuple(t.from_coords(row[j * h:(j + 1) * h]) for j in range(self.n))
-            for row in exp_rows
-        )
-
     def canonical_rows(self):
         """Basis-independent generator: RREF over F_q of the expansion."""
         if "canonical" not in self._cache:
             red, _ = linalg.mat_rref(self.tower, self.expansion())
-            self._cache["canonical"] = self._reassemble(red)
+            self._cache["canonical"] = _rows_from_expansion(self.tower, self.n, red)
         return self._cache["canonical"]
 
     def __eq__(self, other):
@@ -130,14 +125,30 @@ class AdditiveCode:
 
     def is_field_linear(self) -> bool:
         """True iff the code is closed under multiplication by omega."""
-        t = self.tower
+        t, h = self.tower, self.tower.h
         red, pivots = linalg.mat_rref(t, self.expansion())
         red = red[: len(pivots)]
-        for row in self.gen:
-            v = [c for x in row for c in t.coords(t.mul(t.omega, x))]
+        # coords(omega x) = coords(x) M: dot products with the columns of M
+        cols = linalg.transpose(LinearizedPoly.scalar(t, t.omega).matrix())
+        for row in self.expansion():
+            v = [c for j in range(0, len(row), h) for c in linalg.mat_vec(t, cols, row[j:j + h])]
             if any(linalg.reduce_vector(t, red, pivots, v)):
                 return False
         return True
+
+
+def _rows_from_maps(tower: FieldTower, maps):
+    """Generator rows of the k x n grid ``maps`` of LinearizedPolys, the code
+    {(sum_i M_ij(x_i))_j : x in F_{q^h}^k}: row (i, l) is (M_ij(omega^l))_j."""
+    return tuple(tuple(m(w) for m in row) for row in maps for w in tower.omega_powers)
+
+
+def _rows_from_expansion(tower: FieldTower, n: int, exp_rows):
+    """Rows of length n over F_{q^h} from their F_q coordinates; inverse of
+    ``AdditiveCode.expansion``."""
+    h = tower.h
+    return tuple(tuple(tower.from_coords(row[j * h:(j + 1) * h]) for j in range(n))
+                 for row in exp_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +417,8 @@ def project(code: AdditiveCode, positions) -> AdditiveCode:
     positions = sorted(set(positions))
     if any(not (0 <= j < code.n) for j in positions):
         raise ValueError("projection position out of range")
-    t = code.tower
-    cond = [[c for j in positions for c in t.coords(row[j])] for row in code.gen]
+    t, h = code.tower, code.tower.h
+    cond = [[c for j in positions for c in row[j * h:(j + 1) * h]] for row in code.expansion()]
     kernel = linalg.left_nullspace(t, cond) if positions else \
         [[1 if i == r else 0 for i in range(code.k_fq)] for r in range(code.k_fq)]
     keep = [j for j in range(code.n) if j not in positions]
@@ -496,16 +507,10 @@ class InterpolationForm:
 
     def build_code(self) -> AdditiveCode:
         t = self.tower
-        rows = []
-        for i in range(self.k):
-            for l in range(t.h):
-                w = t.omega_powers[l]
-                row = [0] * self.n
-                row[i] = w
-                for r in range(self.n - self.k):
-                    row[self.k + r] = self.maps[r][i](w)
-                rows.append(tuple(row))
-        return AdditiveCode(t, rows, n=self.n, check=False)
+        ident, zero = LinearizedPoly.identity(t), LinearizedPoly.zero(t)
+        grid = [[ident if j == i else zero for j in range(self.k)]
+                + [self.maps[r][i] for r in range(self.n - self.k)] for i in range(self.k)]
+        return AdditiveCode(t, _rows_from_maps(t, grid), n=self.n, check=False)
 
 
 def _interpolate(code: AdditiveCode) -> InterpolationForm:

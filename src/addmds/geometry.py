@@ -21,9 +21,11 @@ the blocks, which depend only on the subspaces.
 from __future__ import annotations
 
 from . import linalg
-from .code import AdditiveCode, _cached_weights, distance_from_weights
+from .code import (AdditiveCode, _cached_weights, _rows_from_expansion, _rows_from_maps,
+                   distance_from_weights)
 from .errors import DimensionMismatch, SpanFailure
 from .gf import FieldTower, _is_int, require_keys
+from .linpoly import LinearizedPoly
 
 
 class ProjectiveHSystem:
@@ -73,14 +75,10 @@ class ProjectiveHSystem:
 
 def system_from_code(code: AdditiveCode) -> ProjectiveHSystem:
     """Column spans of the coordinate maps, one block per code position."""
-    t = code.tower
-    h = t.h
-    blocks = []
-    for j in range(code.n):
-        rows = [t.coords(code.gen[i][j]) for i in range(code.k_fq)]
-        blocks.append(tuple(tuple(rows[i][c] for i in range(code.k_fq))
-                            for c in range(h)))
-    return ProjectiveHSystem(t, code.k_fq, blocks)
+    h = code.tower.h
+    exp = code.expansion()
+    return ProjectiveHSystem(code.tower, code.k_fq, [
+        tuple(tuple(row[j * h + c] for row in exp) for c in range(h)) for j in range(code.n)])
 
 
 def code_from_system(system: ProjectiveHSystem) -> AdditiveCode:
@@ -90,21 +88,16 @@ def code_from_system(system: ProjectiveHSystem) -> AdditiveCode:
     united generators must span F_q^dim, otherwise the reconstructed rows
     would be dependent and SpanFailure is raised.
     """
-    t = system.tower
-    h = t.h
-    padded = []
+    t, h = system.tower, system.tower.h
     for blk in system.blocks:
         if len(blk) > h:
             raise ValueError(f"a block has {len(blk)} generators, at most h = {h} allowed")
-        padded.append(list(blk) + [(0,) * system.dim] * (h - len(blk)))
-    stacked = [list(u) for blk in system.blocks for u in blk]
-    if linalg.mat_rank(t, stacked) != system.dim:
+    if linalg.mat_rank(t, [u for blk in system.blocks for u in blk]) != system.dim:
         raise SpanFailure("blocks do not span the ambient space")
-    rows = []
-    for i in range(system.dim):
-        rows.append(tuple(t.from_coords([blk[c][i] for c in range(h)])
-                          for blk in padded))
-    return AdditiveCode(t, rows, n=system.n, check=False)
+    zero = (0,) * system.dim
+    exp_rows = [[u[i] for blk in system.blocks for u in blk + (zero,) * (h - len(blk))]
+                for i in range(system.dim)]
+    return AdditiveCode(t, _rows_from_expansion(t, system.n, exp_rows), n=system.n, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +138,10 @@ def is_pseudo_arc(system: ProjectiveHSystem, budget: int | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # the multiplication spread
 
-def multiplication_matrix(tower: FieldTower, alpha: int):
-    """h x h matrix M with coords(alpha * x) = coords(x) @ M; row l = coords(alpha * omega^l)."""
-    return [list(tower.coords(tower.mul(alpha, w))) for w in tower.omega_powers]
-
-
 def _block_to_point(tower, u):
     """Dual-basis reading of a vector in F_q^(hk) as a point of F_{q^h}^k."""
-    h = tower.h
-    delta = tower.dual_basis()
-    out = []
-    for i in range(0, len(u), h):
-        acc = 0
-        for l in range(h):
-            if u[i + l]:
-                acc = tower.add(acc, tower.mul(u[i + l], delta[l]))
-        out.append(acc)
-    return tuple(out)
+    h, delta = tower.h, tower.dual_basis()
+    return tuple(tower.dot(u[i:i + h], delta) for i in range(0, len(u), h))
 
 
 def _normalize_point(tower, point):
@@ -203,19 +183,16 @@ def desarguesian_membership(tower: FieldTower, generators):
 
 
 def desarguesian_block(tower: FieldTower, point):
-    """Generators of the spread member at ``point``; inverse of membership."""
-    h = tower.h
+    """Generators of the spread member at ``point``; inverse of membership.
+
+    They are the h columns of the expansion of the rows omega^l x_i, the
+    map grid of the scalars x_i of ``point`` (one map per row, one
+    coordinate): column c reads through the dual basis as d_c * ``point``.
+    """
     if not any(point):
         raise ValueError("the zero tuple is not a projective point")
-    gens = []
-    for l in range(h):
-        wl = tower.omega_powers[l]
-        u = []
-        for x in point:
-            y = tower.mul(wl, x)
-            u.extend(tower.trace_to_fq(tower.mul(y, wt)) for wt in tower.omega_powers)
-        gens.append(tuple(u))
-    return tuple(gens)
+    grid = [[LinearizedPoly.scalar(tower, x)] for x in point]
+    return system_from_code(AdditiveCode(tower, _rows_from_maps(tower, grid), check=False)).blocks[0]
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ negation are lookups through the logs; addition is XOR for p = 2 and one
 Zech lookup otherwise.  The row kernels ``scale``, ``axpy``, ``dot`` and
 ``accumulate`` do the same on whole rows, for ``linalg``'s elimination and
 ``linpoly``'s composition.  Codeword enumeration works on the base-p digit
-vectors directly.  ``np_tables`` gives numpy copies of the tables for
-vectorised kernels, built on first use; they and every other per-tower
-cache live in the tower's ``memo``.
+vectors directly.  ``np_tables`` gives the same tables as the numpy
+arrays they are built from, for vectorised kernels; every per-tower cache
+lives in the tower's ``memo``.
 """
 
 from __future__ import annotations
@@ -306,7 +306,7 @@ class FieldTower:
         self._log = log.tolist()
         self._half = n // 2  # -1 = omega^(n/2) for odd p
         self._qpow = tuple(self.q**i % n for i in range(self.h))
-        self._zech = None  # p = 2 adds by XOR
+        self._zech = zech = None  # p = 2 adds by XOR
         if p > 2:
             # 1 + x only changes the constant (lowest) digit of x
             low = exp % p
@@ -314,6 +314,7 @@ class FieldTower:
             zech = log[one_plus]
             zech[one_plus == 0] = -1
             self._zech = zech.tolist()
+        self._np_tables = (np.concatenate([exp, exp]), log, zech)
         self._build_kernels()
 
     def _build_kernels(self):
@@ -483,10 +484,8 @@ class FieldTower:
         return cs
 
     def from_coords(self, cs) -> int:
-        x = 0
-        for c, w in zip(cs, self.omega_powers):
-            x = self.add(x, self.mul(c, w))
-        return x
+        """sum c_l omega^l; inverse of ``coords``."""
+        return self.dot(cs, self.omega_powers)
 
     def trace_to_fq(self, x: int) -> int:
         """Relative trace x + x^q + ... + x^(q^(h-1)); lands in F_q."""
@@ -519,8 +518,8 @@ class FieldTower:
         """The tower's memo entry ``name``, made by ``build()`` on first use.
 
         Every layer keeps its per-tower caches here (inverses, conjugation
-        buckets, scores, the numpy tables), so they live and die with the
-        tower and two towers never share one.
+        buckets, scores), so they live and die with the tower and two
+        towers never share one.
         """
         try:
             return self._cache[name]
@@ -529,16 +528,9 @@ class FieldTower:
             return value
 
     def np_tables(self):
-        """numpy copies (exp doubled, log, zech or None) of the scalar tables.
-
-        Made on first use, not in ``_build_tables``, so towers that never
-        run a vectorised kernel do not pay for them.
-        """
-        def build():
-            zech = None if self._zech is None else np.array(self._zech, dtype=np.int64)
-            return (np.array(self._exp, dtype=np.int64),
-                    np.array(self._log, dtype=np.int64), zech)
-        return self.memo("np_tables", build)
+        """The scalar tables (exp doubled, log, zech or None) as the int64
+        arrays ``_build_tables`` made them from; callers must not write them."""
+        return self._np_tables
 
     # -- serialization ----------------------------------------------------------
 

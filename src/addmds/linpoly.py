@@ -30,7 +30,7 @@ odd p.
 ``inverse`` (one Dickson matrix) is the only memoised inverse: it alone
 reads and writes the tower memo ``inverses``, filling it in both
 directions, while ``inverse_table`` is a pure array function.  The
-invertible list and the numpy tables are kept in the memo too.
+invertible list is kept in the memo too.
 """
 
 from __future__ import annotations
@@ -147,6 +147,11 @@ class LinearizedPoly:
             conj = [0 if lc is None else exp[lc * qi % n] for lc in logs]  # f_j^(q^i)
             rows.append(conj[-i:] + conj[:-i])  # rotated right by i
         return rows
+
+    def matrix(self):
+        """h x h matrix M over F_q with coords(f(x)) = coords(x) M: row l is coords(f(omega^l))."""
+        t = self.tower
+        return [list(t.coords(self(w))) for w in t.omega_powers]
 
     def dickson_det(self) -> int:
         return linalg.mat_det(self.tower, self.dickson())

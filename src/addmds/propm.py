@@ -160,6 +160,12 @@ def prop_triples(f: LinearizedPoly, g: LinearizedPoly):
     return out
 
 
+def triple_count(f: LinearizedPoly, g: LinearizedPoly) -> int:
+    """len(prop_triples(f, g)), counted from the buckets without listing them."""
+    bf, bg = _pair_buckets(f, g)
+    return sum(len(blist) * len(bg.get(norm, ())) for norm, blist in bf.items())
+
+
 def _triple_bound(f: LinearizedPoly, g: LinearizedPoly) -> int:
     """min(#distinct a, #distinct b, #distinct c) over ``prop_triples(f, g)``:
     no set of triples distinct in every coordinate is larger."""
@@ -379,9 +385,8 @@ def max_prop_m(f: LinearizedPoly, g: LinearizedPoly, budget: int | None = None):
     and charged to ``budget`` before the memoised search (``_orbit_score``);
     the witness is validated against this very pair.
     """
-    bf, bg = _pair_buckets(f, g)  # before the key: a zero f has no normal form
-    count = sum(len(blist) * len(bg.get(norm, ())) for norm, blist in bf.items())
-    _charge(count, "candidate triples", budget)
+    # counted before the key: a zero f has no normal form
+    _charge(triple_count(f, g), "candidate triples", budget)
     m, picked = _orbit_score(f, g)
     return m, PropWitness(f, g, picked)
 

@@ -38,6 +38,7 @@ from . import linalg
 from .code import (
     AdditiveCode,
     _charge,
+    _rows_from_maps,
     apply_move,
     code_from_dict,
     code_to_dict,
@@ -234,27 +235,16 @@ class K4Example:
 
 
 def assemble_code(tower: FieldTower, base, alpha: int, beta: int, g: LinearizedPoly) -> AdditiveCode:
-    """Structured generator: rows omega^l * (row i of the modified matrix).
+    """Rows of the map grid of the modified matrix (``code._rows_from_maps``).
 
-    The last column's row-2 scalar is alpha and its row-3 action is the
-    conjugate map w = g(beta g^{-1}(X)); everything else is the base matrix
-    lifted to F_{q^h}.
+    The last column's row-2 map is alpha X and its row-3 map is the
+    conjugate w = g(beta g^{-1}(X)); every other map is the base matrix's
+    scalar, so row (i, l) is omega^l * (row i of the base matrix) there.
     """
-    n = len(base[0])
-    w = g.conjugate(beta)
-    rows = []
-    for i in range(len(base)):
-        for l in range(tower.h):
-            wl = tower.omega_powers[l]
-            row = [tower.mul(wl, base[i][j]) for j in range(n - 1)]
-            if i == 2:
-                row.append(tower.mul(alpha, wl))
-            elif i == 3:
-                row.append(w(wl))
-            else:
-                row.append(tower.mul(base[i][n - 1], wl))
-            rows.append(tuple(row))
-    return AdditiveCode(tower, rows, n=n)
+    grid = [[LinearizedPoly.scalar(tower, x) for x in row] for row in base]
+    grid[2][-1] = LinearizedPoly.scalar(tower, alpha)
+    grid[3][-1] = g.conjugate(beta)
+    return AdditiveCode(tower, _rows_from_maps(tower, grid), n=len(base[0]))
 
 
 # ---------------------------------------------------------------------------

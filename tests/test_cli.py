@@ -114,6 +114,18 @@ def test_propm_battery_budget_flag(capsys):
     assert code == 0 and parse(out)["all_ok"] is True
 
 
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
+    # a battery the pair cap admits can still outgrow the machine's memory
+    from addmds import propm
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("no room for the orbit classes")
+    monkeypatch.setattr(propm, "verify_zero_coeff_lemma", exhausted)
+    code, out, err = run(capsys, "propm", "--p", "2", "--h", "2")
+    assert code == 2 and out == ""
+    assert err == "error: MemoryError: no room for the orbit classes\n"
+
+
 def test_rs_then_check_mds(capsys, tmp_path):
     rs_file = tmp_path / "rs.json"
     code, out, _ = run(capsys, "rs", "--p", "2", "--e", "1", "--h", "2",
@@ -272,6 +284,61 @@ def test_witness_report_digests(capsys, tmp_path, key, linearizable,
     assert code == (0 if linearizable else 1)
     assert parse(out)["witness_found"] is linearizable
     assert _report_digest(out) == witness_digest
+
+
+# sha256 of each report without generated_at, frozen before the generator
+# rows were built from one map grid and read back through one F_q expansion;
+# every run exits 0
+@pytest.mark.parametrize("key, k, digests", [
+    ((3, 1, 2), 3, {
+        "rs": "e3e91ea3a0b4d80ea92a04ce23adeb18992850291abc7d7b2b3f3e8b834498f7",
+        "check-mds": "90b7dd5f2359d35a6aefcd913f85b8ac6c75fb4077c898cf3cd711a5778b94d6",
+        "geometry": "b26d47a6638e30ca6bfefb615f01e278c9592dcc62710aeacc0c3862314b47d5",
+        "project": "a408f179deb3a1855c7e88521f178ffc5472833b937d5095efad71b316bd37ac",
+        "standard-form": "6be9c31057a6a86c463a71ecf3376ce0915659c78d185265a19eacf8de7a17b0",
+        "linear-witness": "db42e299ac10d3c9b3762449fdd3c106567be54ea0563b535951ebee3dcce8c6",
+    }),
+    ((2, 2, 2), 2, {
+        "rs": "02b8ad635bca7dcbf4c530f63dcc497d14e5451a4d1344dca39dce1bbab5944d",
+        "check-mds": "0de6518b0e6fd8a802c6636b42b6b647a72ea1d9ec7c086cc75e1aba7ac9f231",
+        "geometry": "1e0175d761e82e450b38853f09966168dd72be21ef1274a6027453288ccbfc20",
+        "project": "88166d4f032004512de3086e19fecba11d449c058055560fd932686f5a3b3a41",
+        "standard-form": "7f70f428e62068ffeda3cd126c197144cca83f1311c10e24674f8d07916020cf",
+        "linear-witness": "5f2018310720c9b00c7a0c4f8aff5f5210aa09a55d43eaca517009a7a7ce7829",
+    }),
+    ((2, 1, 3), 2, {
+        "rs": "b6ff5ae52a16c0f96e4360df7cf003629c01ee8837ac6b9725e39bc492fd5891",
+        "check-mds": "886133279267eaabd44f799c0ec0e0ca7d3a2afca477c00d8dc8e6c81e0b1d3e",
+        "geometry": "6a251d1058d6e269afa4f34ca8ab227c1d9d6b5d942ec113745b5c604d21a01b",
+        "project": "1592e4139c6bc94983e8bdb0c35dbb18988d374b1d7a462e02672c911e534383",
+        "standard-form": "1c836e7d1bd4a726f17131ff576ff304da8471926656113abd108557995804fb",
+        "linear-witness": "7bde694494acf74602d05139d7597860dba195f4c715de3403012f11a07f9614",
+    }),
+])
+def test_rs_report_digests(capsys, tmp_path, key, k, digests):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code_to_dict(rs_code(conftest.tower(*key), k))))
+    field = [arg for flag, value in zip(("--p", "--e", "--h"), key) for arg in (flag, str(value))]
+    argvs = {"rs": ["rs", *field, "--k", str(k)],
+             "project": ["project", "--in", str(path), "--n", "1"]}
+    for verb, digest in digests.items():
+        code, out, _ = run(capsys, *argvs.get(verb, [verb, "--in", str(path)]))
+        assert (verb, code, _report_digest(out)) == (verb, 0, digest)
+
+
+@pytest.mark.parametrize("p, n, hunt_digest, verify_digest", [
+    (5, None, "ee6b4581407adc47b0bc1084eae1fddbab149b1c0c6b09e3c75990a1280a0365",
+     "cfbd9db02c8cf0c4c9ea9cba76d342906ec32ea73aaa54c2863c88921e5bdcce"),
+    (7, 8, "b68ef9b534fc7d24cb90c4738ad3f6a7d2a8f71dc97b8993b3972c9280f24410",
+     "3f6726f3142f498b0aa8f7729249af0ff32faab64ebf364dbf48cc6ed80a2673"),
+])
+def test_k4_report_digests(capsys, tmp_path, p, n, hunt_digest, verify_digest):
+    path = tmp_path / "found.json"
+    length = [] if n is None else ["--n", str(n)]
+    code, out, _ = run(capsys, "hunt-k4", "--p", str(p), "--h", "2", *length, "--out", str(path))
+    assert code == 0 and _report_digest(out) == hunt_digest
+    code, out, _ = run(capsys, "verify-example", "--in", str(path))
+    assert code == 0 and _report_digest(out) == verify_digest
 
 
 def test_geometry_report(capsys, tmp_path, f4):

@@ -434,6 +434,22 @@ def test_interpolation_form_roundtrip(f9):
     assert to_interpolation_form(scr).build_code() == scr
 
 
+@pytest.mark.parametrize("key", [(3, 1, 2), (2, 1, 3), (2, 2, 2)])
+def test_map_grid_rows_interpolate_to_their_maps(key):
+    """A k x n grid [I | M] of invertible maps, written out by
+    ``_rows_from_maps``, interpolates back to M."""
+    t = conftest.tower(*key)
+    rng = random.Random(sum(key))
+    ident, zero = LinearizedPoly.identity(t), LinearizedPoly.zero(t)
+    for k, n in ((1, 3), (2, 4), (2, 5), (3, 5)):
+        maps = tuple(tuple(random_invertible(t, rng) for _ in range(k)) for _ in range(n - k))
+        grid = [[ident if j == i else zero for j in range(k)] + [row[i] for row in maps]
+                for i in range(k)]
+        code = AdditiveCode(t, code_mod._rows_from_maps(t, grid))
+        assert code.k_fq == k * t.h and code.n == n
+        assert to_interpolation_form(code).maps == maps
+
+
 def test_interpolation_rejects_non_mds(f4):
     # repetition rows only on the first two coordinates: distance 1 < n
     rows = [(1, 1, 0), (f4.omega, f4.omega, 0), (0, 0, 1),

@@ -21,15 +21,16 @@ from addmds.geometry import (
     desarguesian_block,
     desarguesian_membership,
     is_pseudo_arc,
-    multiplication_matrix,
     project_system,
     system_from_code,
     system_from_dict,
     system_min_distance,
     system_to_dict,
 )
+from addmds.linpoly import LinearizedPoly
 from addmds.search import k4_example_search
 
+import conftest
 import oracles
 
 
@@ -202,7 +203,7 @@ def test_weight_memo_is_invisible_on_rank_route(f25, monkeypatch):
 
 def test_multiplication_matrix(f9):
     for alpha in f9.elements():
-        m = multiplication_matrix(f9, alpha)
+        m = LinearizedPoly.scalar(f9, alpha).matrix()
         for x in f9.elements():
             want = list(f9.coords(f9.mul(alpha, x)))
             got = linalg.mat_mul(f9, [list(f9.coords(x))], m)[0]
@@ -257,6 +258,26 @@ def test_desarguesian_block_inverts_membership(f9):
         assert got == _normalize_point(f9, pt)
     with pytest.raises(ValueError):
         desarguesian_block(f9, (0, 0))
+
+
+def _trace_block(tower, point):
+    """The spread member's generators read off traces: vector l holds
+    Tr(omega^l x omega^t) for each x of ``point`` and t < h."""
+    return [[tower.trace_to_fq(tower.mul(tower.mul(w, x), v))
+             for x in point for v in tower.omega_powers] for w in tower.omega_powers]
+
+
+@pytest.mark.parametrize("key", [(3, 1, 2), (2, 1, 3), (2, 2, 2)])
+def test_desarguesian_block_spans_the_trace_member(key):
+    """Every normalised point with k <= 2: the block built from the map
+    grid spans the member read off traces, and membership gives the point back."""
+    t = conftest.tower(*key)
+    points = [(1,)] + [(1, y) for y in range(t.size)] + [(0, 1)]
+    for pt in points:
+        blk = [list(u) for u in desarguesian_block(t, pt)]
+        want = _trace_block(t, pt)
+        assert linalg.mat_rank(t, blk) == linalg.mat_rank(t, blk + want) == t.h
+        assert desarguesian_membership(t, blk) == pt
 
 
 def test_project_system_matches_code_shortening(f9):

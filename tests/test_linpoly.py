@@ -319,6 +319,23 @@ def test_dickson_turns_composition_into_product(f8):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("key", [(3, 1, 2), (2, 1, 3), (2, 2, 2)])
+def test_matrix_acts_on_coordinates(key):
+    """coords(f(x)) = coords(x) M(f) for every x and 20 seeded f, and
+    M(f o g) = M(g) M(f)."""
+    from conftest import tower
+    t = tower(*key)
+    rng = random.Random(sum(key))
+    polys = [LinearizedPoly(t, tuple(rng.randrange(t.size) for _ in range(t.h)))
+             for _ in range(20)]
+    for f, g in zip(polys, polys[1:]):
+        m = f.matrix()
+        assert all(t.in_fq(c) for row in m for c in row)
+        for x in t.elements():
+            assert linalg.mat_mul(t, [list(t.coords(x))], m) == [list(t.coords(f(x)))]
+        assert f.compose(g).matrix() == linalg.mat_mul(t, g.matrix(), m)
+
+
 def test_from_values_interpolation(f9):
     rng = random.Random(4)
     for _ in range(25):

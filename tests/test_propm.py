@@ -49,6 +49,17 @@ def test_triples_complete_sampled_f9(f9):
         assert got == want
 
 
+@pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
+def test_triple_count_matches_the_listing(key):
+    from conftest import tower
+    t = tower(*key)
+    rng = random.Random(sum(key))
+    for _ in range(12):
+        f, g = random_invertible(t, rng), random_invertible(t, rng)
+        assert propm.triple_count(f, g) == len(prop_triples(f, g))
+        assert propm.triple_count(f, f) == len(prop_triples(f, f))
+
+
 def test_triples_require_invertible(f9):
     with pytest.raises(NotInvertible):
         prop_triples(LinearizedPoly.zero(f9), LinearizedPoly.identity(f9))
