@@ -33,6 +33,13 @@ m, witness = max_prop_m(X, X)
 print("m(X, X) =", m, "  (q odd caps it below q^h - 1 = 8)")
 print("witness triples:", witness.triples)
 
+# Over F_25 the triples of (X, X) are the whole Cayley table of F_25^*,
+# N = 24.  N distinct a would multiply to prod(c)/prod(b) = 1, but all of
+# F_25^* multiplies to -1 (Wilson), so m <= N - 1: the search stops there.
+f25 = field_create(5, 1, 2)
+X25 = LinearizedPoly.identity(f25)
+print("m(X, X) over F_25 =", max_prop_m(X25, X25)[0], "  (the product bound q^h - 2)")
+
 # 2. A dense pair scores low.
 inv = invertible_linearized(f9)
 f = next(p for p in inv if p.zero_coeff_count() == 0)

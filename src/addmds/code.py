@@ -139,8 +139,21 @@ class AdditiveCode:
 
 def _rows_from_maps(tower: FieldTower, maps):
     """Generator rows of the k x n grid ``maps`` of LinearizedPolys, the code
-    {(sum_i M_ij(x_i))_j : x in F_{q^h}^k}: row (i, l) is (M_ij(omega^l))_j."""
-    return tuple(tuple(m(w) for m in row) for row in maps for w in tower.omega_powers)
+    {(sum_i M_ij(x_i))_j : x in F_{q^h}^k}: row (i, l) is (M_ij(omega^l))_j.
+
+    M(omega^l) = sum_t c_t omega^(l q^t), so one ``accumulate`` call per grid
+    row i gives the values of all its maps at all h basis points, as in
+    ``compose``; entry l*n + j of its output is M_ij(omega^l)."""
+    h, order, log, qpow = tower.h, tower._group_order, tower._log, tower._qpow
+    rows = []
+    for row in maps:
+        n = len(row)
+        values = tower.accumulate([0] * (h * n), [(l * n + j, log[c] + l * qt % order)
+                                                  for j, m in enumerate(row)
+                                                  for c, qt in zip(m.coeffs, qpow) if c
+                                                  for l in range(h)])
+        rows += [tuple(values[l * n:(l + 1) * n]) for l in range(h)]
+    return tuple(rows)
 
 
 def _rows_from_expansion(tower: FieldTower, n: int, exp_rows):

@@ -21,12 +21,15 @@ Two routes compute conjugates.  The search side reads value rows:
 ``_conj_buckets`` (so ``prop_triples`` and every score) groups the b by
 conj(f, b) up to scalars from f's one ``evaluation_table`` row, since
 conj(f, b)(f(y)) = f(b y), and computes no inverse.  The checking side
-stays on ``LinearizedPoly.compose`` and the Dickson inverse:
-``PropWitness``, the transferred triples of ``verify_inverse_lemma``
-(both through ``_triple_holds``), ``ZeroCoeffCertificate.validate`` and
-the batched zero-coefficient checks re-derive every triple they accept
-from the polynomials, independently of the buckets, and compare every
-triple they receive.  ``verify_semilinear_criterion`` computes no
+stays on the Dickson inverse, independently of the buckets, and
+re-derives every triple it accepts from the polynomials and compares
+every triple it receives: ``PropWitness`` and the transferred triples of
+``verify_inverse_lemma`` (both through ``_triple_holds``) build conj(f, b)
+by the ``LinearizedPoly.compose`` chain, one pair at a time;
+``ZeroCoeffCertificate.validate`` computes from its own fields; the
+zero-coefficient battery's batched checks read one table of every
+conj(f, b) of its polynomials, built from the same inverses in h^2 numpy
+passes (``_conjugate_table``).  ``verify_semilinear_criterion`` computes no
 conjugate: conj(f, a) is scalar iff f(a y) = c f(y) for every y, which
 f's value row decides on the basis y = omega^l, l < h, in the same
 ``value_grid`` pass that screens invertibility.
@@ -41,7 +44,10 @@ are exactly those of (lam*f(mu X), lam*g(nu X)) for nonzero lam, mu, nu:
 So ``_orbit_key`` names the class, and the exact score and witness are
 memoised under it (``_orbit_score``, memo ``orbit_scores``).  That is the
 one search: ``max_prop_m``, ``verify_inverse_lemma`` for its derived
-pairs and both batteries read it, and nothing stops a search early.  The
+pairs and both batteries read it.  It stops early only at a size no set
+can beat: min(#a, #b, #c), or q^h - 2 when ``_product_limit`` proves it
+by the product argument (the full Cayley-type tables of monomial pairs
+over odd q, whose optimum the search alone cannot prove).  The
 batteries never key pairs one at a time: ``_orbit_classes`` gives the
 whole N x N array of class ids of a polynomial list from one ranking of
 all normal forms, and each battery scores a class once, on its first
@@ -65,7 +71,7 @@ tower (``FieldTower.memo``), so a battery pays it once:
 - each polynomial's normal forms lam*f(mu X), first nonzero coefficient
   scaled to 1, one per lam (``orbit_normal_forms``);
 - conj(f, b) from the ``compose`` chain (``conjugates``, keyed by
-  (f.coeffs, b)), which ``_triple_holds`` and ``_witness_tables`` read;
+  (f.coeffs, b)), which ``_triple_holds`` reads;
 - each normalized polynomial's certificate minor and diagonal
   (``zero_coeff_parts``), and the shift matrix L (``zero_coeff_shift``).
 
@@ -78,7 +84,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -87,6 +93,7 @@ from .code import _charge
 from .errors import NotInvertible
 from .linpoly import (
     LinearizedPoly,
+    _add,
     evaluation_table,
     inverse_table,
     invertible_linearized,
@@ -175,21 +182,53 @@ def _triple_bound(f: LinearizedPoly, g: LinearizedPoly) -> int:
 # ---------------------------------------------------------------------------
 # exact maximum matching
 
-def _exact_matching(triples):
+def _product_limit(tower, triples):
+    """N - 1 when ``triples`` provably admit no N distinct in every
+    coordinate, N = q^h - 1; None when this test does not apply.
+
+    It applies to a full Cayley-type table: the triples hold every one of
+    the N^2 pairs (b, c) once, and log a = s log c - r log b (mod N) on all
+    of them, with s read off the triple at (b, c) = (1, omega) and r off the
+    one at (omega, 1); N and s - r must be even.  A set of N triples
+    distinct in every coordinate meets every b and every c once, so its
+    log a sum to (s - r) N(N - 1)/2 = 0 (mod N), while its a are all of
+    F^*, whose logs sum to N(N - 1)/2 = N/2 (mod N): Wilson's theorem in
+    log form.  Monomial pairs c X^(q^i), d X^(q^j) over odd q give such
+    tables: conj(c X^(q^i), b) = b^(q^i) X, so a = c^(q^j) / b^(q^i), with
+    s = q^j and r = q^i both odd.
+    """
+    n = tower._group_order
+    if n % 2 or len(triples) != n * n:
+        return None
+    la, lb, lc = tower.np_tables()[1][np.array(triples, dtype=np.int64).T]
+    cell = lb * n + lc
+    if (np.bincount(cell, minlength=n * n) != 1).any():
+        return None
+    by_cell = np.empty_like(la)  # by_cell[k]: log a at (b, c) = (omega^(k // n), omega^(k % n))
+    by_cell[cell] = la
+    s, r = by_cell[1], -by_cell[n] % n
+    if (s - r) % 2 or ((la - s * lc + r * lb) % n).any():
+        return None
+    return n - 1
+
+
+def _exact_matching(triples, limit=None):
     """Largest set of triples, one per b at most, all a and all c distinct,
     sorted by (b, c).
 
     The triples are grouped by b into levels, then an exact depth-first
     search with a greedy warm start and a remaining-levels bound runs over
     them.  It stops as soon as the set reaches min(#levels, #distinct a,
-    #distinct c), which no set can exceed; the set only ever grows
-    strictly, so the stop changes nothing returned.
+    #distinct c, ``limit``), which no set can exceed: ``limit`` is a proven
+    bound from outside, such as the product argument of ``_product_limit``.
+    The set only ever grows strictly, so the stop changes nothing returned.
     """
     by_b = {}
     for a, b, c in triples:
         by_b.setdefault(b, []).append((a, c))
     levels = sorted(by_b.items())
-    limit = min(len(levels), len({a for a, _b, _c in triples}), len({c for _a, _b, c in triples}))
+    caps = [len(levels), len({a for a, _b, _c in triples}), len({c for _a, _b, c in triples})]
+    limit = min(caps if limit is None else caps + [limit])
     order = sorted(range(len(levels)), key=lambda i: (len(levels[i][1]), levels[i][0]))
     used_a, used_c = set(), set()
     greedy = []
@@ -230,15 +269,23 @@ def _exact_matching(triples):
     return sorted(best, key=lambda x: (x[1], x[2]))
 
 
-def _best_witness(triples):
+def _best_witness(tower, triples):
     """(m, optimal witness) of the exact search, listing (1,1,1) first when
     some optimum contains it: b = 1 is the least b, so the (b, c) order puts
-    it first whenever it is picked."""
-    picked = _exact_matching(triples)
+    it first whenever it is picked.
+
+    Both searches stop at the product bound when ``_product_limit`` proves
+    one: N - 1 for the triples, N - 2 for the retry with (1,1,1) forced,
+    since (1,1,1) and the retry's set together stay distinct in every
+    coordinate.
+    """
+    limit = _product_limit(tower, triples)
+    picked = _exact_matching(triples, limit)
     one = (1, 1, 1)
     if one not in picked:
         # retry with (1,1,1) forced: drop its level, ban a = 1 and c = 1
-        forced = [one] + _exact_matching([tr for tr in triples if 1 not in tr])
+        rest = [tr for tr in triples if 1 not in tr]
+        forced = [one] + _exact_matching(rest, None if limit is None else limit - 1)
         if len(forced) >= len(picked):
             picked = forced
     return len(picked), tuple(picked)
@@ -331,7 +378,7 @@ def _orbit_score(f: LinearizedPoly, g: LinearizedPoly):
     memoised on the tower and charged to no budget: every pair of the class
     has the same triples, so the same search and witness."""
     return _memoised(f.tower, "orbit_scores", _orbit_key(f, g),
-                     lambda: _best_witness(prop_triples(f, g)))
+                     lambda: _best_witness(f.tower, prop_triples(f, g)))
 
 
 def _conjugate(f: LinearizedPoly, b: int) -> tuple:
@@ -488,23 +535,51 @@ def _shift_matrix(tower):
         tuple(r) for r in shift_minus_one_matrix(tower, tower.h - 1)))
 
 
+def _conjugate_table(polys):
+    """conj[i, b - 1, k]: coefficient k of conj(f_i, b), f_i = polys[i], for
+    every element b != 0, from the Dickson inverse g = f_i^(-1) (memoised,
+    and checked by ``compose``) and not from the search side's buckets.
+
+    f o (bX) o g = sum_l f_l b^(q^l) (g(X))^(q^l), so coefficient k is
+    sum_l f_l b^(q^l) g_(k-l)^(q^l): one log-domain term per (k, l) on the
+    whole (polys, b) array, h^2 passes, summed by ``linpoly._add``.
+    """
+    t = polys[0].tower
+    h, n, qpow = t.h, t._group_order, t._qpow
+    exp, log, zech = t.np_tables()
+    f = np.array([p.coeffs for p in polys], dtype=np.int64)
+    g = np.array([p.inverse().coeffs for p in polys], dtype=np.int64)
+    log_b = log[1:]  # columns in element order b = 1, 2, ...
+    conj = np.empty((len(polys), n, h), dtype=np.int64)
+    for k in range(h):
+        total = np.zeros((len(polys), n), dtype=np.int64)
+        for l, ql in enumerate(qpow):
+            fl, gl = f[:, l], g[:, (k - l) % h]
+            # log f_l + q^l log g_(k-l) + q^l log b, reduced below 2n for the doubled exp
+            head = (log[fl] + ql * log[gl] % n) % n
+            term = np.where(((fl != 0) & (gl != 0))[:, None],
+                            exp[head[:, None] + log_b * ql % n], 0)
+            total = _add(total, term, exp, log, zech, n)
+        conj[:, :, k] = total
+    return conj
+
+
 def _witness_tables(polys):
     """The checking side's per-polynomial tables, rows in ``polys`` order and
     column b - 1 for each element b != 0:
 
-    - conj[i, b - 1] = conj(f_i, b) from the ``compose`` chain (``_conjugate``);
+    - conj[i, b - 1] = conj(f_i, b) (``_conjugate_table``);
     - prod[i, b - 1] = Mhat_f D_f B(b) of f = f_i, from one product per
       polynomial: the B(b) as rows times (Mhat_f D_f)^T;
     - frob[b - 1]: B(b)'s entrywise q-th power equals L * B(b).
     """
     t = polys[0].tower
     diffs = [_diff_vector(t, b) for b in t.nonzero()]
-    conj = np.array([[_conjugate(f, b) for b in t.nonzero()] for f in polys], dtype=np.int64)
     prod = np.array([linalg.mat_mul(t, diffs, linalg.transpose(
         linalg.mat_mul(t, *_minor_and_diagonal(f)))) for f in polys], dtype=np.int64)
     lmat = _shift_matrix(t)
     frob = np.array([[t.frob(x) for x in d] == linalg.mat_vec(t, lmat, d) for d in diffs])
-    return conj, prod, frob
+    return _conjugate_table(polys), prod, frob
 
 
 def _class_checks(tower, triples, rows, cols, tables):
@@ -601,32 +676,29 @@ def verify_zero_coeff_lemma(tower, budget: int | None = None) -> dict:
         _check_witness(picked, holds.__getitem__)
         scores.flat[members] = m
         cert_ok.flat[members] = cert
-    records = []
-    qualifying = 0
-    violations = []
-    # per polynomial, not per pair: records share each polynomial's JSON list
-    rows = [(f.to_json(), f.zero_coeff_count()) for f in inv_polys]
-    for (fj, zf), row_scores, row_ok in zip(rows, scores, cert_ok):
-        for (gj, zg), m, ok in zip(rows, row_scores.tolist(), row_ok.tolist()):
-            record = {
-                "f": fj,
-                "g": gj,
-                "m": m,
-                "zero_counts": [zf, zg],
-                "certificate_ok": ok,
-            }
-            records.append(record)
-            if m > bound:
-                qualifying += 1
-                if not (zf == zg >= 1):
-                    violations.append(record)
-            if not ok:
-                violations.append(record)
+    # records share each polynomial's JSON list and one zero_counts list per (zf, zg)
+    names = [f.to_json() for f in inv_polys]
+    zeros = np.array([f.zero_coeff_count() for f in inv_polys])
+    counts = [[zf, zg] for zf in range(tower.h) for zg in range(tower.h)]
+    records = [{
+        "f": fj,
+        "g": gj,
+        "m": m,
+        "zero_counts": counts[z],
+        "certificate_ok": ok,
+    } for (fj, gj), z, m, ok in zip(product(names, repeat=2),
+                                    (zeros[:, None] * tower.h + zeros).ravel().tolist(),
+                                    scores.ravel().tolist(), cert_ok.ravel().tolist())]
+    qualifies = scores > bound
+    equal = (zeros[:, None] == zeros) & (zeros[:, None] >= 1)
+    # row-major; a pair failing both tests is listed twice
+    failures = (qualifies & ~equal).astype(np.int64) + ~cert_ok
+    violations = [records[k] for k in np.repeat(np.arange(npoly * npoly), failures.ravel()).tolist()]
     return {
         "tower": tower.descriptor(),
         "bound": bound,
         "pairs": npoly * npoly,
-        "qualifying_pairs": qualifying,
+        "qualifying_pairs": int(qualifies.sum()),
         "max_m": int(scores.max()),
         "violations": violations,
         "ok": not violations,

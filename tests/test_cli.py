@@ -384,6 +384,16 @@ def test_propm_pair(capsys, tmp_path):
     assert rep["inverse_lemma"]["ok"] is True
 
 
+def test_propm_pair_f25(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"f": [[1, 0], [0, 0]], "g": [[1, 0], [0, 0]]}))
+    code, out, err = run(capsys, "propm", "--p", "5", "--h", "2", "--in", str(path))
+    assert (code, err) == (0, "")
+    rep = parse(out)
+    assert rep["m"] == 23  # identity pair over F_25: q^h - 2, by the product limit
+    assert rep["inverse_lemma"]["ok"] is True
+
+
 def test_propm_pair_budget_covers_the_inverse_lemma(capsys, tmp_path, monkeypatch):
     # the default lowered to 10 stands in for 2^22; (X, X) over F_9 has 64
     # candidate triples, so only the flag may admit them, in both halves

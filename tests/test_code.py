@@ -450,6 +450,23 @@ def test_map_grid_rows_interpolate_to_their_maps(key):
         assert to_interpolation_form(code).maps == maps
 
 
+@pytest.mark.parametrize("key", [(3, 1, 2), (7, 1, 2), (2, 2, 2), (2, 3, 2)],
+                         ids=["F9", "F49", "F16_F4", "F64_F8"])
+def test_map_grid_rows_are_the_map_values(key):
+    """``_rows_from_maps`` gives row (i, l) = (M_ij(omega^l))_j, as the scalar
+    evaluation ``M(w)`` does, for zero, monomial and random maps."""
+    t = conftest.tower(*key)
+    rng = random.Random(repr(key))
+    maps = [LinearizedPoly.zero(t), LinearizedPoly.identity(t),
+            LinearizedPoly.monomial(t, rng.randrange(1, t.size), 1)]
+    maps += [LinearizedPoly(t, tuple(rng.randrange(t.size) for _ in range(t.h)))
+             for _ in range(20)]
+    for k, n in ((1, 1), (2, 3), (3, 4)):
+        grid = [[rng.choice(maps) for _ in range(n)] for _ in range(k)]
+        assert code_mod._rows_from_maps(t, grid) == tuple(
+            tuple(m(w) for m in row) for row in grid for w in t.omega_powers)
+
+
 def test_interpolation_rejects_non_mds(f4):
     # repetition rows only on the first two coordinates: distance 1 < n
     rows = [(1, 1, 0), (f4.omega, f4.omega, 0), (0, 0, 1),

@@ -172,6 +172,99 @@ def test_exact_matching_reaches_cap_from_a_bad_greedy_start():
     assert len(found) == 3 == oracles.brute_max_matching(triples)
 
 
+def _class_firsts(t, polys):
+    """The first pair (f, g) of each orbit class of pairs from ``polys``."""
+    from addmds.propm import _class_members, _orbit_classes
+    return [tuple(polys[k] for k in divmod(int(members[0]), len(polys)))
+            for members in _class_members(_orbit_classes(polys))]
+
+
+def _monomial_classes(t):
+    return _class_firsts(t, [f for f in invertible_linearized(t) if f.is_monomial()])
+
+
+@pytest.mark.parametrize("key", [(5, 1, 1), (7, 1, 1), (3, 1, 2), (5, 1, 2)],
+                         ids=["F5", "F7", "F9", "F25"])
+def test_product_limit_proves_every_monomial_class(key):
+    # a = d^(q^j) / b^(q^i) for (c X^(q^i), d X^(q^j)): no full transversal
+    from conftest import tower
+    from addmds.propm import _product_limit
+    t = tower(*key)
+    classes = _monomial_classes(t)
+    if t.h > 1:  # Frobenius-twisted pairs are among the classes
+        assert any(f.support() != g.support() for f, g in classes)
+    for f, g in classes:
+        assert _product_limit(t, prop_triples(f, g)) == t.size - 2
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (2, 2, 2)],
+                         ids=["F4", "F8", "F16_F4"])
+def test_product_limit_needs_an_even_group_order(key):
+    from conftest import tower
+    from addmds.propm import _product_limit
+    t = tower(*key)
+    for f, g in _monomial_classes(t):
+        assert _product_limit(t, prop_triples(f, g)) is None
+
+
+def test_product_limit_rejects_a_changed_table(f9):
+    from addmds.propm import _best_witness, _product_limit
+    x = LinearizedPoly.identity(f9)
+    triples = prop_triples(x, x)
+    assert _product_limit(f9, triples) == 7
+    # one a changed, wherever it sits; one pair (b, c) missing or repeated
+    for k in range(len(triples)):
+        a, b, c = triples[k]
+        changed = triples[:k] + [(f9.mul(a, f9.omega), b, c)] + triples[k + 1:]
+        assert _product_limit(f9, changed) is None
+    assert _product_limit(f9, triples[1:]) is None
+    assert _product_limit(f9, triples[:-1] + triples[:1]) is None
+    # a = c is such a table with s - r = 1 - 0 odd, and it has a full transversal
+    table = [(c, b, c) for b in f9.nonzero() for c in f9.nonzero()]
+    assert _product_limit(f9, table) is None
+    assert _best_witness(f9, table)[0] == 8
+
+
+def test_product_limit_skips_non_monomial_classes(f9):
+    from addmds.propm import _product_limit
+    classes = _class_firsts(f9, invertible_linearized(f9))
+    mixed = [(f, g) for f, g in classes if not (f.is_monomial() and g.is_monomial())]
+    assert len(mixed) == len(classes) - len(_monomial_classes(f9)) > 0
+    for f, g in mixed:
+        assert _product_limit(f9, prop_triples(f, g)) is None
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (5, 1, 1), (7, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 2)],
+                         ids=["F4", "F5", "F7", "F8", "F9", "F16_F4"])
+def test_monomial_scores_match_the_unbounded_search(key):
+    # the oracle's matching runs without the product limit
+    from conftest import tower
+    for f, g in _monomial_classes(tower(*key)):
+        m, wit = max_prop_m(f, g)
+        assert (m, wit.triples) == oracles.exhaustive_max_prop_m(f, g)
+
+
+def _assert_conjugate_table(polys):
+    from addmds.propm import _conjugate_table
+    t = polys[0].tower
+    table = _conjugate_table(polys)
+    assert table.shape == (len(polys), t.size - 1, t.h)
+    assert table.tolist() == [[list(f.conjugate(b).coeffs) for b in t.nonzero()] for f in polys]
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2)],
+                         ids=["F4", "F8", "F9", "F27", "F16_F4"])
+def test_conjugate_table_matches_compose(key):
+    from conftest import tower
+    invs = invertible_linearized(tower(*key))
+    _assert_conjugate_table(sorted({twist_to_nonzero_f0(f)[0] for f in invs}, key=lambda f: f.coeffs))
+
+
+def test_conjugate_table_matches_compose_sampled_f25(f25):
+    sample = random.Random(25).sample(invertible_linearized(f25), 200)
+    _assert_conjugate_table([twist_to_nonzero_f0(f)[0] for f in sample])
+
+
 @pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (2, 2, 2)],
                          ids=["F4", "F8", "F16_F4"])
 def test_bucket_bound_matches_triples(key):
@@ -210,7 +303,7 @@ def test_witness_validation(f9, f8):
     assert 1 not in (2, 4, ab)
     with pytest.raises(ValueError):
         PropWitness(x, x, ((1, 2, 1),))  # identity fails: 1*2X != 1X
-    # with every conjugate of the F_8 battery memoised, a wrong c still fails
+    # with the F_8 battery's scores and witnesses memoised, a wrong c still fails
     verify_zero_coeff_lemma(f8)
     x8 = LinearizedPoly.identity(f8)
     _m, wit = max_prop_m(x8, x8)
@@ -492,12 +585,15 @@ def _digest(report):
 
 
 # sha256 of the canonical JSON of each report, frozen before the conjugation kernel;
-# the two lm_prop n = 5 reports (survivors of the bound) before class scoring
+# the two lm_prop n = 5 reports (survivors of the bound) before class scoring; the
+# F_25 zero-coefficient report when the product limit first let it finish
 @pytest.mark.parametrize("key, verify, digest", [
     ((2, 1, 3), verify_zero_coeff_lemma,
      "6dc0d82b98050f26b62b633675a28803610d3bd05895316695213cb114ce887f"),
     ((3, 1, 2), verify_zero_coeff_lemma,
      "adb3b0868845a025f952b74fc1395e20b20b2f19c497a420a4e4792cab7181ae"),
+    ((5, 1, 2), verify_zero_coeff_lemma,
+     "452cc801ccb5cd0a892559f2317bcd77bfc0c9edc9baacdce77d0b7715f6842f"),
     ((3, 1, 3), verify_semilinear_criterion,
      "55c5aca6f1f0b9e4717e631d9a7e465785eab592bd4b24d7bfaa330e8a1a53cf"),
     ((2, 2, 2), lambda t: verify_lm_prop_implication(t, 17),
@@ -508,11 +604,18 @@ def _digest(report):
      "99bc9e26dc23d622148b4860c6728ab11720a2d9fe66a76460cefc0086049182"),
     ((3, 1, 3), verify_two_nonzero_lemma,
      "7848cae8b8c8fc591fd14f683866407bf031e39ef7abdd4d7b8048adcaede2a5"),
-], ids=["zero_coeff-F8", "zero_coeff-F9", "semilinear-F27", "lm_prop-F16_F4",
+], ids=["zero_coeff-F8", "zero_coeff-F9", "zero_coeff-F25", "semilinear-F27", "lm_prop-F16_F4",
         "lm_prop-F9-n5", "lm_prop-F8-n5", "two_nonzero-F27"])
 def test_lemma_report_digests(key, verify, digest):
     from conftest import tower
     assert _digest(verify(tower(*key))) == digest
+
+
+def test_zero_coeff_lemma_f25(f25):
+    # the monomial classes score q^h - 2 = 23, proven optimal by the product limit
+    report = verify_zero_coeff_lemma(f25)
+    assert (report["ok"], report["max_m"], report["qualifying_pairs"], report["pairs"]) == (
+        True, 23, 2304, 480 * 480)
 
 
 def _memo_answers(t, order):
