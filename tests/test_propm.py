@@ -172,7 +172,7 @@ def test_exact_matching_reaches_cap_from_a_bad_greedy_start():
     assert len(found) == 3 == oracles.brute_max_matching(triples)
 
 
-def _class_firsts(t, polys):
+def _class_firsts(polys):
     """The first pair (f, g) of each orbit class of pairs from ``polys``."""
     from addmds.propm import _class_members, _orbit_classes
     return [tuple(polys[k] for k in divmod(int(members[0]), len(polys)))
@@ -180,13 +180,13 @@ def _class_firsts(t, polys):
 
 
 def _monomial_classes(t):
-    return _class_firsts(t, [f for f in invertible_linearized(t) if f.is_monomial()])
+    return _class_firsts([f for f in invertible_linearized(t) if f.is_monomial()])
 
 
 @pytest.mark.parametrize("key", [(5, 1, 1), (7, 1, 1), (3, 1, 2), (5, 1, 2)],
                          ids=["F5", "F7", "F9", "F25"])
 def test_product_limit_proves_every_monomial_class(key):
-    # a = d^(q^j) / b^(q^i) for (c X^(q^i), d X^(q^j)): no full transversal
+    # the triples of (u X^(q^i), v X^(q^j)) are (c^(q^j) / b^(q^i), b, c)
     from conftest import tower
     from addmds.propm import _product_limit
     t = tower(*key)
@@ -227,7 +227,7 @@ def test_product_limit_rejects_a_changed_table(f9):
 
 def test_product_limit_skips_non_monomial_classes(f9):
     from addmds.propm import _product_limit
-    classes = _class_firsts(f9, invertible_linearized(f9))
+    classes = _class_firsts(invertible_linearized(f9))
     mixed = [(f, g) for f, g in classes if not (f.is_monomial() and g.is_monomial())]
     assert len(mixed) == len(classes) - len(_monomial_classes(f9)) > 0
     for f, g in mixed:
