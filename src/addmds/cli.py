@@ -13,7 +13,9 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
+from itertools import chain, islice
 
 from . import geometry, propm, search
 from .code import (
@@ -75,12 +77,14 @@ def _emit(args: argparse.Namespace, payload: dict, out: str | None = None) -> No
     report = {"command": args.command,
               "generated_at": datetime.now(timezone.utc).isoformat()}
     report.update(payload)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
     path = out or args.output
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    # batched chunks: never the whole text, nor a slow write per chunk; a bad path fails first
+    with open(path, "w", encoding="utf-8") if path else nullcontext() as fh:
+        chunks = chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(report), "\n")
+        while text := "".join(islice(chunks, 1 << 12)):
+            sys.stdout.write(text)
+            if fh:
+                fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +225,11 @@ def _cmd_propm(args: argparse.Namespace) -> bool:
         })
         return bool(inverse["ok"])
     budget = args.budget_candidates
-    propm.check_pair_budget(t, budget)  # before any battery runs
     n = args.n if args.n is not None else max(t.size + 1, 4)  # the lemma needs n >= 4
     reports = {
-        "semilinear_criterion": propm.verify_semilinear_criterion(t),
+        # first: it charges the pair budget before any battery runs
         "zero_coefficient_lemma": propm.verify_zero_coeff_lemma(t, budget),
+        "semilinear_criterion": propm.verify_semilinear_criterion(t),
         "two_nonzero_lemma": propm.verify_two_nonzero_lemma(t),
         "prop_m_implication": propm.verify_lm_prop_implication(t, n, budget),
         "inverse_lemma_samples": _inverse_samples(t, args.seed, budget),

@@ -124,17 +124,12 @@ class AdditiveCode:
         return self.k_fq // self.tower.h
 
     def is_field_linear(self) -> bool:
-        """True iff the code is closed under multiplication by omega."""
-        t, h = self.tower, self.tower.h
-        red, pivots = linalg.mat_rref(t, self.expansion())
-        red = red[: len(pivots)]
-        # coords(omega x) = coords(x) M: dot products with the columns of M
-        cols = linalg.transpose(LinearizedPoly.scalar(t, t.omega).matrix())
-        for row in self.expansion():
-            v = [c for j in range(0, len(row), h) for c in linalg.mat_vec(t, cols, row[j:j + h])]
-            if any(linalg.reduce_vector(t, red, pivots, v)):
-                return False
-        return True
+        """True iff the code is closed under multiplication by omega: the
+        expansion stacked with that of the omega-multiples of its rows has
+        F_q rank k_fq."""
+        t = self.tower
+        moved = [[c for x in t.scale(t.omega, row) for c in t.coords(x)] for row in self.gen]
+        return linalg.mat_rank(t, self.expansion() + moved) == self.k_fq
 
 
 def _rows_from_maps(tower: FieldTower, maps):
@@ -432,8 +427,7 @@ def project(code: AdditiveCode, positions) -> AdditiveCode:
         raise ValueError("projection position out of range")
     t, h = code.tower, code.tower.h
     cond = [[c for j in positions for c in row[j * h:(j + 1) * h]] for row in code.expansion()]
-    kernel = linalg.left_nullspace(t, cond) if positions else \
-        [[1 if i == r else 0 for i in range(code.k_fq)] for r in range(code.k_fq)]
+    kernel = linalg.left_nullspace(t, cond)  # the identity when positions is empty
     keep = [j for j in range(code.n) if j not in positions]
     kept = [[row[j] for j in keep] for row in code.gen]
     new_rows = [tuple(row) for row in linalg.mat_mul(t, kernel, kept)]

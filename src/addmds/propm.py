@@ -23,16 +23,16 @@ conj(f, b) up to scalars from f's one ``evaluation_table`` row, since
 conj(f, b)(f(y)) = f(b y), and computes no inverse.  The checking side
 stays on the Dickson inverse, independently of the buckets, and
 re-derives every triple it accepts from the polynomials and compares
-every triple it receives: ``PropWitness`` and the transferred triples of
-``verify_inverse_lemma`` (both through ``_triple_holds``) build conj(f, b)
-by the ``LinearizedPoly.compose`` chain, one pair at a time;
-``ZeroCoeffCertificate.validate`` computes from its own fields; the
-zero-coefficient battery's batched checks read one table of every
-conj(f, b) of its polynomials, built from the same inverses in h^2 numpy
-passes (``_conjugate_table``).  ``verify_semilinear_criterion`` computes no
-conjugate: conj(f, a) is scalar iff f(a y) = c f(y) for every y, which
-f's value row decides on the basis y = omega^l, l < h, in the same
-``value_grid`` pass that screens invertibility.
+every triple it receives.  Each conj(f, b) it reads is a row of one table
+of all b != 0, built from those inverses in h^2 numpy passes
+(``_conjugate_table``): f's own table in ``_triple_holds`` (so
+``PropWitness`` and the transferred triples of ``verify_inverse_lemma``),
+one table of all its polynomials in the zero-coefficient battery.
+``ZeroCoeffCertificate.validate`` computes from its own fields.
+``verify_semilinear_criterion`` computes no conjugate: conj(f, a) is
+scalar iff f(a y) = c f(y) for every y, which f's value row decides on
+the basis y = omega^l, l < h, in the same ``value_grid`` pass that
+screens invertibility.
 
 Scores are searched once per orbit class of pairs.  The triples of (f, g)
 are exactly those of (lam*f(mu X), lam*g(nu X)) for nonzero lam, mu, nu:
@@ -70,8 +70,8 @@ tower (``FieldTower.memo``), so a battery pays it once:
   (``conj_buckets``);
 - each polynomial's normal forms lam*f(mu X), first nonzero coefficient
   scaled to 1, one per lam (``orbit_normal_forms``);
-- conj(f, b) from the ``compose`` chain (``conjugates``, keyed by
-  (f.coeffs, b)), which ``_triple_holds`` reads;
+- conj(f, b) for every b != 0, f's ``_conjugate_table`` rows
+  (``conjugates``, keyed by f.coeffs), which ``_triple_holds`` reads;
 - each normalized polynomial's certificate minor and diagonal
   (``zero_coeff_parts``), and the shift matrix L (``zero_coeff_shift``).
 
@@ -381,15 +381,16 @@ def _orbit_score(f: LinearizedPoly, g: LinearizedPoly):
                      lambda: _best_witness(f.tower, prop_triples(f, g)))
 
 
-def _conjugate(f: LinearizedPoly, b: int) -> tuple:
-    """Coefficients of conj(f, b) from ``LinearizedPoly.conjugate`` (the
-    ``compose`` chain), memoised on the tower under (f.coeffs, b)."""
-    return _memoised(f.tower, "conjugates", (f.coeffs, b), lambda: f.conjugate(b).coeffs)
+def _conjugate(f: LinearizedPoly, b: int) -> list:
+    """Coefficients of conj(f, b), b != 0: row b - 1 of f's
+    ``_conjugate_table``, memoised on the tower once per polynomial."""
+    return _memoised(f.tower, "conjugates", f.coeffs,
+                     lambda: _conjugate_table([f])[0].tolist())[b - 1]
 
 
 def _triple_holds(f, g, triple):
     """a*conj(f, b) = conj(g, c), coefficient by coefficient, with both
-    conjugates re-derived through ``compose``."""
+    conjugates re-derived from the Dickson inverses (``_conjugate``)."""
     a, b, c = triple
     mul = f.tower.mul
     return f.tower == g.tower and all(

@@ -61,6 +61,27 @@ def test_python_m_addmds_runs(tmp_path):
     assert json.loads(proc.stdout)["size"] == 9
 
 
+@pytest.mark.parametrize("p", ["2", "3"], ids=["F4", "F9"])
+def test_streamed_report_reaches_stdout_and_out_alike(tmp_path, p):
+    # a real pipe: capsys replaces sys.stdout, so it cannot see the stream;
+    # the F_4 report is one batch of encoder chunks, the F_9 report many
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    target = tmp_path / "F"
+    proc = subprocess.run([sys.executable, "-m", "addmds", "propm", "--p", p, "--h", "2",
+                           "--out", str(target)],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == target.read_bytes() and json.loads(proc.stdout)["all_ok"] is True
+
+
+def test_bad_out_path_exits_2_before_any_report(capsys, tmp_path):
+    code, out, err = run(capsys, "field", "--p", "3", "--h", "2",
+                         "--out", str(tmp_path / "missing" / "field.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 HUGE_P = 2305843009213693951  # 2^61 - 1, prime
 
 
@@ -96,9 +117,11 @@ def test_propm_battery_over_budget_exits_2_at_once(tmp_path):
 
 
 def test_propm_battery_over_budget_calls_no_verifier(capsys, monkeypatch):
+    # the zero-coefficient battery runs first and refuses at its pair charge,
+    # before it lists a polynomial; no other verifier runs
     from addmds import propm
     for name in ("invertible_linearized", "verify_semilinear_criterion",
-                 "verify_zero_coeff_lemma", "verify_two_nonzero_lemma",
+                 "verify_two_nonzero_lemma",
                  "verify_lm_prop_implication", "verify_inverse_lemma"):
         monkeypatch.setattr(propm, name, lambda *a, **k: pytest.fail("a verifier ran"))
     code, out, err = run(capsys, "propm", "--p", "3", "--h", "3")

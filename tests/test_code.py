@@ -393,6 +393,55 @@ def test_field_linearity_detection(f4):
     assert not apply_move(rs_code(f4, 2), move).is_field_linear()
 
 
+def _independent_code(t, rng, rows_of):
+    """AdditiveCode of the rows ``rows_of()`` makes, drawn again until they
+    are F_q-independent."""
+    while True:
+        try:
+            return AdditiveCode(t, rows_of())
+        except ValueError:
+            pass
+
+
+def _closed_under_omega(code):
+    t = code.tower
+    words = set(oracles.brute_codewords(code))
+    return all(tuple(t.mul(t.omega, x) for x in w) in words for w in words)
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)],
+                         ids=["F4", "F8", "F9", "F16_F4"])
+def test_field_linearity_matches_brute_closure(key):
+    t = conftest.tower(*key)
+    rng = random.Random(f"linear-{key}")
+    n = 4
+
+    def vector():
+        return [rng.randrange(t.size) for _ in range(n)]
+
+    def span(count):  # the F_{q^h}-span of ``count`` random vectors
+        return lambda: [tuple(t.mul(w, x) for x in v)
+                        for v in [vector() for _ in range(count)] for w in t.omega_powers]
+
+    codes = [rs_code(t, k) for k in (1, 2)]
+    codes += [apply_move(c, random_move(t, c.n, rng)) for c in codes for _ in range(2)]
+    codes += [_independent_code(t, rng, span(count)) for count in (1, 2)]
+    # random additive codes, h dividing k_fq or not
+    codes += [_independent_code(t, rng, lambda: [tuple(vector()) for _ in range(k_fq)])
+              for k_fq in (1, t.h - 1, t.h, t.h + 1, 2 * t.h) for _ in range(2)]
+    answers = [code.is_field_linear() for code in codes]
+    assert answers == [_closed_under_omega(code) for code in codes]
+    assert True in answers and False in answers
+
+
+def test_project_on_no_positions_is_the_code(f9):
+    rng = random.Random(9)
+    code = rs_code(f9, 2)
+    for c in (code, apply_move(code, random_move(f9, code.n, rng)), AdditiveCode(f9, [], n=3)):
+        short = project(c, [])
+        assert (short.n, short.gen) == (c.n, c.gen) and short == c
+
+
 def test_structured_basis(f9):
     code = rs_code(f9, 2)
     rows = oracles.field_linear_rows(code)

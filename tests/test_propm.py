@@ -172,6 +172,19 @@ def test_exact_matching_reaches_cap_from_a_bad_greedy_start():
     assert len(found) == 3 == oracles.brute_max_matching(triples)
 
 
+def test_best_witness_retry_with_one_forced(f9):
+    # hand-built triple lists whose first search leaves (1,1,1) out
+    from addmds.propm import _best_witness
+    # forcing (1,1,1) loses: nothing is left beside it
+    loses = [(1, 2, 2), (1, 1, 1), (2, 1, 3)]
+    assert _best_witness(f9, loses) == (2, ((2, 1, 3), (1, 2, 2)))
+    # forcing (1,1,1) ties, so the forced optimum wins, (1,1,1) first
+    ties = [(2, 1, 2), (1, 1, 1), (3, 2, 3)]
+    assert _best_witness(f9, ties) == (2, ((1, 1, 1), (3, 2, 3)))
+    for triples in (loses, ties):
+        assert _best_witness(f9, triples)[0] == oracles.brute_max_matching(triples)
+
+
 def _class_firsts(polys):
     """The first pair (f, g) of each orbit class of pairs from ``polys``."""
     from addmds.propm import _class_members, _orbit_classes
@@ -318,6 +331,17 @@ def test_witness_validation(f9, f8):
     with pytest.raises(ValueError):
         PropWitness(x, x, ((2, 4, ab), (1, 1, 1)))  # (1,1,1) must be first
     PropWitness(x, x, ((1, 1, 1), (2, 4, ab)))
+
+
+def test_conjugate_memo_holds_one_table_per_polynomial():
+    t = field_create(3, 1, 2)  # a fresh tower, so the memo starts empty
+    polys = invertible_linearized(t)
+    f, g = polys[7], polys[30]
+    max_prop_m(f, g)  # validates its witness through _triple_holds
+    memo = t.memo("conjugates")
+    assert set(memo) == {f.coeffs, g.coeffs}
+    for p in (f, g):
+        assert memo[p.coeffs] == [list(p.conjugate(b).coeffs) for b in t.nonzero()]
 
 
 def test_triple_budget():
