@@ -46,6 +46,7 @@ invertible, and only that walk is charged to the candidate budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from math import comb, lcm
 
@@ -54,7 +55,7 @@ import numpy as np
 from . import linalg
 from .errors import BudgetExceeded, NonInvertibleMap, NotInvertible, NotMds
 from .gf import FieldTower, _inverses, _is_int, _stack_ranks, require_keys
-from .linpoly import LinearizedPoly, _add, random_invertible
+from .linpoly import LinearizedPoly, random_invertible
 
 DEFAULT_CODEWORD_BUDGET = 1 << 24
 DEFAULT_CANDIDATE_BUDGET = 1 << 22
@@ -196,7 +197,7 @@ def _span(mat, p):
     return out
 
 
-def _weight_distribution(tower: FieldTower, k: int, groups):
+def _weight_distribution(p: int, mat, members):
     """A_0..A_n by enumerating the q^k messages m in F_q^k (``_fp_blocks``).
 
     A code's coordinate is a group of one column; a system's block is its
@@ -209,10 +210,8 @@ def _weight_distribution(tower: FieldTower, k: int, groups):
     each group is padded to a power-of-two width by repeating its columns,
     so the hits of a group are one unsigned-int view of the comparison bytes.
     """
-    p = tower.p
-    mat, members = _fp_blocks(tower, k, groups)
+    counts = np.zeros(len(members) + 1, dtype=np.int64)
     members = [m for m in members if len(m)]
-    counts = np.zeros(len(groups) + 1, dtype=np.int64)
     if not members:
         counts[0] = p ** mat.shape[0]
         return [int(c) for c in counts]
@@ -234,7 +233,7 @@ def _weight_distribution(tower: FieldTower, k: int, groups):
     return [int(c) for c in counts]
 
 
-def _rank_weight_distribution(tower: FieldTower, k: int, groups, max_ranks: int | None = None):
+def _rank_weight_distribution(p: int, mat, members, max_ranks: int | None = None):
     """A_0..A_n from the F_p ranks r(S) of coordinate sets S (``_fp_blocks``).
 
     The messages vanishing on S are the left kernel of the columns of S, so
@@ -256,9 +255,7 @@ def _rank_weight_distribution(tower: FieldTower, k: int, groups, max_ranks: int 
     sure sets or the extensions about to be ranked bring the total above
     ``max_ranks``.
     """
-    p = tower.p
-    mat, members = _fp_blocks(tower, k, groups)
-    K, n = mat.shape[0], len(groups)
+    K, n = mat.shape[0], len(members)
     if max_ranks is not None and _sure_ranks(members, K) > max_ranks:
         return None
     width = np.array([len(m) for m in members] + [0])  # group n is the all-zero pad
@@ -336,11 +333,11 @@ def _subset_ranks(blocks, sets, p, inv):
 def _cached_weights(obj, k, groups, budget, noun):
     """A_0..A_n of a code or system over its q^k messages, computed once.
 
-    Two routes give the same list.  The rank route
-    (``_rank_weight_distribution``) goes first and may take q^k //
-    ``_RANK_COST`` subset ranks, ``_RANK_COST`` being the messages the
-    enumeration covers in the time of one rank; otherwise the q^k
-    messages are enumerated (``_weight_distribution``).  A budget B is
+    Two routes give the same list from one F_p matrix (``_fp_blocks``).
+    The rank route (``_rank_weight_distribution``) goes first and may
+    take q^k // ``_RANK_COST`` subset ranks, ``_RANK_COST`` being the
+    messages the enumeration covers in the time of one rank; otherwise the
+    q^k messages are enumerated (``_weight_distribution``).  A budget B is
     charged the route that runs: it admits q^k <= B messages, or a rank
     walk of at most B // ``_RANK_COST`` ranks.  Over q^k > B only a walk
     can run, and the memo keeps the rank count of every completed walk, so
@@ -353,11 +350,12 @@ def _cached_weights(obj, k, groups, budget, noun):
     limit = min(total, cap) // _RANK_COST
     cache = obj._cache
     if "weights" not in cache:
-        walk = _rank_weight_distribution(obj.tower, k, groups, limit)
+        mat, members = _fp_blocks(obj.tower, k, groups)
+        walk = _rank_weight_distribution(obj.tower.p, mat, members, limit)
         if walk is not None:
             cache["weights"], cache["walk_ranks"] = tuple(walk[0]), walk[1]
         elif total <= cap:
-            cache["weights"] = tuple(_weight_distribution(obj.tower, k, groups))
+            cache["weights"] = tuple(_weight_distribution(obj.tower.p, mat, members))
     if cache.get("walk_ranks", limit + 1) > limit:
         _charge(total, noun, cap)
     return list(cache["weights"])
@@ -726,8 +724,9 @@ def _eigenbranches(t: FieldTower, maps):
             break
         if not any(m.coeffs[1:]) and t.in_fq(m.coeffs[0]):
             continue
-        # D(S) in the v coordinates: D'[i][l] = S_(i-l)^(q^(-i))
-        dick = [[t.frob(m.coeffs[(i - l) % h], -i) for l in range(h)] for i in range(h)]
+        # D(S) in the v coordinates: D'[i][l] = S_(i-l)^(q^(-i)) = D(S)[-i][-l]
+        d = m.dickson()
+        dick = [[d[-i][-l] for l in range(h)] for i in range(h)]
         roots = _eigenvalues(m)
         split = []
         for basis, s in branches:
@@ -751,15 +750,14 @@ def _eigenvalues(m: LinearizedPoly):
 
     That polynomial is the lcm of the Krylov relations of 1, omega, omega^2,
     ... once their Krylov spaces span F_{q^h}, so its roots are the union of
-    theirs.  The first relation of w_i = m^i(v) is the first left kernel
-    vector of w_0..w_h, and its roots are found in one pass over the logs of
-    the q^h - 1 nonzero elements; 0 is no root, as m is invertible.
+    theirs.  The first relation sum_i c_i w_i = 0 of w_i = m^i(v) is the
+    first left kernel vector of w_0..w_h, and its roots are the zeros of
+    sum_i c_i x^i over the q^h - 1 nonzero x, one ``power_terms`` row per
+    i summed by ``add_arrays``; 0 is no root, as m is invertible.
     """
     t = m.tower
-    h, n = t.h, t._group_order
-    exp, log, zech = t.np_tables()
-    s = np.arange(n, dtype=np.int64)
-    roots = np.zeros(n, dtype=bool)
+    h = t.h
+    roots = np.zeros(t._group_order, dtype=bool)
     span = []
     for v in t.omega_powers:
         w = [v]
@@ -768,10 +766,7 @@ def _eigenvalues(m: LinearizedPoly):
         rows = [t.coords(x) for x in w]
         relation = linalg.left_nullspace(t, rows)[0]
         d = max(i for i, c in enumerate(relation) if c)
-        value = np.zeros(n, dtype=np.int64)
-        for i, c in enumerate(relation):
-            if c:
-                value = _add(value, exp[log[c] + i * s % n], exp, log, zech, n)
+        value = reduce(t.add_arrays, [t.power_terms(c, i) for i, c in enumerate(relation) if c])
         roots |= value == 0
         span += rows[:d]
         if d == h or linalg.mat_rank(t, span) == h:

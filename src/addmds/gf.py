@@ -32,9 +32,13 @@ log(1 + omega^t).  Multiplication, inversion, powers, Frobenius and
 negation are lookups through the logs; addition is XOR for p = 2 and one
 Zech lookup otherwise.  The row kernels ``scale``, ``axpy``, ``dot`` and
 ``accumulate`` do the same on whole rows, for ``linalg``'s elimination and
-``linpoly``'s composition.  Codeword enumeration works on the base-p digit
-vectors directly.  ``np_tables`` gives the same tables as the numpy
-arrays they are built from, for vectorised kernels; every per-tower cache
+``linpoly``'s composition.  The array kernels ``add_arrays`` (elementwise
+sum) and ``power_terms`` (the terms c * (omega^r)^power of every nonzero
+point) do it on numpy arrays, for ``linpoly``'s value tables and
+``code``'s eigenvalue roots, so no other module knows how elements add.
+Codeword enumeration works on the base-p digit vectors directly.
+``np_tables`` gives exp and log as the numpy arrays the tables are built
+from, for kernels whose mathematics is about logs; every per-tower cache
 lives in the tower's ``memo``.
 """
 
@@ -314,10 +318,12 @@ class FieldTower:
             zech = log[one_plus]
             zech[one_plus == 0] = -1
             self._zech = zech.tolist()
-        self._np_tables = (np.concatenate([exp, exp]), log, zech)
-        self._build_kernels()
+        exp_np = np.zeros(3 * n, dtype=np.int64)  # exp doubled, then n zeros
+        exp_np[:n] = exp_np[n:2 * n] = exp
+        self._np_tables = (exp_np, log)
+        self._build_kernels(zech)
 
-    def _build_kernels(self):
+    def _build_kernels(self, zech_np):
         """Row kernels on the tables, so that elimination and composition make
         one call per row or term where the scalar methods make one per entry.
 
@@ -328,14 +334,30 @@ class FieldTower:
         ``add`` they XOR for p = 2 and use Zech logs for odd p, where the
         index (log of one summand minus log of the other) is reduced mod n,
         as a sum of two logs can reach 2n - 2.
+
+        Two array kernels do the same on int arrays of field elements:
+        ``add_arrays(a, b)`` is elementwise a + b, zeros allowed, broadcast
+        like numpy; ``power_terms(c, power)`` is c * (omega^r)^power for
+        r < n on a new last axis, 0 where c = 0.
         """
         exp, log, zech, n = self._exp, self._log, self._zech, self._group_order
+        exp_np, log_np = self._np_tables
+        steps = np.arange(n, dtype=np.int64)
+        log_z = log_np.astype(np.int32)
+        log_z[0] = 2 * n  # exp is 0 from 2n on, so a term of c = 0 is 0 unmasked
+
+        def power_terms(c, power):
+            # exp is doubled, so log c + (r * power mod n) needs no mod
+            return exp_np[log_z[c][..., None] + steps * (power % n) % n]
 
         def scale(f, row):
             lf = log[f]
             return [exp[lf + log[v]] if v else 0 for v in row]
 
         if zech is None:
+            def add_arrays(a, b):
+                return np.bitwise_xor(a, b)
+
             def axpy(a, g, b):
                 lg = log[g]
                 return [x ^ exp[lg + log[y]] if y else x for x, y in zip(a, b)]
@@ -353,6 +375,14 @@ class FieldTower:
                 return out
         else:
             half = self._half
+
+            def add_arrays(a, b):
+                a, b = np.asarray(a), np.asarray(b)
+                la = log_np[a]
+                # a + b = a * (1 + b/a), log(b/a) = log b + log(1/a) mod n
+                z = zech_np[(log_np[b] + (n - la)) % n]
+                total = np.where(z >= 0, exp_np[la + z], 0)
+                return np.where(a == 0, b, np.where(b == 0, a, total))
 
             def axpy(a, g, b):
                 lg = (log[g] + half) % n  # log of -g
@@ -394,6 +424,7 @@ class FieldTower:
                 return out
 
         self.scale, self.axpy, self.dot, self.accumulate = scale, axpy, dot, accumulate
+        self.add_arrays, self.power_terms = add_arrays, power_terms
 
     # -- scalar arithmetic ----------------------------------------------------
 
@@ -528,8 +559,8 @@ class FieldTower:
             return value
 
     def np_tables(self):
-        """The scalar tables (exp doubled, log, zech or None) as the int64
-        arrays ``_build_tables`` made them from; callers must not write them."""
+        """The tables (exp doubled, then n zeros; log) as the int64 arrays
+        ``_build_tables`` made them from; callers must not write them."""
         return self._np_tables
 
     # -- serialization ----------------------------------------------------------

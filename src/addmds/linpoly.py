@@ -24,8 +24,8 @@ conj(f, b)(f(y)) = f(b y).  ``inverse_table`` gives f^(-1) for every row
 f: it maps f(omega^r) to omega^r, so its values at omega^l, l < h, are
 read off f's value row and the inverse Moore matrix turns them into
 coefficients; every row is checked at every nonzero point before use.
-All add through one helper, ``_add``: XOR for p = 2, Zech logarithms for
-odd p.
+Their terms come from the tower's ``power_terms`` kernel and their sums
+from its ``add_arrays`` kernel.
 
 ``inverse`` (one Dickson matrix) is the only memoised inverse: it alone
 reads and writes the tower memo ``inverses``, filling it in both
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -209,22 +210,14 @@ def evaluation_table(tower, coeffs):
 
     ``coeffs`` has shape (rows, h) and holds field elements of ``tower``;
     the result has shape (rows, q^h - 1), entry [k, r] being
-    g_k(omega^r) = sum_i g_{k,i} * omega^(r q^i).  Each term is one
-    log-domain lookup on a whole column, zero coefficients masked.
+    g_k(omega^r) = sum_i g_{k,i} * omega^(r q^i): h ``power_terms``
+    columns summed by ``add_arrays``.
     """
-    h, n = tower.h, tower._group_order
-    exp, log, zech = tower.np_tables()
     g = np.asarray(coeffs, dtype=np.int64)
-    if g.ndim != 2 or g.shape[1] != h:
+    if g.ndim != 2 or g.shape[1] != tower.h:
         raise ValueError("evaluation_table needs an array of shape (rows, h)")
-    log_x = np.arange(n, dtype=np.int64)
-    out = None
-    for i in range(h):
-        gi = g[:, i:i + 1]
-        # g_i * (omega^r)^(q^i); exp is doubled, so log g_i + (...) needs no mod
-        term = np.where(gi != 0, exp[log[gi] + log_x * tower._qpow[i] % n], 0)
-        out = term if out is None else _add(out, term, exp, log, zech, n)
-    return out
+    return reduce(tower.add_arrays, (tower.power_terms(g[:, i], qi)
+                                     for i, qi in enumerate(tower._qpow)))
 
 
 def inverse_table(tower, coeffs):
@@ -242,7 +235,7 @@ def inverse_table(tower, coeffs):
     if f.ndim != 2 or f.shape[1] != tower.h:
         raise ValueError("inverse_table needs an array of shape (rows, h)")
     n = tower._group_order
-    exp, log, zech = tower.np_tables()
+    exp, log = tower.np_tables()
     values = evaluation_table(tower, f)
     singular = (values == 0).any(axis=1)
     if singular.any():
@@ -252,10 +245,8 @@ def inverse_table(tower, coeffs):
     where[index, log[values]] = np.arange(n)
     inv = np.empty_like(f)
     for i, row in enumerate(_moore_inv(tower)):  # no row of an invertible matrix is zero
-        col, *rest = [exp[tower._log[v] + where[:, l]] for l, v in enumerate(row) if v]
-        for term in rest:
-            col = _add(col, term, exp, log, zech, n)
-        inv[:, i] = col
+        inv[:, i] = reduce(tower.add_arrays, [exp[tower._log[v] + where[:, l]]
+                                              for l, v in enumerate(row) if v])
     back = evaluation_table(tower, inv)  # f^(-1)(omega^s)
     ok = (back != 0) & (values[index, log[back]] == exp[:n])
     if not ok.all():
@@ -279,24 +270,21 @@ def value_grid(tower, choices):
     Yields (block, values): ``block`` an int array of shape (rows, h),
     ``values`` its ``evaluation_table``, in blocks of at most
     max(``EVAL_CHUNK_CELLS``, q^h - 1) cells.  The term rows
-    T_i[c, r] = c * omega^(r q^i) come from the log tables.  A block holds
+    T_i[c, r] = c * omega^(r q^i) come from ``power_terms``.  A block holds
     whole runs of the last varying position: the other positions' sum is
     evaluated once per run, and the run's term rows are added to it by one
-    broadcast ``_add``, so a block costs one add per cell, not h.  Positions
-    whose only choice is 0 contribute nothing; the last position's run is
-    split when one run alone would exceed the cap.
+    broadcast ``add_arrays``, so a block costs one add per cell, not h.
+    Positions whose only choice is 0 contribute nothing; the last
+    position's run is split when one run alone would exceed the cap.
     """
     h, n = tower.h, tower._group_order
     if len(choices) != h:
         raise ValueError("value_grid needs one sequence of choices per coefficient")
-    exp, log, zech = tower.np_tables()
     choices = [np.asarray(c, dtype=np.int64).reshape(-1) for c in choices]
     if not all(map(len, choices)):
         return
     live = [i for i, c in enumerate(choices) if c.tolist() != [0]] or [h - 1]
-    log_x = np.arange(n, dtype=np.int64)
-    terms = [np.where(c[:, None] != 0, exp[log[c][:, None] + log_x * tower._qpow[i] % n], 0)
-             for i, c in enumerate(choices)]
+    terms = [tower.power_terms(c, qi) for c, qi in zip(choices, tower._qpow)]
     *prefix, last = live
     sizes = [len(choices[i]) for i in prefix]
     place = np.cumprod([1] + sizes[:0:-1])[::-1]  # lex weight of each prefix position
@@ -308,10 +296,10 @@ def value_grid(tower, choices):
         digits = [index // w % size for w, size in zip(place, sizes)]
         head = None  # the prefix positions' sum, one row per run
         for i, d in zip(prefix, digits):
-            head = terms[i][d] if head is None else _add(head, terms[i][d], exp, log, zech, n)
+            head = terms[i][d] if head is None else tower.add_arrays(head, terms[i][d])
         for c in range(0, width, step):
             tail = terms[last][c:c + step]
-            values = tail if head is None else _add(head[:, None], tail, exp, log, zech, n)
+            values = tail if head is None else tower.add_arrays(head[:, None], tail)
             block = np.zeros((len(index), len(tail), h), dtype=np.int64)
             for i, d in zip(prefix, digits):
                 block[:, :, i] = choices[i][d][:, None]
@@ -328,16 +316,6 @@ def support_degrees(coeffs, h):
     support = coeffs != 0
     gaps = np.where(support, np.arange(h) - support.argmax(axis=1)[:, None], 0)
     return np.gcd(np.gcd.reduce(gaps, axis=1), h)
-
-
-def _add(a, b, exp, log, zech, n):
-    """Elementwise a + b: XOR for p = 2, Zech logarithms for odd p; zeros allowed."""
-    if zech is None:
-        return a ^ b
-    la = log[a]
-    z = zech[(log[b] - la) % n]
-    total = np.where(z >= 0, exp[la + z], 0)
-    return np.where(a == 0, b, np.where(b == 0, a, total))
 
 
 def all_linearized(tower):

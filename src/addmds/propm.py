@@ -24,10 +24,11 @@ conj(f, b)(f(y)) = f(b y), and computes no inverse.  The checking side
 stays on the Dickson inverse, independently of the buckets, and
 re-derives every triple it accepts from the polynomials and compares
 every triple it receives.  Each conj(f, b) it reads is a row of one table
-of all b != 0, built from those inverses in h^2 numpy passes
-(``_conjugate_table``): f's own table in ``_triple_holds`` (so
-``PropWitness`` and the transferred triples of ``verify_inverse_lemma``),
-one table of all its polynomials in the zero-coefficient battery.
+of all b != 0, built from those inverses as one ``evaluation_table`` of h
+q-polynomials per f (``_conjugate_table``): f's own table in
+``_triple_holds`` (so ``PropWitness`` and the transferred triples of
+``verify_inverse_lemma``), one table of all its polynomials in the
+zero-coefficient battery.
 ``ZeroCoeffCertificate.validate`` computes from its own fields.
 ``verify_semilinear_criterion`` computes no conjugate: conj(f, a) is
 scalar iff f(a y) = c f(y) for every y, which f's value row decides on
@@ -93,7 +94,6 @@ from .code import _charge
 from .errors import NotInvertible
 from .linpoly import (
     LinearizedPoly,
-    _add,
     evaluation_table,
     inverse_table,
     invertible_linearized,
@@ -126,7 +126,7 @@ def _conj_buckets(f: LinearizedPoly):
 
     def build():
         n = t._group_order
-        exp, log, _ = t.np_tables()
+        exp, log = t.np_tables()
         (values,) = evaluation_table(t, [f.coeffs])
         if not values.all():
             raise NotInvertible(f"no compositional inverse: {f.coeffs}")
@@ -542,27 +542,20 @@ def _conjugate_table(polys):
     and checked by ``compose``) and not from the search side's buckets.
 
     f o (bX) o g = sum_l f_l b^(q^l) (g(X))^(q^l), so coefficient k is
-    sum_l f_l b^(q^l) g_(k-l)^(q^l): one log-domain term per (k, l) on the
-    whole (polys, b) array, h^2 passes, summed by ``linpoly._add``.
+    P_k(b) for the q-polynomial P_k = sum_l f_l g_(k-l)^(q^l) X^(q^l): one
+    ``evaluation_table`` of the h P_k of every polynomial, its columns
+    read back in element order b = 1, 2, ...
     """
     t = polys[0].tower
-    h, n, qpow = t.h, t._group_order, t._qpow
-    exp, log, zech = t.np_tables()
-    f = np.array([p.coeffs for p in polys], dtype=np.int64)
+    h, n = t.h, t._group_order
+    exp, log = t.np_tables()
+    f = np.array([p.coeffs for p in polys], dtype=np.int64)[:, None, :]
     g = np.array([p.inverse().coeffs for p in polys], dtype=np.int64)
-    log_b = log[1:]  # columns in element order b = 1, 2, ...
-    conj = np.empty((len(polys), n, h), dtype=np.int64)
-    for k in range(h):
-        total = np.zeros((len(polys), n), dtype=np.int64)
-        for l, ql in enumerate(qpow):
-            fl, gl = f[:, l], g[:, (k - l) % h]
-            # log f_l + q^l log g_(k-l) + q^l log b, reduced below 2n for the doubled exp
-            head = (log[fl] + ql * log[gl] % n) % n
-            term = np.where(((fl != 0) & (gl != 0))[:, None],
-                            exp[head[:, None] + log_b * ql % n], 0)
-            total = _add(total, term, exp, log, zech, n)
-        conj[:, :, k] = total
-    return conj
+    g = g[:, (np.arange(h)[:, None] - np.arange(h)) % h]  # g[i, k, l] = g_(k-l)
+    # f_l g_(k-l)^(q^l) has log f_l + q^l log g_(k-l), below 2n for the doubled exp
+    p_k = np.where((f != 0) & (g != 0), exp[log[f] + log[g] * np.array(t._qpow) % n], 0)
+    values = evaluation_table(t, p_k.reshape(-1, h))[:, log[1:]]
+    return values.reshape(len(polys), h, n).transpose(0, 2, 1)
 
 
 def _witness_tables(polys):
@@ -591,7 +584,7 @@ def _class_checks(tower, triples, rows, cols, tables):
     Mhat_J D_J C(c) and B(b)^q = L*B(b) for every triple.  Products by a are
     log-domain lookups.  Triples with a zero entry are skipped:
     ``_check_witness`` rejects them before it asks ``holds``."""
-    exp, log, _zech = tower.np_tables()
+    exp, log = tower.np_tables()
     conj, prod, frob = tables
 
     def scaled_equal(table, a, b, c):

@@ -35,7 +35,7 @@ from addmds.code import (
     to_standard_form,
 )
 from addmds.gf import _inverses
-from addmds.linpoly import LinearizedPoly, _add, inverse_table, invertible_linearized
+from addmds.linpoly import LinearizedPoly, inverse_table, invertible_linearized
 from addmds.propm import (
     _exact_matching,
     build_zero_coeff_certificate,
@@ -207,20 +207,17 @@ def conjugation_table(polys):
         raise ValueError("conjugation_table needs at least one polynomial")
     t = polys[0].tower
     h, n = t.h, t._group_order
-    exp, log, zech = t.np_tables()
+    exp, log = t.np_tables()
     qpow = np.array(t._qpow, dtype=np.int64)
     lag = (np.arange(h)[:, None] - np.arange(h)[None, :]) % h
-    log_b = np.arange(n, dtype=np.int64)[:, None] * qpow % n  # log b^(q^i), b = omega^r
     fi = np.array([f.coeffs for f in polys], dtype=np.int64)[:, None, :]
     gi = inverse_table(t, fi[:, 0])[:, lag]
-    live = (fi != 0) & (gi != 0)
-    log_c = (log[fi] + log[gi] * qpow % n) % n
+    c_f = np.where((fi != 0) & (gi != 0), exp[(log[fi] + log[gi] * qpow % n) % n], 0)
     out = np.empty((len(polys), n, h), dtype=np.int64)
     for l in range(h):
-        terms = np.where(live[:, None, l], exp[log_c[:, None, l] + log_b], 0)
-        acc = terms[..., 0]
+        acc = t.power_terms(c_f[:, l, 0], qpow[0])
         for i in range(1, h):
-            acc = _add(acc, terms[..., i], exp, log, zech, n)
+            acc = t.add_arrays(acc, t.power_terms(c_f[:, l, i], qpow[i]))
         out[:, :, l] = acc
     return out
 
@@ -575,7 +572,7 @@ def compose_table(m, coeffs):
     """
     t = m.tower
     h, n = t.h, t._group_order
-    exp, log, zech = t.np_tables()
+    exp, log = t.np_tables()
     g = np.asarray(coeffs, dtype=np.int64)
     if g.ndim != 2 or g.shape[1] != h:
         raise ValueError("compose_table needs an array of shape (rows, h)")
@@ -587,7 +584,7 @@ def compose_table(m, coeffs):
             # m_i * g_j^(q^i); exp is doubled, so log m_i + (...) needs no mod
             log_term = t._log[m.coeffs[i]] + log_g[:, j] * t._qpow[i] % n
             term = np.where(g[:, j] != 0, exp[log_term], 0)
-            out[:, l] = _add(out[:, l], term, exp, log, zech, n)
+            out[:, l] = t.add_arrays(out[:, l], term)
     return out
 
 
@@ -602,7 +599,7 @@ def scan_linear_witness(code):
     """
     t = code.tower
     h, n = t.h, t._group_order
-    exp, log, _ = t.np_tables()
+    exp, log = t.np_tables()
     form, move, targets = _standard_targets(code)
     total = t.size ** (h - 1)
     place = t.size ** np.arange(h - 2, -1, -1, dtype=np.int64)

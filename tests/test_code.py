@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 
 from addmds import code as code_mod
+from addmds import linalg
 from addmds.code import (
     AdditiveCode,
     EquivalenceMove,
@@ -118,6 +119,11 @@ def _groups(obj):
     return obj.dim, obj.blocks
 
 
+def _fp_input(t, k, groups):
+    """(p, F_p matrix, members): the arguments both weight routes take."""
+    return (t.p, *code_mod._fp_blocks(t, k, groups))
+
+
 _ROUTE_CODES = ["F8", "F16/F4", "F16/F4 scrambled", "F3^8, k_fq = 2", "zero coordinates",
                 "dependent rows", "k_fq = 0", "RS F9", "RS F16/F4", "RS F25", "RS F27",
                 "k4 F25", "k4 F25 scrambled", "k4 F49", "k4 F49 scrambled"]
@@ -147,9 +153,9 @@ def _route_code(name):
 def _check_routes(obj, twin):
     """The rank route equals the enumeration on ``obj`` and, where the
     brute-force oracle runs, so does ``twin``'s distribution."""
-    k, groups = _groups(obj)
-    want = code_mod._weight_distribution(obj.tower, k, groups)
-    assert code_mod._rank_weight_distribution(obj.tower, k, groups)[0] == want
+    blocks = _fp_input(obj.tower, *_groups(obj))
+    want = code_mod._weight_distribution(*blocks)
+    assert code_mod._rank_weight_distribution(*blocks)[0] == want
     if twin.tower.q ** twin.k_fq <= 10 ** 4:
         assert want == oracles.brute_weight_distribution(twin)
     return want
@@ -187,8 +193,8 @@ def test_weight_route_cost_model(zeros, copies, route, monkeypatch):
     t = conftest.tower(5, 1, 2)
     code = k4_example_search(t).code
     padded = AdditiveCode(t, [(0,) * zeros + row * copies for row in code.gen])
-    k, groups = _groups(padded)
-    want = code_mod._weight_distribution(t, k, groups)
+    blocks = _fp_input(t, *_groups(padded))
+    want = code_mod._weight_distribution(*blocks)
     seen = {"ranks": 0, "enumerations": 0}
     ranks, enumerate_ = code_mod._subset_ranks, code_mod._weight_distribution
 
@@ -206,7 +212,7 @@ def test_weight_route_cost_model(zeros, copies, route, monkeypatch):
     assert want[0] == 1 and sum(want) == t.q ** code.k_fq
     assert seen["ranks"] == {"rank": 911, "enumeration": 0}.get(route, 793)
     assert seen["enumerations"] == (route != "rank")
-    assert code_mod._rank_weight_distribution(t, k, groups)[0] == want
+    assert code_mod._rank_weight_distribution(*blocks)[0] == want
 
 
 _WALK_TOWERS = {"F4": (2, 1, 2), "F8": (2, 1, 3), "F9": (3, 1, 2),
@@ -246,14 +252,15 @@ def test_rank_walk_matches_level_oracle(name):
     continued = 0
     for k, groups in _walk_cases(t, rng):
         weights, ranks = oracles.level_rank_weight_distribution(t, k, groups)
-        assert code_mod._rank_weight_distribution(t, k, groups) == (weights, ranks)
+        blocks = _fp_input(t, k, groups)
+        assert code_mod._rank_weight_distribution(*blocks) == (weights, ranks)
         if t.q ** k <= 1 << 16:
-            assert weights == code_mod._weight_distribution(t, k, groups)
-        mat, members = code_mod._fp_blocks(t, k, groups)
+            assert weights == code_mod._weight_distribution(*blocks)
+        _, mat, members = blocks
         sure = code_mod._sure_ranks(members, mat.shape[0])
         continued += ranks > sure
         for cap in sorted({0, ranks // 2, max(sure - 1, 0), sure, max(ranks - 1, 0), ranks}):
-            got = code_mod._rank_weight_distribution(t, k, groups, cap)
+            got = code_mod._rank_weight_distribution(*blocks, cap)
             assert got == oracles.level_rank_weight_distribution(t, k, groups, cap)
             assert got == (None if cap < ranks else (weights, ranks))
     assert continued  # some walk ranks past its sure sets
@@ -279,10 +286,10 @@ def test_moves_preserve_weight_distributions(name):
         assert is_mds(code) == mds
         for _ in range(3):
             moved = apply_move(code, random_move(t, code.n, rng))
-            k, groups = _groups(moved)
+            blocks = _fp_input(t, *_groups(moved))
             assert weight_enumerator(moved) == want
-            assert code_mod._weight_distribution(t, k, groups) == want
-            assert code_mod._rank_weight_distribution(t, k, groups)[0] == want
+            assert code_mod._weight_distribution(*blocks) == want
+            assert code_mod._rank_weight_distribution(*blocks)[0] == want
             assert is_mds(moved) == mds
 
 
@@ -309,13 +316,33 @@ def _padded_k4(zeros):
 
 def test_codeword_budget_charges_the_rank_walk():
     code = _padded_k4(0)
-    k, groups = _groups(code)
-    ranks = code_mod._rank_weight_distribution(code.tower, k, groups)[1]
+    ranks = code_mod._rank_weight_distribution(*_fp_input(code.tower, *_groups(code)))[1]
     cap = ranks * code_mod._RANK_COST
     assert ranks == 56 and cap < 5 ** 8
     with pytest.raises(BudgetExceeded, match=f"^390625 codewords exceed budget {cap - 1}$"):
         is_mds(_padded_k4(0), budget=cap - 1)
     assert is_mds(_padded_k4(0), budget=cap)
+
+
+@pytest.mark.parametrize("route", ["rank", "enumeration"])
+def test_one_fp_matrix_per_weight_distribution(route, monkeypatch):
+    # the F_25 k = 4 example walks 56 ranks; RS over F_9 with k = 2 has 81
+    # messages, too few to pay for one rank, so it is enumerated
+    code = _padded_k4(0) if route == "rank" else rs_code(conftest.tower(3, 1, 2), 2)
+    calls = {"_fp_blocks": 0, "_weight_distribution": 0}
+
+    def counted(name):
+        fn = getattr(code_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(code_mod, name, counted(name))
+    weight_enumerator(code)
+    assert calls == {"_fp_blocks": 1, "_weight_distribution": int(route == "enumeration")}
 
 
 def _budget_outcome(code, budget):
@@ -608,6 +635,24 @@ def test_standard_form_structure(key, k):
         assert min_distance(std) == min_distance(code)
         # the composed maps are the ones interpolating the standard code gives
         assert code_mod._standard_form(code) == (form, move)
+
+
+@pytest.mark.parametrize("key", [(3, 1, 2), (2, 1, 3), (3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 3, 2)],
+                         ids=lambda k: "F%d_%d_%d" % k)
+def test_eigenvalues_are_the_roots_of_the_dickson_characteristic_polynomial(key):
+    # every a != 0 with det(D(m) - aI) = 0, in log order; the scalar maps cX
+    # with c in F_q have D = cI, so each Krylov space is a line and the
+    # search needs h start vectors
+    t = conftest.tower(*key)
+    rng = random.Random(str(key))
+    maps = [random_invertible(t, rng) for _ in range(20)]
+    maps += [LinearizedPoly.scalar(t, c) for c in t.fq_elements if c]
+    for m in maps:
+        d = m.dickson()
+        want = [a for a in sorted(t.nonzero(), key=t._log.__getitem__) if not linalg.mat_det(
+            t, [[t.sub(x, a) if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(d)])]
+        assert code_mod._eigenvalues(m) == want, m
 
 
 def test_witness_on_linear_code_is_identity_map(f4):

@@ -1,5 +1,7 @@
+import ast
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +198,36 @@ def test_row_kernels_match_scalar_ops(key):
     minus = t.scale(t.neg(1), x)
     assert t.dot([1] * 10, x + minus) == 0
     assert t.accumulate(list(x), [(l, t._log[v]) for l, v in enumerate(minus)]) == [0] * 5
+
+
+@pytest.mark.parametrize("key", KERNEL_TOWERS, ids=lambda k: "F%d_%d_%d" % k)
+def test_array_kernels_match_scalar_ops(key):
+    t = conftest.tower(*key)
+    n = t.size - 1
+    rng = random.Random(str(key) + " arrays")
+    a, b = (np.array(_sparse(rng, t, 300)) for _ in range(2))
+    a[:4], b[2:6] = 0, 0  # zero on the left, on both sides, on the right
+    assert t.add_arrays(a, b).tolist() == [t.add(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    minus = np.array([t.neg(x) for x in a.tolist()])
+    assert not t.add_arrays(a, minus).any() and not t.add_arrays(minus, a).any()
+    # value_grid's broadcast: one head row per run against the run's tail rows
+    head, tail = a[:12].reshape(3, 4), b[:20].reshape(5, 4)
+    got = t.add_arrays(head[:, None], tail)
+    assert got.shape == (3, 5, 4)
+    assert got.tolist() == [[[t.add(x, y) for x, y in zip(hr, tr)] for tr in tail.tolist()]
+                            for hr in head.tolist()]
+    # power_terms: c * (omega^r)^power on a new last axis, 0 where c = 0
+    c = np.array([[0, 1], [rng.randrange(1, t.size), rng.randrange(1, t.size)]])
+    rs = sorted({0, 1, n - 1, *rng.sample(range(n), min(n, 40))})
+    points = [t.pow_int(t.omega, r) for r in rs]
+    for power in (0, 1, t.q, n, n + 1, 3 * n + 2):
+        got = t.power_terms(c, power)
+        assert got.shape == (2, 2, n)
+        assert got[..., rs].tolist() == [[[t.mul(x, t.pow_int(w, power)) for w in points]
+                                          for x in row] for row in c.tolist()]
+    x = int(c[1, 0])
+    assert t.power_terms(x, 2).tolist() == [t.mul(x, t.pow_int(t.omega, 2 * r)) for r in range(n)]
+    assert t.power_terms(0, 2).tolist() == [0] * n
 
 
 @pytest.mark.parametrize("key", KERNEL_TOWERS, ids=lambda k: "F%d_%d_%d" % k)
@@ -430,3 +462,21 @@ def test_in_fq_log_test_matches_element_list(key):
     members = [x for x in t.elements() if t.in_fq(x)]
     assert members == list(t.fq_elements) == sorted(x for x in t.elements() if t.frob(x) == x)
     assert not t.in_fq(t.size) and not t.in_fq(-1)
+
+
+def test_only_gf_knows_how_elements_add():
+    # array sums go through the tower's kernels: no other module mentions
+    # Zech logarithms, and neither the modules nor the tests' oracles import
+    # a private helper from linpoly
+    src = Path(__file__).resolve().parents[1] / "src" / "addmds"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        if path.name != "gf.py":
+            assert "zech" not in path.read_text(encoding="utf-8").lower(), path.name
+    for path in modules + [Path(oracles.__file__)]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linpoly"):
+                assert not [a.name for a in node.names if a.name.startswith("_")], path.name
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "linpoly":
+                assert not node.attr.startswith("_"), (path.name, node.attr)
