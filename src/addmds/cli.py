@@ -225,7 +225,9 @@ def _cmd_propm(args: argparse.Namespace) -> bool:
         })
         return bool(inverse["ok"])
     budget = args.budget_candidates
-    n = args.n if args.n is not None else max(t.size + 1, 4)  # the lemma needs n >= 4
+    n = args.n if args.n is not None else max(t.size + 1, 4)
+    if n < 4:  # refused before any battery runs
+        raise ValueError("need n >= 4")
     reports = {
         # first: it charges the pair budget before any battery runs
         "zero_coefficient_lemma": propm.verify_zero_coeff_lemma(t, budget),

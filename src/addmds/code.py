@@ -413,8 +413,7 @@ def rs_code(tower: FieldTower, k: int) -> AdditiveCode:
         base = [tower.pow_int(x, i) for x in range(tower.size)]
         base.append(1 if i == k - 1 else 0)
         for l in range(tower.h):
-            w = tower.omega_powers[l]
-            rows.append(tuple(tower.mul(w, x) for x in base))
+            rows.append(tuple(tower.scale(tower.omega_powers[l], base)))
     return AdditiveCode(tower, rows, check=False)
 
 
@@ -734,9 +733,8 @@ def _eigenbranches(t: FieldTower, maps):
             for a in roots:
                 # the x B with x B (D' - aI)^T = 0 are the rows of the reduced
                 # [B (D' - aI)^T | B] that vanish on the left, already reduced
-                red, pivots = linalg.mat_rref(t, [
-                    [t.sub(x, t.mul(a, y)) for x, y in zip(im, b)] + b
-                    for im, b in zip(images, basis)])
+                red, pivots = linalg.mat_rref(t, [t.axpy(im, a, b) + b
+                                                  for im, b in zip(images, basis)])
                 kernel = [row[h:] for row, c in zip(red, pivots) if c >= h]
                 s_a = lcm(s, t.subfield_degree(a))
                 if len(kernel) * s_a == h:
@@ -750,20 +748,22 @@ def _eigenvalues(m: LinearizedPoly):
 
     That polynomial is the lcm of the Krylov relations of 1, omega, omega^2,
     ... once their Krylov spaces span F_{q^h}, so its roots are the union of
-    theirs.  The first relation sum_i c_i w_i = 0 of w_i = m^i(v) is the
-    first left kernel vector of w_0..w_h, and its roots are the zeros of
-    sum_i c_i x^i over the q^h - 1 nonzero x, one ``power_terms`` row per
-    i summed by ``add_arrays``; 0 is no root, as m is invertible.
+    theirs.  In F_q coordinates m^i(omega^l) is e_l M^i, M = ``m.matrix()``,
+    one ``mat_vec`` with M's transpose per step.  The first relation
+    sum_i c_i w_i = 0 of w_i = e_l M^i is the first left kernel vector of
+    w_0..w_h, and its roots are the zeros of sum_i c_i x^i over the
+    q^h - 1 nonzero x, one ``power_terms`` row per i summed by
+    ``add_arrays``; 0 is no root, as m is invertible.
     """
     t = m.tower
     h = t.h
+    step = linalg.transpose(m.matrix())
     roots = np.zeros(t._group_order, dtype=bool)
     span = []
-    for v in t.omega_powers:
-        w = [v]
+    for l in range(h):
+        rows = [[int(i == l) for i in range(h)]]
         for _ in range(h):
-            w.append(m(w[-1]))
-        rows = [t.coords(x) for x in w]
+            rows.append(linalg.mat_vec(t, step, rows[-1]))
         relation = linalg.left_nullspace(t, rows)[0]
         d = max(i for i, c in enumerate(relation) if c)
         value = reduce(t.add_arrays, [t.power_terms(c, i) for i, c in enumerate(relation) if c])

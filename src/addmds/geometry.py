@@ -21,8 +21,7 @@ the blocks, which depend only on the subspaces.
 from __future__ import annotations
 
 from . import linalg
-from .code import (AdditiveCode, _cached_weights, _rows_from_expansion, _rows_from_maps,
-                   distance_from_weights)
+from .code import AdditiveCode, _cached_weights, _rows_from_expansion, distance_from_weights
 from .errors import DimensionMismatch, SpanFailure
 from .gf import FieldTower, _is_int, require_keys
 from .linpoly import LinearizedPoly
@@ -147,8 +146,7 @@ def _block_to_point(tower, u):
 def _normalize_point(tower, point):
     for x in point:
         if x:
-            inv = tower.inv(x)
-            return tuple(tower.mul(inv, y) for y in point)
+            return tuple(tower.scale(tower.inv(x), point))
     return None
 
 
@@ -185,34 +183,35 @@ def desarguesian_membership(tower: FieldTower, generators):
 def desarguesian_block(tower: FieldTower, point):
     """Generators of the spread member at ``point``; inverse of membership.
 
-    They are the h columns of the expansion of the rows omega^l x_i, the
-    map grid of the scalars x_i of ``point`` (one map per row, one
-    coordinate): column c reads through the dual basis as d_c * ``point``.
+    They are the h columns of the F_q matrices M_x of multiplication by the
+    x of ``point`` (``LinearizedPoly.matrix``), stacked over x: generator c
+    is (M_x[l][c]) over x and then l, and reads through the dual basis as
+    d_c * ``point``.
     """
     if not any(point):
         raise ValueError("the zero tuple is not a projective point")
-    grid = [[LinearizedPoly.scalar(tower, x)] for x in point]
-    return system_from_code(AdditiveCode(tower, _rows_from_maps(tower, grid), check=False)).blocks[0]
+    mats = [LinearizedPoly.scalar(tower, x).matrix() for x in point]
+    return tuple(tuple(m[l][c] for m in mats for l in range(tower.h)) for c in range(tower.h))
 
 
 # ---------------------------------------------------------------------------
 # projection
 
 def project_system(system: ProjectiveHSystem, index: int) -> ProjectiveHSystem:
-    """Quotient the ambient space by block ``index`` and drop that block."""
+    """Quotient the ambient space by block ``index`` and drop that block.
+
+    The quotient is ``code.project``'s: the rows v of the left null space of
+    the dim x (generators of block ``index``) matrix, so v.u = 0 on the
+    block, map each other generator u to (v.u)_v.  An empty block gives the
+    identity.  On a system of a code this is the system of its shortening.
+    """
     if not (0 <= index < system.n):
         raise ValueError("block index out of range")
-    t = system.tower
-    red, pivots = linalg.mat_rref(t, [list(u) for u in system.blocks[index]])
-    red = red[: len(pivots)]
-    keep = [c for c in range(system.dim) if c not in pivots]
-    new_blocks = []
-    for j in range(system.n):
-        if j == index:
-            continue
-        reduced = [linalg.reduce_vector(t, red, pivots, u) for u in system.blocks[j]]
-        new_blocks.append(tuple(tuple(v[c] for c in keep) for v in reduced))
-    return ProjectiveHSystem(t, len(keep), new_blocks)
+    t, blk = system.tower, system.blocks[index]
+    kernel = linalg.left_nullspace(t, [[u[i] for u in blk] for i in range(system.dim)])
+    return ProjectiveHSystem(t, len(kernel), [
+        [linalg.mat_vec(t, kernel, u) for u in other]
+        for j, other in enumerate(system.blocks) if j != index])
 
 
 # ---------------------------------------------------------------------------

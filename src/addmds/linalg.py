@@ -40,16 +40,6 @@ def mat_rref(tower, rows):
     return m, pivots
 
 
-def reduce_vector(tower, red, pivots, v):
-    """v reduced against RREF rows ``red`` with pivot columns ``pivots``:
-    zero at every pivot, and zero everywhere iff v lies in their span."""
-    v = list(v)
-    for row, c in zip(red, pivots):
-        if v[c]:
-            v = tower.axpy(v, v[c], row)
-    return v
-
-
 def mat_rank(tower, rows):
     return len(mat_rref(tower, rows)[1])
 

@@ -97,35 +97,31 @@ class LinearizedPoly:
     def is_semilinear(self, s: int) -> bool:
         """True iff f(a X) = a^(q^i) f(X) for all a in F_{q^s} and some i.
 
-        Equivalent to the support lying in a single residue class mod s.
+        Equivalent to the support lying in a single residue class mod s,
+        that is, to s dividing f's ``support_degrees``.
         """
         t = self.tower
         if t.h % s:
             raise InvalidSubfield(f"s = {s} does not divide h = {t.h}")
-        sup = self.support()
-        if not sup:
+        if not any(self.coeffs):
             raise ValueError("zero polynomial")
-        return all(j % s == sup[0] % s for j in sup)
+        return bool(support_degrees(np.array([self.coeffs], dtype=np.int64), t.h)[0] % s == 0)
 
     # -- algebra --------------------------------------------------------------
 
     def __call__(self, x: int) -> int:
         t = self.tower
-        acc = 0
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc = t.add(acc, t.mul(c, t.frob(x, i)))
-        return acc
+        return t.dot(self.coeffs, [t.frob(x, i) for i in range(t.h)])
 
     def __add__(self, other):
         t = self.tower
         t.check_same(other.tower)
-        return LinearizedPoly(t, tuple(t.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return LinearizedPoly(t, tuple(t.axpy(self.coeffs, t.neg(1), other.coeffs)))
 
     def __sub__(self, other):
         t = self.tower
         t.check_same(other.tower)
-        return LinearizedPoly(t, tuple(t.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return LinearizedPoly(t, tuple(t.axpy(self.coeffs, 1, other.coeffs)))
 
     def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
         """self(other(X)), exponent indices reduced mod h."""

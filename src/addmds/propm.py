@@ -476,6 +476,9 @@ class ZeroCoeffCertificate:
     a_j * Mhat_f * D_f * B_j = Mhat_g * D_g * C_j, and B_j's entrywise
     q-th power equals L * B_j.  Matrices are tuples of row tuples and
     vectors are tuples, as ``build_zero_coeff_certificate`` makes them.
+    Since (f o f^(-1))_k = 0 for k >= 1, Mhat_f * D_f * B(b) is
+    coefficients 1..h-1 of conj(f, b), so the identity restates a*conj(f,
+    b) = conj(g, c) there by an independent route.
     """
     f: LinearizedPoly
     g: LinearizedPoly
@@ -564,7 +567,10 @@ def _witness_tables(polys):
 
     - conj[i, b - 1] = conj(f_i, b) (``_conjugate_table``);
     - prod[i, b - 1] = Mhat_f D_f B(b) of f = f_i, from one product per
-      polynomial: the B(b) as rows times (Mhat_f D_f)^T;
+      polynomial: the B(b) as rows times (Mhat_f D_f)^T.  It equals
+      conj[i, b - 1, 1:]: with g = f^(-1), (f o g)_k = 0 for k >= 1, so
+      conj's coefficient k is sum_(l>=1) f_l g_(k-l)^(q^l) (b^(q^l) - b);
+      the pure-Python products stay as the certificate's own route;
     - frob[b - 1]: B(b)'s entrywise q-th power equals L * B(b).
     """
     t = polys[0].tower

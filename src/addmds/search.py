@@ -101,8 +101,7 @@ def base_mds_matrix(tower: FieldTower, k: int = 4, n: int = 6):
     # the remaining columns to 1; all three are weight-preserving moves
     out = [list(r) for r in red]
     for i in range(k):
-        d = tower.inv(out[i][k])
-        out[i] = [tower.mul(d, x) for x in out[i]]
+        out[i] = tower.scale(tower.inv(out[i][k]), out[i])
         out[i][i] = 1
     for j in range(k + 1, n):
         d = tower.inv(out[0][j])
@@ -136,8 +135,7 @@ def screen_conditions(tower: FieldTower, base):
             raise ValueError("three columns of an MDS generator must be independent")
         v = kernel[0]
         if v[3]:
-            d = tower.inv(v[3])
-            v = [tower.mul(d, x) for x in v]
+            v = tower.scale(tower.inv(v[3]), v)
             lam1 = tower.neg(v[2])
             lam2 = tower.neg(tower.add(tower.mul(c0, v[0]), tower.mul(c1, v[1])))
             if (lam1, lam2) not in lambda_pairs:

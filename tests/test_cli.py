@@ -129,6 +129,18 @@ def test_propm_battery_over_budget_calls_no_verifier(capsys, monkeypatch):
     assert err == "error: BudgetExceeded: 126157824 pairs exceed budget 4194304\n"
 
 
+def test_propm_short_length_calls_no_verifier(capsys, monkeypatch):
+    # n < 4 is refused before the batteries, not after three of them ran
+    from addmds import propm
+    for name in ("invertible_linearized", "verify_zero_coeff_lemma",
+                 "verify_semilinear_criterion", "verify_two_nonzero_lemma",
+                 "verify_lm_prop_implication", "verify_inverse_lemma"):
+        monkeypatch.setattr(propm, name, lambda *a, **k: pytest.fail("a verifier ran"))
+    code, out, err = run(capsys, "propm", "--p", "5", "--h", "2", "--n", "3")
+    assert code == 2 and out == ""
+    assert err == "error: need n >= 4\n"
+
+
 def test_propm_battery_budget_flag(capsys):
     # F_9: 48^2 = 2304 pairs
     code, out, err = run(capsys, "propm", "--p", "3", "--h", "2", "--budget-candidates", "2303")

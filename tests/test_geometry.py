@@ -269,8 +269,8 @@ def _trace_block(tower, point):
 
 @pytest.mark.parametrize("key", [(3, 1, 2), (2, 1, 3), (2, 2, 2)])
 def test_desarguesian_block_spans_the_trace_member(key):
-    """Every normalised point with k <= 2: the block built from the map
-    grid spans the member read off traces, and membership gives the point back."""
+    """Every normalised point with k <= 2: the block built from the
+    multiplication matrices spans the member read off traces, and membership gives the point back."""
     t = conftest.tower(*key)
     points = [(1,)] + [(1, y) for y in range(t.size)] + [(0, 1)]
     for pt in points:
@@ -281,16 +281,43 @@ def test_desarguesian_block_spans_the_trace_member(key):
 
 
 def test_project_system_matches_code_shortening(f9):
+    """Projection from block j is the system of the code shortened at j,
+    dim and blocks equal as given, for every j of scrambled RS codes with
+    k = 1..3; and on a system with an empty block and a repeated generator
+    the quotient keeps the subspaces and the invariants."""
+    for key in [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 1, 3)]:
+        t = conftest.tower(*key)
+        rng = random.Random(str(key) + " shorten")
+        for k in (1, 2, 3):
+            code = rs_code(t, k)
+            code = apply_move(code, random_move(t, code.n, rng))
+            system = system_from_code(code)
+            for j in range(code.n):
+                via_system = project_system(system, j)
+                via_code = system_from_code(project(code, {j}))
+                assert via_system.dim == via_code.dim == code.k_fq - t.h
+                assert via_system.blocks == via_code.blocks
     code = rs_code(f9, 2)
     system = system_from_code(code)
     for j in (0, 3, 9):
         via_system = project_system(system, j)
         via_code = system_from_code(project(code, {j}))
-        assert via_system.dim == via_code.dim == code.k_fq - f9.h
         assert system_min_distance(via_system) == system_min_distance(via_code)
         assert is_pseudo_arc(via_system) == is_pseudo_arc(via_code)
     with pytest.raises(ValueError):
         project_system(system, 10)
+    plain = list(system.blocks)
+    plain[1] = ()
+    odd = list(plain)
+    odd[2] = plain[2] + (plain[2][0],)  # h + 1 generators, the same span
+    plain, odd = (ProjectiveHSystem(f9, system.dim, b) for b in (plain, odd))
+    same = project_system(odd, 1)  # the empty block: the identity quotient
+    assert same.dim == system.dim and same.blocks == odd.blocks[:1] + odd.blocks[2:]
+    for j in range(odd.n):
+        via_odd, via_plain = project_system(odd, j), project_system(plain, j)
+        assert via_odd == via_plain and via_odd.dim == system.dim - odd.block_rank(j)
+        assert system_min_distance(via_odd) == system_min_distance(via_plain)
+        assert is_pseudo_arc(via_odd) == is_pseudo_arc(via_plain) == (j == 1)
 
 
 def test_system_json_roundtrip(f4):

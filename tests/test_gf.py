@@ -85,23 +85,6 @@ def test_order_against_repeated_multiplication(key):
         t.order(0)
 
 
-def test_reduce_vector_decides_span_membership(f9):
-    rng = random.Random(12)
-    for _ in range(60):
-        rows = [[rng.choice((0, rng.randrange(9))) for _ in range(5)] for _ in range(3)]
-        red, pivots = linalg.mat_rref(f9, rows)
-        red = red[: len(pivots)]
-        v = [rng.randrange(9) for _ in range(5)]
-        if rng.random() < 0.5:  # a combination of the rows
-            v = [0] * 5
-            for row in rows:
-                c = rng.randrange(9)
-                v = [f9.add(a, f9.mul(c, b)) for a, b in zip(v, row)]
-        out = linalg.reduce_vector(f9, red, pivots, v)
-        assert all(out[c] == 0 for c in pivots)
-        assert (not any(out)) == (linalg.mat_rank(f9, rows + [v]) == len(pivots))
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_stack_ranks_against_mat_rank(p):
     t = field_create(p, 1, 1)  # F_p itself: elements are the residues
@@ -480,3 +463,26 @@ def test_only_gf_knows_how_elements_add():
                 assert not [a.name for a in node.names if a.name.startswith("_")], path.name
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "linpoly":
                 assert not node.attr.startswith("_"), (path.name, node.attr)
+
+
+def test_every_helper_has_a_caller():
+    # a private function or method of src/addmds, or any linalg function,
+    # that no code of src/addmds names is a second route left behind
+    src = Path(__file__).resolve().parents[1] / "src" / "addmds"
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    helpers, named = [], set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if (node.name.startswith("_") and not dunder
+                        or module == "linalg.py" and node in tree.body):
+                    helpers.append((module, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert len(helpers) > 80
+    assert [h for h in helpers if h[1] not in named] == []

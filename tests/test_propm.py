@@ -278,6 +278,22 @@ def test_conjugate_table_matches_compose_sampled_f25(f25):
     _assert_conjugate_table([twist_to_nonzero_f0(f)[0] for f in sample])
 
 
+@pytest.mark.parametrize("key, limit", [((2, 1, 3), None), ((3, 1, 2), None),
+                                        ((2, 2, 2), None), ((3, 1, 3), 400),
+                                        ((5, 1, 2), 400), ((2, 1, 4), 400)],
+                         ids=["F8", "F9", "F16_F4", "F27", "F25", "F16"])
+def test_certificate_products_are_the_conjugate_coefficients(key, limit):
+    """(f o f^-1)_k = 0 for k >= 1, so coefficient k of conj(f, b) is
+    sum_(l>=1) f_l g_(k-l)^(q^l) (b^(q^l) - b) = (Mhat_f D_f B(b))_k: the
+    certificate's products are conj's coefficients 1..h-1, on the twisted
+    polynomials of the battery (all of them, or the first ``limit``)."""
+    from conftest import tower
+    from addmds.propm import _witness_tables
+    twisted = [twist_to_nonzero_f0(f)[0] for f in invertible_linearized(tower(*key))[:limit]]
+    conj, prod, _frob = _witness_tables(twisted)
+    assert prod.shape == conj[..., 1:].shape and (prod == conj[..., 1:]).all()
+
+
 @pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (2, 2, 2)],
                          ids=["F4", "F8", "F16_F4"])
 def test_bucket_bound_matches_triples(key):
