@@ -270,7 +270,8 @@ def _trace_block(tower, point):
 @pytest.mark.parametrize("key", [(3, 1, 2), (2, 1, 3), (2, 2, 2)])
 def test_desarguesian_block_spans_the_trace_member(key):
     """Every normalised point with k <= 2: the block built from the
-    multiplication matrices spans the member read off traces, and membership gives the point back."""
+    multiplication matrices spans the member read off traces, and
+    membership gives the point back."""
     t = conftest.tower(*key)
     points = [(1,)] + [(1, y) for y in range(t.size)] + [(0, 1)]
     for pt in points:
@@ -302,6 +303,7 @@ def test_project_system_matches_code_shortening(f9):
     for j in (0, 3, 9):
         via_system = project_system(system, j)
         via_code = system_from_code(project(code, {j}))
+        assert via_system.dim == via_code.dim == code.k_fq - f9.h
         assert system_min_distance(via_system) == system_min_distance(via_code)
         assert is_pseudo_arc(via_system) == is_pseudo_arc(via_code)
     with pytest.raises(ValueError):
