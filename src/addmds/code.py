@@ -726,7 +726,7 @@ def _eigenbranches(t: FieldTower, maps):
         # D(S) in the v coordinates: D'[i][l] = S_(i-l)^(q^(-i)) = D(S)[-i][-l]
         d = m.dickson()
         dick = [[d[-i][-l] for l in range(h)] for i in range(h)]
-        roots = _eigenvalues(m)
+        roots = _eigenvalues(t, dick)
         split = []
         for basis, s in branches:
             images = [linalg.mat_vec(t, dick, b) for b in basis]
@@ -743,27 +743,26 @@ def _eigenbranches(t: FieldTower, maps):
     return [basis for basis, _ in branches]
 
 
-def _eigenvalues(m: LinearizedPoly):
-    """Roots in F_{q^h} of m's minimal polynomial over F_q, in log order.
+def _eigenvalues(t: FieldTower, dick):
+    """Roots in F_{q^h} of the minimal polynomial of the invertible h x h
+    matrix ``dick``, in log order.  For ``_eigenbranches``' D(S) these are
+    the roots of S's minimal polynomial over F_q: D(S) is similar over
+    F_{q^h} to S's F_q matrix, and field extension keeps minimal polynomials.
 
-    That polynomial is the lcm of the Krylov relations of 1, omega, omega^2,
-    ... once their Krylov spaces span F_{q^h}, so its roots are the union of
-    theirs.  In F_q coordinates m^i(omega^l) is e_l M^i, M = ``m.matrix()``,
-    one ``mat_vec`` with M's transpose per step.  The first relation
-    sum_i c_i w_i = 0 of w_i = e_l M^i is the first left kernel vector of
-    w_0..w_h, and its roots are the zeros of sum_i c_i x^i over the
-    q^h - 1 nonzero x, one ``power_terms`` row per i summed by
-    ``add_arrays``; 0 is no root, as m is invertible.
+    That polynomial is the lcm of the Krylov relations of e_0, e_1, ...
+    once their Krylov spaces span, so its roots are the union of theirs.
+    The first relation sum_i c_i w_i = 0 of w_i = dick^i e_l, one
+    ``mat_vec`` per step, is the first left kernel vector of w_0..w_h, and
+    its roots are the zeros of sum_i c_i x^i over the q^h - 1 nonzero x,
+    one ``power_terms`` row per i summed by ``add_arrays``.
     """
-    t = m.tower
     h = t.h
-    step = linalg.transpose(m.matrix())
     roots = np.zeros(t._group_order, dtype=bool)
     span = []
     for l in range(h):
         rows = [[int(i == l) for i in range(h)]]
         for _ in range(h):
-            rows.append(linalg.mat_vec(t, step, rows[-1]))
+            rows.append(linalg.mat_vec(t, dick, rows[-1]))
         relation = linalg.left_nullspace(t, rows)[0]
         d = max(i for i, c in enumerate(relation) if c)
         value = reduce(t.add_arrays, [t.power_terms(c, i) for i, c in enumerate(relation) if c])

@@ -45,7 +45,7 @@ class ProjectiveHSystem:
         self._cache = {}
 
     def block_rank(self, j: int) -> int:
-        return linalg.mat_rank(self.tower, [list(u) for u in self.blocks[j]])
+        return len(self.canonical_blocks()[j])
 
     def canonical_blocks(self):
         if "canonical" not in self._cache:

@@ -50,9 +50,7 @@ def left_nullspace(tower, rows):
     if k == 0:
         return []
     # kernel of the transpose: RREF of M^T, free columns index the basis
-    ncols = len(rows[0])
-    mt = [[rows[i][c] for i in range(k)] for c in range(ncols)]
-    red, pivots = mat_rref(tower, mt)
+    red, pivots = mat_rref(tower, transpose(rows))
     basis = []
     pivset = set(pivots)
     for fc in range(k):

@@ -217,8 +217,9 @@ def _exact_matching(triples, limit=None):
     sorted by (b, c).
 
     The triples are grouped by b into levels, then an exact depth-first
-    search with a greedy warm start and a remaining-levels bound runs over
-    them.  It stops as soon as the set reaches min(#levels, #distinct a,
+    search with a remaining-levels bound runs over them, fewest options
+    first; its first descent is the greedy set, so it needs no warm start.
+    It stops as soon as the set reaches min(#levels, #distinct a,
     #distinct c, ``limit``), which no set can exceed: ``limit`` is a proven
     bound from outside, such as the product argument of ``_product_limit``.
     The set only ever grows strictly, so the stop changes nothing returned.
@@ -230,18 +231,7 @@ def _exact_matching(triples, limit=None):
     caps = [len(levels), len({a for a, _b, _c in triples}), len({c for _a, _b, c in triples})]
     limit = min(caps if limit is None else caps + [limit])
     order = sorted(range(len(levels)), key=lambda i: (len(levels[i][1]), levels[i][0]))
-    used_a, used_c = set(), set()
-    greedy = []
-    for i in order:
-        b, opts = levels[i]
-        for a, c in opts:
-            if a not in used_a and c not in used_c:
-                greedy.append((a, b, c))
-                used_a.add(a)
-                used_c.add(c)
-                break
-    best = greedy
-    chosen = []
+    best, chosen = [], []
     used_a, used_c = set(), set()
 
     def dfs(pos):

@@ -260,8 +260,11 @@ def k4_example_search(tower: FieldTower, n: int = 6, budget: int | None = None):
     g(beta y)/g(y), y != 0, lies in L_alpha (the lambdas of alpha).  Each
     (alpha, beta) screens the g space in the lex blocks of one
     ``value_grid`` (``_first_hit``), the ratio test and the log mask of
-    L_alpha shared with ``mds_screen``.  The
-    budget is charged, before any work, the most g the scans can read:
+    L_alpha shared with ``mds_screen``.  Every alpha outside F_q meets the
+    alpha constraints of ``screen_conditions``, so they are not tested:
+    alpha v2 lies outside F_q when v2 != 0, and for v2 = 0 the sum is an
+    entry of a base codeword with 3 zeros, nonzero as the base is MDS.
+    The budget is charged, before any work, the most g the scans can read:
     2 size^(h-1) per (alpha, beta).  None is returned only after the
     whole space is exhausted.
     """
@@ -269,10 +272,8 @@ def k4_example_search(tower: FieldTower, n: int = 6, budget: int | None = None):
     outside = _candidate_alphas(tower)
     space = len(outside) ** 2 * 2 * tower.size ** (tower.h - 1)
     _charge(space, "candidates", budget)
-    lambda_pairs, alpha_constraints = screen_conditions(tower, base)
+    lambda_pairs = screen_conditions(tower, base)[0]
     for alpha in outside:
-        if not _alpha_ok(tower, base, alpha, alpha_constraints):
-            continue
         d_alpha = tower.subfield_degree(alpha)
         in_l = _log_mask(tower, _lambdas(tower, lambda_pairs, alpha))
         for beta in outside:

@@ -472,6 +472,20 @@ def test_hunt_and_verify(capsys, tmp_path, monkeypatch):
     assert parse(out)["verification"]["ok"] is True
 
 
+def test_hunt_exhausted_report(capsys, tmp_path, monkeypatch):
+    # a None from the search is a proof that the space holds no example:
+    # exit 1, a short report, and no found-example file
+    from addmds import search
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(search, "k4_example_search", lambda *args, **kwargs: None)
+    code, out, err = run(capsys, "hunt-k4", "--p", "5", "--h", "2", "--n", "5")
+    assert (code, err) == (1, "")
+    rep = parse(out)
+    del rep["generated_at"]
+    assert rep == {"command": "hunt-k4", "found": False, "exhausted": True, "n": 5}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_hunt_f81_verifies_under_the_default_budgets(capsys, tmp_path):
     # 9^8 codewords exceed the default codeword budget; the rank walk fits it
     code, out, _ = run(capsys, "hunt-k4", "--p", "3", "--e", "2", "--h", "2",
@@ -585,13 +599,21 @@ def test_propm_pair_not_invertible(capsys, tmp_path, pair, key):
     assert f"pair JSON {key} is not an invertible" in err and len(err.splitlines()) == 1
 
 
-def test_missing_file_and_missing_flags(capsys, tmp_path):
+def test_missing_file_and_missing_flags(capsys, tmp_path, f4):
     code, _, err = run(capsys, "check-mds", "--in", str(tmp_path / "none.json"))
     assert code == 2
     code, _, err = run(capsys, "check-mds")
     assert code == 2 and "needs --in" in err
     code, _, err = run(capsys, "rs", "--p", "2", "--e", "1", "--h", "2")
     assert code == 2 and "--k" in err
+    rs_file = tmp_path / "rs.json"
+    rs_file.write_text(json.dumps(code_to_dict(rs_code(f4, 2))))
+    for argv, message in [(("field", "--h", "2"), "this command needs --p and --h"),
+                          (("project", "--in", str(rs_file)), "project needs --n"),
+                          (("verify-example",), "verify-example needs --in")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}"), argv
+        assert len(err.splitlines()) == 1
 
 
 def test_budget_exit(capsys):

@@ -615,6 +615,11 @@ def test_moves_built_by_the_library_have_invertible_maps(f9):
     ident = LinearizedPoly.identity(f9)
     with pytest.raises(NonInvertibleMap):
         EquivalenceMove((0, 1, 2), (ident, LinearizedPoly(f9, (f9.neg(1), 1)), ident))
+    # and the shape checks: one map per coordinate, one coordinate per position
+    with pytest.raises(ValueError, match="^need one map per coordinate$"):
+        EquivalenceMove((0, 1, 2), (ident, ident))
+    with pytest.raises(ValueError, match="^move length does not match the code$"):
+        apply_move(rs_code(f9, 2), EquivalenceMove((0, 1, 2), (ident,) * 3))
 
 
 @pytest.mark.parametrize("key, k", [((3, 1, 2), 3), ((5, 1, 2), 2), ((2, 1, 3), 3),
@@ -637,12 +642,14 @@ def test_standard_form_structure(key, k):
         assert code_mod._standard_form(code) == (form, move)
 
 
-@pytest.mark.parametrize("key", [(3, 1, 2), (2, 1, 3), (3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 3, 2)],
+@pytest.mark.parametrize("key", [(3, 1, 2), (2, 1, 3), (3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 3, 2),
+                                 (2, 1, 4), (3, 1, 4)],
                          ids=lambda k: "F%d_%d_%d" % k)
 def test_eigenvalues_are_the_roots_of_the_dickson_characteristic_polynomial(key):
-    # every a != 0 with det(D(m) - aI) = 0, in log order; the scalar maps cX
-    # with c in F_q have D = cI, so each Krylov space is a line and the
-    # search needs h start vectors
+    # every a != 0 with det(D(m) - aI) = 0, in log order, from the Krylov
+    # relations of D' = D(m) in the v coordinates (``_eigenbranches``); the
+    # scalar maps cX with c in F_q have D = cI, so each Krylov space is a
+    # line and the search needs h start vectors
     t = conftest.tower(*key)
     rng = random.Random(str(key))
     maps = [random_invertible(t, rng) for _ in range(20)]
@@ -652,7 +659,37 @@ def test_eigenvalues_are_the_roots_of_the_dickson_characteristic_polynomial(key)
         want = [a for a in sorted(t.nonzero(), key=t._log.__getitem__) if not linalg.mat_det(
             t, [[t.sub(x, a) if i == j else x for j, x in enumerate(row)]
                 for i, row in enumerate(d)])]
-        assert code_mod._eigenvalues(m) == want, m
+        dick = [[d[-i][-l] for l in range(t.h)] for i in range(t.h)]
+        assert code_mod._eigenvalues(t, dick) == want, m
+
+
+@pytest.mark.parametrize("key", [(3, 1, 2), (3, 1, 3), (2, 2, 3), (5, 1, 4)],
+                         ids=["F9", "F27", "F64_F4", "F625_F5"])
+def test_witness_decisions_build_no_fq_matrix(key, monkeypatch):
+    # the eigenvalues come from the Dickson matrix that the branches split
+    # by, so no map's F_q matrix is built
+    t = conftest.tower(*key)
+    rng = random.Random(sum(key))
+    codes = [(_conj_positive(t, rng), True), (_negative(t, rng), False)]
+    codes = [(apply_move(c, random_move(t, c.n, rng)), linearizable) for c, linearizable in codes]
+    calls = []
+    eigenvalues = code_mod._eigenvalues
+
+    def counted(*args):
+        calls.append(args)
+        return eigenvalues(*args)
+
+    def forbidden(self):
+        raise AssertionError("LinearizedPoly.matrix called")
+
+    monkeypatch.setattr(LinearizedPoly, "matrix", forbidden)
+    monkeypatch.setattr(code_mod, "_eigenvalues", counted)
+    for code, linearizable in codes:
+        wit = linear_equivalence_witness(code)
+        assert (wit is not None) == linearizable
+        if wit is not None:
+            assert apply_move(code, wit.linearizing_move()).is_field_linear()
+    assert calls
 
 
 def test_witness_on_linear_code_is_identity_map(f4):

@@ -243,9 +243,15 @@ def test_membership_depends_on_generator_basis(f4):
 
 def test_membership_rejections(f9):
     assert desarguesian_membership(f9, [(1, 0, 0, 0)]) is None  # rank 1 < h
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a multiple of h"):
         desarguesian_membership(f9, [(1, 0, 0), (0, 1, 0)])  # length not h*k
+    with pytest.raises(ValueError, match="^ragged generator list$"):
+        desarguesian_membership(f9, [(1, 0, 0, 0), (0, 1, 0)])
     assert desarguesian_membership(f9, []) is None
+    # a zero generator reads as no point and leaves the member's point alone
+    blk = desarguesian_block(f9, (1, 7))
+    assert desarguesian_membership(f9, blk + ((0,) * 4,)) == desarguesian_membership(f9, blk)
+    assert desarguesian_membership(f9, ((0,) * 4,) + blk) == (1, 7)
 
 
 def test_desarguesian_block_inverts_membership(f9):

@@ -435,6 +435,10 @@ def test_pow_int_handles_negative(f9):
     for x in f9.nonzero():
         assert f9.pow_int(x, -1) == f9.inv(x)
         assert f9.pow_int(x, 0) == 1
+    assert (f9.pow_int(0, 0), f9.pow_int(0, 3)) == (1, 0)
+    for zero_inverse in (lambda: f9.inv(0), lambda: f9.pow_int(0, -1)):
+        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+            zero_inverse()
 
 
 @pytest.mark.parametrize("key", [(2, 1, 1), (5, 1, 1), (2, 2, 2), (3, 1, 3), (2, 3, 2)])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from addmds import linalg, linpoly
-from addmds.errors import InvalidSubfield, NotInvertible
+from addmds.errors import InvalidSubfield, NotInvertible, TowerMismatch
 from addmds.gf import field_create
 from addmds.linpoly import (
     LinearizedPoly,
@@ -21,19 +21,29 @@ from addmds.linpoly import (
     value_grid,
 )
 
+import conftest
 import oracles
 
 # |GL_h(F_q)| counts, frozen
 INVERTIBLE_COUNTS = {(2, 1, 2): 6, (2, 1, 3): 168, (3, 1, 2): 48}
 
 
-def test_evaluation_matches_naive_powering(f9):
+@pytest.mark.parametrize("key", [(3, 1, 2), (2, 1, 3), (2, 2, 2), (5, 1, 2), (3, 1, 3), (5, 1, 3)],
+                         ids=["F9", "F8", "F16_F4", "F25", "F27", "F125"])
+def test_evaluation_matches_naive_powering(key):
+    # random coefficients, each zero with probability 1/3, the zero
+    # polynomial and every monomial, at every x including 0
+    t = conftest.tower(*key)
     rng = random.Random(0)
-    for _ in range(40):
-        coeffs = tuple(rng.randrange(9) for _ in range(2))
-        f = LinearizedPoly(f9, coeffs)
-        for x in f9.elements():
-            assert f(x) == oracles.lin_eval(f9, coeffs, x)
+    polys = [tuple(0 if rng.randrange(3) == 0 else rng.randrange(t.size) for _ in range(t.h))
+             for _ in range(40)]
+    polys += [(0,) * t.h] + [LinearizedPoly.monomial(t, rng.randrange(1, t.size), i).coeffs
+                             for i in range(t.h)]
+    assert any(0 in coeffs for coeffs in polys[:40])
+    for coeffs in polys:
+        f = LinearizedPoly(t, coeffs)
+        for x in t.elements():
+            assert f(x) == oracles.lin_eval(t, coeffs, x)
 
 
 def test_evaluation_is_fq_linear(f9):
@@ -55,6 +65,11 @@ def test_compose_matches_pointwise(f8, f9, f25, f27, f16_over_f4):
             comp = f.compose(g)
             for x in t.elements():
                 assert comp(x) == oracles.lin_eval(t, f.coeffs, oracles.lin_eval(t, g.coeffs, x))
+    # F_8 and F_27 share h = 3, so only the tower check tells them apart
+    f, g = LinearizedPoly.identity(f8), LinearizedPoly.identity(f27)
+    for op in (f.compose, f.__add__, f.__sub__):
+        with pytest.raises(TowerMismatch, match="towers differ"):
+            op(g)
 
 
 def _assert_table_rows(table, polys):

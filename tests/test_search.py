@@ -116,6 +116,26 @@ def test_mds_screen_matches_dickson_screen(p):
         mds_screen(t, base, alpha, outside[0], LinearizedPoly(t, (t.neg(1), 1)))  # X^q - X
 
 
+@pytest.mark.parametrize("key", [(5, 1, 2), (7, 1, 2), (3, 2, 2), (5, 1, 3)],
+                         ids=["F25", "F49", "F81", "F125"])
+def test_every_outside_alpha_passes_its_constraints(key):
+    """Why ``k4_example_search`` does not test ``_alpha_ok``: a constraint
+    (v0, v1, v2) comes from a 3-subset whose kernel vector v has v3 = 0.
+    If v2 != 0, alpha v2 lies outside F_q and c0 v0 + c1 v1 inside it, so
+    the sum is nonzero.  If v2 = 0, the sum c0 v0 + c1 v1 is the last entry
+    of the base codeword v * base, which is zero on the 3 subset columns
+    and so nonzero there, as the base is MDS.  Checked for every n."""
+    t = conftest.tower(*key)
+    outside = [x for x in t.elements() if not t.in_fq(x)]
+    constrained = 0
+    for n in range(5, t.q + 2):
+        base = base_mds_matrix(t, 4, n)
+        alpha_constraints = screen_conditions(t, base)[1]
+        constrained += bool(alpha_constraints)
+        assert all(_alpha_ok(t, base, alpha, alpha_constraints) for alpha in outside), n
+    assert constrained
+
+
 def test_search_first_hit_frozen(f25):
     ex = k4_example_search(f25)
     # 5 is the first element outside F_5 in int order (the adjoined root)
