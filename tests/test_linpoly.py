@@ -28,22 +28,20 @@ import oracles
 INVERTIBLE_COUNTS = {(2, 1, 2): 6, (2, 1, 3): 168, (3, 1, 2): 48}
 
 
-@pytest.mark.parametrize("key", [(3, 1, 2), (2, 1, 3), (2, 2, 2), (5, 1, 2), (3, 1, 3), (5, 1, 3)],
-                         ids=["F9", "F8", "F16_F4", "F25", "F27", "F125"])
-def test_evaluation_matches_naive_powering(key):
+def test_evaluation_matches_naive_powering(f8, f9, f25, f27, f16_over_f4):
     # random coefficients, each zero with probability 1/3, the zero
     # polynomial and every monomial, at every x including 0
-    t = conftest.tower(*key)
     rng = random.Random(0)
-    polys = [tuple(0 if rng.randrange(3) == 0 else rng.randrange(t.size) for _ in range(t.h))
-             for _ in range(40)]
-    polys += [(0,) * t.h] + [LinearizedPoly.monomial(t, rng.randrange(1, t.size), i).coeffs
-                             for i in range(t.h)]
-    assert any(0 in coeffs for coeffs in polys[:40])
-    for coeffs in polys:
-        f = LinearizedPoly(t, coeffs)
-        for x in t.elements():
-            assert f(x) == oracles.lin_eval(t, coeffs, x)
+    for t in (f9, f8, f16_over_f4, f25, f27, conftest.tower(5, 1, 3)):
+        polys = [tuple(0 if rng.randrange(3) == 0 else rng.randrange(t.size) for _ in range(t.h))
+                 for _ in range(40)]
+        polys += [(0,) * t.h] + [LinearizedPoly.monomial(t, rng.randrange(1, t.size), i).coeffs
+                                 for i in range(t.h)]
+        assert any(0 in coeffs for coeffs in polys[:40])
+        for coeffs in polys:
+            f = LinearizedPoly(t, coeffs)
+            for x in t.elements():
+                assert f(x) == oracles.lin_eval(t, coeffs, x), (t, coeffs, x)
 
 
 def test_evaluation_is_fq_linear(f9):
