@@ -2,9 +2,8 @@
 
 A polynomial f(X) = sum_{i<h} f_i X^(q^i) is stored as its coefficient
 tuple (f_0, ..., f_{h-1}).  Evaluation is F_q-linear.  Composition reduces
-exponent indices mod h, matching the quotient by X^(q^h) - X.  Both work in
-the log domain: each term f_i * x^(q^i) of f(x) is omega^(log f_i + q^i log
-x), each term f_i * g_j^(q^i) of f(g(X)) is omega^(log f_i + q^i log g_j),
+exponent indices mod h, matching the quotient by X^(q^h) - X, and works in
+the log domain: each term f_i * g_j^(q^i) is omega^(log f_i + q^i log g_j),
 and one call of the tower's ``accumulate`` kernel sums them all.
 
 The Dickson matrix D(f)[i][j] = f_{(j-i) mod h}^(q^i) turns composition
@@ -111,12 +110,8 @@ class LinearizedPoly:
     # -- algebra --------------------------------------------------------------
 
     def __call__(self, x: int) -> int:
-        if not x:
-            return 0
         t = self.tower
-        log, lx, n = t._log, t._log[x], t._group_order
-        terms = [(0, log[c] + lx * qi % n) for c, qi in zip(self.coeffs, t._qpow) if c]
-        return t.accumulate([0], terms)[0]
+        return t.dot(self.coeffs, [t.frob(x, i) for i in range(t.h)])
 
     def __add__(self, other):
         t = self.tower
