@@ -312,11 +312,10 @@ class FieldTower:
         self._qpow = tuple(self.q**i % n for i in range(self.h))
         self._zech = zech = None  # p = 2 adds by XOR
         if p > 2:
-            # 1 + x only changes the constant (lowest) digit of x
-            low = exp % p
-            one_plus = exp - low + (low + 1) % p
-            zech = log[one_plus]
-            zech[one_plus == 0] = -1
+            # 1 + x only changes the constant (lowest) digit of x, which
+            # wraps from p - 1 to 0; 1 + omega^(n/2) = 1 - 1 = 0
+            zech = log[exp + np.where(exp % p == p - 1, 1 - p, 1)]
+            zech[self._half] = -1
             self._zech = zech.tolist()
         exp_np = np.zeros(3 * n, dtype=np.int64)  # exp doubled, then n zeros
         exp_np[:n] = exp_np[n:2 * n] = exp
@@ -338,7 +337,13 @@ class FieldTower:
         Two array kernels do the same on int arrays of field elements:
         ``add_arrays(a, b)`` is elementwise a + b, zeros allowed, broadcast
         like numpy; ``power_terms(c, power)`` is c * (omega^r)^power for
-        r < n on a new last axis, 0 where c = 0.
+        r < n on a new last axis, 0 where c = 0.  Both read logs from one
+        int32 table with log 0 = 2n, where exp's zero tail starts, so a
+        zero needs no mask.  For odd p, ``add_arrays`` is one gather,
+        exp[la + jump[lb - la]], through an int32 table ``jump`` of 4n + 1
+        entries that folds the Zech log, cancellation and both zero cases
+        into the index; it is built from slices of the Zech table, with no
+        int64 array of its length.
         """
         exp, log, zech, n = self._exp, self._log, self._zech, self._group_order
         exp_np, log_np = self._np_tables
@@ -375,14 +380,20 @@ class FieldTower:
                 return out
         else:
             half = self._half
+            # jump[d] for d = log b - log a in [-2n, 2n], read with negative
+            # indices: exp[log a + jump[d]] is a + b.  On (-n, n) it is the
+            # Zech log of d mod n, 2n where the summands cancel; on [-2n, -n)
+            # (a = 0) it is d, so the index is log b; on (n, 2n] (b = 0) it
+            # is 0.  a = b = 0 gives 2n + jump[0], in exp's zero tail.
+            jump = np.zeros(4 * n + 1, dtype=np.int32)
+            jump[:n] = zech_np
+            jump[-n + 1:] = zech_np[1:]
+            jump[[half, -half]] = 2 * n
+            jump[2 * n + 1:3 * n + 1] = np.arange(-2 * n, -n, dtype=np.int32)
 
             def add_arrays(a, b):
-                a, b = np.asarray(a), np.asarray(b)
-                la = log_np[a]
-                # a + b = a * (1 + b/a), log(b/a) = log b + log(1/a) mod n
-                z = zech_np[(log_np[b] + (n - la)) % n]
-                total = np.where(z >= 0, exp_np[la + z], 0)
-                return np.where(a == 0, b, np.where(b == 0, a, total))
+                la = log_z[a]
+                return exp_np[la + jump[log_z[b] - la]]
 
             def axpy(a, g, b):
                 lg = (log[g] + half) % n  # log of -g

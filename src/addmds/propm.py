@@ -49,17 +49,19 @@ pairs and both batteries read it.  It stops early only at a size no set
 can beat: min(#a, #b, #c), or q^h - 2 when ``_product_limit`` proves it
 by the product argument (the full Cayley-type tables of monomial pairs
 over odd q, whose optimum the search alone cannot prove).  The
-batteries never key pairs one at a time: ``_orbit_classes`` gives the
-whole N x N array of class ids of a polynomial list from one ranking of
-all normal forms, and each battery scores a class once, on its first
+batteries never key pairs one at a time: ``_normal_form_table`` makes
+every normal form of a polynomial list in one log-domain pass,
+``_orbit_classes`` gives the whole N x N array of class ids from one
+ranking of them, and each battery scores a class once, on its first
 member; ``verify_lm_prop_implication`` first bounds the class
 (``_triple_bound``) and scores only the classes the bound leaves.  Every
 pair is still checked.
 ``verify_zero_coeff_lemma`` tests each class's witness, and each pair's
-certificate identity, against all pairs of the class in numpy passes over
-per-polynomial tables (``_witness_tables``, ``_class_checks``): the same
-checks as ``PropWitness`` and ``ZeroCoeffCertificate``, which stay the
-per-pair route for single pairs and for the tests' oracle.  Budgets are
+certificate identity, against all pairs of the class by packed rows of
+per-polynomial tables (``_witness_tables``, ``_class_checks``): one
+gather per side and pair for each triple.  These are the checks of
+``PropWitness`` and ``ZeroCoeffCertificate``, which stay the per-pair
+route for single pairs and for the tests' oracle.  Budgets are
 charged once, before any search: a battery its |GL_h(F_q)|^2 pairs
 (``check_pair_budget``), a single-pair entry (``max_prop_m``) the pair's
 triples; the scorer ``_orbit_score`` charges nothing.
@@ -70,14 +72,17 @@ tower (``FieldTower.memo``), so a battery pays it once:
 - Dickson inverses (``inverses``, in ``linpoly``) and conj buckets
   (``conj_buckets``);
 - each polynomial's normal forms lam*f(mu X), first nonzero coefficient
-  scaled to 1, one per lam (``orbit_normal_forms``);
+  scaled to 1, one per lam (``orbit_normal_forms``), filled for a whole
+  list by the pass of ``_normal_form_table``;
 - conj(f, b) for every b != 0, f's ``_conjugate_table`` rows
   (``conjugates``, keyed by f.coeffs), which ``_triple_holds`` reads;
 - each normalized polynomial's certificate minor and diagonal
-  (``zero_coeff_parts``), and the shift matrix L (``zero_coeff_shift``).
+  (``zero_coeff_parts``) for the per-pair certificates, and the shift
+  matrix L (``zero_coeff_shift``).
 
-Certificate products are not memoised: ``_witness_tables`` forms
-Mhat_f*D_f once per polynomial and multiplies it by every B(b), and
+Certificate products are not memoised: ``_witness_tables`` computes
+Mhat_f*D_f*B(b) for every f and b in one log-domain product, from the
+Dickson minors of the inverses and the B(b), never from conj, and
 ``ZeroCoeffCertificate.validate`` computes from its own fields.
 """
 
@@ -85,6 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -284,23 +290,45 @@ def _best_witness(tower, triples):
 # ---------------------------------------------------------------------------
 # orbit classes of pairs under (f, g) -> (lam*f(mu X), lam*g(nu X))
 
-def _normal_forms(f: LinearizedPoly):
-    """(forms, least): forms[k] is lam*f(mu X) for the k-th nonzero lam, with
-    mu making its first nonzero coefficient 1; least lists the k where the
-    lex-least form occurs.  Memoised on the tower per polynomial."""
-    t = f.tower
+def _normal_form_table(polys):
+    """(forms, least) of nonzero polynomials: forms[i, k] is lam*f_i(mu X)
+    for the k-th nonzero lam in element order, with mu making its first
+    nonzero coefficient 1, and least[i] lists the k where the lex-least form
+    of f_i occurs.  The memo entries of ``_normal_forms`` are filled from it.
 
-    def build():
-        i0 = f.support()[0]
-        forms = []
-        for lam in t.nonzero():
-            # mu^(q^i0) = (lam*f_i0)^{-1}, so coefficient i0 of lam*f(mu X) is 1
-            mu = t.frob(t.inv(t.mul(lam, f.coeffs[i0])), t.h - i0)
-            forms.append(tuple(t.mul(lam, t.mul(c, t.frob(mu, j)))
-                               for j, c in enumerate(f.coeffs)))
-        least = min(forms)
-        return tuple(forms), tuple(k for k, form in enumerate(forms) if form == least)
-    return _memoised(t, "orbit_normal_forms", f.coeffs, build)
+    All forms come from one log-domain array.  With i0 the first nonzero
+    index of f, mu^(q^i0) = (lam*f_i0)^(-1), so log mu = -(log lam +
+    log f_i0) q^(h - i0) mod n, and coefficient j has log lam + log f_j +
+    q^j log mu.  The lex-least forms are kept one coefficient at a time.
+    """
+    t = polys[0].tower
+    n, h = t._group_order, t.h
+    exp, log = t.np_tables()
+    coeffs = np.array([f.coeffs for f in polys], dtype=np.int64)
+    i0 = (coeffs != 0).argmax(axis=1)
+    lf, lam, qpow = log[coeffs], log[1:], np.array(t._qpow, dtype=np.int64)
+    lmu = -(lam + lf[np.arange(len(polys)), i0][:, None]) % n * qpow[(h - i0) % h][:, None] % n
+    logs = (lam[:, None] + lf[:, None, :] + lmu[:, :, None] * qpow) % n
+    forms = np.where(coeffs[:, None, :] != 0, exp[logs], 0)
+    is_least = np.ones(forms.shape[:2], dtype=bool)
+    for j in range(h):
+        column = np.where(is_least, forms[:, :, j], t.size)
+        is_least &= column == column.min(axis=1, keepdims=True)
+    least = [tuple(np.flatnonzero(row).tolist()) for row in is_least]
+    memo = t.memo("orbit_normal_forms")
+    missing = [i for i, f in enumerate(polys) if f.coeffs not in memo]
+    for i, rows in zip(missing, forms[missing].tolist()):
+        memo[polys[i].coeffs] = tuple(map(tuple, rows)), least[i]
+    return forms, least
+
+
+def _normal_forms(f: LinearizedPoly):
+    """(forms, least) of ``_normal_form_table`` for one polynomial, forms as
+    tuples; memoised on the tower per polynomial."""
+    memo = f.tower.memo("orbit_normal_forms")
+    if f.coeffs not in memo:
+        _normal_form_table([f])
+    return memo[f.coeffs]
 
 
 def _orbit_key(f: LinearizedPoly, g: LinearizedPoly):
@@ -317,24 +345,24 @@ def _orbit_classes(polys):
     exactly when ``_orbit_key`` is equal on (polys[i], polys[j]) and
     (polys[k], polys[l]).
 
-    Every normal form of every polynomial is ranked once in lex order, R[i, k]
-    being the rank of the k-th form of polys[i] among all of them.  The key's
-    two parts then become rank(least form of f_i) = R[i, least_i[0]] and
-    min over k in least_i of R[j, k], and the id packs them into one int.
+    Every normal form of every polynomial (``_normal_form_table``) is ranked
+    once in lex order, R[i, k] being the rank of the k-th form of polys[i]
+    among all of them.  The key's two parts then become rank(least form of
+    f_i) = R[i, least_i[0]] and min over k in least_i of R[j, k], and the
+    id packs them into one int.
     """
     t = polys[0].tower
-    normal = [_normal_forms(f) for f in polys]
+    forms, least = _normal_form_table(polys)
     place = t.size ** np.arange(t.h - 1, -1, -1, dtype=np.int64)
-    packed = np.array([forms for forms, _least in normal], dtype=np.int64) @ place
-    distinct, rank = np.unique(packed, return_inverse=True)
-    rank = rank.reshape(packed.shape)
+    distinct, rank = np.unique(forms @ place, return_inverse=True)
+    rank = rank.reshape(forms.shape[:2])
     by_least = {}
-    for i, (_forms, least) in enumerate(normal):
-        by_least.setdefault(least, []).append(i)
+    for i, ks in enumerate(least):
+        by_least.setdefault(ks, []).append(i)
     ids = np.empty((len(polys), len(polys)), dtype=np.int64)
-    for least, rows in by_least.items():
-        ids[rows] = (rank[rows, least[0]][:, None] * len(distinct)
-                     + rank[:, least].min(axis=1)[None, :])
+    for ks, rows in by_least.items():
+        ids[rows] = (rank[rows, ks[0]][:, None] * len(distinct)
+                     + rank[:, ks].min(axis=1)[None, :])
     return ids
 
 
@@ -556,45 +584,80 @@ def _witness_tables(polys):
     column b - 1 for each element b != 0:
 
     - conj[i, b - 1] = conj(f_i, b) (``_conjugate_table``);
-    - prod[i, b - 1] = Mhat_f D_f B(b) of f = f_i, from one product per
-      polynomial: the B(b) as rows times (Mhat_f D_f)^T.  It equals
-      conj[i, b - 1, 1:]: with g = f^(-1), (f o g)_k = 0 for k >= 1, so
-      conj's coefficient k is sum_(l>=1) f_l g_(k-l)^(q^l) (b^(q^l) - b);
-      the pure-Python products stay as the certificate's own route;
+    - prod[i, b - 1] = Mhat_f D_f B(b) of f = f_i, for every f and b in one
+      log-domain product summed over its h - 1 terms by ``add_arrays``.
+      Entry (k, l) of Mhat_f D_f is g_(k-l)^(q^(l+1)) f_(l+1), g = f^(-1):
+      the Dickson matrix of g, transposed, without its top row and first
+      column, times diag(f_1..f_(h-1)).  It equals conj[i, b - 1, 1:]: since
+      (f o g)_k = 0 for k >= 1, conj's coefficient k is sum_(l>=1) f_l
+      g_(k-l)^(q^l) (b^(q^l) - b); the products stay the certificate's own
+      route, from the minors and the B(b), and never read conj;
     - frob[b - 1]: B(b)'s entrywise q-th power equals L * B(b).
     """
     t = polys[0].tower
+    h, n = t.h, t._group_order
+    exp, log = t.np_tables()
     diffs = [_diff_vector(t, b) for b in t.nonzero()]
-    prod = np.array([linalg.mat_mul(t, diffs, linalg.transpose(
-        linalg.mat_mul(t, *_minor_and_diagonal(f)))) for f in polys], dtype=np.int64)
+    d = np.array(diffs, dtype=np.int64)
+    f = np.array([p.coeffs for p in polys], dtype=np.int64)[:, None, 1:]
+    g = np.array([p.inverse().coeffs for p in polys], dtype=np.int64)
+    g = g[:, (np.arange(h - 1)[:, None] - np.arange(h - 1)) % h]  # g[i, k, l] = g_(k-l)
+    # logs of the factors, 2n for a zero one: a product's log is then >= 2n
+    # exactly when a factor is 0, and exp is 0 from 2n on
+    qpow = np.array(t._qpow[1:], dtype=np.int64)
+    log_m = np.where((g != 0) & (f != 0), (log[g] * qpow + log[f]) % n, 2 * n)
+    log_d = np.where(d != 0, log[d], 2 * n)
+    terms = exp[np.minimum(log_m[:, None] + log_d[:, None, :], 2 * n)]  # [i, b - 1, k, l]
+    # summed over l; for h = 1 there is no coefficient above 0
+    prod = (reduce(t.add_arrays, np.moveaxis(terms, -1, 0)) if h > 1
+            else np.zeros(terms.shape[:-1], dtype=np.int64))
     lmat = _shift_matrix(t)
     frob = np.array([[t.frob(x) for x in d] == linalg.mat_vec(t, lmat, d) for d in diffs])
     return _conjugate_table(polys), prod, frob
 
 
-def _class_checks(tower, triples, rows, cols, tables):
-    """(holds, cert) for one class's witness ``triples`` against all of the
-    class's pairs (f_I, f_J), I in ``rows`` and J in ``cols``, read from
-    ``_witness_tables``: holds[idx] says a*conj(f_I, b) = conj(f_J, c) on
-    every pair, cert[k] says pair k's certificate holds, a*Mhat_I D_I B(b) =
-    Mhat_J D_J C(c) and B(b)^q = L*B(b) for every triple.  Products by a are
-    log-domain lookups.  Triples with a zero entry are skipped:
-    ``_check_witness`` rejects them before it asks ``holds``."""
+def _class_checks(tower, tables):
+    """The check of one class's witness against all of the class's pairs,
+    from ``_witness_tables``: check(triples, rows, cols) is (holds, cert)
+    for the pairs (f_I, f_J), I in ``rows`` and J in ``cols``.  holds[idx]
+    says a*conj(f_I, b) = conj(f_J, c) on every pair, cert[k] says pair
+    k's certificate holds, a*Mhat_I D_I B(b) = Mhat_J D_J C(c) and B(b)^q =
+    L*B(b) for every triple.  Triples with a zero entry are skipped:
+    ``_check_witness`` rejects them before it asks ``holds``.
+
+    Each coefficient row of a table is packed into one int in base
+    ``tower.size``, so two rows are equal iff their ints are.  The tables'
+    own rows are packed once.  Per triple, column b - 1 of every
+    polynomial is scaled by a, one gather through logs that read 2n at 0
+    (exp is 0 from 2n on), and packed; each side then takes one gather
+    per pair.  The ints stay below size^h < 2^63: for h <= 3 because size
+    <= 2^20, and for h >= 4 because size^h >= 2^63 would make |GL_h(F_q)|
+    >= size^h prod_(i>=1) (1 - 2^-i) > 2^61, more polynomials than a
+    battery can list.  ``_orbit_classes`` packs its forms the same way.
+    """
     exp, log = tower.np_tables()
+    n = tower._group_order
+
+    def packer(table):
+        """(the table's rows packed, scaled): scaled(b, la) is column b - 1
+        of every polynomial times omega^la, packed."""
+        place = tower.size ** np.arange(table.shape[-1], dtype=np.int64)
+        logs = np.where(table != 0, log[table], 2 * n)
+        return table @ place, lambda b, la: exp[logs[:, b - 1] + la] @ place
+
     conj, prod, frob = tables
+    conj_rows, conj_scaled = packer(conj)
+    prod_rows, prod_scaled = packer(prod)
 
-    def scaled_equal(table, a, b, c):
-        """Per pair: a*table[I, b - 1] == table[J, c - 1]."""
-        lhs = table[rows, b - 1]
-        lhs = np.where(lhs != 0, exp[log[lhs] + tower._log[a]], 0)
-        return (lhs == table[cols, c - 1]).all(axis=1)
-
-    holds, cert = {}, np.ones(len(rows), dtype=bool)
-    for idx, (a, b, c) in enumerate(triples):
-        if a and b and c:
-            holds[idx] = bool(scaled_equal(conj, a, b, c).all())
-            cert &= scaled_equal(prod, a, b, c) & frob[b - 1]
-    return holds, cert
+    def check(triples, rows, cols):
+        holds, cert = {}, np.ones(len(rows), dtype=bool)
+        for idx, (a, b, c) in enumerate(triples):
+            if a and b and c:
+                la = tower._log[a]
+                holds[idx] = bool((conj_scaled(b, la)[rows] == conj_rows[cols, c - 1]).all())
+                cert &= (prod_scaled(b, la)[rows] == prod_rows[cols, c - 1]) & frob[b - 1]
+        return holds, cert
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -656,13 +719,13 @@ def verify_zero_coeff_lemma(tower, budget: int | None = None) -> dict:
     npoly = len(inv_polys)
     bound = zero_coeff_bound(tower)
     twisted = [twist_to_nonzero_f0(f)[0] for f in inv_polys]
-    tables = _witness_tables(twisted)
+    check = _class_checks(tower, _witness_tables(twisted))
     scores = np.empty((npoly, npoly), dtype=np.int64)
     cert_ok = np.empty((npoly, npoly), dtype=bool)
     for members in _class_members(_orbit_classes(twisted)):
         i, j = divmod(int(members[0]), npoly)
         m, picked = _orbit_score(twisted[i], twisted[j])
-        holds, cert = _class_checks(tower, picked, *np.divmod(members, npoly), tables)
+        holds, cert = check(picked, *np.divmod(members, npoly))
         _check_witness(picked, holds.__getitem__)
         scores.flat[members] = m
         cert_ok.flat[members] = cert

@@ -12,8 +12,9 @@ call per level for weight distributions, g^(-1) o M o g for
 linear-equivalence witnesses (per candidate, or after a batched
 ``compose_table`` screen), plain subset enumeration for matchings, a
 per-pair search with no memo for pair scores, every (lam, mu, nu) scaling
-for pair orbit keys, a per-pair witness and certificate for the
-zero-coefficient lemma, Dickson determinants per
+for pair orbit keys, one loop over lam for normal forms, per-pair scalar
+comparisons for a class's witness checks, a per-pair witness and
+certificate for the zero-coefficient lemma, Dickson determinants per
 candidate for the k = 4 hunt, lex rows from integer digits for value
 grids, one (rows, n, h) gather for collapse tables, and a scalar RREF for
 the basis of a field-linear code.  Slow on purpose; tests only feed it
@@ -700,6 +701,40 @@ def brute_orbit_key(f, g):
                       for j, c in enumerate(poly.coeffs)) for mu in nonzero]
 
     return min(min(product(forms(f, lam), forms(g, lam))) for lam in nonzero)
+
+
+def scalar_normal_forms(f):
+    """(forms, least) of ``propm._normal_forms`` by one loop over lam:
+    forms[k] is lam*f(mu X) for the k-th nonzero lam, mu = (lam*f_i0)^(-1)
+    raised to q^(h - i0) so that coefficient i0 is 1, each coefficient by
+    scalar products; least lists the k where the lex-least form occurs."""
+    t = f.tower
+    i0 = f.support()[0]
+    forms = []
+    for lam in t.nonzero():
+        mu = t.frob(t.inv(t.mul(lam, f.coeffs[i0])), t.h - i0)
+        forms.append(tuple(t.mul(lam, t.mul(c, t.frob(mu, j))) for j, c in enumerate(f.coeffs)))
+    least = min(forms)
+    return tuple(forms), tuple(k for k, form in enumerate(forms) if form == least)
+
+
+def scalar_class_checks(tower, tables, triples, rows, cols):
+    """(holds, cert) of ``propm._class_checks`` pair by pair and coefficient
+    by coefficient: a*table[I][b - 1] == table[J][c - 1] by scalar products
+    on the conj table (holds, over all pairs) and on the prod table with
+    frob[b - 1] (cert, per pair), for the triples with nonzero entries."""
+    conj, prod, frob = (table.tolist() for table in tables)
+
+    def scaled_equal(table, triple, i, j):
+        a, b, c = triple
+        return [tower.mul(a, x) for x in table[i][b - 1]] == table[j][c - 1]
+
+    nonzero = [(idx, tr) for idx, tr in enumerate(triples) if all(tr)]
+    pairs = list(zip(rows, cols))
+    holds = {idx: all(scaled_equal(conj, tr, i, j) for i, j in pairs) for idx, tr in nonzero}
+    cert = [all(scaled_equal(prod, tr, i, j) and frob[tr[1] - 1] for _idx, tr in nonzero)
+            for i, j in pairs]
+    return holds, cert
 
 
 def pairwise_zero_coeff_lemma(tower):

@@ -213,6 +213,32 @@ def test_array_kernels_match_scalar_ops(key):
     assert t.power_terms(0, 2).tolist() == [0] * n
 
 
+ODD_TOWERS = [(3, 1, 1), (3, 1, 2), (5, 1, 2), (3, 1, 3), (7, 1, 2), (3, 1, 4), (11, 1, 2),
+               (3, 3, 2)]
+
+
+@pytest.mark.parametrize("key", ODD_TOWERS, ids=lambda k: "F%d_%d_%d" % k)
+def test_add_arrays_matches_scalar_add_on_every_pair(key):
+    # the whole size x size table reads every region of the odd-p jump
+    # table: a = 0, b = 0, both, cancelling pairs, and logs apart by less
+    # than n either way
+    t = conftest.tower(*key)
+    x = np.arange(t.size)
+    got = t.add_arrays(x[:, None], x)
+    assert got.shape == (t.size, t.size) and got.dtype == np.int64
+    assert got.tolist() == [[t.add(a, b) for b in range(t.size)] for a in range(t.size)]
+    place = t.p ** np.arange(t.degree)
+    digits = x[:, None] // place % t.p
+    assert (got == (digits[:, None] + digits) % t.p @ place).all()  # digitwise, no logs
+    # a broadcast of int32 blocks, zeros included
+    a = ((np.arange(6, dtype=np.int32) * 5 + 1) % t.size).reshape(2, 1, 3)
+    b = (np.arange(12, dtype=np.int32) * 7 % t.size).reshape(4, 3)
+    got = t.add_arrays(a, b)
+    assert got.shape == (2, 4, 3) and got.dtype == np.int64
+    assert got.tolist() == [[[t.add(u, v) for u, v in zip(ar, br)] for br in b.tolist()]
+                            for ar in a[:, 0].tolist()]
+
+
 @pytest.mark.parametrize("key", KERNEL_TOWERS, ids=lambda k: "F%d_%d_%d" % k)
 def test_elimination_and_compose_match_scalar_oracles(key):
     t = conftest.tower(*key)

@@ -757,18 +757,104 @@ def test_orbit_classes_catch_a_key_without_lambda_on_g(key, monkeypatch):
     t = field_create(*key)
     polys = invertible_linearized(t)
     keys = [[propm_mod._orbit_key(f, g) for g in polys] for f in polys]
-    real = propm_mod._normal_forms
+    real = propm_mod._normal_form_table
 
-    def every_lam_after_least(f):
-        forms, least = real(f)
-        return forms, least + tuple(k for k in range(len(forms)) if k not in least)
+    def every_lam_after_least(polys):
+        forms, least = real(polys)
+        return forms, [ks + tuple(k for k in range(forms.shape[1]) if k not in ks)
+                       for ks in least]
 
-    monkeypatch.setattr(propm_mod, "_normal_forms", every_lam_after_least)
+    monkeypatch.setattr(propm_mod, "_normal_form_table", every_lam_after_least)
     assert not _same_partition(propm_mod._orbit_classes(polys), keys)
 
 
-@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)],
-                         ids=["F4", "F8", "F9", "F16_F4"])
+@pytest.mark.parametrize("key, count", [
+    ((2, 1, 2), None), ((5, 1, 1), None), ((7, 1, 1), None), ((2, 1, 3), None),
+    ((3, 1, 2), None), ((2, 2, 2), None), ((5, 1, 2), 60), ((3, 1, 3), 60), ((7, 1, 2), 40),
+    ((2, 1, 4), 40)], ids=["F4", "F5", "F7", "F8", "F9", "F16_F4", "F25", "F27", "F49", "F16"])
+def test_normal_form_table_matches_the_scalar_loop(key, count):
+    # the invertible polynomials (all, or a sample) and their twists, on a
+    # fresh tower: a few through the one-polynomial route first, then the
+    # whole list in one pass, which fills the memo entries of the rest
+    from addmds.propm import _normal_form_table, _normal_forms
+    t = field_create(*key)
+    invs = invertible_linearized(t)
+    polys = list(invs) if count is None else random.Random(repr(key)).sample(invs, count)
+    polys += [twist_to_nonzero_f0(f)[0] for f in polys]
+    want = [oracles.scalar_normal_forms(f) for f in polys]
+    assert [_normal_forms(f) for f in polys[:3]] == want[:3]
+    forms, least = _normal_form_table(polys)
+    assert forms.shape == (len(polys), t.size - 1, t.h)
+    assert [(tuple(map(tuple, rows)), ks) for rows, ks in zip(forms.tolist(), least)] == want
+    assert [_normal_forms(f) for f in polys] == want
+
+
+def _near_miss_tables(t, rng):
+    """Tables in the shape of ``_witness_tables`` and one (triple, I, J) case
+    per entry, each case on cells of its own: row J at c - 1 is a times row
+    I at b - 1, on one table changed in one coefficient (each position in
+    turn) or so that rows packed in base size - 1 (either digit order)
+    would be equal, or on neither table; and one case whose b has B(b)^q =
+    L*B(b) read false.  Returns (tables, cases, expected), expected being
+    (holds, cert) of each case."""
+    h, n, s = t.h, t.size - 1, t.size
+    changes = []
+    for which in (0, 1):
+        width = h - which
+        changes += [(which, "one", k) for k in range(width)]
+        changes += [(which, "collide", k, order) for k in range(width - 1) for order in (0, 1)]
+    changes = [None] * 2 + changes + ["frob"]
+    conj = np.array([[[rng.randrange(s) for _ in range(h)] for _ in range(n)]
+                     for _ in range(2 * len(changes))], dtype=np.int64)
+    prod = conj[..., 1:].copy()
+    frob = np.ones(n, dtype=bool)
+    frob[n - 1] = False
+    cases, expected = [], []
+    for case, change in enumerate(changes):
+        a = rng.randrange(1, s)
+        b = n if change == "frob" else rng.randrange(1, n)
+        c = rng.randrange(1, s)
+        i, j = 2 * case, 2 * case + 1
+        for which, table in enumerate((conj, prod)):
+            right = [rng.randrange(s) for _ in range(table.shape[-1])]
+            left = list(right)
+            if change not in (None, "frob") and change[0] == which:
+                k = change[2]
+                if change[1] == "one":
+                    left[k] = rng.choice([x for x in range(s) if x != right[k]])
+                else:  # equal in base s - 1 with coefficient 0 lowest, or highest
+                    left[k:k + 2], right[k:k + 2] = ((s - 1, 0), (0, 1)) if change[3] else (
+                        (1, 0), (0, s - 1))
+            table[j, c - 1] = right
+            table[i, b - 1] = [t.mul(t.inv(a), x) for x in left]
+        cases.append(((a, b, c), i, j))
+        on = change[0] if isinstance(change, tuple) else change  # 0: conj, 1: prod
+        expected.append(({0: on != 0}, [on not in (1, "frob")]))
+    return (conj, prod, frob), cases, expected
+
+
+@pytest.mark.parametrize("key", [(2, 1, 3), (5, 1, 2), (3, 1, 3), (2, 1, 4)],
+                         ids=["F8", "F25", "F27", "F16"])
+def test_class_checks_match_the_scalar_oracle_on_near_misses(key):
+    # a packing that is not injective, or that drops a coefficient, passes
+    # some near miss here; the scalar oracle and the expected verdicts do not
+    from addmds.propm import _class_checks
+    t = field_create(*key)
+    tables, cases, expected = _near_miss_tables(t, random.Random(repr(key) + " near"))
+    check = _class_checks(t, tables)
+    for (triple, i, j), want in zip(cases, expected):
+        got = check([triple], np.array([i]), np.array([j]))
+        assert (got[0], got[1].tolist()) == want
+        assert oracles.scalar_class_checks(t, tables, [triple], [i], [j]) == want
+    # every case as one class with every triple, and a triple with a zero entry
+    triples = [triple for triple, _i, _j in cases] + [(0, 1, 1)]
+    rows, cols = (np.array(x) for x in zip(*[(i, j) for _tr, i, j in cases]))
+    got = check(triples, rows, cols)
+    assert (got[0], got[1].tolist()) == oracles.scalar_class_checks(t, tables, triples, rows, cols)
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 1)],
+                         ids=["F4", "F8", "F9", "F16_F4", "F5"])
 def test_zero_coeff_lemma_matches_pairwise_oracle(key):
     # the oracle runs on a tower of its own, so it fills every memo itself
     from conftest import tower
