@@ -27,10 +27,23 @@ coefficients; every row is checked at every nonzero point before use.
 Their terms come from the tower's ``power_terms`` kernel and their sums
 from its ``add_arrays`` kernel.
 
+Two more kernels work on coefficient rows alone, at O(h^2) and O(h^3)
+entries per row whatever the tower's size, for the witness decisions on
+long codes.  ``compose_rows`` is ``compose`` on broadcast stacks of rows,
+its h^2 terms one log-domain gather.  ``dickson_inverses`` is ``inverse``
+on a stack: one Gauss-Jordan elimination of every [D(f)^T | e_0] at
+once, a pivot column at a time, that flags the singular rows and checks
+every inverse it returns by ``compose_rows``.  ``inverse_table`` stays
+value-based: its one library caller, propm's two-nonzero battery, holds
+the rows' ``value_grid`` values already, and it reads q^h - 1 points
+per row where the elimination reads h^3 entries, so each kernel suits
+the rows its callers hold.
+
 ``inverse`` (one Dickson matrix) is the only memoised inverse: it alone
 reads and writes the tower memo ``inverses``, filling it in both
-directions, while ``inverse_table`` is a pure array function.  The
-invertible list is kept in the memo too.
+directions, while ``inverse_table`` and ``dickson_inverses`` are array
+functions that touch no inverse memo.  The invertible list is kept in the
+memo too, and so is the log table of the two coefficient-row kernels.
 """
 
 from __future__ import annotations
@@ -249,6 +262,88 @@ def inverse_table(tower, coeffs):
         bad = tuple(f[ok.all(axis=1).argmin()].tolist())
         raise AssertionError(f"inverse_table: f(f^-1(x)) != x for {bad}")
     return inv
+
+
+def _logs(tower, a):
+    """log of each element of the int array ``a``, 2n at a zero: a product's
+    log is then >= 2n exactly when a factor is 0, and exp is 0 from 2n on.
+    One gather through a table memoised on the tower."""
+    def build():
+        n = tower._group_order
+        log = tower.np_tables()[1].copy()
+        log[0] = 2 * n
+        return log
+    return tower.memo("zero_logs", build)[a]
+
+
+def compose_rows(tower, f, g):
+    """Coefficient rows of f o g for the int arrays ``f`` and ``g`` of
+    coefficient rows, shape (..., h), broadcast like numpy: the batched
+    ``LinearizedPoly.compose``.
+
+    Term (i, j) is f_i g_j^(q^i), with log f_i + q^i log g_j mod n, and
+    lands at (i + j) mod h: h^2 gathers per row, summed by h - 1
+    ``add_arrays``.
+    """
+    h, n = tower.h, tower._group_order
+    f, g = np.asarray(f, dtype=np.int64), np.asarray(g, dtype=np.int64)
+    if f.shape[-1:] != (h,) or g.shape[-1:] != (h,):
+        raise ValueError("compose_rows needs arrays of coefficient rows of length h")
+    qpow = np.array(tower._qpow, dtype=np.int64)[:, None]
+    lg = _logs(tower, g)[..., None, :]
+    lg = np.where(lg < 2 * n, lg * qpow % n, 2 * n)  # [..., i, j]: log g_j^(q^i)
+    terms = tower.np_tables()[0][np.minimum(_logs(tower, f)[..., :, None] + lg, 2 * n)]
+    out = terms[..., 0, :]
+    for i in range(1, h):  # row i's term j lands at column i + j
+        out = tower.add_arrays(out, terms[..., i, (np.arange(h) - i) % h])
+    return out
+
+
+def dickson_inverses(tower, coeffs):
+    """(inverses, singular) for the rows f of the int array ``coeffs``, shape
+    (rows, h): the batched ``LinearizedPoly.inverse``.
+
+    The first row x of D(f)^(-1) solves x D(f) = e_0, so one Gauss-Jordan
+    elimination of the stacked [D(f)^T | e_0], h x (h + 1) per row, with
+    one pivot column at a time for all rows, leaves x in its last column.
+    singular[k] marks a row with no pivot in some column; its inverse row
+    is 0.  Every other inverse is checked, f o f^(-1) = X by
+    ``compose_rows``, before it is returned.  No memo is read or written
+    but the log table of ``compose_rows``.
+    """
+    f = np.asarray(coeffs, dtype=np.int64)
+    if f.ndim != 2 or f.shape[1] != tower.h:
+        raise ValueError("dickson_inverses needs an array of shape (rows, h)")
+    h, n = tower.h, tower._group_order
+    exp = tower.np_tables()[0]
+    # row j of D(f)^T is column j of D(f): entry i is f_(j-i)^(q^i)
+    lt = _logs(tower, f)[:, (np.arange(h)[:, None] - np.arange(h)) % h]
+    a = np.zeros((len(f), h, h + 1), dtype=np.int64)
+    a[:, :, :h] = exp[np.where(lt < 2 * n, lt * np.array(tower._qpow) % n, 2 * n)]
+    a[:, 0, h] = 1
+    minus = tower._log[tower.neg(1)]
+    singular = np.zeros(len(f), dtype=bool)
+    for c in range(h):
+        live = a[:, c:, c] != 0
+        singular |= ~live.any(axis=1)
+        swap = np.flatnonzero(~live[:, 0] & ~singular)
+        if len(swap):  # the first row below c with a nonzero entry in column c
+            piv = c + live[swap].argmax(axis=1)
+            a[swap, c], a[swap, piv] = a[swap, piv], a[swap, c]
+        lt = _logs(tower, a[:, c])
+        lt = np.where(lt < 2 * n, (lt - lt[:, c:c + 1]) % n, 2 * n)  # the pivot scaled to 1
+        a[:, c] = exp[lt]
+        # every other row minus its entry in column c times the pivot row
+        lm = _logs(tower, a[:, :, c])
+        lm = np.where(lm < 2 * n, (lm + minus) % n, 2 * n)
+        lm[:, c] = 2 * n
+        a = tower.add_arrays(a, exp[np.minimum(lm[:, :, None] + lt[:, None, :], 2 * n)])
+    inv = np.where(singular[:, None], 0, a[:, :, h])
+    ok = ~singular
+    wrong = (compose_rows(tower, f[ok], inv[ok]) != np.eye(1, h, dtype=np.int64)).any(axis=1)
+    if wrong.any():
+        raise AssertionError(f"dickson_inverses: f(f^-1) != X for {tuple(f[ok][wrong][0].tolist())}")
+    return inv, singular
 
 
 def _moore_inv(tower):

@@ -122,7 +122,18 @@ def screen_conditions(tower: FieldTower, base):
     (lambda_1, lambda_2) in F_q^2 for subsets whose kernel vector has a
     nonzero last entry; alpha_constraints are (v0, v1, v2) triples for the
     rest, which demand base[0][-1]*v0 + base[1][-1]*v1 + alpha*v2 != 0.
+    Both are tuples, memoised on the tower by the base's rows, so that
+    ``K4Example`` does not derive them again for the base the search has
+    just screened, and no caller can change them.
     """
+    base = tuple(map(tuple, base))
+    memo = tower.memo("screen_conditions")
+    if base not in memo:
+        memo[base] = _screen_conditions(tower, base)
+    return memo[base]
+
+
+def _screen_conditions(tower: FieldTower, base):
     k = len(base)
     n = len(base[0])
     lambda_pairs = []
@@ -144,7 +155,7 @@ def screen_conditions(tower: FieldTower, base):
             trip = (v[0], v[1], v[2])
             if trip not in alpha_constraints:
                 alpha_constraints.append(trip)
-    return lambda_pairs, alpha_constraints
+    return tuple(lambda_pairs), tuple(alpha_constraints)
 
 
 def _alpha_ok(tower, base, alpha, alpha_constraints):

@@ -980,6 +980,162 @@ def test_witness_on_subfield_only_codes(key):
         assert apply_move(code, wit.linearizing_move()).is_field_linear()
 
 
+# ---------------------------------------------------------------------------
+# the two decision routes: scalar maps for short codes, int arrays for long ones
+
+_PARITY_TOWERS = {"F9": (3, 1, 2), "F25": (5, 1, 2), "F49": (7, 1, 2), "F8": (2, 1, 3),
+                  "F27": (3, 1, 3), "F125": (5, 1, 3), "F16_F4": (2, 2, 2), "F64_F4": (2, 2, 3),
+                  "F16_h1": (2, 4, 1), "F16_F2": (2, 1, 4), "F4096_F64": (2, 6, 2),
+                  "F6561_F81": (3, 4, 2)}
+
+
+def _route_outcome(run, *args):
+    try:
+        return run(*args)
+    except (NotMds, BudgetExceeded) as err:
+        return type(err), str(err)
+
+
+def _routes_agree(code, budget=None):
+    """Both routes' (standard form, move) and witness, or their NotMds or
+    BudgetExceeded text, required equal; the public entry points take
+    the route that the code's number of maps selects."""
+    forms = [_route_outcome(run, code) for run in (code_mod._scalar_standard_form,
+                                                  code_mod._array_standard_form)]
+    wits = [_route_outcome(run, code, budget) for run in (code_mod._scalar_witness,
+                                                         code_mod._array_witness)]
+    assert forms[0] == forms[1]
+    assert wits[0] == wits[1]
+    assert _route_outcome(code_mod._standard_form, code) == forms[0]
+    assert _route_outcome(linear_equivalence_witness, code, budget) == wits[0]
+    return wits[0]
+
+
+def _punctured_rs(t, k, n):
+    """The first n coordinates of rs_code(t, k), an MDS code of length n."""
+    return AdditiveCode(t, [row[:n] for row in rs_code(t, k).gen], n=n, check=False)
+
+
+def _map_move(t, n, rng):
+    """A random move that keeps every coordinate in place."""
+    return EquivalenceMove(tuple(range(n)), random_move(t, n, rng).maps)
+
+
+def _threshold_codes(t, rng):
+    """Codes of exactly _ARRAY_MAPS - 1 and _ARRAY_MAPS maps: k = 1 with
+    random invertible maps, and k = 2 with conjugates by one g0 (positive)."""
+    codes = []
+    for maps in (code_mod._ARRAY_MAPS - 1, code_mod._ARRAY_MAPS):
+        rows = tuple((random_invertible(t, rng),) for _ in range(maps))
+        codes.append((InterpolationForm(t, maps + 1, 1, rows).build_code(), True))
+        if maps % 2 == 0:
+            g0 = random_invertible(t, rng)
+            conj = [g0.conjugate(rng.randrange(1, t.size)) for _ in range(maps // 2 - 1)]
+            codes.append((_k2_code(t, conj), True))
+        assert all(code_mod._long_code(c) == (maps >= code_mod._ARRAY_MAPS) for c, _ in codes[-2:])
+    return codes
+
+
+@pytest.mark.parametrize("name", list(_PARITY_TOWERS))
+def test_decision_routes_agree(name):
+    t = conftest.tower(*_PARITY_TOWERS[name])
+    rng = random.Random(name)
+    rs = _punctured_rs(t, 2, min(t.size + 1, 64))
+    codes = [(rs, True), (_conj_positive(t, rng), True)]
+    if t.h > 1:  # over F_q itself every code is linear
+        codes.append((_negative(t, rng), False))
+    # these are MDS, so permuted coordinates interpolate too; the
+    # threshold codes need not be, so their moves keep the coordinates
+    codes += [(apply_move(c, random_move(t, c.n, rng)), linearizable) for c, linearizable in codes]
+    for c, linearizable in _threshold_codes(t, rng):
+        codes += [(c, linearizable), (apply_move(c, _map_move(t, c.n, rng)), linearizable)]
+    assert any(code_mod._long_code(c) for c, _ in codes)
+    for code, linearizable in codes:
+        wit = _routes_agree(code)
+        assert (wit is not None) == linearizable
+        if wit is not None and code_mod._long_code(code):
+            assert apply_move(code, wit.linearizing_move()).is_field_linear()
+
+
+# singular maps of a k = 2 code with 11 trailing coordinates (22 maps), and
+# the text naming the first in (r, i) order: row 0, column 0, interior
+_LONG_SINGULAR_CASES = {
+    "row0": ({(0, 1), (5, 0)}, "interpolation map at (2, 1) is singular"),
+    "corner": ({(0, 0), (0, 1)}, "interpolation map at (2, 0) is singular"),
+    "column0": ({(4, 0), (4, 1), (7, 1)}, "interpolation map at (6, 0) is singular"),
+    "interior": ({(3, 1), (6, 0)}, "interpolation map at (5, 1) is singular"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PARITY_TOWERS))
+def test_decision_routes_raise_the_same_not_mds(name):
+    t = conftest.tower(*_PARITY_TOWERS[name])
+    rng = random.Random(name)
+    # X^q - X kills F_q; over F_q itself the zero map is the singular one
+    trace = LinearizedPoly(t, (t.neg(1), 1) + (0,) * (t.h - 2) if t.h > 1 else (0,))
+    for singular, text in _LONG_SINGULAR_CASES.values():
+        maps = tuple(tuple(trace if (r, i) in singular else random_invertible(t, rng)
+                           for i in range(2)) for r in range(11))
+        code = InterpolationForm(t, 13, 2, maps).build_code()
+        assert code_mod._long_code(code)
+        for c in (code, apply_move(code, _map_move(t, code.n, rng))):
+            assert _routes_agree(c) == (NotMds, text)
+            assert _route_outcome(code_mod._array_standard_form, c) == (NotMds, text)
+    # coordinates 0 and 1 equal: the first k = 2 coordinates are no information set
+    code = _punctured_rs(t, 2, min(t.size + 1, 30))
+    code = AdditiveCode(t, [row[:1] + row[:1] + row[2:] for row in code.gen], n=code.n,
+                        check=False)
+    text = "first k coordinates are not an information set"
+    assert _routes_agree(code) == (NotMds, text)
+    assert _route_outcome(code_mod._array_standard_form, code) == (NotMds, text)
+
+
+def test_decision_routes_charge_the_same_walk():
+    # every target of a long code is the F_3 scalar 2X over F_9, so the
+    # whole space is one branch and is walked; over F_16/F_2 the targets
+    # conjugate elements of F_4, so the branches are planes
+    f9, f16 = conftest.tower(3, 1, 2), conftest.tower(2, 1, 4)
+    rng = random.Random(16)
+    g0 = random_invertible(f16, rng)
+    codes = [_k2_code(f9, [LinearizedPoly.scalar(f9, 2)] * 10),
+             _k2_code(f16, [g0.conjugate(a) for a in _of_degree(f16, 2, 2, rng)] * 5)]
+    for code in codes:
+        code = apply_move(code, _map_move(code.tower, code.n, rng))
+        assert code_mod._long_code(code)
+        assert _routes_agree(code, 0) == (BudgetExceeded, "witness walk exceeds budget 0")
+        walks = [_routes_agree(code, budget) for budget in range(4)]
+        assert isinstance(walks[-1], code_mod.LinearWitness)
+
+
+def test_long_codes_decide_without_scalar_inverses(monkeypatch):
+    # the route is chosen from n and k before any map is inverted: RS codes
+    # over F_25 and F_27 (48 and 52 maps) take no LinearizedPoly.inverse,
+    # while a k4-verify-shaped code (k = 4, n = 8: 16 maps) and a 6-map
+    # code still reach it
+    assert code_mod._ARRAY_MAPS > 16
+    rng = random.Random(48)
+
+    def scrambled(code):
+        return apply_move(code, random_move(code.tower, code.n, rng))
+
+    long_codes = [scrambled(rs_code(conftest.tower(*key), 2)) for key in ((5, 1, 2), (3, 1, 3))]
+    short_codes = [scrambled(_punctured_rs(conftest.tower(3, 1, 2), 4, 8)),
+                   scrambled(_conj_positive(conftest.tower(5, 1, 2), rng))]
+
+    def forbidden(self):
+        raise AssertionError("LinearizedPoly.inverse called")
+
+    monkeypatch.setattr(LinearizedPoly, "inverse", forbidden)
+    for code in long_codes:
+        assert linear_equivalence_witness(code) is not None
+        assert to_standard_form(code)[0].n == code.n
+    for code in short_codes:
+        assert not code_mod._long_code(code)
+        for decide in (linear_equivalence_witness, to_standard_form):
+            with pytest.raises(AssertionError, match="LinearizedPoly.inverse called"):
+                decide(code)
+
+
 def test_code_json_roundtrip(f9):
     code = rs_code(f9, 2)
     data = code_to_dict(code)

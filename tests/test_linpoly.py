@@ -1,3 +1,4 @@
+import inspect
 import os
 import random
 import subprocess
@@ -282,6 +283,82 @@ def test_inverse_table_checks_every_row():
     with pytest.raises(AssertionError, match="f\\(f\\^-1\\(x\\)\\) != x"):
         inverse_table(t, _rows(invertible_linearized(t)))
     assert t.memo("inverses") == {}
+
+
+# the gf tests' kernel towers: F_4, F_8, F_9, F_25, F_27, F_16/F_4, F_64/F_4, F_{81^2}
+KERNEL_TOWERS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (5, 1, 2), (3, 1, 3), (2, 2, 2), (2, 2, 3),
+                 (3, 4, 2)]
+
+
+@pytest.mark.parametrize("key", KERNEL_TOWERS, ids=lambda k: "F%d_%d_%d" % k)
+def test_compose_rows_matches_compose(key):
+    # seeded pairs, about a third of the coefficients zero, the zero
+    # polynomial on either side; one row against a stack, and a 3-d stack
+    t = conftest.tower(*key)
+    rng = random.Random(str(key))
+
+    def poly():
+        return tuple(rng.choice((0, rng.randrange(1, t.size), rng.randrange(1, t.size)))
+                     for _ in range(t.h))
+
+    pairs = [(poly(), poly()) for _ in range(118)] + [((0,) * t.h, poly()), (poly(), (0,) * t.h)]
+    f, g = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+
+    def compose(a, b):
+        return list(LinearizedPoly(t, tuple(a)).compose(LinearizedPoly(t, tuple(b))).coeffs)
+
+    assert linpoly.compose_rows(t, f, g).tolist() == [compose(a, b) for a, b in pairs]
+    assert linpoly.compose_rows(t, f, g[0]).tolist() == [compose(a, g[0]) for a in f]
+    assert linpoly.compose_rows(t, f[0], g).tolist() == [compose(f[0], b) for b in g]
+    stacked = linpoly.compose_rows(t, f.reshape(4, 30, t.h), g.reshape(4, 30, t.h))
+    assert stacked.reshape(-1, t.h).tolist() == [compose(a, b) for a, b in pairs]
+    with pytest.raises(ValueError):
+        linpoly.compose_rows(t, f[:, :1], g[:, :1])
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2)],
+                         ids=["F4", "F8", "F9", "F27", "F16_F4"])
+def test_dickson_inverses_match_dickson_inverse(key):
+    # each route on a tower of its own, so neither could read the other's memo
+    t, dickson = field_create(*key), field_create(*key)
+    polys = invertible_linearized(t)
+    inv, singular = linpoly.dickson_inverses(t, _rows(polys))
+    assert not singular.any()
+    assert inv.tolist() == [list(LinearizedPoly(dickson, f.coeffs).inverse().coeffs) for f in polys]
+    empty = linpoly.dickson_inverses(t, _rows(polys)[:0])
+    assert empty[0].shape == (0, t.h) and empty[1].shape == (0,)
+    assert t.memo("inverses") == {}
+
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 1)],
+                         ids=["F4", "F8", "F9", "F16_F4", "F5"])
+def test_dickson_inverses_flag_singular_rows(key):
+    # every polynomial of the tower, singular ones between invertible ones
+    t = field_create(*key)
+    polys = list(all_linearized(t))
+    inv, singular = linpoly.dickson_inverses(t, _rows(polys))
+    assert singular.tolist() == [not f.is_invertible() for f in polys]
+    assert 0 < singular.sum() < len(polys)
+    assert not inv[singular].any()
+    assert t.memo("inverses") == {}
+    assert inv[~singular].tolist() == [list(f.inverse().coeffs) for f in polys if f.is_invertible()]
+    with pytest.raises(ValueError):
+        linpoly.dickson_inverses(t, np.zeros((2, t.h + 1), dtype=np.int64))
+
+
+def test_dickson_inverses_check_a_mutant_elimination():
+    # the elimination without its pivot scaling returns wrong rows, and the
+    # kernel's own composition check stops them
+    source = inspect.getsource(linpoly.dickson_inverses)
+    scaling = [line for line in source.splitlines(keepends=True) if "the pivot scaled to 1" in line]
+    assert len(scaling) == 1
+    namespace = dict(vars(linpoly))
+    exec(source.replace(scaling[0], ""), namespace)
+    t = field_create(3, 1, 2)
+    rows = _rows(invertible_linearized(t))
+    with pytest.raises(AssertionError, match=r"^dickson_inverses: f\(f\^-1\) != X for \("):
+        namespace["dickson_inverses"](t, rows)
+    assert not linpoly.dickson_inverses(t, rows)[1].any()
 
 
 def test_inverse_composes_to_identity(f9):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from addmds import linpoly
+from addmds import search as search_mod
 from addmds.code import is_mds, linear_equivalence_witness, project
 from addmds.errors import BudgetExceeded, FieldTooSmall, NotInvertible
 from addmds.gf import field_create
@@ -66,8 +67,37 @@ def test_base_matrix_preconditions(f25, f4):
 def test_screen_conditions_frozen(f25):
     base = base_mds_matrix(f25, 4, 6)
     lambda_pairs, alpha_constraints = screen_conditions(f25, base)
-    assert lambda_pairs == [(0, 0), (1, 0), (0, 2), (0, 1)]
-    assert len(alpha_constraints) == 6
+    assert lambda_pairs == ((0, 0), (1, 0), (0, 2), (0, 1))
+    assert len(alpha_constraints) == 6 and type(alpha_constraints) is tuple
+
+
+def test_screen_conditions_are_derived_once_per_base(monkeypatch):
+    # the search derives the conditions of its base, and the K4Example it
+    # builds reads them from the tower memo; the alpha and ratio checks
+    # still run on every build, example_from_dict's too
+    t = field_create(5, 1, 2)
+    derived, alpha_checks = [], []
+    derive, alpha_ok = search_mod._screen_conditions, search_mod._alpha_ok
+    monkeypatch.setattr(search_mod, "_screen_conditions",
+                        lambda tower, base: derived.append(base) or derive(tower, base))
+    monkeypatch.setattr(search_mod, "_alpha_ok",
+                        lambda *args: alpha_checks.append(args[2]) or alpha_ok(*args))
+    ex = k4_example_search(t)
+    assert derived == [ex.base] and alpha_checks == [ex.alpha]
+    # a base given as lists is the same key, and no caller can change the entry
+    got = screen_conditions(t, [list(row) for row in ex.base])
+    assert got is screen_conditions(t, ex.base) and derived == [ex.base]
+    assert all(type(part) is tuple for part in got)
+    data = example_to_dict(ex)
+    assert example_from_dict(data, t) == ex and alpha_checks == [ex.alpha] * 2
+    outside = [x for x in t.elements() if not t.in_fq(x)]
+    a, b, g = next((a, b, g) for a in outside for b in outside for g in invertible_linearized(t)
+                   if not g.is_monomial() and not mds_screen(t, ex.base, a, b, g))
+    checks = len(alpha_checks)
+    with pytest.raises(ValueError, match="elimination"):
+        example_from_dict({**data, "alpha": t.digits(a), "beta": t.digits(b),
+                           "g": g.to_json()}, t)
+    assert derived == [ex.base] and alpha_checks[checks:] == [a]
 
 
 def test_screen_agrees_with_bruteforce_mds(f25):
