@@ -1027,12 +1027,14 @@ def _threshold_codes(t, rng):
     codes = []
     for maps in (code_mod._ARRAY_MAPS - 1, code_mod._ARRAY_MAPS):
         rows = tuple((random_invertible(t, rng),) for _ in range(maps))
-        codes.append((InterpolationForm(t, maps + 1, 1, rows).build_code(), True))
+        sized = [InterpolationForm(t, maps + 1, 1, rows).build_code()]
         if maps % 2 == 0:
             g0 = random_invertible(t, rng)
-            conj = [g0.conjugate(rng.randrange(1, t.size)) for _ in range(maps // 2 - 1)]
-            codes.append((_k2_code(t, conj), True))
-        assert all(code_mod._long_code(c) == (maps >= code_mod._ARRAY_MAPS) for c, _ in codes[-2:])
+            sized.append(_k2_code(t, [g0.conjugate(rng.randrange(1, t.size))
+                                      for _ in range(maps // 2 - 1)]))
+        long = maps >= code_mod._ARRAY_MAPS
+        assert [code_mod._long_code(c) for c in sized] == [long] * len(sized)
+        codes += [(c, True) for c in sized]
     return codes
 
 
