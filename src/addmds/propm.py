@@ -91,7 +91,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -225,6 +225,8 @@ def _exact_matching(triples, limit=None):
     The triples are grouped by b into levels, then an exact depth-first
     search with a remaining-levels bound runs over them, fewest options
     first; its first descent is the greedy set, so it needs no warm start.
+    The search keeps its path on an explicit stack, one frame per level, so
+    its depth is not bounded by Python's recursion limit.
     It stops as soon as the set reaches min(#levels, #distinct a,
     #distinct c, ``limit``), which no set can exceed: ``limit`` is a proven
     bound from outside, such as the product argument of ``_product_limit``.
@@ -236,32 +238,40 @@ def _exact_matching(triples, limit=None):
     levels = sorted(by_b.items())
     caps = [len(levels), len({a for a, _b, _c in triples}), len({c for _a, _b, c in triples})]
     limit = min(caps if limit is None else caps + [limit])
-    order = sorted(range(len(levels)), key=lambda i: (len(levels[i][1]), levels[i][0]))
+    plan = sorted(levels, key=lambda level: (len(level[1]), level[0]))
+    depth = len(plan)
     best, chosen = [], []
     used_a, used_c = set(), set()
-
-    def dfs(pos):
-        nonlocal best
-        if len(best) >= limit:
-            return
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if pos == len(order) or len(chosen) + len(order) - pos <= len(best):
-            return
-        b, opts = levels[order[pos]]
-        for a, c in opts:
-            if a in used_a or c in used_c:
-                continue
-            chosen.append((a, b, c))
-            used_a.add(a)
-            used_c.add(c)
-            dfs(pos + 1)
-            chosen.pop()
+    # one frame per open level 0, 1, ...: [b, its options left, state]
+    OPEN, PICKED, SKIPPED = range(3)  # PICKED: an option of the level is chosen
+    stack = [[plan[0][0], iter(plan[0][1]), OPEN]] if depth and limit else []
+    while stack:
+        frame = stack[-1]
+        if frame[2] == PICKED:  # back from the level below: undo the option
+            a, _b, c = chosen.pop()
             used_a.discard(a)
             used_c.discard(c)
-        dfs(pos + 1)  # skip this level
-
-    dfs(0)
+        elif frame[2] == SKIPPED:
+            stack.pop()
+            continue
+        b = frame[0]
+        for a, c in frame[1]:
+            if a not in used_a and c not in used_c:
+                chosen.append((a, b, c))
+                used_a.add(a)
+                used_c.add(c)
+                frame[2] = PICKED
+                break
+        else:
+            frame[2] = SKIPPED  # no option left: the level below without one
+        # enter the level below: keep a larger set, open the level if it can beat it
+        if len(chosen) > len(best):
+            best = list(chosen)
+            if len(best) >= limit:
+                break
+        pos = len(stack)
+        if pos < depth and len(chosen) + depth - pos > len(best):
+            stack.append([plan[pos][0], iter(plan[pos][1]), OPEN])
     return sorted(best, key=lambda x: (x[1], x[2]))
 
 
@@ -367,13 +377,16 @@ def _orbit_classes(polys):
 
 
 def _class_members(ids):
-    """Flat indices of the members of each class of the id array ``ids``, one
-    array per class in increasing id order; negative ids are left out."""
+    """Flat indices of the members of each class of the id array ``ids``,
+    ascending, one array per class, the classes ordered by their first
+    (row-major least) member; negative ids are left out.  One stable sort
+    of the ids groups them."""
     flat = ids.ravel()
-    ordered = np.sort(flat)
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    return (np.flatnonzero(flat == c) for c in ordered[first].tolist() if c >= 0)
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    groups = [group for group in np.split(order, starts[1:]) if flat[group[0]] >= 0]
+    return sorted(groups, key=lambda group: group[0])
 
 
 def gl_order(tower) -> int:
@@ -713,6 +726,13 @@ def verify_zero_coeff_lemma(tower, budget: int | None = None) -> dict:
     matrix-identity certificate (those of ``ZeroCoeffCertificate``) are
     checked against every pair of the class at once (``_class_checks``).
     The pairs are charged to ``budget`` (``check_pair_budget``) first.
+
+    The report holds one record per class in ``classes``, ordered by the
+    class's first pair in row-major order, which it names: its size
+    ``pairs``, its score, its zero counts (the same on every member: the
+    twist and the normal forms keep the number of zero coefficients) and
+    whether every member's certificate holds.  ``violations`` stay one
+    record per failing pair, row-major.
     """
     check_pair_budget(tower, budget)
     inv_polys = invertible_linearized(tower)
@@ -720,8 +740,11 @@ def verify_zero_coeff_lemma(tower, budget: int | None = None) -> dict:
     bound = zero_coeff_bound(tower)
     twisted = [twist_to_nonzero_f0(f)[0] for f in inv_polys]
     check = _class_checks(tower, _witness_tables(twisted))
+    names = [f.to_json() for f in inv_polys]
+    zeros = np.array([f.zero_coeff_count() for f in inv_polys])
     scores = np.empty((npoly, npoly), dtype=np.int64)
     cert_ok = np.empty((npoly, npoly), dtype=bool)
+    classes = []
     for members in _class_members(_orbit_classes(twisted)):
         i, j = divmod(int(members[0]), npoly)
         m, picked = _orbit_score(twisted[i], twisted[j])
@@ -729,24 +752,21 @@ def verify_zero_coeff_lemma(tower, budget: int | None = None) -> dict:
         _check_witness(picked, holds.__getitem__)
         scores.flat[members] = m
         cert_ok.flat[members] = cert
-    # records share each polynomial's JSON list and one zero_counts list per (zf, zg)
-    names = [f.to_json() for f in inv_polys]
-    zeros = np.array([f.zero_coeff_count() for f in inv_polys])
-    counts = [[zf, zg] for zf in range(tower.h) for zg in range(tower.h)]
-    records = [{
-        "f": fj,
-        "g": gj,
-        "m": m,
-        "zero_counts": counts[z],
-        "certificate_ok": ok,
-    } for (fj, gj), z, m, ok in zip(product(names, repeat=2),
-                                    (zeros[:, None] * tower.h + zeros).ravel().tolist(),
-                                    scores.ravel().tolist(), cert_ok.ravel().tolist())]
+        classes.append({"f": names[i], "g": names[j], "pairs": len(members), "m": m,
+                        "zero_counts": [int(zeros[i]), int(zeros[j])],
+                        "certificate_ok": bool(cert.all())})
     qualifies = scores > bound
-    equal = (zeros[:, None] == zeros) & (zeros[:, None] >= 1)
+    bad_counts = qualifies & ~((zeros[:, None] == zeros) & (zeros[:, None] >= 1))
     # row-major; a pair failing both tests is listed twice
-    failures = (qualifies & ~equal).astype(np.int64) + ~cert_ok
-    violations = [records[k] for k in np.repeat(np.arange(npoly * npoly), failures.ravel()).tolist()]
+    failed = np.flatnonzero(bad_counts | ~cert_ok)
+    failed = np.repeat(failed, bad_counts.flat[failed].astype(np.int64) + ~cert_ok.flat[failed])
+    violations = [{
+        "f": names[k // npoly],
+        "g": names[k % npoly],
+        "m": int(scores.flat[k]),
+        "zero_counts": [int(zeros[k // npoly]), int(zeros[k % npoly])],
+        "certificate_ok": bool(cert_ok.flat[k]),
+    } for k in failed.tolist()]
     return {
         "tower": tower.descriptor(),
         "bound": bound,
@@ -755,7 +775,7 @@ def verify_zero_coeff_lemma(tower, budget: int | None = None) -> dict:
         "max_m": int(scores.max()),
         "violations": violations,
         "ok": not violations,
-        "records": records,
+        "classes": classes,
     }
 
 

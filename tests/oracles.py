@@ -10,11 +10,13 @@ gcd per polynomial for the semilinear criterion, rank tests over every
 k-subset of blocks for pseudo-arcs, a subset-rank walk with one kernel
 call per level for weight distributions, g^(-1) o M o g for
 linear-equivalence witnesses (per candidate, or after a batched
-``compose_table`` screen), plain subset enumeration for matchings, a
-per-pair search with no memo for pair scores, every (lam, mu, nu) scaling
+``compose_table`` screen), plain subset enumeration for matchings, the
+recursive depth-first search that the exact matching's explicit stack
+replaced, a per-pair search with no memo for pair scores, every (lam, mu, nu) scaling
 for pair orbit keys, one loop over lam for normal forms, per-pair scalar
 comparisons for a class's witness checks, a per-pair witness and
-certificate for the zero-coefficient lemma, Dickson determinants per
+certificate for the zero-coefficient lemma (and its per-pair report
+grouped by orbit key, or rebuilt from the class report), Dickson determinants per
 candidate for the k = 4 hunt, lex rows from integer digits for value
 grids, one (rows, n, h) gather for collapse tables, and a scalar RREF for
 the basis of a field-linear code.  Slow on purpose; tests only feed it
@@ -39,6 +41,7 @@ from addmds.gf import _inverses
 from addmds.linpoly import LinearizedPoly, inverse_table, invertible_linearized
 from addmds.propm import (
     _exact_matching,
+    _orbit_key,
     build_zero_coeff_certificate,
     max_prop_m,
     prop_triples,
@@ -668,6 +671,45 @@ def brute_max_matching(triples):
     return next(r for r in range(cap, 0, -1) if extend(0, [], r))
 
 
+def recursive_exact_matching(triples, limit=None):
+    """``propm._exact_matching`` as one recursive call per level: the same
+    levels, order, bound and stop, so the same set, but its depth is bounded
+    by Python's recursion limit."""
+    by_b = {}
+    for a, b, c in triples:
+        by_b.setdefault(b, []).append((a, c))
+    levels = sorted(by_b.items())
+    caps = [len(levels), len({a for a, _b, _c in triples}), len({c for _a, _b, c in triples})]
+    limit = min(caps if limit is None else caps + [limit])
+    order = sorted(range(len(levels)), key=lambda i: (len(levels[i][1]), levels[i][0]))
+    best, chosen = [], []
+    used_a, used_c = set(), set()
+
+    def dfs(pos):
+        nonlocal best
+        if len(best) >= limit:
+            return
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if pos == len(order) or len(chosen) + len(order) - pos <= len(best):
+            return
+        b, opts = levels[order[pos]]
+        for a, c in opts:
+            if a in used_a or c in used_c:
+                continue
+            chosen.append((a, b, c))
+            used_a.add(a)
+            used_c.add(c)
+            dfs(pos + 1)
+            chosen.pop()
+            used_a.discard(a)
+            used_c.discard(c)
+        dfs(pos + 1)  # skip this level
+
+    dfs(0)
+    return sorted(best, key=lambda x: (x[1], x[2]))
+
+
 def exhaustive_max_prop_m(f, g):
     """(m, witness triples) of ``max_prop_m`` searched for this pair alone.
 
@@ -772,3 +814,66 @@ def pairwise_zero_coeff_lemma(tower):
         "ok": not violations,
         "records": records,
     }
+
+
+def _twisted_pairs(tower):
+    """(twisted f, twisted g, f's JSON, g's JSON) for every pair of invertible
+    polynomials, row-major, with the twisted polynomials as the battery's."""
+    rows = [(twist_to_nonzero_f0(f)[0], f.to_json()) for f in invertible_linearized(tower)]
+    return [(fn, gn, fj, gj) for fn, fj in rows for gn, gj in rows]
+
+
+def class_zero_coeff_report(tower, per_pair):
+    """The class report of ``verify_zero_coeff_lemma`` from a per-pair report
+    such as ``pairwise_zero_coeff_lemma``'s: its records grouped by
+    ``_orbit_key`` of the twisted pair, one record per class in the order of
+    the class's first pair, whose f and g it names.  Every member must carry
+    the class's score and zero counts; the class's certificate holds iff
+    every member's does."""
+    groups = {}
+    for (fn, gn, _fj, _gj), rec in zip(_twisted_pairs(tower), per_pair["records"]):
+        groups.setdefault(_orbit_key(fn, gn), []).append(rec)
+    classes = []
+    for recs in groups.values():
+        first = recs[0]
+        assert all((r["m"], r["zero_counts"]) == (first["m"], first["zero_counts"]) for r in recs)
+        classes.append({"f": first["f"], "g": first["g"], "pairs": len(recs), "m": first["m"],
+                        "zero_counts": first["zero_counts"],
+                        "certificate_ok": all(r["certificate_ok"] for r in recs)})
+    report = {key: value for key, value in per_pair.items() if key != "records"}
+    report["classes"] = classes
+    return report
+
+
+def per_pair_zero_coeff_report(tower, report):
+    """The per-pair report of ``pairwise_zero_coeff_lemma``'s shape rebuilt
+    from the class report of ``verify_zero_coeff_lemma``: each pair, in
+    row-major order, takes its class's score and zero counts, the class
+    found by ``_orbit_key``, and its certificate flag from the violations:
+    false iff a violation names the pair with a failed certificate.
+
+    The rebuild checks what it reads: a class's first pair is the first
+    pair of its key in row-major order, the classes come in that order, each
+    class has exactly ``pairs`` members, and its certificate holds iff no
+    member's fails."""
+    classes = iter(report["classes"])
+    by_key, members = {}, {}
+    failed = {(repr(r["f"]), repr(r["g"])) for r in report["violations"] if not r["certificate_ok"]}
+    records = []
+    for fn, gn, fj, gj in _twisted_pairs(tower):
+        key = _orbit_key(fn, gn)
+        if key not in by_key:
+            by_key[key] = next(classes)
+            assert (by_key[key]["f"], by_key[key]["g"]) == (fj, gj)
+        cls = by_key[key]
+        cert_ok = (repr(fj), repr(gj)) not in failed
+        assert cert_ok or not cls["certificate_ok"]
+        count, all_ok = members.get(key, (0, True))
+        members[key] = count + 1, all_ok and cert_ok
+        records.append({"f": fj, "g": gj, "m": cls["m"], "zero_counts": cls["zero_counts"],
+                        "certificate_ok": cert_ok})
+    assert next(classes, None) is None
+    assert all(members[key] == (cls["pairs"], cls["certificate_ok"]) for key, cls in by_key.items())
+    rebuilt = {key: value for key, value in report.items() if key != "classes"}
+    rebuilt["records"] = records
+    return rebuilt

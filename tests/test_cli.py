@@ -22,6 +22,7 @@ from addmds.code import (
     random_move,
     rs_code,
 )
+from addmds.gf import field_create
 from addmds.linpoly import LinearizedPoly, random_invertible
 
 import conftest
@@ -61,18 +62,23 @@ def test_python_m_addmds_runs(tmp_path):
     assert json.loads(proc.stdout)["size"] == 9
 
 
-@pytest.mark.parametrize("p", ["2", "3"], ids=["F4", "F9"])
-def test_streamed_report_reaches_stdout_and_out_alike(tmp_path, p):
+@pytest.mark.parametrize("p, h, many", [("2", "2", False), ("3", "2", False), ("2", "3", True)],
+                         ids=["F4", "F9", "F8"])
+def test_streamed_report_reaches_stdout_and_out_alike(tmp_path, p, h, many):
     # a real pipe: capsys replaces sys.stdout, so it cannot see the stream;
-    # the F_4 report is one batch of encoder chunks, the F_9 report many
+    # the F_4 and F_9 reports are one batch of encoder chunks, the F_8 report
+    # several (cli._emit joins 1 << 12 chunks per write)
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     target = tmp_path / "F"
-    proc = subprocess.run([sys.executable, "-m", "addmds", "propm", "--p", p, "--h", "2",
+    proc = subprocess.run([sys.executable, "-m", "addmds", "propm", "--p", p, "--h", h,
                            "--out", str(target)],
                           cwd=tmp_path, env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == b""
-    assert proc.stdout == target.read_bytes() and json.loads(proc.stdout)["all_ok"] is True
+    report = json.loads(proc.stdout)
+    assert proc.stdout == target.read_bytes() and report["all_ok"] is True
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)) + 1
+    assert (chunks > 1 << 12) == many
 
 
 def test_bad_out_path_exits_2_before_any_report(capsys, tmp_path):
@@ -427,6 +433,18 @@ def test_propm_pair_f25(capsys, tmp_path):
     rep = parse(out)
     assert rep["m"] == 23  # identity pair over F_25: q^h - 2, by the product limit
     assert rep["inverse_lemma"]["ok"] is True
+
+
+def test_propm_pair_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # (X, X) over F_1024: the exact search opens 1023 levels, one per b
+    t = field_create(2, 10, 1)
+    x = LinearizedPoly.identity(t).to_json()
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"f": x, "g": x}))
+    code, out, err = run(capsys, "propm", "--p", "2", "--e", "10", "--h", "1", "--in", str(path))
+    assert (code, err) == (0, "")
+    rep = parse(out)
+    assert rep["m"] == 1023 and rep["inverse_lemma"]["ok"] is True
 
 
 def test_propm_pair_budget_covers_the_inverse_lemma(capsys, tmp_path, monkeypatch):

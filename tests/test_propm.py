@@ -172,6 +172,30 @@ def test_exact_matching_reaches_cap_from_a_bad_greedy_start():
     assert len(found) == 3 == oracles.brute_max_matching(triples)
 
 
+@pytest.mark.parametrize("key", [(2, 1, 3), (3, 1, 2), (2, 2, 2)], ids=["F8", "F9", "F16_F4"])
+def test_exact_matching_stack_matches_the_recursive_search(key):
+    # every class of pairs: its triples without and with the product limit,
+    # and the retry's triples with (1,1,1) left out
+    from conftest import tower
+    from addmds.propm import _exact_matching, _product_limit
+    t = tower(*key)
+    for f, g in _class_firsts(invertible_linearized(t)):
+        triples = prop_triples(f, g)
+        rest = [tr for tr in triples if 1 not in tr]
+        for tr, limit in ((triples, None), (triples, _product_limit(t, triples)), (rest, None)):
+            assert _exact_matching(tr, limit) == oracles.recursive_exact_matching(tr, limit)
+
+
+def test_exact_matching_goes_deeper_than_the_recursion_limit():
+    # (X, X) over F_1024 has 1023 levels of b, beyond Python's default
+    # recursion limit of 1000: one recursive call per level raised
+    # RecursionError here; N = 1023 is odd, so no product limit applies
+    t = field_create(2, 10, 1)
+    x = LinearizedPoly.identity(t)
+    m, witness = max_prop_m(x, x)
+    assert m == 1023 and witness.triples[0] == (1, 1, 1)
+
+
 def test_best_witness_retry_with_one_forced(f9):
     # hand-built triple lists whose first search leaves (1,1,1) out
     from addmds.propm import _best_witness
@@ -489,10 +513,13 @@ def test_zero_coeff_verifier_frozen_f9(f9):
     assert rep["max_m"] == 7
     assert rep["bound"] == 5
     assert rep["ok"]
+    assert sum(rec["pairs"] for rec in rep["classes"]) == 2304
+    qualifying = [rec for rec in rep["classes"] if rec["m"] > rep["bound"]]
+    assert sum(rec["pairs"] for rec in qualifying) == 256
     # every qualifying pair is monomial-monomial at h = 2
-    for rec in rep["records"]:
-        if rec["m"] > rep["bound"]:
-            assert rec["zero_counts"] == [1, 1]
+    assert all(rec["zero_counts"] == [1, 1] for rec in qualifying)
+    assert all(rec["certificate_ok"] for rec in rep["classes"])
+    assert rep["violations"] == []
 
 
 BATTERIES = [verify_zero_coeff_lemma,
@@ -624,15 +651,22 @@ def _digest(report):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _rebuilt_zero_coeff(t):
+    """The zero-coefficient report in its per-pair form, one record per pair,
+    rebuilt from the class report (``oracles.per_pair_zero_coeff_report``)."""
+    return oracles.per_pair_zero_coeff_report(t, verify_zero_coeff_lemma(t))
+
+
 # sha256 of the canonical JSON of each report, frozen before the conjugation kernel;
 # the two lm_prop n = 5 reports (survivors of the bound) before class scoring; the
-# F_25 zero-coefficient report when the product limit first let it finish
+# F_25 zero-coefficient report when the product limit first let it finish.  The
+# zero-coefficient digests are of the per-pair form, rebuilt from the class report.
 @pytest.mark.parametrize("key, verify, digest", [
-    ((2, 1, 3), verify_zero_coeff_lemma,
+    ((2, 1, 3), _rebuilt_zero_coeff,
      "6dc0d82b98050f26b62b633675a28803610d3bd05895316695213cb114ce887f"),
-    ((3, 1, 2), verify_zero_coeff_lemma,
+    ((3, 1, 2), _rebuilt_zero_coeff,
      "adb3b0868845a025f952b74fc1395e20b20b2f19c497a420a4e4792cab7181ae"),
-    ((5, 1, 2), verify_zero_coeff_lemma,
+    ((5, 1, 2), _rebuilt_zero_coeff,
      "452cc801ccb5cd0a892559f2317bcd77bfc0c9edc9baacdce77d0b7715f6842f"),
     ((3, 1, 3), verify_semilinear_criterion,
      "55c5aca6f1f0b9e4717e631d9a7e465785eab592bd4b24d7bfaa330e8a1a53cf"),
@@ -649,6 +683,33 @@ def _digest(report):
 def test_lemma_report_digests(key, verify, digest):
     from conftest import tower
     assert _digest(verify(tower(*key))) == digest
+
+
+# sha256 of the class reports, pinned when the reports became one record per class
+@pytest.mark.parametrize("key, classes, digest", [
+    ((2, 1, 3), 70, "2260a62aca3f7a6731c131c764b9aaa05588940d4ebf882adeba31d27353c1c2"),
+    ((3, 1, 2), 7, "1f3f5e6aeda0349e25213a91b4fc9cbd1a8352fe9900146a3fb07fcaca6450d0"),
+    ((5, 1, 2), 61, "9ff8c452b8da764c1ef94a443c0a76db937b16ed2ef592bd2eb6239aef36bbcf"),
+], ids=["F8", "F9", "F25"])
+def test_zero_coeff_class_report_digests(key, classes, digest):
+    from conftest import tower
+    t = tower(*key)
+    report = verify_zero_coeff_lemma(t)
+    assert len(report["classes"]) == classes
+    assert sum(rec["pairs"] for rec in report["classes"]) == report["pairs"] == (
+        len(invertible_linearized(t)) ** 2)
+    assert _digest(report) == digest
+
+
+def test_zero_coeff_lemma_f49():
+    # the battery's summary on F_49: 2016^2 pairs in 211 classes, the
+    # monomial classes scoring q^h - 2 = 47 by the product limit
+    report = verify_zero_coeff_lemma(field_create(7, 1, 2))
+    assert (report["ok"], report["bound"], report["max_m"], report["qualifying_pairs"]) == (
+        True, 13, 47, 9216)
+    assert len(report["classes"]) == 211
+    assert sum(rec["pairs"] for rec in report["classes"]) == report["pairs"] == 4_064_256
+    assert sum(rec["pairs"] for rec in report["classes"] if rec["m"] > 13) == 9216
 
 
 def test_zero_coeff_lemma_f25(f25):
@@ -856,10 +917,12 @@ def test_class_checks_match_the_scalar_oracle_on_near_misses(key):
 @pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 1)],
                          ids=["F4", "F8", "F9", "F16_F4", "F5"])
 def test_zero_coeff_lemma_matches_pairwise_oracle(key):
-    # the oracle runs on a tower of its own, so it fills every memo itself
+    # the oracle runs on a tower of its own, so it fills every memo itself;
+    # its per-pair report is grouped by _orbit_key, pair by pair
     from conftest import tower
-    assert verify_zero_coeff_lemma(tower(*key)) == oracles.pairwise_zero_coeff_lemma(
-        field_create(*key))
+    t = field_create(*key)
+    assert verify_zero_coeff_lemma(tower(*key)) == oracles.class_zero_coeff_report(
+        t, oracles.pairwise_zero_coeff_lemma(t))
 
 
 def test_zero_coeff_lemma_rejects_a_wrong_class_witness(f8, monkeypatch):
@@ -912,12 +975,10 @@ def test_zero_coeff_lemma_flags_a_corrupted_product(f8, monkeypatch):
     assert expect
     monkeypatch.setattr(propm_mod, "_witness_tables", corrupted)
     rep = verify_zero_coeff_lemma(f8)
-    n = len(invs)
-    flipped = {divmod(k, n) for k, rec in enumerate(rep["records"]) if not rec["certificate_ok"]}
-    assert flipped == expect
     assert not rep["ok"]
     assert [r for r in rep["violations"] if not r["certificate_ok"]] == [
-        rep["records"][i * n + j] for i, j in sorted(expect)]
+        _pair_record(invs, twisted, i, j, False) for i, j in sorted(expect)]
+    _assert_class_flags(rep, invs, twisted, expect)
 
 
 def test_zero_coeff_lemma_flags_a_failed_frobenius_relation(f8, monkeypatch):
@@ -935,10 +996,66 @@ def test_zero_coeff_lemma_flags_a_failed_frobenius_relation(f8, monkeypatch):
         frob[b - 1] = False
         return conj, prod, frob
 
-    expect = [k for k, (f, g) in enumerate((f, g) for f in twisted for g in twisted)
+    n = len(twisted)
+    expect = [divmod(k, n) for k, (f, g) in enumerate((f, g) for f in twisted for g in twisted)
               if any(tr[1] == b for tr in _orbit_score(f, g)[1])]
-    assert 0 < len(expect) < len(twisted) ** 2
+    assert 0 < len(expect) < n ** 2
     monkeypatch.setattr(propm_mod, "_witness_tables", corrupted)
     rep = verify_zero_coeff_lemma(f8)
-    assert [k for k, rec in enumerate(rep["records"]) if not rec["certificate_ok"]] == expect
+    invs = invertible_linearized(f8)
+    assert [r for r in rep["violations"] if not r["certificate_ok"]] == [
+        _pair_record(invs, twisted, i, j, False) for i, j in expect]
+    _assert_class_flags(rep, invs, twisted, set(expect))
     assert not rep["ok"]
+
+
+def _pair_record(invs, twisted, i, j, cert_ok):
+    """The per-pair record of (invs[i], invs[j]), from the pair's own score."""
+    return {"f": invs[i].to_json(), "g": invs[j].to_json(),
+            "m": max_prop_m(twisted[i], twisted[j])[0],
+            "zero_counts": [invs[i].zero_coeff_count(), invs[j].zero_coeff_count()],
+            "certificate_ok": cert_ok}
+
+
+def _assert_class_flags(report, invs, twisted, failed):
+    """A class's certificate fails iff one of its pairs is in ``failed``."""
+    from addmds.propm import _orbit_key
+    n = len(invs)
+    bad = {_orbit_key(twisted[i], twisted[j]) for i, j in failed}
+    index = {repr(f.to_json()): k for k, f in enumerate(invs)}
+    for rec in report["classes"]:
+        i, j = index[repr(rec["f"])], index[repr(rec["g"])]
+        assert rec["certificate_ok"] == (_orbit_key(twisted[i], twisted[j]) not in bad)
+    assert sum(rec["pairs"] for rec in report["classes"]) == n * n
+
+
+# sha256 of the violations (JSON as in ``_digest``) with one product entry of
+# omega*X at b = 6 flipped and X's zero count read as 0, pinned from the
+# per-pair battery: pairs that fail the certificate, the zero counts, or both
+# (listed twice), in row-major order
+@pytest.mark.parametrize("key, count, digest", [
+    ((2, 1, 3), 82, "f7108b493edb85b4fab9813d717dae2497c79124e734d517eef3e720d068a021"),
+    ((3, 1, 2), 62, "2565d9aa64631fc959dafd9a088740b37a1cd9c7f7d67d3faf428fe0ec091905"),
+    ((5, 1, 2), 190, "c23e8e228982312a358e106b0e4c1c485be1e851bbaf4df7a78645326333f6a9"),
+], ids=["F8", "F9", "F25"])
+def test_zero_coeff_violations_under_corrupted_tables(key, count, digest, monkeypatch):
+    import addmds.propm as propm_mod
+    t = field_create(*key)
+    ident = LinearizedPoly.identity(t)
+    i = invertible_linearized(t).index(LinearizedPoly.scalar(t, t.omega))
+    real_tables, real_count = propm_mod._witness_tables, LinearizedPoly.zero_coeff_count
+
+    def corrupted(polys):
+        conj, prod, frob = real_tables(polys)
+        prod = prod.copy()
+        prod[i, 5, 0] ^= 1
+        return conj, prod, frob
+
+    monkeypatch.setattr(propm_mod, "_witness_tables", corrupted)
+    monkeypatch.setattr(LinearizedPoly, "zero_coeff_count",
+                        lambda f: 0 if f == ident else real_count(f))
+    violations = verify_zero_coeff_lemma(t)["violations"]
+    assert len(violations) == count
+    assert sum(a == b for a, b in zip(violations, violations[1:])) == 2
+    assert {rec["certificate_ok"] for rec in violations} == {True, False}
+    assert _digest(violations) == digest
