@@ -20,30 +20,24 @@ looked up once, the leading coefficients are summed once per run of the
 last one, and each run costs one broadcast add per cell.  A value row
 with no zero marks an invertible g without any determinant, and
 conj(f, b) = f o (bX) o f^(-1) is read off f's row, since
-conj(f, b)(f(y)) = f(b y).  ``inverse_table`` gives f^(-1) for every row
-f: it maps f(omega^r) to omega^r, so its values at omega^l, l < h, are
-read off f's value row and the inverse Moore matrix turns them into
-coefficients; every row is checked at every nonzero point before use.
-Their terms come from the tower's ``power_terms`` kernel and their sums
-from its ``add_arrays`` kernel.
+conj(f, b)(f(y)) = f(b y).  Their terms come from the tower's
+``power_terms`` kernel and their sums from its ``add_arrays`` kernel.
 
 Two more kernels work on coefficient rows alone, at O(h^2) and O(h^3)
-entries per row whatever the tower's size, for the witness decisions on
-long codes.  ``compose_rows`` is ``compose`` on broadcast stacks of rows,
-its h^2 terms one log-domain gather.  ``dickson_inverses`` is ``inverse``
-on a stack: one Gauss-Jordan elimination of every [D(f)^T | e_0] at
-once, a pivot column at a time, that flags the singular rows and checks
-every inverse it returns by ``compose_rows``.  ``inverse_table`` stays
-value-based: its one library caller, propm's two-nonzero battery, holds
-the rows' ``value_grid`` values already, and it reads q^h - 1 points
-per row where the elimination reads h^3 entries, so each kernel suits
-the rows its callers hold.
+entries per row whatever the tower's size.  ``compose_rows`` is
+``compose`` on broadcast stacks of rows, its h^2 terms one log-domain
+gather.  ``dickson_inverses`` is ``inverse`` on a stack: one
+Gauss-Jordan elimination of every [D(f)^T | e_0] at once, a pivot column
+at a time, that flags the singular rows and checks every inverse it
+returns by ``compose_rows``.
 
-``inverse`` (one Dickson matrix) is the only memoised inverse: it alone
-reads and writes the tower memo ``inverses``, filling it in both
-directions, while ``inverse_table`` and ``dickson_inverses`` are array
-functions that touch no inverse memo.  The invertible list is kept in the
-memo too, and so is the log table of the two coefficient-row kernels.
+There are two inverses, one scalar and one array.  ``inverse`` (one
+Dickson matrix) is memoised: it alone reads and writes the tower memo
+``inverses``, filling it in both directions.  ``dickson_inverses``
+inverts a whole list of polynomials, the witness decisions' maps or a
+lemma battery's polynomials, and touches no inverse memo.  The
+invertible list is kept in the memo too, and so is the log table of the
+two coefficient-row kernels.
 """
 
 from __future__ import annotations
@@ -227,41 +221,6 @@ def evaluation_table(tower, coeffs):
         raise ValueError("evaluation_table needs an array of shape (rows, h)")
     return reduce(tower.add_arrays, (tower.power_terms(g[:, i], qi)
                                      for i, qi in enumerate(tower._qpow)))
-
-
-def inverse_table(tower, coeffs):
-    """Coefficients of f^(-1) for every row f of the int array ``coeffs``.
-
-    ``coeffs`` has shape (rows, h) and holds field elements of ``tower``;
-    so has the result.  f^(-1)(omega^l) is the omega^r with log f(omega^r)
-    = l, read off f's ``evaluation_table`` row, and the Moore inverse turns
-    the h values at l < h into coefficients.  Every inverse is checked,
-    f(f^(-1)(omega^s)) = omega^s at every nonzero point, before it is
-    returned.  Raises NotInvertible for a row whose value row has a zero.
-    No memo is read or written.
-    """
-    f = np.asarray(coeffs, dtype=np.int64)
-    if f.ndim != 2 or f.shape[1] != tower.h:
-        raise ValueError("inverse_table needs an array of shape (rows, h)")
-    n = tower._group_order
-    exp, log = tower.np_tables()
-    values = evaluation_table(tower, f)
-    singular = (values == 0).any(axis=1)
-    if singular.any():
-        raise NotInvertible(f"no compositional inverse: {tuple(f[singular.argmax()].tolist())}")
-    index = np.arange(len(f))[:, None]
-    where = np.empty_like(values)  # where[k, log f_k(omega^r)] = r = log f_k^(-1)(omega^l)
-    where[index, log[values]] = np.arange(n)
-    inv = np.empty_like(f)
-    for i, row in enumerate(_moore_inv(tower)):  # no row of an invertible matrix is zero
-        inv[:, i] = reduce(tower.add_arrays, [exp[tower._log[v] + where[:, l]]
-                                              for l, v in enumerate(row) if v])
-    back = evaluation_table(tower, inv)  # f^(-1)(omega^s)
-    ok = (back != 0) & (values[index, log[back]] == exp[:n])
-    if not ok.all():
-        bad = tuple(f[ok.all(axis=1).argmin()].tolist())
-        raise AssertionError(f"inverse_table: f(f^-1(x)) != x for {bad}")
-    return inv
 
 
 def _logs(tower, a):

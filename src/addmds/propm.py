@@ -26,9 +26,10 @@ re-derives every triple it accepts from the polynomials and compares
 every triple it receives.  Each conj(f, b) it reads is a row of one table
 of all b != 0, built from those inverses as one ``evaluation_table`` of h
 q-polynomials per f (``_conjugate_table``): f's own table in
-``_triple_holds`` (so ``PropWitness`` and the transferred triples of
-``verify_inverse_lemma``), one table of all its polynomials in the
-zero-coefficient battery.
+``_triple_holds``, from f's memoised ``inverse`` (so ``PropWitness`` and
+the transferred triples of ``verify_inverse_lemma``), and one table of
+all its polynomials in the zero-coefficient battery, from one
+``dickson_inverses`` of the list.
 ``ZeroCoeffCertificate.validate`` computes from its own fields.
 ``verify_semilinear_criterion`` computes no conjugate: conj(f, a) is
 scalar iff f(a y) = c f(y) for every y, which f's value row decides on
@@ -69,8 +70,9 @@ triples; the scorer ``_orbit_score`` charges nothing.
 Work that depends on one polynomial, not on the pair, is memoised on the
 tower (``FieldTower.memo``), so a battery pays it once:
 
-- Dickson inverses (``inverses``, in ``linpoly``) and conj buckets
-  (``conj_buckets``);
+- Dickson inverses of single polynomials (``inverses``, in ``linpoly``;
+  the batteries invert theirs by ``dickson_inverses`` and fill no entry)
+  and conj buckets (``conj_buckets``);
 - each polynomial's normal forms lam*f(mu X), first nonzero coefficient
   scaled to 1, one per lam (``orbit_normal_forms``), filled for a whole
   list by the pass of ``_normal_form_table``;
@@ -83,7 +85,9 @@ tower (``FieldTower.memo``), so a battery pays it once:
 Certificate products are not memoised: ``_witness_tables`` computes
 Mhat_f*D_f*B(b) for every f and b in one log-domain product, from the
 Dickson minors of the inverses and the B(b), never from conj, and
-``ZeroCoeffCertificate.validate`` computes from its own fields.
+``ZeroCoeffCertificate.validate`` computes from its own fields.  The
+products and the battery's conjugate table share one elimination: the
+same ``dickson_inverses`` rows feed both.
 """
 
 from __future__ import annotations
@@ -100,8 +104,8 @@ from .code import _charge
 from .errors import NotInvertible
 from .linpoly import (
     LinearizedPoly,
+    dickson_inverses,
     evaluation_table,
-    inverse_table,
     invertible_linearized,
     support_degrees,
     value_grid,
@@ -416,7 +420,7 @@ def _conjugate(f: LinearizedPoly, b: int) -> list:
     """Coefficients of conj(f, b), b != 0: row b - 1 of f's
     ``_conjugate_table``, memoised on the tower once per polynomial."""
     return _memoised(f.tower, "conjugates", f.coeffs,
-                     lambda: _conjugate_table([f])[0].tolist())[b - 1]
+                     lambda: _conjugate_table([f], [f.inverse().coeffs])[0].tolist())[b - 1]
 
 
 def _triple_holds(f, g, triple):
@@ -570,10 +574,11 @@ def _shift_matrix(tower):
         tuple(r) for r in shift_minus_one_matrix(tower, tower.h - 1)))
 
 
-def _conjugate_table(polys):
+def _conjugate_table(polys, inverses):
     """conj[i, b - 1, k]: coefficient k of conj(f_i, b), f_i = polys[i], for
-    every element b != 0, from the Dickson inverse g = f_i^(-1) (memoised,
-    and checked by ``compose``) and not from the search side's buckets.
+    every element b != 0, from the coefficient row g = inverses[i] of
+    f_i^(-1) (a Dickson inverse, checked by composition) and not from the
+    search side's buckets.
 
     f o (bX) o g = sum_l f_l b^(q^l) (g(X))^(q^l), so coefficient k is
     P_k(b) for the q-polynomial P_k = sum_l f_l g_(k-l)^(q^l) X^(q^l): one
@@ -584,7 +589,7 @@ def _conjugate_table(polys):
     h, n = t.h, t._group_order
     exp, log = t.np_tables()
     f = np.array([p.coeffs for p in polys], dtype=np.int64)[:, None, :]
-    g = np.array([p.inverse().coeffs for p in polys], dtype=np.int64)
+    g = np.asarray(inverses, dtype=np.int64)
     g = g[:, (np.arange(h)[:, None] - np.arange(h)) % h]  # g[i, k, l] = g_(k-l)
     # f_l g_(k-l)^(q^l) has log f_l + q^l log g_(k-l), below 2n for the doubled exp
     p_k = np.where((f != 0) & (g != 0), exp[log[f] + log[g] * np.array(t._qpow) % n], 0)
@@ -596,7 +601,8 @@ def _witness_tables(polys):
     """The checking side's per-polynomial tables, rows in ``polys`` order and
     column b - 1 for each element b != 0:
 
-    - conj[i, b - 1] = conj(f_i, b) (``_conjugate_table``);
+    - conj[i, b - 1] = conj(f_i, b) (``_conjugate_table``, from the same
+      inverses);
     - prod[i, b - 1] = Mhat_f D_f B(b) of f = f_i, for every f and b in one
       log-domain product summed over its h - 1 terms by ``add_arrays``.
       Entry (k, l) of Mhat_f D_f is g_(k-l)^(q^(l+1)) f_(l+1), g = f^(-1):
@@ -606,15 +612,21 @@ def _witness_tables(polys):
       g_(k-l)^(q^l) (b^(q^l) - b); the products stay the certificate's own
       route, from the minors and the B(b), and never read conj;
     - frob[b - 1]: B(b)'s entrywise q-th power equals L * B(b).
+
+    The inverses g = f_i^(-1) are one ``dickson_inverses`` of the list;
+    raises NotInvertible for the first singular polynomial.
     """
     t = polys[0].tower
     h, n = t.h, t._group_order
     exp, log = t.np_tables()
     diffs = [_diff_vector(t, b) for b in t.nonzero()]
     d = np.array(diffs, dtype=np.int64)
-    f = np.array([p.coeffs for p in polys], dtype=np.int64)[:, None, 1:]
-    g = np.array([p.inverse().coeffs for p in polys], dtype=np.int64)
-    g = g[:, (np.arange(h - 1)[:, None] - np.arange(h - 1)) % h]  # g[i, k, l] = g_(k-l)
+    rows = np.array([p.coeffs for p in polys], dtype=np.int64)
+    inverses, singular = dickson_inverses(t, rows)
+    if singular.any():
+        raise NotInvertible(f"no compositional inverse: {polys[singular.argmax()].coeffs}")
+    f = rows[:, None, 1:]
+    g = inverses[:, (np.arange(h - 1)[:, None] - np.arange(h - 1)) % h]  # g[i, k, l] = g_(k-l)
     # logs of the factors, 2n for a zero one: a product's log is then >= 2n
     # exactly when a factor is 0, and exp is 0 from 2n on
     qpow = np.array(t._qpow[1:], dtype=np.int64)
@@ -626,7 +638,7 @@ def _witness_tables(polys):
             else np.zeros(terms.shape[:-1], dtype=np.int64))
     lmat = _shift_matrix(t)
     frob = np.array([[t.frob(x) for x in d] == linalg.mat_vec(t, lmat, d) for d in diffs])
-    return _conjugate_table(polys), prod, frob
+    return _conjugate_table(polys, inverses), prod, frob
 
 
 def _class_checks(tower, tables):
@@ -787,7 +799,8 @@ def verify_two_nonzero_lemma(tower) -> dict:
     coefficient.  Exhaustive over all two-term coefficient vectors: each
     support {i, l} is one ``value_grid`` of c_i x c_l over the nonzero
     elements, a candidate is invertible iff its value row has no zero, and
-    the qualifying ones are inverted by ``inverse_table``.
+    the qualifying ones of each block are inverted by one
+    ``dickson_inverses``.
     """
     h, n = tower.h, tower.size - 1
     nonzero = range(1, tower.size)
@@ -803,7 +816,7 @@ def verify_two_nonzero_lemma(tower) -> dict:
         for rows, values in value_grid(tower, grid):
             rows = rows[(values != 0).all(axis=1)]
             qualifying += len(rows)
-            dense = (inverse_table(tower, rows) != 0).all(axis=1)
+            dense = (dickson_inverses(tower, rows)[0] != 0).all(axis=1)
             violations += [LinearizedPoly(tower, tuple(row)).to_json()
                            for row in rows[~dense].tolist()]
     return {

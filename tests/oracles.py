@@ -18,9 +18,10 @@ forms, per-pair scalar comparisons for a class's witness checks, a
 per-pair witness and certificate for the zero-coefficient lemma (its
 per-pair report grouped by orbit key, or rebuilt from the class report),
 Dickson determinants per candidate for the k = 4 hunt, lex rows from
-integer digits for value grids, one (rows, n, h) gather for collapse
-tables, and a scalar RREF for the basis of a field-linear code.  Slow on
-purpose; tests only feed it small inputs.
+integer digits for value grids, one scalar inverse per row for the
+two-term battery, one (rows, n, h) gather for collapse tables, and a
+scalar RREF for the basis of a field-linear code.  Slow on purpose;
+tests only feed it small inputs.
 """
 
 from itertools import combinations, product
@@ -38,7 +39,7 @@ from addmds.code import (
     to_standard_form,
 )
 from addmds.gf import _inverses
-from addmds.linpoly import LinearizedPoly, inverse_table, invertible_linearized
+from addmds.linpoly import LinearizedPoly, invertible_linearized
 from addmds.propm import (
     _exact_matching,
     _orbit_key,
@@ -205,7 +206,8 @@ def conjugation_table(polys):
     tower.  Returns an int array of shape (len(polys), q^h - 1, h) whose
     entry [k, r] is the coefficient vector of conj(polys[k], omega^r).
     Coefficient l is sum_i C_f[l][i] b^(q^i) with C_f[l][i] =
-    f_i (f^(-1))_{(l-i) mod h}^(q^i), the inverses from ``inverse_table``.
+    f_i (f^(-1))_{(l-i) mod h}^(q^i), each inverse the scalar ``inverse``
+    of its polynomial, not the library's array kernel.
     """
     if not polys:
         raise ValueError("conjugation_table needs at least one polynomial")
@@ -215,7 +217,7 @@ def conjugation_table(polys):
     qpow = np.array(t._qpow, dtype=np.int64)
     lag = (np.arange(h)[:, None] - np.arange(h)[None, :]) % h
     fi = np.array([f.coeffs for f in polys], dtype=np.int64)[:, None, :]
-    gi = inverse_table(t, fi[:, 0])[:, lag]
+    gi = np.array([f.inverse().coeffs for f in polys], dtype=np.int64)[:, lag]
     c_f = np.where((fi != 0) & (gi != 0), exp[(log[fi] + log[gi] * qpow % n) % n], 0)
     out = np.empty((len(polys), n, h), dtype=np.int64)
     for l in range(h):
@@ -240,6 +242,21 @@ def two_term_rows(tower, i, l):
     rows = np.zeros(((tower.size - 1) ** 2, tower.h), dtype=np.int64)
     rows[:, [i, l]] = list(product(nonzero, nonzero))
     return rows
+
+
+def two_nonzero_inverses(tower):
+    """(f, f^(-1)) coefficient tuples of every invertible two-term row, in
+    the two-nonzero battery's order: supports {i, l} in lex order, skipping
+    those with gcd(l - i, h) > 1, each support's ``two_term_rows`` in turn.
+    Invertibility is a nonzero Dickson determinant, and each inverse is the
+    scalar ``inverse`` of its polynomial."""
+    pairs = []
+    for i, l in combinations(range(tower.h), 2):
+        if gcd(l - i, tower.h) == 1:
+            rows = two_term_rows(tower, i, l).tolist()
+            polys = (LinearizedPoly(tower, tuple(row)) for row in rows)
+            pairs += [(f.coeffs, f.inverse().coeffs) for f in polys if f.is_invertible()]
+    return pairs
 
 
 def gather_collapse_table(log_values, h):

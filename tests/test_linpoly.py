@@ -16,7 +16,6 @@ from addmds.linpoly import (
     LinearizedPoly,
     all_linearized,
     evaluation_table,
-    inverse_table,
     invertible_linearized,
     random_invertible,
     value_grid,
@@ -237,52 +236,6 @@ def test_invertibility_three_ways_exhaustive(key):
 
 def _rows(polys):
     return np.array([f.coeffs for f in polys], dtype=np.int64)
-
-
-@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2)],
-                         ids=["F4", "F8", "F9", "F27", "F16_F4"])
-def test_inverse_table_matches_dickson_inverse(key):
-    # each route on a tower of its own, so neither could read the other's memo
-    t, dickson = field_create(*key), field_create(*key)
-    polys = invertible_linearized(t)
-    got = inverse_table(t, _rows(polys)).tolist()
-    assert got == [list(LinearizedPoly(dickson, f.coeffs).inverse().coeffs) for f in polys]
-    assert inverse_table(t, _rows(polys)[:0]).shape == (0, t.h)
-
-
-def test_inverse_table_leaves_the_inverse_memo_alone():
-    # only LinearizedPoly.inverse reads or writes the memo
-    t = field_create(3, 1, 3)
-    rows = _rows(invertible_linearized(t))
-    inverse_table(t, rows)
-    assert t.memo("inverses") == {}
-    f = invertible_linearized(t)[5]
-    f.inverse()
-    before = dict(t.memo("inverses"))
-    assert (inverse_table(t, rows[5:6]) == [f.inverse().coeffs]).all()
-    assert t.memo("inverses") == before
-
-
-def test_inverse_table_rejects_singular_rows_and_bad_shapes(f9):
-    fresh = field_create(3, 1, 2)
-    rows = _rows(invertible_linearized(fresh)[:4])
-    singular = np.array([[fresh.neg(1), 1]])  # X^q - X kills F_q
-    with pytest.raises(NotInvertible, match="no compositional inverse"):
-        inverse_table(fresh, np.concatenate([rows, singular, rows]))
-    with pytest.raises(NotInvertible):
-        inverse_table(fresh, np.zeros((1, 2), dtype=np.int64))
-    with pytest.raises(ValueError):
-        inverse_table(f9, np.zeros((2, 3), dtype=np.int64))
-
-
-def test_inverse_table_checks_every_row():
-    # a Moore inverse with two rows swapped interpolates the wrong map
-    t = field_create(2, 1, 3)
-    right = linalg.mat_inv(t, [[t.frob(w, i) for i in range(t.h)] for w in t.omega_powers])
-    t.memo("moore_inv", lambda: [right[1], right[0]] + right[2:])
-    with pytest.raises(AssertionError, match="f\\(f\\^-1\\(x\\)\\) != x"):
-        inverse_table(t, _rows(invertible_linearized(t)))
-    assert t.memo("inverses") == {}
 
 
 # the gf tests' kernel towers: F_4, F_8, F_9, F_25, F_27, F_16/F_4, F_64/F_4, F_{81^2}

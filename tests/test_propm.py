@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -98,8 +99,8 @@ def test_prop_triples_compute_no_inverse(monkeypatch):
         raise AssertionError("an inverse was computed")
 
     monkeypatch.setattr(LinearizedPoly, "inverse", refuse)
-    monkeypatch.setattr(linpoly, "inverse_table", refuse)
-    monkeypatch.setattr(propm, "inverse_table", refuse)
+    monkeypatch.setattr(linpoly, "dickson_inverses", refuse)
+    monkeypatch.setattr(propm, "dickson_inverses", refuse)
     fresh = field_create(3, 1, 3)
     got = prop_triples(LinearizedPoly(fresh, f.coeffs), LinearizedPoly(fresh, g.coeffs))
     assert got == want and len(got) > 1
@@ -284,7 +285,7 @@ def test_monomial_scores_match_the_unbounded_search(key):
 def _assert_conjugate_table(polys):
     from addmds.propm import _conjugate_table
     t = polys[0].tower
-    table = _conjugate_table(polys)
+    table = _conjugate_table(polys, linpoly.dickson_inverses(t, [f.coeffs for f in polys])[0])
     assert table.shape == (len(polys), t.size - 1, t.h)
     assert table.tolist() == [[list(f.conjugate(b).coeffs) for b in t.nonzero()] for f in polys]
 
@@ -316,6 +317,16 @@ def test_certificate_products_are_the_conjugate_coefficients(key, limit):
     twisted = [twist_to_nonzero_f0(f)[0] for f in invertible_linearized(tower(*key))[:limit]]
     conj, prod, _frob = _witness_tables(twisted)
     assert prod.shape == conj[..., 1:].shape and (prod == conj[..., 1:]).all()
+
+
+def test_witness_tables_name_the_first_singular_polynomial(f9):
+    # the elimination flags singular rows; the tables raise on the first one
+    from addmds.propm import _witness_tables
+    polys = list(invertible_linearized(f9)[:3])
+    singular = [LinearizedPoly(f9, (f9.neg(1), 1)), LinearizedPoly.zero(f9)]  # X^q - X kills F_q
+    with pytest.raises(NotInvertible,
+                       match=re.escape(f"no compositional inverse: {singular[0].coeffs}") + "$"):
+        _witness_tables(polys[:2] + singular + polys[2:])
 
 
 @pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (2, 2, 2)],
@@ -556,6 +567,32 @@ def test_two_nonzero_verifier(f8, f27):
     assert rep27["ok"]
 
 
+@pytest.mark.parametrize("key", [(3, 1, 2), (3, 1, 3), (2, 2, 2), (2, 1, 4), (2, 2, 3)],
+                         ids=["F9", "F27", "F16_F4", "F16", "F64_F4"])
+def test_two_nonzero_inverses_match_scalar_inverses(key, monkeypatch):
+    """Every row the battery inverts, with its inverse, against the scalar
+    ``inverse`` of each invertible two-term row in the battery's order
+    (``oracles.two_nonzero_inverses``, on a tower of its own).  F_16 has
+    h = 4 and skips its even-gap support; F_64/F_4 has several
+    ``value_grid`` blocks per support."""
+    real, seen = linpoly.dickson_inverses, []
+
+    def recording(tower, rows):
+        inverses, singular = real(tower, rows)
+        assert not singular.any()
+        seen.extend(zip(map(tuple, rows.tolist()), map(tuple, inverses.tolist())))
+        return inverses, singular
+
+    monkeypatch.setattr(propm, "dickson_inverses", recording)
+    t = field_create(*key)
+    report = verify_two_nonzero_lemma(t)
+    want = oracles.two_nonzero_inverses(field_create(*key))
+    assert seen == want
+    assert report["qualifying"] == len(want)
+    assert report["violations"] == [LinearizedPoly(t, f).to_json() for f, g in want if 0 in g]
+    assert report["ok"] == (not report["violations"])
+
+
 def test_lm_prop_implication_frozen_f9(f9):
     rep = verify_lm_prop_implication(f9, 9)
     assert rep["pairs"] == 2304
@@ -657,6 +694,15 @@ def _rebuilt_zero_coeff(t):
     return oracles.per_pair_zero_coeff_report(t, verify_zero_coeff_lemma(t))
 
 
+# sha256 of the class reports, pinned when the reports became one record per class
+ZERO_COEFF_CLASS_DIGESTS = {
+    (2, 1, 3): "2260a62aca3f7a6731c131c764b9aaa05588940d4ebf882adeba31d27353c1c2",
+    (3, 1, 2): "1f3f5e6aeda0349e25213a91b4fc9cbd1a8352fe9900146a3fb07fcaca6450d0",
+    (5, 1, 2): "9ff8c452b8da764c1ef94a443c0a76db937b16ed2ef592bd2eb6239aef36bbcf",
+}
+TWO_NONZERO_F27_DIGEST = "7848cae8b8c8fc591fd14f683866407bf031e39ef7abdd4d7b8048adcaede2a5"
+
+
 # sha256 of the canonical JSON of each report, frozen before the conjugation kernel;
 # the two lm_prop n = 5 reports (survivors of the bound) before class scoring; the
 # F_25 zero-coefficient report when the product limit first let it finish.  The
@@ -676,8 +722,7 @@ def _rebuilt_zero_coeff(t):
      "02bb5906162eca3c7165ee3555f405a003c2e6f63fcf4a0b1812568705b58bf5"),
     ((2, 1, 3), lambda t: verify_lm_prop_implication(t, 5),
      "99bc9e26dc23d622148b4860c6728ab11720a2d9fe66a76460cefc0086049182"),
-    ((3, 1, 3), verify_two_nonzero_lemma,
-     "7848cae8b8c8fc591fd14f683866407bf031e39ef7abdd4d7b8048adcaede2a5"),
+    ((3, 1, 3), verify_two_nonzero_lemma, TWO_NONZERO_F27_DIGEST),
 ], ids=["zero_coeff-F8", "zero_coeff-F9", "zero_coeff-F25", "semilinear-F27", "lm_prop-F16_F4",
         "lm_prop-F9-n5", "lm_prop-F8-n5", "two_nonzero-F27"])
 def test_lemma_report_digests(key, verify, digest):
@@ -685,20 +730,28 @@ def test_lemma_report_digests(key, verify, digest):
     assert _digest(verify(tower(*key))) == digest
 
 
-# sha256 of the class reports, pinned when the reports became one record per class
-@pytest.mark.parametrize("key, classes, digest", [
-    ((2, 1, 3), 70, "2260a62aca3f7a6731c131c764b9aaa05588940d4ebf882adeba31d27353c1c2"),
-    ((3, 1, 2), 7, "1f3f5e6aeda0349e25213a91b4fc9cbd1a8352fe9900146a3fb07fcaca6450d0"),
-    ((5, 1, 2), 61, "9ff8c452b8da764c1ef94a443c0a76db937b16ed2ef592bd2eb6239aef36bbcf"),
-], ids=["F8", "F9", "F25"])
-def test_zero_coeff_class_report_digests(key, classes, digest):
+@pytest.mark.parametrize("key, classes", [((2, 1, 3), 70), ((3, 1, 2), 7), ((5, 1, 2), 61)],
+                         ids=["F8", "F9", "F25"])
+def test_zero_coeff_class_report_digests(key, classes):
     from conftest import tower
     t = tower(*key)
     report = verify_zero_coeff_lemma(t)
     assert len(report["classes"]) == classes
     assert sum(rec["pairs"] for rec in report["classes"]) == report["pairs"] == (
         len(invertible_linearized(t)) ** 2)
-    assert _digest(report) == digest
+    assert _digest(report) == ZERO_COEFF_CLASS_DIGESTS[key]
+
+
+def test_batteries_compute_no_scalar_inverse(monkeypatch):
+    # both batteries invert their polynomials by ``dickson_inverses`` alone:
+    # with the scalar ``inverse`` refused, fresh towers give the pinned reports
+    def refuse(*args):
+        raise AssertionError("a scalar inverse was computed")
+
+    monkeypatch.setattr(LinearizedPoly, "inverse", refuse)
+    for key in [(2, 1, 3), (3, 1, 2)]:
+        assert _digest(verify_zero_coeff_lemma(field_create(*key))) == ZERO_COEFF_CLASS_DIGESTS[key]
+    assert _digest(verify_two_nonzero_lemma(field_create(3, 1, 3))) == TWO_NONZERO_F27_DIGEST
 
 
 def test_zero_coeff_lemma_f49():
