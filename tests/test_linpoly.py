@@ -1,6 +1,7 @@
 import inspect
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -312,6 +313,71 @@ def test_dickson_inverses_check_a_mutant_elimination():
     with pytest.raises(AssertionError, match=r"^dickson_inverses: f\(f\^-1\) != X for \("):
         namespace["dickson_inverses"](t, rows)
     assert not linpoly.dickson_inverses(t, rows)[1].any()
+
+
+# The inverse table of a list of polynomials, as the batteries build it:
+# one dickson_inverses of the list's coefficient rows.
+
+@pytest.mark.parametrize("key", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2)],
+                         ids=["F4", "F8", "F9", "F27", "F16_F4"])
+def test_inverse_table_matches_dickson_inverse(key):
+    # a shuffled list with repeats, inverted whole, in chunks and row by row,
+    # against inverse() on a separate tower: each row is inverted on its own
+    t, dickson = field_create(*key), field_create(*key)
+    polys = list(invertible_linearized(t))
+    rng = random.Random(str(key))
+    polys = rng.sample(polys, len(polys)) + rng.choices(polys, k=7)
+    rows = _rows(polys)
+    want = [list(LinearizedPoly(dickson, f.coeffs).inverse().coeffs) for f in polys]
+    assert linpoly.dickson_inverses(t, rows)[0].tolist() == want
+    for size in (1, 7):
+        chunks = [linpoly.dickson_inverses(t, rows[i:i + size])[0]
+                  for i in range(0, len(rows), size)]
+        assert np.concatenate(chunks).tolist() == want
+
+
+def test_inverse_table_leaves_the_inverse_memo_alone():
+    # only LinearizedPoly.inverse reads or writes the memo
+    t = field_create(3, 1, 3)
+    rows = _rows(invertible_linearized(t))
+    linpoly.dickson_inverses(t, rows)
+    assert t.memo("inverses") == {}
+    f = invertible_linearized(t)[5]
+    f.inverse()
+    before = dict(t.memo("inverses"))
+    assert (linpoly.dickson_inverses(t, rows[5:6])[0] == [f.inverse().coeffs]).all()
+    assert t.memo("inverses") == before
+
+
+def test_inverse_table_rejects_singular_rows_and_bad_shapes(f9):
+    # a singular row is flagged in place and leaves its neighbours' inverses alone
+    fresh = field_create(3, 1, 2)
+    rows = _rows(invertible_linearized(fresh)[:4])
+    singular = np.array([[fresh.neg(1), 1], [0, 0]])  # X^q - X kills F_q
+    inv, flagged = linpoly.dickson_inverses(fresh, np.concatenate([rows, singular, rows]))
+    assert flagged.tolist() == [False] * 4 + [True] * 2 + [False] * 4
+    alone = linpoly.dickson_inverses(fresh, rows)[0]
+    assert (inv[:4] == alone).all() and (inv[6:] == alone).all() and not inv[4:6].any()
+    for bad in (np.zeros((2, 3), dtype=np.int64), np.zeros(2, dtype=np.int64),
+                np.zeros((1, 2, 2), dtype=np.int64)):
+        with pytest.raises(ValueError):
+            linpoly.dickson_inverses(f9, bad)
+
+
+def test_inverse_table_checks_every_row():
+    # an elimination that spoils only the last row's inverse is stopped, and
+    # the error names that row
+    source = inspect.getsource(linpoly.dickson_inverses)
+    check = "    ok = ~singular\n"
+    assert source.count(check) == 1
+    namespace = dict(vars(linpoly))
+    exec(source.replace(check, "    inv[-1] = inv[0]\n" + check), namespace)
+    t = field_create(2, 1, 3)
+    rows = _rows(invertible_linearized(t))
+    last = re.escape(str(tuple(rows[-1].tolist())))
+    with pytest.raises(AssertionError, match=r"^dickson_inverses: f\(f\^-1\) != X for " + last):
+        namespace["dickson_inverses"](t, rows)
+    assert t.memo("inverses") == {}
 
 
 def test_inverse_composes_to_identity(f9):
