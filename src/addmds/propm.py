@@ -34,7 +34,8 @@ all its polynomials in the zero-coefficient battery, from one
 ``verify_semilinear_criterion`` computes no conjugate: conj(f, a) is
 scalar iff f(a y) = c f(y) for every y, which f's value row decides on
 the basis y = omega^l, l < h, in the same ``value_grid`` pass that
-screens invertibility.
+screens invertibility, by int32 log differences compared with 0 and
++-(q^h - 1), without a division (``_collapse_table``).
 
 Scores are searched once per orbit class of pairs.  The triples of (f, g)
 are exactly those of (lam*f(mu X), lam*g(nu X)) for nonzero lam, mu, nu:
@@ -59,8 +60,9 @@ member; ``verify_lm_prop_implication`` first bounds the class
 pair is still checked.
 ``verify_zero_coeff_lemma`` tests each class's witness, and each pair's
 certificate identity, against all pairs of the class by packed rows of
-per-polynomial tables (``_witness_tables``, ``_class_checks``): one
-gather per side and pair for each triple.  These are the checks of
+per-polynomial tables (``_witness_tables``, ``_class_checks``): each
+scaled column (b, a) is packed once per battery, then each triple costs
+one gather per side and pair.  These are the checks of
 ``PropWitness`` and ``ZeroCoeffCertificate``, which stay the per-pair
 route for single pairs and for the tests' oracle.  Budgets are
 charged once, before any search: a battery its |GL_h(F_q)|^2 pairs
@@ -71,8 +73,9 @@ Work that depends on one polynomial, not on the pair, is memoised on the
 tower (``FieldTower.memo``), so a battery pays it once:
 
 - Dickson inverses of single polynomials (``inverses``, in ``linpoly``;
-  the batteries invert theirs by ``dickson_inverses`` and fill no entry)
-  and conj buckets (``conj_buckets``);
+  the batteries invert theirs by ``dickson_inverses``, one elimination
+  for the zero-coefficient list and one per capped batch of two-term
+  rows, and fill no entry) and conj buckets (``conj_buckets``);
 - each polynomial's normal forms lam*f(mu X), first nonzero coefficient
   scaled to 1, one per lam (``orbit_normal_forms``), filled for a whole
   list by the pass of ``_normal_form_table``;
@@ -99,7 +102,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import linalg
+from . import linalg, linpoly
 from .code import _charge
 from .errors import NotInvertible
 from .linpoly import (
@@ -652,23 +655,32 @@ def _class_checks(tower, tables):
 
     Each coefficient row of a table is packed into one int in base
     ``tower.size``, so two rows are equal iff their ints are.  The tables'
-    own rows are packed once.  Per triple, column b - 1 of every
-    polynomial is scaled by a, one gather through logs that read 2n at 0
-    (exp is 0 from 2n on), and packed; each side then takes one gather
-    per pair.  The ints stay below size^h < 2^63: for h <= 3 because size
-    <= 2^20, and for h >= 4 because size^h >= 2^63 would make |GL_h(F_q)|
-    >= size^h prod_(i>=1) (1 - 2^-i) > 2^61, more polynomials than a
-    battery can list.  ``_orbit_classes`` packs its forms the same way.
+    own rows are packed once.  Column b - 1 of every polynomial scaled
+    by a is one gather through logs that read 2n at 0 (exp is 0 from 2n
+    on), packed once per (b, a) and kept for the life of the returned
+    check, since a battery's classes share their triples' columns; each
+    side then takes one gather per pair and triple.  The ints stay below
+    size^h < 2^63: for h <= 3 because size <= 2^20, and for h >= 4
+    because size^h >= 2^63 would make |GL_h(F_q)| >= size^h
+    prod_(i>=1) (1 - 2^-i) > 2^61, more polynomials than a battery can
+    list.  ``_orbit_classes`` packs its forms the same way.
     """
     exp, log = tower.np_tables()
     n = tower._group_order
 
     def packer(table):
         """(the table's rows packed, scaled): scaled(b, la) is column b - 1
-        of every polynomial times omega^la, packed."""
+        of every polynomial times omega^la, packed once per (b, la)."""
         place = tower.size ** np.arange(table.shape[-1], dtype=np.int64)
         logs = np.where(table != 0, log[table], 2 * n)
-        return table @ place, lambda b, la: exp[logs[:, b - 1] + la] @ place
+        columns = {}
+
+        def scaled(b, la):
+            hit = columns.get((b, la))
+            if hit is None:
+                hit = columns[b, la] = exp[logs[:, b - 1] + la] @ place
+            return hit
+        return table @ place, scaled
 
     conj, prod, frob = tables
     conj_rows, conj_scaled = packer(conj)
@@ -798,34 +810,49 @@ def verify_two_nonzero_lemma(tower) -> dict:
     exactly when gcd(l - i, h) = 1; for those, f^{-1} must have no zero
     coefficient.  Exhaustive over all two-term coefficient vectors: each
     support {i, l} is one ``value_grid`` of c_i x c_l over the nonzero
-    elements, a candidate is invertible iff its value row has no zero, and
-    the qualifying ones of each block are inverted by one
-    ``dickson_inverses``.
+    elements, and a candidate is invertible iff its value row has no zero.
+    The qualifying rows of every support are collected in order and
+    inverted by one ``dickson_inverses`` per batch, a batch closed once it
+    holds ``linpoly.EVAL_CHUNK_CELLS`` rows: one elimination for the whole
+    battery on the small towers, and bounded memory on the large ones.
     """
     h, n = tower.h, tower.size - 1
     nonzero = range(1, tower.size)
-    candidates = 0
+    # (c_i, c_l) in lex order, c_i the slower
+    blocks = (rows[(values != 0).all(axis=1)]
+              for i, l in combinations(range(h), 2) if math.gcd(l - i, h) == 1
+              for rows, values in value_grid(
+                  tower, [nonzero if j in (i, l) else (0,) for j in range(h)]))
     qualifying = 0
     violations = []
-    for i, l in combinations(range(h), 2):
-        candidates += n * n
-        if math.gcd(l - i, h) != 1:
-            continue
-        # (c_i, c_l) in lex order, c_i the slower
-        grid = [nonzero if j in (i, l) else (0,) for j in range(h)]
-        for rows, values in value_grid(tower, grid):
-            rows = rows[(values != 0).all(axis=1)]
-            qualifying += len(rows)
-            dense = (dickson_inverses(tower, rows)[0] != 0).all(axis=1)
-            violations += [LinearizedPoly(tower, tuple(row)).to_json()
-                           for row in rows[~dense].tolist()]
+    for rows in _batches(blocks, linpoly.EVAL_CHUNK_CELLS):
+        qualifying += len(rows)
+        dense = (dickson_inverses(tower, rows)[0] != 0).all(axis=1)
+        violations += [LinearizedPoly(tower, tuple(row)).to_json()
+                       for row in rows[~dense].tolist()]
     return {
         "tower": tower.descriptor(),
-        "two_term_candidates": candidates,
+        "two_term_candidates": math.comb(h, 2) * n * n,
         "qualifying": qualifying,
         "violations": violations,
         "ok": not violations,
     }
+
+
+def _batches(arrays, cap):
+    """The row arrays ``arrays`` concatenated in order into batches, each
+    closed once it holds ``cap`` rows or more; arrays without rows add
+    nothing, and no batch is empty."""
+    batch, size = [], 0
+    for rows in arrays:
+        if len(rows):
+            batch.append(rows)
+            size += len(rows)
+        if size >= cap:
+            yield np.concatenate(batch)
+            batch, size = [], 0
+    if batch:
+        yield np.concatenate(batch)
 
 
 def _collapse_table(log_values, h):
@@ -835,17 +862,23 @@ def _collapse_table(log_values, h):
     conj(f, a) = cX iff f(a y) = c f(y) for every y.  Both sides are
     F_q-linear in y and omega^l, l < h, is an F_q-basis, so with a = omega^s
     this holds iff log f(omega^(s+l)) - log f(omega^l) is the same for
-    every l < h, that is iff log f(omega^(s+l)) - log f(omega^s) =
-    log f(omega^l) - log f(1) mod q^h - 1 for l = 1..h-1: h - 1
-    comparisons of shifted (rows, q^h - 1) arrays.
+    every l < h, that is iff
+
+        e = log f(omega^(s+l)) - log f(omega^s) - (log f(omega^l) - log f(1))
+
+    is 0 mod n = q^h - 1 for l = 1..h-1: h - 1 comparisons of shifted
+    (rows, n) arrays.  Every log lies in [0, n), so e lies in (-2n, 2n) and
+    is 0 mod n exactly when |e| is 0 or n: no division.  n < 2^20 on every
+    tower, so e fits the int32 logs the battery passes.
     """
     n = log_values.shape[1]
     wrapped = np.hstack([log_values, log_values[:, :h - 1]])  # column s + l, read mod n
     collapsed = np.ones(log_values.shape, dtype=bool)
     for l in range(1, h):
-        # log f(omega^(s+l)) - log f(omega^s) = log f(omega^l) - log f(1)
-        step = wrapped[:, l:l + n] - log_values
-        collapsed &= (step - (log_values[:, l:l + 1] - log_values[:, :1])) % n == 0
+        e = wrapped[:, l:l + n] - log_values
+        e -= log_values[:, l:l + 1] - log_values[:, :1]
+        np.abs(e, out=e)
+        collapsed &= (e == 0) | (e == n)
     return collapsed
 
 
@@ -862,6 +895,7 @@ def verify_semilinear_criterion(tower) -> dict:
     """
     h, n = tower.h, tower.size - 1
     log = tower.np_tables()[1]
+    log32 = log.astype(np.int32)  # the collapse test's logs
     log_a = log[1:]  # columns in the order a = 1, 2, ..., size - 1
     # row s - 1, for s dividing h: which a lie in F_{q^s}
     in_subfield = np.array([log_a * (tower.q ** s - 1) % n == 0 for s in range(1, h + 1)])
@@ -871,7 +905,7 @@ def verify_semilinear_criterion(tower) -> dict:
         keep = (values != 0).all(axis=1)
         rows = block[keep]
         invertible += len(rows)
-        collapsed = _collapse_table(log[values[keep]], h)[:, log_a]
+        collapsed = _collapse_table(log32[values[keep]], h)[:, log_a]
         predicted = in_subfield[support_degrees(rows, h) - 1]
         violations += [{
             "f": LinearizedPoly(tower, tuple(rows[k].tolist())).to_json(),

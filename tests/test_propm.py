@@ -555,16 +555,36 @@ def test_battery_runs_at_its_pair_budget(f9, verify):
 
 
 def test_two_nonzero_verifier(f8, f27):
-    rep8 = verify_two_nonzero_lemma(f8)
+    # h = 1 has no two-term support; F_8 has supports but no qualifying row
+    f5 = field_create(5, 1, 1)
+    assert verify_two_nonzero_lemma(f5) == {
+        "tower": f5.descriptor(), "two_term_candidates": 0,
+        "qualifying": 0, "violations": [], "ok": True}
     # no two-term polynomial over q = 2 is invertible: every nonzero element
     # is a (2^d - 1)-st power, so the two terms can always be made to cancel
-    assert rep8["two_term_candidates"] == 147
-    assert rep8["qualifying"] == 0
-    assert rep8["ok"]
+    assert verify_two_nonzero_lemma(f8) == {
+        "tower": f8.descriptor(), "two_term_candidates": 147,
+        "qualifying": 0, "violations": [], "ok": True}
     rep27 = verify_two_nonzero_lemma(f27)
     assert rep27["two_term_candidates"] == 2028
     assert rep27["qualifying"] == 1014
     assert rep27["ok"]
+
+
+def _two_nonzero_batches(key, monkeypatch):
+    """(report, batches) of ``verify_two_nonzero_lemma`` on a fresh tower
+    ``key``: each batch is the (f, f^(-1)) coefficient tuples of one
+    ``dickson_inverses`` call of the battery, in call order."""
+    real, batches = linpoly.dickson_inverses, []
+
+    def recording(tower, rows):
+        inverses, singular = real(tower, rows)
+        assert not singular.any()
+        batches.append(list(zip(map(tuple, rows.tolist()), map(tuple, inverses.tolist()))))
+        return inverses, singular
+
+    monkeypatch.setattr(propm, "dickson_inverses", recording)
+    return verify_two_nonzero_lemma(field_create(*key)), batches
 
 
 @pytest.mark.parametrize("key", [(3, 1, 2), (3, 1, 3), (2, 2, 2), (2, 1, 4), (2, 2, 3)],
@@ -574,23 +594,26 @@ def test_two_nonzero_inverses_match_scalar_inverses(key, monkeypatch):
     ``inverse`` of each invertible two-term row in the battery's order
     (``oracles.two_nonzero_inverses``, on a tower of its own).  F_16 has
     h = 4 and skips its even-gap support; F_64/F_4 has several
-    ``value_grid`` blocks per support."""
-    real, seen = linpoly.dickson_inverses, []
-
-    def recording(tower, rows):
-        inverses, singular = real(tower, rows)
-        assert not singular.any()
-        seen.extend(zip(map(tuple, rows.tolist()), map(tuple, inverses.tolist())))
-        return inverses, singular
-
-    monkeypatch.setattr(propm, "dickson_inverses", recording)
+    ``value_grid`` blocks per support.  Each tower's rows are fewer than
+    ``linpoly.EVAL_CHUNK_CELLS``, so they are one batch, or none."""
     t = field_create(*key)
-    report = verify_two_nonzero_lemma(t)
+    report, batches = _two_nonzero_batches(key, monkeypatch)
     want = oracles.two_nonzero_inverses(field_create(*key))
-    assert seen == want
+    assert batches == ([want] if want else [])
     assert report["qualifying"] == len(want)
     assert report["violations"] == [LinearizedPoly(t, f).to_json() for f, g in want if 0 in g]
     assert report["ok"] == (not report["violations"])
+
+
+def test_two_nonzero_batches_close_at_the_row_cap(monkeypatch):
+    # at a cap of 300 rows F_27's 1,014 rows are inverted in four batches,
+    # each but the last closed by the first block that takes it to the cap;
+    # rows, inverses, their order and the report stay the same
+    monkeypatch.setattr(linpoly, "EVAL_CHUNK_CELLS", 300)
+    report, batches = _two_nonzero_batches((3, 1, 3), monkeypatch)
+    assert [len(batch) >= 300 for batch in batches] == [True, True, True, False]
+    assert sum(batches, []) == oracles.two_nonzero_inverses(field_create(3, 1, 3))
+    assert _digest(report) == TWO_NONZERO_F27_DIGEST
 
 
 def test_lm_prop_implication_frozen_f9(f9):
@@ -658,15 +681,25 @@ def test_collapse_table_matches_gather_oracle(key):
     assert got[:, 0].all() and not got.all()
 
 
-@pytest.mark.parametrize("n,h", [(3, 2), (8, 2), (26, 3), (15, 4), (63, 2), (80, 4)])
+@pytest.mark.parametrize("n,h", [(3, 2), (8, 2), (26, 3), (15, 4), (63, 2), (80, 4), (2**20 - 1, 2)])
 def test_collapse_table_matches_gather_oracle_on_random_logs(n, h):
     # affine rows c + e r collapse at every s; a few entries moved off the line
-    # break the collapses whose windows s + l, l < h, or base window l < h they hit
+    # break the collapses whose windows s + l, l < h, or base window l < h they hit.
+    # Int32 logs, as the battery passes them; n = 2^20 - 1 is the largest
+    # tower's group order, at about 4 M cells
     rng = np.random.default_rng(n * h)
-    r = np.arange(n)
-    log_values = (rng.integers(0, n, (200, 1)) + rng.integers(0, n, (200, 1)) * r) % n
+    r, rows = np.arange(n), min(200, 2**22 // n)
+    c = rng.integers(0, n, (rows, 1))
+    c[:2] = [[0], [n - 1]]  # log f(1) = 0 and n - 1: base differences of both signs
+    log_values = (c + rng.integers(0, n, (rows, 1)) * r) % n
     moved = rng.random(log_values.shape) < 0.05
     log_values[moved] = rng.integers(0, n, moved.sum())
+    log_values = log_values.astype(np.int32)
+    # e = log f(omega^(s+l)) - log f(omega^s) - (log f(omega^l) - log f(1))
+    # reaches both n and -n, so a test that takes only e = 0 for 0 mod n fails
+    e = np.concatenate([np.roll(log_values, -l, axis=1) - log_values
+                        - (log_values[:, l:l + 1] - log_values[:, :1]) for l in range(1, h)])
+    assert (e == n).any() and (e == -n).any()
     got = propm._collapse_table(log_values, h)
     assert (got == oracles.gather_collapse_table(log_values, h)).all()
     assert got[:, 1:].any() and not got[:, 1:].all()
